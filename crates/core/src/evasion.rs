@@ -4,6 +4,7 @@
 
 use crate::hmd::{BlackBox, Hmd, ProgramVerdict};
 use rhmd_data::{parallel_map, TracedCorpus};
+use rhmd_features::stream::collect_subwindows;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
 use rhmd_features::window::MEM_BINS;
 use rhmd_ml::linear::LogisticRegression;
@@ -12,6 +13,7 @@ use rhmd_ml::svm::LinearSvm;
 use rhmd_trace::inject::{apply, InjectionPlan, Placement};
 use rhmd_trace::isa::Opcode;
 use rhmd_trace::Program;
+use rhmd_uarch::{CoreConfig, CounterSet};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -286,7 +288,8 @@ pub struct OverheadReport {
 }
 
 /// Rewrites `program` and measures all three overheads by executing both
-/// versions to the same amount of *original* work through the core model.
+/// versions to the same amount of *original* work on the batched flat-IR
+/// path, summing each run's per-window event counters.
 pub fn measure_overhead(
     program: &Program,
     plan: &InjectionPlan,
@@ -297,9 +300,9 @@ pub fn measure_overhead(
     let bounded = rhmd_trace::exec::ExecLimits::original_instructions(budget);
 
     let run = |p: &Program| {
-        let mut core = rhmd_uarch::CoreModel::new(rhmd_uarch::CoreConfig::default());
-        let summary = p.execute(bounded, &mut core);
-        (summary, core.drain_counters())
+        let (windows, summary) = collect_subwindows(p, bounded, CoreConfig::default());
+        let counters = windows.iter().fold(CounterSet::default(), |sum, w| sum + w.counters);
+        (summary, counters)
     };
     let (_, base_counters) = run(program);
     let (summary, mod_counters) = run(&modified);
@@ -340,8 +343,9 @@ impl EvasionTrial {
 /// Rewrites every initially-detected malware program in `malware_indices`
 /// with `plan` and re-queries `victim` (paper Figs 6, 8, 10, 16).
 ///
-/// Modified programs are re-traced with an instruction budget scaled by the
-/// plan's static inflation, so the malware still executes (at least) its
+/// Modified programs are re-traced on the batched flat-IR path with an
+/// instruction budget scaled by the plan's static inflation (see
+/// [`TracedCorpus::retrace`]), so the malware still executes (at least) its
 /// original workload.
 pub fn evade_corpus(
     victim: &mut dyn BlackBox,
@@ -371,18 +375,8 @@ pub fn evade_corpus(
     // 2. Rewrite and re-trace them (parallel: tracing dominates).
     let programs: Vec<&Program> = detected.iter().map(|&i| traced.corpus().program(i)).collect();
     let rewritten = parallel_map(&programs, |p| {
-        let (modified, static_overhead) = apply(p, plan);
-        let factor = 1.05 + static_overhead.ratio();
-        let mut sink = rhmd_trace::exec::CountingSink::default();
-        let limits = rhmd_trace::exec::ExecLimits {
-            max_instructions: (traced.limits().max_instructions as f64 * factor) as u64,
-            ..traced.limits()
-        };
-        let mut acc = rhmd_features::window::WindowAccumulator::new(
-            rhmd_uarch::CoreModel::new(traced.core_config()),
-        );
-        let summary = modified.execute_observed(limits, &mut [&mut acc, &mut sink]);
-        (acc.finish(), static_overhead.ratio(), summary.dynamic_overhead())
+        let (subs, static_overhead, summary) = traced.retrace(p, plan);
+        (subs, static_overhead.ratio(), summary.dynamic_overhead())
     });
 
     // 3. Re-query the victim.
@@ -410,8 +404,11 @@ pub fn evade_corpus(
 mod tests {
     use super::*;
     use rhmd_data::{Corpus, CorpusConfig, Splits};
+    use rhmd_features::window::{RawWindow, WindowAccumulator};
     use rhmd_ml::trainer::{Algorithm, TrainerConfig};
-    use rhmd_uarch::CoreConfig;
+    use rhmd_trace::exec::ExecLimits;
+    use rhmd_uarch::timing::TimingModel;
+    use rhmd_uarch::CoreModel;
 
     fn fixture() -> (TracedCorpus, Splits, Vec<Opcode>) {
         let config = CorpusConfig::tiny();
@@ -585,5 +582,150 @@ mod tests {
         assert!(o5.static_overhead > o1.static_overhead);
         assert!(o5.dynamic_overhead > o1.dynamic_overhead);
         assert!(o1.static_overhead > 0.05 && o1.static_overhead < 0.6);
+    }
+
+    /// The per-event route the batched re-trace replaced, kept as the
+    /// differential oracle: the rewrite runs through `Program::execute` into
+    /// a `WindowAccumulator<CoreModel>`, one event at a time.
+    fn retrace_per_event(
+        traced: &TracedCorpus,
+        program: &Program,
+        plan: &InjectionPlan,
+    ) -> (Vec<RawWindow>, f64, f64) {
+        let (modified, static_overhead) = apply(program, plan);
+        let factor = 1.05 + static_overhead.ratio();
+        let limits = ExecLimits {
+            max_instructions: (traced.limits().max_instructions as f64 * factor) as u64,
+            ..traced.limits()
+        };
+        let mut acc = WindowAccumulator::new(CoreModel::new(traced.core_config()));
+        let summary = modified.execute(limits, &mut acc);
+        (acc.finish(), static_overhead.ratio(), summary.dynamic_overhead())
+    }
+
+    /// `evade_corpus` re-tracing every rewrite serially on the per-event
+    /// route, querying the victim in the same order.
+    fn evade_corpus_per_event(
+        victim: &mut dyn BlackBox,
+        traced: &TracedCorpus,
+        malware: &[usize],
+        plan: &InjectionPlan,
+    ) -> EvasionTrial {
+        let flagged = |victim: &mut dyn BlackBox, subs: &[RawWindow]| {
+            ProgramVerdict::from_decisions(&victim.label_subwindows(subs)).is_malware()
+        };
+        let detected: Vec<usize> = malware
+            .iter()
+            .copied()
+            .filter(|&i| flagged(victim, traced.subwindows(i)))
+            .collect();
+        let mut trial = EvasionTrial {
+            initially_detected: detected.len(),
+            detected_after: 0,
+            mean_static_overhead: 0.0,
+            mean_dynamic_overhead: 0.0,
+        };
+        if detected.is_empty() {
+            return trial;
+        }
+        for &i in &detected {
+            let (subs, st, dy) = retrace_per_event(traced, traced.corpus().program(i), plan);
+            trial.detected_after += usize::from(flagged(victim, &subs));
+            trial.mean_static_overhead += st;
+            trial.mean_dynamic_overhead += dy;
+        }
+        trial.mean_static_overhead /= detected.len() as f64;
+        trial.mean_dynamic_overhead /= detected.len() as f64;
+        trial
+    }
+
+    /// `measure_overhead` on the per-event route: each run drives a
+    /// `CoreModel` through `Program::execute` and drains its counters once.
+    fn measure_overhead_per_event(
+        program: &Program,
+        plan: &InjectionPlan,
+        limits: ExecLimits,
+    ) -> OverheadReport {
+        let (modified, static_overhead) = apply(program, plan);
+        let bounded = ExecLimits::original_instructions(limits.max_instructions.min(1 << 40));
+        let run = |p: &Program| {
+            let mut core = CoreModel::new(CoreConfig::default());
+            let summary = p.execute(bounded, &mut core);
+            (summary, core.drain_counters())
+        };
+        let (_, base_counters) = run(program);
+        let (summary, mod_counters) = run(&modified);
+        OverheadReport {
+            static_overhead: static_overhead.ratio(),
+            dynamic_overhead: summary.dynamic_overhead(),
+            time_overhead: TimingModel::default().time_overhead(&base_counters, &mod_counters),
+        }
+    }
+
+    fn random_plan(count: usize, seed: u64) -> InjectionPlan {
+        let injectable = Opcode::ALL.iter().copied().filter(|op| op.is_injectable()).collect();
+        InjectionPlan::random(injectable, count, Placement::EveryBlock, seed)
+    }
+
+    fn trial_bits(t: &EvasionTrial) -> (usize, usize, u64, u64) {
+        (
+            t.initially_detected,
+            t.detected_after,
+            t.mean_static_overhead.to_bits(),
+            t.mean_dynamic_overhead.to_bits(),
+        )
+    }
+
+    #[test]
+    fn retrace_matches_per_event_oracle() {
+        let (traced, _, _) = fixture();
+        let plan = random_plan(2, 0xe7a5);
+        for i in traced.corpus().malware_indices() {
+            let program = traced.corpus().program(i);
+            let (subs, static_overhead, summary) = traced.retrace(program, &plan);
+            let (oracle_subs, oracle_static, oracle_dynamic) =
+                retrace_per_event(&traced, program, &plan);
+            assert_eq!(subs, oracle_subs, "program {i}");
+            assert_eq!(static_overhead.ratio().to_bits(), oracle_static.to_bits());
+            assert_eq!(summary.dynamic_overhead().to_bits(), oracle_dynamic.to_bits());
+        }
+    }
+
+    #[test]
+    fn evade_corpus_matches_per_event_oracle() {
+        let (traced, splits, opcodes) = fixture();
+        let victim = Hmd::train(
+            Algorithm::Lr,
+            instr_spec(&opcodes),
+            &TrainerConfig::default(),
+            &traced,
+            &splits.victim_train,
+        );
+        let malware = traced.corpus().malware_indices();
+        let plans = [
+            random_plan(3, 7),
+            plan_evasion(&victim, &EvasionConfig::least_weight(3)),
+        ];
+        for plan in &plans {
+            let trial = evade_corpus(&mut victim.clone(), &traced, &malware, plan);
+            let oracle = evade_corpus_per_event(&mut victim.clone(), &traced, &malware, plan);
+            assert!(trial.initially_detected > 0, "victim detects nothing");
+            assert_eq!(trial_bits(&trial), trial_bits(&oracle), "{trial:?} vs {oracle:?}");
+        }
+    }
+
+    #[test]
+    fn measure_overhead_matches_per_event_oracle() {
+        let (traced, _, _) = fixture();
+        let plan = random_plan(3, 11);
+        for i in 0..traced.corpus().len() {
+            let program = traced.corpus().program(i);
+            let report = measure_overhead(program, &plan, traced.limits());
+            let oracle = measure_overhead_per_event(program, &plan, traced.limits());
+            let bits = |r: &OverheadReport| {
+                [r.static_overhead, r.dynamic_overhead, r.time_overhead].map(f64::to_bits)
+            };
+            assert_eq!(bits(&report), bits(&oracle), "program {i}: {report:?} vs {oracle:?}");
+        }
     }
 }

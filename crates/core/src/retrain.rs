@@ -18,7 +18,7 @@ use rhmd_features::vector::FeatureSpec;
 use rhmd_features::window::RawWindow;
 use rhmd_ml::model::Dataset;
 use rhmd_ml::trainer::{Algorithm, TrainerConfig};
-use rhmd_trace::inject::{apply, InjectionPlan};
+use rhmd_trace::inject::InjectionPlan;
 use rhmd_trace::Program;
 use serde::{Deserialize, Serialize};
 
@@ -30,10 +30,7 @@ pub fn trace_evasive_variants(
     plan: &InjectionPlan,
 ) -> Vec<Vec<RawWindow>> {
     let programs: Vec<&Program> = indices.iter().map(|&i| traced.corpus().program(i)).collect();
-    parallel_map(&programs, |p| {
-        let (modified, overhead) = apply(p, plan);
-        traced.trace_program(&modified, 1.05 + overhead.ratio())
-    })
+    parallel_map(&programs, |p| traced.retrace(p, plan).0)
 }
 
 /// Builds a retraining dataset where `fraction` of the malware windows are

@@ -8,10 +8,12 @@
 
 use crate::corpus::Corpus;
 use rhmd_features::pipeline::{project_windows_into, trace_subwindows};
+use rhmd_features::stream::collect_subwindows;
 use rhmd_features::vector::FeatureSpec;
 use rhmd_features::window::RawWindow;
 use rhmd_ml::model::Dataset;
-use rhmd_trace::exec::ExecLimits;
+use rhmd_trace::exec::{ExecLimits, ExecSummary};
+use rhmd_trace::inject::{apply, InjectionPlan, StaticOverhead};
 use rhmd_trace::Program;
 use rhmd_uarch::CoreConfig;
 use std::fmt;
@@ -174,11 +176,35 @@ impl TracedCorpus {
     /// budget by `budget_factor` so payload-inflated programs still cover
     /// their original behaviour.
     pub fn trace_program(&self, program: &Program, budget_factor: f64) -> Vec<RawWindow> {
+        self.trace_scaled(program, budget_factor).0
+    }
+
+    /// Rewrites `program` with `plan` and traces the variant, scaling the
+    /// instruction budget by 1.05 plus the plan's static inflation so the
+    /// rewritten program still executes (at least) its original workload.
+    ///
+    /// Returns the variant's subwindows, its static overhead, and the
+    /// execution summary (whose [`ExecSummary::dynamic_overhead`] is the
+    /// executed-instruction growth).
+    pub fn retrace(
+        &self,
+        program: &Program,
+        plan: &InjectionPlan,
+    ) -> (Vec<RawWindow>, StaticOverhead, ExecSummary) {
+        let (modified, overhead) = apply(program, plan);
+        let (windows, summary) = self.trace_scaled(&modified, 1.05 + overhead.ratio());
+        (windows, overhead, summary)
+    }
+
+    /// Runs `program` on the batched flat-IR path with the instruction
+    /// budget scaled by `budget_factor`.
+    fn trace_scaled(&self, program: &Program, budget_factor: f64) -> (Vec<RawWindow>, ExecSummary) {
+        let _span = rhmd_obs::span("features.trace");
         let limits = ExecLimits {
             max_instructions: (self.limits.max_instructions as f64 * budget_factor) as u64,
             ..self.limits
         };
-        trace_subwindows(program, limits, self.core_config)
+        collect_subwindows(program, limits, self.core_config)
     }
 }
 

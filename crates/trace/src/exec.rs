@@ -85,9 +85,9 @@ pub struct ExecEvent {
 /// program runs, observers own *what is recorded*.
 ///
 /// Implemented by the microarchitecture model, the feature extractors,
-/// counting probes, and any `FnMut(&ExecEvent)` closure. Observers attached
-/// to one [`Executor::run_observed`] call see the identical event stream,
-/// in list order — byte-for-byte the stream a lone observer would see.
+/// counting probes, and any `FnMut(&ExecEvent)` closure. [`Executor::run`]
+/// feeds one observer the committed stream event by event; the hot trace
+/// paths use the batched [`crate::flat::BatchSink`] seam instead.
 ///
 /// This is the single event-consumer trait; the `Sink`-era shims (`Tee`,
 /// the `Sink` trait and its blanket impl) were removed once every call site
@@ -100,17 +100,6 @@ pub trait Observer {
 impl<F: FnMut(&ExecEvent)> Observer for F {
     fn observe(&mut self, ev: &ExecEvent) {
         self(ev)
-    }
-}
-
-/// Fans one committed-instruction stream out to a list of observers.
-struct FanOut<'a, 'o>(&'a mut [&'o mut dyn Observer]);
-
-impl Observer for FanOut<'_, '_> {
-    fn observe(&mut self, ev: &ExecEvent) {
-        for obs in self.0.iter_mut() {
-            obs.observe(ev);
-        }
     }
 }
 
@@ -392,31 +381,6 @@ impl<'p> Executor<'p> {
         summary
     }
 
-    /// Runs the program to its limits, feeding every observer the identical
-    /// committed-instruction stream in list order.
-    ///
-    /// Behavior is bit-identical to [`Executor::run`] with a single
-    /// observer: the event sequence, the summary, and each observer's view
-    /// are unchanged however consumers are stacked.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rhmd_trace::exec::{CountingSink, ExecLimits, Executor, Observer};
-    /// use rhmd_trace::generate::{benign_profile, BenignClass, ProgramGenerator};
-    ///
-    /// let program = ProgramGenerator::new(benign_profile(BenignClass::Browser)).generate(1);
-    /// let mut counts = CountingSink::default();
-    /// let mut pcs = 0u64;
-    /// let mut last_pc = |ev: &rhmd_trace::exec::ExecEvent| pcs = ev.pc;
-    /// let summary = Executor::new(&program, ExecLimits::instructions(5_000))
-    ///     .run_observed(&mut [&mut counts, &mut last_pc]);
-    /// assert_eq!(summary.instructions, counts.total);
-    /// ```
-    pub fn run_observed(&self, observers: &mut [&mut dyn Observer]) -> ExecSummary {
-        self.run(&mut FanOut(observers))
-    }
-
     #[inline]
     fn commit<O: Observer + ?Sized>(&self, ev: &ExecEvent, observer: &mut O, summary: &mut ExecSummary) {
         summary.instructions += 1;
@@ -452,17 +416,6 @@ impl Program {
     pub fn execute<O: Observer + ?Sized>(&self, limits: ExecLimits, observer: &mut O) -> ExecSummary {
         rhmd_obs::incr("trace.programs_executed");
         Executor::new(self, limits).run(observer)
-    }
-
-    /// Convenience: executes the program, fanning the committed-instruction
-    /// stream out to every observer (see [`Executor::run_observed`]).
-    pub fn execute_observed(
-        &self,
-        limits: ExecLimits,
-        observers: &mut [&mut dyn Observer],
-    ) -> ExecSummary {
-        rhmd_obs::incr("trace.programs_executed");
-        Executor::new(self, limits).run_observed(observers)
     }
 }
 
@@ -556,26 +509,6 @@ mod tests {
         assert_ne!(a.original_fingerprint, b.original_fingerprint);
     }
 
-    /// The observer fan-out is bit-identical to a lone observer: same
-    /// summary, and every observer sees the same stream.
-    #[test]
-    fn observers_match_single_observer_bit_for_bit() {
-        let p = ProgramGenerator::new(malware_profile(MalwareFamily::Ransomware)).generate(9);
-        let limits = ExecLimits::instructions(3_000);
-
-        let mut solo_events = Vec::new();
-        let solo = p.execute(limits, &mut |e: &ExecEvent| solo_events.push(*e));
-
-        let mut obs_events = Vec::new();
-        let mut counts = CountingSink::default();
-        let mut record = |e: &ExecEvent| obs_events.push(*e);
-        let observed = p.execute_observed(limits, &mut [&mut record, &mut counts]);
-
-        assert_eq!(solo, observed);
-        assert_eq!(solo_events, obs_events);
-        assert_eq!(counts.total, solo.instructions);
-    }
-
     /// The default `run` (flat, batched) and the reference interpreter emit
     /// the identical stream and summary.
     #[test]
@@ -589,13 +522,6 @@ mod tests {
             Executor::new(&p, limits).run_reference(&mut |e: &ExecEvent| ref_events.push(*e));
         assert_eq!(fast, reference);
         assert_eq!(fast_events, ref_events);
-    }
-
-    #[test]
-    fn empty_observer_list_still_executes() {
-        let p = ProgramGenerator::new(benign_profile(BenignClass::Browser)).generate(5);
-        let summary = p.execute_observed(ExecLimits::instructions(1_000), &mut []);
-        assert!(summary.instructions > 0);
     }
 
     #[test]
