@@ -89,8 +89,8 @@ struct KernelBench {
     bit_identical: bool,
 }
 
-/// The four batched model families (DT has no batched kernel of its own —
-/// RF covers the tree path).
+/// The four model families the kernel report covers. RF scores batches
+/// through the trait's default per-row loop, so its row is a control.
 const KERNEL_FAMILIES: [Algorithm; 4] =
     [Algorithm::Lr, Algorithm::Nn, Algorithm::Rf, Algorithm::Svm];
 

@@ -1,10 +1,9 @@
 //! Random forest — the "high-complexity, high-accuracy" classifier the
 //! paper's §8.2 discussion contrasts with pools of weak detectors.
 
-use crate::matrix::FeatureMatrix;
 use crate::metrics::best_accuracy_threshold;
 use crate::model::{Classifier, Dataset};
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{DecisionTree, Presorted, TreeConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -72,6 +71,30 @@ impl RandomForest {
         assert!(config.trees > 0, "forest needs at least one tree");
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let n = data.len();
+        let presorted = Presorted::new(data);
+        let mut counts = vec![0u32; n];
+        let trees = (0..config.trees)
+            .map(|_| {
+                counts.fill(0);
+                for _ in 0..n {
+                    counts[rng.gen_range(0..n)] += 1;
+                }
+                DecisionTree::fit_presorted(
+                    &config.tree,
+                    presorted.resample(&counts, data.labels()),
+                )
+            })
+            .collect();
+        RandomForest::calibrated(trees, data)
+    }
+
+    /// The row-copying forest that [`RandomForest::fit`] replaced: the same
+    /// bootstrap draws, each sample copied into a new dataset and grown by
+    /// the per-node-sort reference CART. The differential oracle for `fit`.
+    #[cfg(test)]
+    pub(crate) fn fit_reference(config: &ForestConfig, data: &Dataset) -> RandomForest {
+        let mut rng = SmallRng::seed_from_u64(config.seed);
+        let n = data.len();
         let trees = (0..config.trees)
             .map(|_| {
                 let mut sample = Dataset::new(data.dims());
@@ -80,9 +103,14 @@ impl RandomForest {
                     let i = rng.gen_range(0..n);
                     sample.push_row(data.row(i), data.labels()[i]);
                 }
-                DecisionTree::fit(&config.tree, &sample)
+                DecisionTree::fit_reference(&config.tree, &sample)
             })
             .collect();
+        RandomForest::calibrated(trees, data)
+    }
+
+    /// Wraps `trees` with the threshold that maximizes accuracy on `data`.
+    fn calibrated(trees: Vec<DecisionTree>, data: &Dataset) -> RandomForest {
         let mut model = RandomForest {
             trees,
             threshold: 0.5,
@@ -92,6 +120,14 @@ impl RandomForest {
         let (threshold, _) = best_accuracy_threshold(&scores, data.labels());
         model.threshold = if threshold.is_finite() { threshold } else { 0.5 };
         model
+    }
+
+    /// Every tree's [`DecisionTree::to_bits`], then the threshold's bits.
+    #[cfg(test)]
+    pub(crate) fn to_bits(&self) -> Vec<u64> {
+        let mut out: Vec<u64> = self.trees.iter().flat_map(DecisionTree::to_bits).collect();
+        out.push(self.threshold.to_bits());
+        out
     }
 
     /// Number of trees in the ensemble.
@@ -109,20 +145,6 @@ impl Classifier for RandomForest {
     fn score(&self, x: &[f64]) -> f64 {
         let total: f64 = self.trees.iter().map(|t| t.score(x)).sum();
         total / self.trees.len() as f64
-    }
-
-    fn score_batch(&self, xs: &FeatureMatrix, out: &mut [f64]) {
-        // Rows-outer with the same left-to-right tree sum as `score`, so
-        // the two paths are bit-identical. Trees-outer would re-stream
-        // `out` once per tree for no cache benefit — each tree walk is
-        // data-dependent random access either way; batching here saves the
-        // per-row virtual dispatch, not the walks.
-        assert_eq!(xs.len(), out.len(), "output length must match row count");
-        let n = self.trees.len() as f64;
-        for (slot, row) in out.iter_mut().zip(xs.rows()) {
-            let total: f64 = self.trees.iter().map(|t| t.score(row)).sum();
-            *slot = total / n;
-        }
     }
 
     fn threshold(&self) -> f64 {

@@ -37,6 +37,9 @@ pub mod svm;
 pub mod trainer;
 pub mod tree;
 
+#[cfg(test)]
+mod train_diff;
+
 pub use anomaly::{AnomalyConfig, GaussianAnomaly};
 pub use forest::{ForestConfig, RandomForest};
 pub use linear::{LogisticRegression, LrConfig};

@@ -97,80 +97,42 @@ impl Mlp {
     ///
     /// Panics if `data` is empty.
     pub fn fit(config: &MlpConfig, data: &Dataset) -> Mlp {
+        Mlp::fit_with(config, data, sgd)
+    }
+
+    /// [`Mlp::fit`] on the per-unit SGD loop it replaced, kept as the
+    /// differential oracle for the hidden-major loop.
+    #[cfg(test)]
+    pub(crate) fn fit_reference(config: &MlpConfig, data: &Dataset) -> Mlp {
+        Mlp::fit_with(config, data, sgd_reference)
+    }
+
+    /// Standardizes `data`, initializes the weights, runs `train` over them
+    /// and calibrates the threshold.
+    fn fit_with(config: &MlpConfig, data: &Dataset, train: SgdLoop) -> Mlp {
         assert!(!data.is_empty(), "cannot train on an empty dataset");
         let scaler = Standardizer::fit(data);
         let scaled = scaler.transform_dataset(data);
         let dims = scaled.dims();
         let hidden = config.hidden.unwrap_or(dims).max(2);
-        let n = scaled.len();
-        let (pos, neg) = (scaled.positives().max(1), scaled.negatives().max(1));
-        let (wt_pos, wt_neg) = if config.balance_classes {
-            (n as f64 / (2.0 * pos as f64), n as f64 / (2.0 * neg as f64))
-        } else {
-            (1.0, 1.0)
-        };
 
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let xavier = (1.0 / dims.max(1) as f64).sqrt();
-        let mut w1: Vec<Vec<f64>> = (0..hidden)
+        let w1: Vec<Vec<f64>> = (0..hidden)
             .map(|_| (0..dims).map(|_| (rng.gen::<f64>() - 0.5) * 2.0 * xavier).collect())
             .collect();
-        let mut b1 = vec![0.0; hidden];
         let hx = (1.0 / hidden as f64).sqrt();
-        let mut w2: Vec<f64> = (0..hidden).map(|_| (rng.gen::<f64>() - 0.5) * 2.0 * hx).collect();
-        let mut b2 = 0.0;
-
-        // Momentum buffers.
-        let mut v1 = vec![vec![0.0; dims]; hidden];
-        let mut vb1 = vec![0.0; hidden];
-        let mut v2 = vec![0.0; hidden];
-        let mut vb2 = 0.0;
-
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut act = vec![0.0; hidden];
-        for epoch in 0..config.epochs {
-            order.shuffle(&mut rng);
-            let lr = config.learning_rate / (1.0 + 0.02 * f64::from(epoch));
-            for &i in &order {
-                let row = scaled.row(i);
-                let y = f64::from(u8::from(scaled.labels()[i]));
-                let sample_weight = if scaled.labels()[i] { wt_pos } else { wt_neg };
-
-                // Forward.
-                for (a, (w, b)) in act.iter_mut().zip(w1.iter().zip(&b1)) {
-                    let z: f64 = b + w.iter().zip(row).map(|(wi, xi)| wi * xi).sum::<f64>();
-                    *a = z.tanh();
-                }
-                let out = sigmoid(b2 + w2.iter().zip(&act).map(|(w, a)| w * a).sum::<f64>());
-
-                // Backward.
-                let delta_out = (out - y) * sample_weight;
-                for h in 0..hidden {
-                    let grad2 = delta_out * act[h] + config.l2 * w2[h];
-                    v2[h] = config.momentum * v2[h] - lr * grad2;
-                    let delta_h = delta_out * w2[h] * (1.0 - act[h] * act[h]);
-                    for d in 0..dims {
-                        let grad1 = delta_h * row[d] + config.l2 * w1[h][d];
-                        v1[h][d] = config.momentum * v1[h][d] - lr * grad1;
-                        w1[h][d] += v1[h][d];
-                    }
-                    vb1[h] = config.momentum * vb1[h] - lr * delta_h;
-                    b1[h] += vb1[h];
-                    w2[h] += v2[h];
-                }
-                vb2 = config.momentum * vb2 - lr * delta_out;
-                b2 += vb2;
-            }
-        }
-
+        let w2: Vec<f64> = (0..hidden).map(|_| (rng.gen::<f64>() - 0.5) * 2.0 * hx).collect();
         let mut model = Mlp {
             scaler,
             w1,
-            b1,
+            b1: vec![0.0; hidden],
             w2,
-            b2,
+            b2: 0.0,
             threshold: 0.5,
         };
+        train(config, &scaled, &mut model, &mut rng);
+
         let mut scores = vec![0.0; data.len()];
         model.score_batch(data.matrix(), &mut scores);
         let (threshold, _) = best_accuracy_threshold(&scores, data.labels());
@@ -244,6 +206,159 @@ impl Mlp {
             sum += wout * a.tanh();
         }
         sigmoid(sum)
+    }
+}
+
+/// A training loop: SGD over `model`'s weights on the standardized set,
+/// drawing its shuffles from `rng`.
+type SgdLoop = fn(&MlpConfig, &Dataset, &mut Mlp, &mut SmallRng);
+
+/// Per-class sample weights: inversely proportional to class frequency
+/// when `balance_classes` is set.
+fn class_weights(config: &MlpConfig, data: &Dataset) -> (f64, f64) {
+    let n = data.len();
+    let (pos, neg) = (data.positives().max(1), data.negatives().max(1));
+    if config.balance_classes {
+        (n as f64 / (2.0 * pos as f64), n as f64 / (2.0 * neg as f64))
+    } else {
+        (1.0, 1.0)
+    }
+}
+
+/// SGD with momentum on a hidden-major copy of `w1` (`dims × hidden`,
+/// contiguous), so the forward pass and the `w1` update each sweep all
+/// hidden units as lanes of one contiguous row per input.
+///
+/// Every weight sees the arithmetic of the per-unit loop it replaced
+/// ([`sgd_reference`]), in the same order, so the result is bit-identical:
+/// - each unit's pre-activation still sums `w·x` for `d = 0..dims` from
+///   `-0.0` (where `Sum for f64` starts), then adds the bias;
+/// - `v2`, `w2` and `b1` are still updated, and each `delta_h` computed
+///   (from the old `w2[h]`), in the per-unit loop;
+/// - the `w1` update of unit `h` reads only `delta_h`, the row and unit
+///   `h`'s own weights, so sweeping it afterwards changes nothing.
+fn sgd(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng) {
+    let (wt_pos, wt_neg) = class_weights(config, scaled);
+    let (dims, hidden) = (scaled.dims(), model.w2.len());
+    let mut w1 = vec![0.0; dims * hidden];
+    for (h, unit) in model.w1.iter().enumerate() {
+        for (d, &w) in unit.iter().enumerate() {
+            w1[d * hidden + h] = w;
+        }
+    }
+    let Mlp { b1, w2, b2, .. } = model;
+
+    // Momentum buffers; `v1` is hidden-major like `w1`.
+    let mut v1 = vec![0.0; dims * hidden];
+    let mut vb1 = vec![0.0; hidden];
+    let mut v2 = vec![0.0; hidden];
+    let mut vb2 = 0.0;
+
+    let mut order: Vec<usize> = (0..scaled.len()).collect();
+    let mut act = vec![0.0; hidden];
+    let mut delta = vec![0.0; hidden];
+    for epoch in 0..config.epochs {
+        order.shuffle(rng);
+        let lr = config.learning_rate / (1.0 + 0.02 * f64::from(epoch));
+        for &i in &order {
+            let row = scaled.row(i);
+            let y = f64::from(u8::from(scaled.labels()[i]));
+            let sample_weight = if scaled.labels()[i] { wt_pos } else { wt_neg };
+
+            // Forward.
+            act.fill(-0.0);
+            for (&x, w) in row.iter().zip(w1.chunks_exact(hidden)) {
+                for (a, &wi) in act.iter_mut().zip(w) {
+                    *a += wi * x;
+                }
+            }
+            for (a, b) in act.iter_mut().zip(b1.iter()) {
+                *a = (b + *a).tanh();
+            }
+            let out = sigmoid(*b2 + w2.iter().zip(&act).map(|(w, a)| w * a).sum::<f64>());
+
+            // Backward.
+            let delta_out = (out - y) * sample_weight;
+            for h in 0..hidden {
+                let grad2 = delta_out * act[h] + config.l2 * w2[h];
+                v2[h] = config.momentum * v2[h] - lr * grad2;
+                delta[h] = delta_out * w2[h] * (1.0 - act[h] * act[h]);
+                vb1[h] = config.momentum * vb1[h] - lr * delta[h];
+                b1[h] += vb1[h];
+                w2[h] += v2[h];
+            }
+            for ((&x, w), v) in row
+                .iter()
+                .zip(w1.chunks_exact_mut(hidden))
+                .zip(v1.chunks_exact_mut(hidden))
+            {
+                for ((wi, vi), &delta_h) in w.iter_mut().zip(v.iter_mut()).zip(&delta) {
+                    let grad1 = delta_h * x + config.l2 * *wi;
+                    *vi = config.momentum * *vi - lr * grad1;
+                    *wi += *vi;
+                }
+            }
+            vb2 = config.momentum * vb2 - lr * delta_out;
+            *b2 += vb2;
+        }
+    }
+
+    for (h, unit) in model.w1.iter_mut().enumerate() {
+        for (d, w) in unit.iter_mut().enumerate() {
+            *w = w1[d * hidden + h];
+        }
+    }
+}
+
+/// The per-unit SGD loop over `Vec<Vec<f64>>` weights that [`sgd`]
+/// replaced, behind [`Mlp::fit_reference`].
+#[cfg(test)]
+fn sgd_reference(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng) {
+    let (wt_pos, wt_neg) = class_weights(config, scaled);
+    let (dims, hidden) = (scaled.dims(), model.w2.len());
+    let Mlp { w1, b1, w2, b2, .. } = model;
+
+    // Momentum buffers.
+    let mut v1 = vec![vec![0.0; dims]; hidden];
+    let mut vb1 = vec![0.0; hidden];
+    let mut v2 = vec![0.0; hidden];
+    let mut vb2 = 0.0;
+
+    let mut order: Vec<usize> = (0..scaled.len()).collect();
+    let mut act = vec![0.0; hidden];
+    for epoch in 0..config.epochs {
+        order.shuffle(rng);
+        let lr = config.learning_rate / (1.0 + 0.02 * f64::from(epoch));
+        for &i in &order {
+            let row = scaled.row(i);
+            let y = f64::from(u8::from(scaled.labels()[i]));
+            let sample_weight = if scaled.labels()[i] { wt_pos } else { wt_neg };
+
+            // Forward.
+            for (a, (w, b)) in act.iter_mut().zip(w1.iter().zip(b1.iter())) {
+                let z: f64 = b + w.iter().zip(row).map(|(wi, xi)| wi * xi).sum::<f64>();
+                *a = z.tanh();
+            }
+            let out = sigmoid(*b2 + w2.iter().zip(&act).map(|(w, a)| w * a).sum::<f64>());
+
+            // Backward.
+            let delta_out = (out - y) * sample_weight;
+            for h in 0..hidden {
+                let grad2 = delta_out * act[h] + config.l2 * w2[h];
+                v2[h] = config.momentum * v2[h] - lr * grad2;
+                let delta_h = delta_out * w2[h] * (1.0 - act[h] * act[h]);
+                for d in 0..dims {
+                    let grad1 = delta_h * row[d] + config.l2 * w1[h][d];
+                    v1[h][d] = config.momentum * v1[h][d] - lr * grad1;
+                    w1[h][d] += v1[h][d];
+                }
+                vb1[h] = config.momentum * vb1[h] - lr * delta_h;
+                b1[h] += vb1[h];
+                w2[h] += v2[h];
+            }
+            vb2 = config.momentum * vb2 - lr * delta_out;
+            *b2 += vb2;
+        }
     }
 }
 

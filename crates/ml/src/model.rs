@@ -36,34 +36,6 @@ impl Dataset {
         }
     }
 
-    /// Builds a dataset from parallel rows and labels.
-    ///
-    /// Compatibility shim: nested `Vec<Vec<f64>>` rows cost one heap
-    /// allocation per row and defeat the flat row-major layout every
-    /// scoring kernel assumes. New code should hand the data over flat
-    /// ([`Dataset::from_flat`]) or as an already-built matrix
-    /// ([`Dataset::from_matrix`], which is what the mmap'd corpus-store
-    /// views feed in without a copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ, rows have inconsistent dimensionality, or
-    /// any value is non-finite.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build flat instead: `Dataset::from_flat` or `Dataset::from_matrix`"
-    )]
-    pub fn from_rows(rows: Vec<Vec<f64>>, labels: Vec<bool>) -> Dataset {
-        assert_eq!(rows.len(), labels.len(), "rows and labels must align");
-        let dims = rows.first().map_or(0, Vec::len);
-        let mut d = Dataset::new(dims);
-        d.reserve_rows(rows.len());
-        for (row, label) in rows.iter().zip(labels) {
-            d.push_row(row, label);
-        }
-        d
-    }
-
     /// Builds a dataset from a flat row-major buffer and parallel labels —
     /// `labels.len()` rows of `dims` values each, no per-row allocation.
     ///
@@ -342,20 +314,6 @@ mod tests {
     fn push_rejects_nan() {
         let mut d = Dataset::new(1);
         d.push(vec![f64::NAN], true);
-    }
-
-    /// The deprecated nested-`Vec` constructor stays a faithful shim over
-    /// the flat path.
-    #[test]
-    #[allow(deprecated)]
-    fn from_rows_shim_matches_from_flat() {
-        let nested = Dataset::from_rows(
-            vec![vec![1.0, 2.0], vec![3.0, 4.0]],
-            vec![true, false],
-        );
-        let flat = Dataset::from_flat(2, vec![1.0, 2.0, 3.0, 4.0], vec![true, false]);
-        assert_eq!(nested, flat);
-        assert_eq!(Dataset::from_rows(vec![], vec![]), Dataset::new(0));
     }
 
     #[test]

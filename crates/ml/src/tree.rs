@@ -47,8 +47,9 @@ enum Node {
 /// use rhmd_ml::tree::{DecisionTree, TreeConfig};
 /// use rhmd_ml::model::{Classifier, Dataset};
 ///
-/// let data = Dataset::from_rows(
-///     vec![vec![0.1], vec![0.2], vec![0.8], vec![0.9]],
+/// let data = Dataset::from_flat(
+///     1,
+///     vec![0.1, 0.2, 0.8, 0.9],
 ///     vec![false, false, true, true],
 /// );
 /// let tree = DecisionTree::fit(&TreeConfig::default(), &data);
@@ -69,9 +70,38 @@ impl DecisionTree {
     /// Panics if `data` is empty.
     pub fn fit(config: &TreeConfig, data: &Dataset) -> DecisionTree {
         assert!(!data.is_empty(), "cannot train on an empty dataset");
+        DecisionTree::fit_presorted(config, Presorted::new(data))
+    }
+
+    /// Grows a tree on rows already sorted per feature — how
+    /// [`crate::forest::RandomForest`] trains on bootstrap resamples of
+    /// one presorted dataset.
+    pub(crate) fn fit_presorted(config: &TreeConfig, rows: Presorted) -> DecisionTree {
+        let (len, positives) = (rows.len, rows.positives);
+        let mut grower = Grower {
+            config,
+            goes_left: vec![false; rows.source_rows],
+            scratch: Vec::new(),
+            rows,
+            depth: 0,
+            leaves: 0,
+        };
+        let root = grower.grow(0, len, positives, 0);
+        DecisionTree {
+            root,
+            depth: grower.depth,
+            leaves: grower.leaves,
+        }
+    }
+
+    /// The per-node-sort CART that [`DecisionTree::fit`] replaced, kept as
+    /// the differential oracle for the presorted grower.
+    #[cfg(test)]
+    pub(crate) fn fit_reference(config: &TreeConfig, data: &Dataset) -> DecisionTree {
+        assert!(!data.is_empty(), "cannot train on an empty dataset");
         let indices: Vec<usize> = (0..data.len()).collect();
         let mut stats = (0u32, 0u32); // (max depth seen, leaves)
-        let root = grow(config, data, &indices, 0, &mut stats);
+        let root = grow_reference(config, data, &indices, 0, &mut stats);
         DecisionTree {
             root,
             depth: stats.0,
@@ -87,6 +117,31 @@ impl DecisionTree {
     /// Number of leaves.
     pub fn leaves(&self) -> u32 {
         self.leaves
+    }
+
+    /// Every field of the tree as raw bits, in preorder: `[depth, leaves]`,
+    /// then `[0, malware_frac]` per leaf and `[1, feature, threshold]` per
+    /// split. Unlike the derived `PartialEq`, it tells `-0.0` from `0.0`.
+    #[cfg(test)]
+    pub(crate) fn to_bits(&self) -> Vec<u64> {
+        fn walk(node: &Node, out: &mut Vec<u64>) {
+            match node {
+                Node::Leaf { malware_frac } => out.extend([0, malware_frac.to_bits()]),
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    out.extend([1, *feature as u64, threshold.to_bits()]);
+                    walk(left, out);
+                    walk(right, out);
+                }
+            }
+        }
+        let mut out = vec![u64::from(self.depth), u64::from(self.leaves)];
+        walk(&self.root, &mut out);
+        out
     }
 
     /// Flattens the pointer tree into structure-of-arrays form for
@@ -261,7 +316,224 @@ fn gini(pos: f64, total: f64) -> f64 {
     }
 }
 
-fn grow(
+/// The split point between adjacent distinct values `lo < hi`: their
+/// midpoint when it lands in `[lo, hi)`. The midpoint rounds onto `hi` for
+/// neighbouring floats and overflows to infinity near `f64::MAX`; either
+/// would send every row to one side, so those cases split at `lo`.
+fn split_threshold(lo: f64, hi: f64) -> f64 {
+    let mid = (lo + hi) / 2.0;
+    if lo <= mid && mid < hi {
+        mid
+    } else {
+        lo
+    }
+}
+
+/// One row's value in one feature's sorted order, with the row's label
+/// carried along so the Gini scan reads a single sequential stream.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    value: f64,
+    row: u32,
+    label: bool,
+}
+
+/// A training set sorted once per feature: `dims` column-major runs of
+/// `len` entries, each in ascending `total_cmp` order. A tree node owns the
+/// same index range of every run, and splitting a node stable-partitions
+/// each run so it stays sorted down the tree — no node ever sorts again.
+///
+/// The order among tied values is arbitrary, and that is why the grown
+/// tree does not depend on it: the Gini scan scores only boundaries between
+/// *distinct* values, where the left side is exactly "every row below the
+/// boundary" whatever order its ties came in.
+#[derive(Debug)]
+pub(crate) struct Presorted {
+    /// Entries per run (bootstrap duplicates included).
+    len: usize,
+    /// Malware rows among them.
+    positives: usize,
+    /// Rows of the source dataset, which `Entry::row` indexes.
+    source_rows: usize,
+    entries: Vec<Entry>,
+}
+
+impl Presorted {
+    /// Sorts every feature of `data`.
+    pub(crate) fn new(data: &Dataset) -> Presorted {
+        let (n, dims) = (data.len(), data.dims());
+        assert!(u32::try_from(n).is_ok(), "too many rows to presort");
+        let mut entries = vec![Entry::default(); n * dims];
+        for (r, (x, label)) in data.iter().enumerate() {
+            for (f, &value) in x.iter().enumerate() {
+                entries[f * n + r] = Entry {
+                    value,
+                    row: r as u32,
+                    label,
+                };
+            }
+        }
+        if n > 0 {
+            for run in entries.chunks_exact_mut(n) {
+                run.sort_by(|a, b| a.value.total_cmp(&b.value));
+            }
+        }
+        Presorted {
+            len: n,
+            positives: data.positives(),
+            source_rows: n,
+            entries,
+        }
+    }
+
+    /// The bootstrap resample holding source row `r` `counts[r]` times,
+    /// sorted by expanding each entry in place instead of sorting again.
+    /// `labels` are the source rows' labels.
+    pub(crate) fn resample(&self, counts: &[u32], labels: &[bool]) -> Presorted {
+        debug_assert_eq!(counts.len(), self.source_rows);
+        let len = counts.iter().map(|&c| c as usize).sum();
+        let mut entries = Vec::with_capacity(self.entries.len());
+        for e in &self.entries {
+            entries.extend(std::iter::repeat_n(*e, counts[e.row as usize] as usize));
+        }
+        Presorted {
+            len,
+            positives: counts
+                .iter()
+                .zip(labels)
+                .filter(|(_, &label)| label)
+                .map(|(&c, _)| c as usize)
+                .sum(),
+            source_rows: self.source_rows,
+            entries,
+        }
+    }
+}
+
+/// The best split found at a node.
+struct Split {
+    impurity: f64,
+    feature: usize,
+    threshold: f64,
+    /// Rows (and malware rows) that go left: the sorted prefix of
+    /// `feature`'s run.
+    left_n: usize,
+    left_pos: usize,
+}
+
+/// CART over a [`Presorted`] training set.
+struct Grower<'a> {
+    config: &'a TreeConfig,
+    rows: Presorted,
+    /// Per source row: whether the split being applied sends it left.
+    goes_left: Vec<bool>,
+    /// The right side of a run while it is partitioned.
+    scratch: Vec<Entry>,
+    /// Deepest node so far.
+    depth: u32,
+    leaves: u32,
+}
+
+impl Grower<'_> {
+    /// Grows the node owning entries `lo..hi` of every run, `pos` of them
+    /// malware.
+    fn grow(&mut self, lo: usize, hi: usize, pos: usize, depth: u32) -> Node {
+        self.depth = self.depth.max(depth);
+        let total = (hi - lo) as f64;
+        let node_gini = gini(pos as f64, total);
+        if depth >= self.config.max_depth || hi - lo < self.config.min_split || node_gini == 0.0 {
+            return self.leaf(pos, total);
+        }
+        match self.best_split(lo, hi, pos as f64, total) {
+            Some(split) if split.impurity < node_gini - 1e-12 => {
+                let mid = lo + split.left_n;
+                self.partition(lo, hi, mid, split.feature);
+                Node::Split {
+                    feature: split.feature,
+                    threshold: split.threshold,
+                    left: Box::new(self.grow(lo, mid, split.left_pos, depth + 1)),
+                    right: Box::new(self.grow(mid, hi, pos - split.left_pos, depth + 1)),
+                }
+            }
+            _ => self.leaf(pos, total),
+        }
+    }
+
+    fn leaf(&mut self, pos: usize, total: f64) -> Node {
+        self.leaves += 1;
+        // Nodes are never empty: every split leaves a row on each side.
+        Node::Leaf {
+            malware_frac: pos as f64 / total,
+        }
+    }
+
+    /// The lowest-impurity split of entries `lo..hi`, candidates visited in
+    /// (feature, boundary) order with the first of equal impurities kept.
+    fn best_split(&self, lo: usize, hi: usize, pos: f64, total: f64) -> Option<Split> {
+        let min_leaf = self.config.min_leaf;
+        let mut best: Option<Split> = None;
+        for (feature, column) in self.rows.entries.chunks_exact(self.rows.len).enumerate() {
+            let mut left_pos = 0.0;
+            for (k, pair) in column[lo..hi].windows(2).enumerate() {
+                if pair[0].label {
+                    left_pos += 1.0;
+                }
+                let left_n = (k + 1) as f64;
+                let right_n = total - left_n;
+                let (a, b) = (pair[0].value, pair[1].value);
+                if a == b || (k + 1) < min_leaf || (right_n as usize) < min_leaf {
+                    continue;
+                }
+                let right_pos = pos - left_pos;
+                let weighted =
+                    (left_n * gini(left_pos, left_n) + right_n * gini(right_pos, right_n)) / total;
+                if best.as_ref().is_none_or(|b| weighted < b.impurity) {
+                    best = Some(Split {
+                        impurity: weighted,
+                        feature,
+                        threshold: split_threshold(a, b),
+                        left_n: k + 1,
+                        left_pos: left_pos as usize,
+                    });
+                }
+            }
+        }
+        best
+    }
+
+    /// Splits entries `lo..hi` of every run at `mid`. `feature`'s run is
+    /// already split (its left rows are the sorted prefix); every other run
+    /// is stable-partitioned by the same rows, so each stays sorted.
+    fn partition(&mut self, lo: usize, hi: usize, mid: usize, feature: usize) {
+        let len = self.rows.len;
+        let split_run = &self.rows.entries[feature * len..][lo..hi];
+        for (k, e) in split_run.iter().enumerate() {
+            self.goes_left[e.row as usize] = lo + k < mid;
+        }
+        for (f, column) in self.rows.entries.chunks_exact_mut(len).enumerate() {
+            if f == feature {
+                continue;
+            }
+            let run = &mut column[lo..hi];
+            self.scratch.clear();
+            let mut left = 0;
+            for k in 0..run.len() {
+                let e = run[k];
+                if self.goes_left[e.row as usize] {
+                    run[left] = e;
+                    left += 1;
+                } else {
+                    self.scratch.push(e);
+                }
+            }
+            run[left..].copy_from_slice(&self.scratch);
+        }
+    }
+}
+
+/// The per-node-sort grower behind [`DecisionTree::fit_reference`].
+#[cfg(test)]
+fn grow_reference(
     config: &TreeConfig,
     data: &Dataset,
     indices: &[usize],
@@ -306,7 +578,7 @@ fn grow(
             let weighted =
                 (left_n * gini(left_pos, left_n) + right_n * gini(right_pos, right_n)) / total;
             if best.is_none_or(|(bi, _, _)| weighted < bi) {
-                best = Some((weighted, feature, (lo + hi) / 2.0));
+                best = Some((weighted, feature, split_threshold(lo, hi)));
             }
         }
     }
@@ -319,8 +591,8 @@ fn grow(
             Node::Split {
                 feature,
                 threshold,
-                left: Box::new(grow(config, data, &left_idx, depth + 1, stats)),
-                right: Box::new(grow(config, data, &right_idx, depth + 1, stats)),
+                left: Box::new(grow_reference(config, data, &left_idx, depth + 1, stats)),
+                right: Box::new(grow_reference(config, data, &right_idx, depth + 1, stats)),
             }
         }
         _ => make_leaf(stats),
@@ -476,6 +748,30 @@ mod tests {
         let d = Dataset::from_flat(1, vec![1.0, 2.0], vec![true, true]);
         let tree = DecisionTree::fit(&TreeConfig::default(), &d);
         assert_eq!(tree.flatten().score(&[5.0]), 1.0);
+    }
+
+    /// A 20-row, one-feature set that splits perfectly between `lo` and
+    /// `hi` must grow one split with pure leaves, whatever `(lo + hi) / 2`
+    /// rounds to.
+    fn assert_splits_cleanly(lo: f64, hi: f64) {
+        let flat = [[lo; 10], [hi; 10]].concat();
+        let labels = (0..20).map(|i| i >= 10).collect();
+        let tree = DecisionTree::fit(&TreeConfig::default(), &Dataset::from_flat(1, flat, labels));
+        assert_eq!((tree.depth(), tree.leaves()), (1, 2));
+        assert_eq!(tree.score(&[lo]), 0.0);
+        assert_eq!(tree.score(&[hi]), 1.0);
+    }
+
+    #[test]
+    fn threshold_between_neighbouring_floats_stays_below_hi() {
+        // (1+ε + 1+2ε) / 2 rounds onto 1+2ε.
+        assert_splits_cleanly(1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON);
+    }
+
+    #[test]
+    fn threshold_near_f64_max_does_not_overflow() {
+        // 1e308 + 1.5e308 overflows to +inf.
+        assert_splits_cleanly(1e308, 1.5e308);
     }
 
     #[test]
