@@ -11,7 +11,7 @@
 //! Everything here is **bit-identical** to the two-phase path:
 //!
 //! * the internal subwindow cursor advances a [`CoreModel`] in per-run strides using
-//!   the memoized structure paths, which evolve cache/TLB state exactly as
+//!   the run-level structure paths, which evolve cache/TLB state exactly as
 //!   the per-event scan does (pinned by unit tests in `rhmd-uarch` and the
 //!   property suite in `tests/prop_stream.rs`);
 //! * instruction fetches are only batched within one I-cache-line/page
@@ -31,7 +31,7 @@ use rhmd_trace::isa::{INSTR_BYTES, OPCODE_COUNT};
 use rhmd_trace::Program;
 use rhmd_uarch::events::COUNTER_DIMS;
 use rhmd_uarch::faults::FaultModel;
-use rhmd_uarch::{CoreConfig, CoreModel, DataMemo};
+use rhmd_uarch::{CoreConfig, CoreModel, PageMemo};
 
 /// Receiver of sealed subwindows emitted by a [`SubwindowCursor`].
 trait SubwindowSink {
@@ -63,11 +63,11 @@ struct SubwindowCursor {
     /// Bytes sharing one I-cache line and one page; fetch-batching span.
     span: u64,
     sealed: u64,
-    /// Per-stream D-TLB/D-cache memos, indexed by the flat IR's stream id
+    /// Per-stream D-TLB memos, indexed by the flat IR's stream id
     /// (u8-ranged, so 256 covers every stream including scratch). The
-    /// core's internal depth-1 memos thrash when streams interleave; these
-    /// recover each stream's own locality.
-    memos: Vec<DataMemo>,
+    /// D-TLB's internal depth-1 memo thrashes when streams interleave;
+    /// these recover each stream's own locality.
+    memos: Vec<PageMemo>,
 }
 
 impl SubwindowCursor {
@@ -80,7 +80,7 @@ impl SubwindowCursor {
             last_mem_addr: None,
             span,
             sealed: 0,
-            memos: vec![DataMemo::default(); 256],
+            memos: vec![PageMemo::default(); 256],
         }
     }
 
@@ -138,7 +138,7 @@ impl SubwindowCursor {
         }
     }
 
-    /// Processes one terminator event on the memoized core paths.
+    /// Processes one terminator event on the run-level core paths.
     fn terminator(&mut self, ev: &ExecEvent, sink: &mut dyn SubwindowSink) {
         self.core.fetch_one(ev.pc);
         if let Some(branch) = ev.branch {

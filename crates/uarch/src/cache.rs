@@ -31,9 +31,12 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (non-power-of-two line size,
-    /// or capacity not divisible into sets).
+    /// or capacity not divisible into sets) or lines are 1 byte: the line
+    /// number of address `u64::MAX` would then equal the cache's
+    /// invalid-tag marker.
     pub fn sets(&self) -> u32 {
         assert!(self.line_bytes.is_power_of_two(), "line size must be a power of two");
+        assert!(self.line_bytes >= 2, "line size must be at least 2 bytes");
         assert!(self.ways > 0, "associativity must be positive");
         let lines = self.size_bytes / self.line_bytes;
         assert!(
@@ -47,6 +50,14 @@ impl CacheConfig {
 }
 
 /// One set-associative cache with true-LRU replacement.
+///
+/// Each set keeps its tags in recency order, most recent first
+/// (move-to-front): a hit at way `k` rotates ways `0..=k` by one, a miss
+/// shifts the whole set down and installs at way 0, so the victim is
+/// always the last way. This makes the same decisions as per-way LRU
+/// stamps with a lowest-index tie-break: recency order *is* stamp order,
+/// and invalid ways (never touched, stamp zero) sit at the tail, so a cold
+/// set fills before anything valid is evicted.
 ///
 /// # Examples
 ///
@@ -65,59 +76,26 @@ pub struct Cache {
     /// validated powers of two).
     set_mask: u64,
     line_shift: u32,
-    /// Tag per way per set; `u64::MAX` = invalid.
+    ways: usize,
+    /// Tags per set, most recently used first; `u64::MAX` = invalid. Lines
+    /// are at least 2 bytes, so no address maps to the invalid marker.
     tags: Vec<u64>,
-    /// LRU stamp per way per set (higher = more recent).
-    stamps: Vec<u64>,
-    clock: u64,
-    /// Line of the most recent access; `u64::MAX` = none yet. Because only
-    /// [`Cache::access`] mutates the arrays, the last-touched line can never
-    /// have been evicted between two consecutive accesses, so a repeat of it
-    /// is a guaranteed hit — the invariant behind the memoized fast paths.
-    last_line: u64,
-    /// Absolute slot (`set * ways + way`) holding `last_line`.
-    last_index: usize,
     /// Total accesses.
     pub accesses: u64,
     /// Total misses.
     pub misses: u64,
 }
 
-/// Caller-owned memo of where one access stream last hit, for
-/// [`Cache::access_hinted`]. Unlike the cache's internal last-line memo
-/// (depth 1, defeated by interleaved streams), a caller can keep one memo
-/// per logical stream; the memo is self-validating — a hit requires the
-/// remembered slot to still hold the remembered line — so staleness is
-/// harmless.
-#[derive(Debug, Clone, Copy)]
-pub struct LineMemo {
-    line: u64,
-    index: usize,
-}
-
-impl Default for LineMemo {
-    fn default() -> LineMemo {
-        LineMemo {
-            line: u64::MAX,
-            index: 0,
-        }
-    }
-}
-
 impl Cache {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Cache {
         let sets = config.sets();
-        let entries = (sets * config.ways) as usize;
         Cache {
             config,
             set_mask: u64::from(sets) - 1,
             line_shift: config.line_bytes.trailing_zeros(),
-            tags: vec![u64::MAX; entries],
-            stamps: vec![0; entries],
-            clock: 0,
-            last_line: u64::MAX,
-            last_index: 0,
+            ways: config.ways as usize,
+            tags: vec![u64::MAX; (sets * config.ways) as usize],
             accesses: 0,
             misses: 0,
         }
@@ -130,105 +108,24 @@ impl Cache {
 
     /// Performs one access; returns `true` on hit. Misses allocate.
     ///
-    /// The way scan and LRU victim search run together and branch-free:
-    /// hit-or-miss is data-dependent and unpredictable on the corpus's
-    /// random streams, so selecting the written slot with arithmetic
-    /// instead of an early-exit scan avoids a mispredict per access. On a
-    /// hit the tag write stores the value already present and the victim
-    /// search result is discarded — state evolution is exactly the
-    /// scan-then-evict original (first-lowest-index stamp tie-break
-    /// preserved by the strict `<`).
+    /// One pass from the front of the set carries each tag one way down
+    /// until it meets the accessed line (a hit, which ends the rotation) or
+    /// falls off the end (a miss, dropping the LRU way).
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
-        self.clock += 1;
         let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let ways = self.config.ways as usize;
-        let base = set * ways;
-        let mut way = usize::MAX;
-        let mut victim = 0usize;
-        let mut min_stamp = u64::MAX;
-        for w in 0..ways {
-            if self.tags[base + w] == line {
-                way = w;
+        let base = (line & self.set_mask) as usize * self.ways;
+        let mut carry = line;
+        for tag in &mut self.tags[base..base + self.ways] {
+            let held = std::mem::replace(tag, carry);
+            if held == line {
+                return true;
             }
-            if self.stamps[base + w] < min_stamp {
-                min_stamp = self.stamps[base + w];
-                victim = w;
-            }
+            carry = held;
         }
-        let hit = way != usize::MAX;
-        let slot = base + if hit { way } else { victim };
-        self.misses += u64::from(!hit);
-        self.tags[slot] = line;
-        self.stamps[slot] = self.clock;
-        self.last_line = line;
-        self.last_index = slot;
-        hit
-    }
-
-    /// [`Cache::access`] with a last-line fast path: a repeat access to the
-    /// most recently touched line skips the tag scan and LRU search. The
-    /// resulting state (tags, stamps, clock, statistics) is bit-identical to
-    /// the plain path — a repeat of the last line is always a hit whose only
-    /// effects are the access count and a refreshed LRU stamp.
-    #[inline]
-    pub fn access_memoized(&mut self, addr: u64) -> bool {
-        if addr >> self.line_shift == self.last_line {
-            self.accesses += 1;
-            self.clock += 1;
-            self.stamps[self.last_index] = self.clock;
-            return true;
-        }
-        self.access(addr)
-    }
-
-    /// [`Cache::access`] with a caller-owned per-stream memo on top of the
-    /// internal last-line fast path. A repeat of the memoized line is a hit
-    /// **iff** its remembered slot still holds it (`tags[index] == line`) —
-    /// one array read proves residency no matter what was evicted in
-    /// between, because install only happens on a miss, so a line never
-    /// occupies two slots. State evolution (tags, stamps, clock,
-    /// statistics) is bit-identical to the plain path.
-    #[inline]
-    pub fn access_hinted(&mut self, addr: u64, memo: &mut LineMemo) -> bool {
-        let line = addr >> self.line_shift;
-        if line == self.last_line {
-            self.accesses += 1;
-            self.clock += 1;
-            self.stamps[self.last_index] = self.clock;
-            memo.line = line;
-            memo.index = self.last_index;
-            return true;
-        }
-        if line == memo.line && self.tags[memo.index] == line {
-            self.accesses += 1;
-            self.clock += 1;
-            self.stamps[memo.index] = self.clock;
-            self.last_line = line;
-            self.last_index = memo.index;
-            return true;
-        }
-        let hit = self.access(addr);
-        memo.line = line;
-        memo.index = self.last_index;
-        hit
-    }
-
-    /// [`Cache::access_range`] on the hinted path; state-identical to the
-    /// plain variant. A straddling access leaves the memo on the second
-    /// line, matching where the stream will touch next.
-    #[inline]
-    pub fn access_range_hinted(&mut self, addr: u64, size: u8, memo: &mut LineMemo) -> u32 {
-        let first = !self.access_hinted(addr, memo) as u32;
-        if size > 1 {
-            let last = addr + u64::from(size) - 1;
-            if (last >> self.line_shift) != (addr >> self.line_shift) {
-                return first + !self.access_hinted(last, memo) as u32;
-            }
-        }
-        first
+        self.misses += 1;
+        false
     }
 
     /// Accesses that straddle a line boundary touch both lines; returns the
@@ -244,33 +141,17 @@ impl Cache {
         first
     }
 
-    /// [`Cache::access_range`] on the memoized path; state-identical to the
-    /// plain variant.
-    #[inline]
-    pub fn access_range_memoized(&mut self, addr: u64, size: u8) -> u32 {
-        let first = !self.access_memoized(addr) as u32;
-        if size > 1 {
-            let last = addr + u64::from(size) - 1;
-            if (last >> self.line_shift) != (addr >> self.line_shift) {
-                return first + !self.access_memoized(last) as u32;
-            }
-        }
-        first
-    }
-
     /// Applies `count` further accesses to the most recently touched line in
-    /// one step. Each would be a guaranteed hit whose intermediate LRU stamps
-    /// are overwritten by the next, so only the final stamp is stored —
-    /// bit-identical to `count` calls of [`Cache::access`] on that line.
+    /// one step. That line is already at the front of its set, so each would
+    /// be a hit that leaves the set as it is — bit-identical to `count`
+    /// calls of [`Cache::access`] on that line.
     ///
     /// Callers must have touched the line via an access in this run; the
     /// batched executor guarantees this by construction.
     #[inline]
     pub fn bulk_repeat(&mut self, count: u64) {
-        debug_assert!(self.last_line != u64::MAX, "bulk_repeat before any access");
+        debug_assert!(self.accesses > 0, "bulk_repeat before any access");
         self.accesses += count;
-        self.clock += count;
-        self.stamps[self.last_index] = self.clock;
     }
 
     /// Miss rate over all accesses so far (0.0 when idle).
@@ -285,10 +166,6 @@ impl Cache {
     /// Clears contents and statistics.
     pub fn reset(&mut self) {
         self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
-        self.clock = 0;
-        self.last_line = u64::MAX;
-        self.last_index = 0;
         self.accesses = 0;
         self.misses = 0;
     }
@@ -313,6 +190,18 @@ mod tests {
             ways: 2,
         }
         .sets();
+    }
+
+    /// Address `u64::MAX` on 1-byte lines is line `u64::MAX`, the invalid
+    /// tag: a cold cache would report it as a hit.
+    #[test]
+    #[should_panic(expected = "at least 2 bytes")]
+    fn one_byte_lines_panic() {
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 64,
+            line_bytes: 1,
+            ways: 4,
+        });
     }
 
     #[test]
@@ -387,93 +276,5 @@ mod tests {
         assert_eq!(c.accesses, 0);
         assert_eq!(c.misses, 0);
         assert!(!c.access(0)); // cold again
-    }
-
-    /// The memoized and bulk paths evolve the cache bit-identically to the
-    /// plain scan, including straddling accesses and eviction pressure.
-    #[test]
-    fn memoized_paths_are_state_identical() {
-        let cfg = CacheConfig {
-            size_bytes: 1024,
-            line_bytes: 64,
-            ways: 2,
-        };
-        let mut plain = Cache::new(cfg);
-        let mut memo = Cache::new(cfg);
-        let mut x = 0x1234_5678_9abc_def0u64;
-        for i in 0..5_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let addr = x % 8192;
-            let size = [1u8, 4, 8, 64][(i % 4) as usize];
-            assert_eq!(
-                plain.access_range(addr, size),
-                memo.access_range_memoized(addr, size)
-            );
-            if i % 7 == 0 {
-                // Repeat whichever line the range touched last.
-                let last_byte = addr + u64::from(size) - 1;
-                let repeat = if last_byte >> 6 != addr >> 6 { last_byte } else { addr };
-                for _ in 0..3 {
-                    plain.access(repeat);
-                }
-                memo.bulk_repeat(3);
-            }
-        }
-        assert_eq!(plain.accesses, memo.accesses);
-        assert_eq!(plain.misses, memo.misses);
-        assert_eq!(plain.tags, memo.tags);
-        assert_eq!(plain.stamps, memo.stamps);
-        assert_eq!(plain.clock, memo.clock);
-    }
-
-    /// The hinted path evolves the cache bit-identically to the plain scan
-    /// under adversarially interleaved streams — including stale memos whose
-    /// line was evicted and reinstalled elsewhere in the set.
-    #[test]
-    fn hinted_path_is_state_identical() {
-        let cfg = CacheConfig {
-            size_bytes: 1024,
-            line_bytes: 64,
-            ways: 2,
-        };
-        let mut plain = Cache::new(cfg);
-        let mut hinted = Cache::new(cfg);
-        // Four interleaved streams: two strided (high memo hit rate), one
-        // random (memo nearly always stale), one hammering a single line.
-        let mut memos = [LineMemo::default(); 4];
-        let mut cursors = [0u64, 4096, 0, 0x8000];
-        let mut x = 0xdead_beef_1234_5678u64;
-        for i in 0..20_000u64 {
-            let s = (i % 4) as usize;
-            let addr = match s {
-                0 | 1 => {
-                    let a = cursors[s];
-                    cursors[s] = (cursors[s] + 24) % 16_384 + s as u64 * 4096;
-                    a
-                }
-                2 => {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    x % 32_768
-                }
-                _ => cursors[3] + (i % 3),
-            };
-            let size = [1u8, 8, 64][(i % 3) as usize];
-            assert_eq!(
-                plain.access_range(addr, size),
-                hinted.access_range_hinted(addr, size, &mut memos[s]),
-                "access {i}"
-            );
-        }
-        assert_eq!(plain.accesses, hinted.accesses);
-        assert_eq!(plain.misses, hinted.misses);
-        assert_eq!(plain.tags, hinted.tags);
-        assert_eq!(plain.stamps, hinted.stamps);
-        assert_eq!(plain.clock, hinted.clock);
-        assert_eq!(plain.last_line, hinted.last_line);
-        assert_eq!(plain.last_index, hinted.last_index);
     }
 }

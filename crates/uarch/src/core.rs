@@ -2,7 +2,7 @@
 //! events.
 
 use crate::branch::{BranchConfig, Btb, GsharePredictor};
-use crate::cache::{Cache, CacheConfig, LineMemo};
+use crate::cache::{Cache, CacheConfig};
 use crate::events::CounterSet;
 use crate::tlb::{PageMemo, Tlb, TlbConfig};
 use rhmd_trace::exec::{BranchKind, BranchOutcome, ExecEvent, Observer};
@@ -145,15 +145,15 @@ impl CoreModel {
     }
 
     /// One full instruction fetch at `pc` — the fetch section of
-    /// [`Observer::observe`] on the memoized structure paths. Bit-identical
-    /// counter and structure evolution.
+    /// [`Observer::observe`], with the I-TLB's last-page fast path.
+    /// Bit-identical counter and structure evolution.
     #[inline]
     pub fn fetch_one(&mut self, pc: u64) {
         let c = &mut self.counters;
         if !self.itlb.access_memoized(pc) {
             c.itlb_misses += 1;
         }
-        let ic_misses = self.icache.access_range_memoized(pc, 4);
+        let ic_misses = self.icache.access_range(pc, 4);
         c.icache_misses += u64::from(ic_misses);
         if ic_misses > 0 && !self.l2.access(pc) {
             c.l2_misses += 1;
@@ -176,38 +176,14 @@ impl CoreModel {
         }
     }
 
-    /// The data-access section of [`Observer::observe`] on the memoized
-    /// structure paths: D-TLB, D-cache (with straddle), L2 on miss, and the
-    /// load/store/unaligned counters.
-    #[inline]
-    pub fn data_access(&mut self, addr: u64, size: u8, is_load: bool, is_store: bool) {
-        let c = &mut self.counters;
-        if !self.dtlb.access_memoized(addr) {
-            c.dtlb_misses += 1;
-        }
-        let misses = self.dcache.access_range_memoized(addr, size);
-        c.dcache_misses += u64::from(misses);
-        if misses > 0 && !self.l2.access(addr) {
-            c.l2_misses += 1;
-        }
-        if is_load {
-            c.loads += 1;
-        }
-        if is_store {
-            c.stores += 1;
-        }
-        if size > 1 && !addr.is_multiple_of(u64::from(size)) {
-            c.unaligned += 1;
-        }
-    }
-
-    /// [`CoreModel::data_access`] with a caller-owned per-stream memo for
-    /// the D-TLB and D-cache. The internal last-line/last-page memos are
-    /// depth 1 and thrash when logical address streams interleave; a caller
-    /// that knows which stream issued the access (the batched executor
-    /// carries the stream id in the flat IR) keeps one [`DataMemo`] per
-    /// stream and recovers the locality. Bit-identical counter and
-    /// structure evolution.
+    /// The data-access section of [`Observer::observe`] — D-TLB, D-cache
+    /// (with straddle), L2 on miss, and the load/store/unaligned counters —
+    /// with a caller-owned per-stream D-TLB memo. The D-TLB's internal
+    /// last-page memo is depth 1 and thrashes when logical address streams
+    /// interleave; a caller that knows which stream issued the access (the
+    /// batched executor carries the stream id in the flat IR) keeps one
+    /// [`PageMemo`] per stream and recovers the locality. Bit-identical
+    /// counter and structure evolution.
     #[inline]
     pub fn data_access_hinted(
         &mut self,
@@ -215,13 +191,13 @@ impl CoreModel {
         size: u8,
         is_load: bool,
         is_store: bool,
-        memo: &mut DataMemo,
+        memo: &mut PageMemo,
     ) {
         let c = &mut self.counters;
-        if !self.dtlb.access_hinted(addr, &mut memo.dtlb) {
+        if !self.dtlb.access_hinted(addr, memo) {
             c.dtlb_misses += 1;
         }
-        let misses = self.dcache.access_range_hinted(addr, size, &mut memo.dcache);
+        let misses = self.dcache.access_range(addr, size);
         c.dcache_misses += u64::from(misses);
         if misses > 0 && !self.l2.access(addr) {
             c.l2_misses += 1;
@@ -266,15 +242,6 @@ impl CoreModel {
     pub fn count_syscall(&mut self) {
         self.counters.syscalls += 1;
     }
-}
-
-/// Per-stream D-TLB + D-cache memo for [`CoreModel::data_access_hinted`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DataMemo {
-    /// Where this stream last translated.
-    pub dtlb: PageMemo,
-    /// Where this stream last hit in the D-cache.
-    pub dcache: LineMemo,
 }
 
 impl CounterSource for CoreModel {

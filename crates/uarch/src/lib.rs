@@ -42,9 +42,12 @@ pub mod reference;
 pub mod timing;
 pub mod tlb;
 
-pub use crate::core::{CoreConfig, CoreModel, CounterSource, DataMemo};
+#[cfg(test)]
+mod structure_diff;
+
+pub use crate::core::{CoreConfig, CoreModel, CounterSource};
 pub use branch::{BranchConfig, Btb, GsharePredictor};
-pub use cache::{Cache, CacheConfig, LineMemo};
+pub use cache::{Cache, CacheConfig};
 pub use events::{CounterSet, COUNTER_DIMS, COUNTER_NAMES};
 pub use faults::{FaultConfig, FaultModel, FaultedCore, Overflow};
 pub use reference::ReferenceCore;

@@ -5,14 +5,13 @@
 //!
 //! The model is true LRU over `entries` slots. The original implementation
 //! kept per-slot stamps and did an O(entries) scan per translation plus an
-//! O(entries) min-stamp search per eviction; this one keeps an
-//! open-addressed page→slot index and an intrusive recency list, making
-//! every translation O(1) while preserving the exact hit/miss and eviction
-//! decisions: stamps were unique and strictly increasing, so stamp order
-//! *is* recency order, and the only ties — never-used slots, all stamp
-//! zero — broke toward the lowest slot index, which is the order the free
-//! list pops. The golden suites pin this equivalence against seed-era
-//! traces.
+//! O(entries) min-stamp search per eviction; this one keeps a sparse
+//! page→slot index and an intrusive recency list, making every translation
+//! O(1) while preserving the exact hit/miss and eviction decisions: stamps
+//! were unique and strictly increasing, so stamp order *is* recency order,
+//! and the only ties — never-used slots, all stamp zero — broke toward the
+//! lowest slot index, which is the order the free list pops. The golden
+//! suites pin this equivalence against seed-era traces.
 
 use serde::{Deserialize, Serialize};
 
@@ -33,67 +32,77 @@ impl Default for TlbConfig {
     }
 }
 
-/// Marker for an empty index slot / invalid page.
+/// Marker for an empty index word / invalid page.
 const EMPTY: u64 = u64::MAX;
 
+/// Bits of an index word that hold the slot.
+const SLOT_BITS: u32 = 12;
+
+/// Largest supported entry count. Slots then stay below `0xFFF`, so a
+/// packed word — even for the top page, `2^52 - 1` — never equals
+/// [`EMPTY`].
+const MAX_ENTRIES: u32 = (1 << SLOT_BITS) - 1;
+
+/// Index words per TLB entry: at ~3% load nearly every probe chain ends at
+/// its first word, which is what the miss path (get, remove, insert) needs.
+const WORDS_PER_ENTRY: usize = 32;
+
 /// Open-addressed page→slot map with linear probing and backward-shift
-/// deletion, sized at ≤50% load so probe chains stay short. One insert and
-/// one remove per TLB miss; one O(1) lookup per translation.
+/// deletion. Each word packs `page << 12 | slot`, so a probe reads one
+/// array. One insert and one remove per TLB miss; one lookup per
+/// translation.
 #[derive(Debug, Clone)]
 struct PageIndex {
-    keys: Vec<u64>,
-    vals: Vec<u32>,
-    mask: u64,
+    words: Vec<u64>,
+    mask: usize,
 }
 
 impl PageIndex {
     fn new(entries: u32) -> PageIndex {
-        // ≤25% load: the table is a few KiB (L1-resident) and probe chains
-        // degenerate to ~1 slot, which matters on the miss-heavy random
-        // streams the corpus generates.
-        let cap = (entries as usize * 4).next_power_of_two();
+        let cap = (entries as usize * WORDS_PER_ENTRY).next_power_of_two();
         PageIndex {
-            keys: vec![EMPTY; cap],
-            vals: vec![0; cap],
-            mask: cap as u64 - 1,
+            words: vec![EMPTY; cap],
+            mask: cap - 1,
         }
     }
 
     #[inline]
     fn start(&self, page: u64) -> usize {
-        ((page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) & self.mask) as usize
+        (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & self.mask
     }
 
     #[inline]
     fn get(&self, page: u64) -> Option<u32> {
         let mut i = self.start(page);
         loop {
-            let k = self.keys[i];
-            if k == page {
-                return Some(self.vals[i]);
-            }
-            if k == EMPTY {
+            let w = self.words[i];
+            // EMPTY first: its page bits read as the top page.
+            if w == EMPTY {
                 return None;
             }
-            i = (i + 1) & self.mask as usize;
+            if w >> SLOT_BITS == page {
+                return Some((w & u64::from(MAX_ENTRIES)) as u32);
+            }
+            i = (i + 1) & self.mask;
         }
     }
 
     #[inline]
     fn insert(&mut self, page: u64, slot: u32) {
         let mut i = self.start(page);
-        while self.keys[i] != EMPTY {
-            i = (i + 1) & self.mask as usize;
+        while self.words[i] != EMPTY {
+            i = (i + 1) & self.mask;
         }
-        self.keys[i] = page;
-        self.vals[i] = slot;
+        self.words[i] = page << SLOT_BITS | u64::from(slot);
     }
 
+    /// Removes `page`, which must be present.
     #[inline]
     fn remove(&mut self, page: u64) {
-        let mask = self.mask as usize;
+        let mask = self.mask;
         let mut i = self.start(page);
-        while self.keys[i] != page {
+        // As in `get`, an empty word's page bits read as the top page.
+        while self.words[i] == EMPTY || self.words[i] >> SLOT_BITS != page {
             i = (i + 1) & mask;
         }
         // Backward-shift deletion keeps probe chains intact without
@@ -101,25 +110,24 @@ impl PageIndex {
         let mut j = i;
         loop {
             j = (j + 1) & mask;
-            let k = self.keys[j];
-            if k == EMPTY {
+            let w = self.words[j];
+            if w == EMPTY {
                 break;
             }
-            let home = self.start(k);
+            let home = self.start(w >> SLOT_BITS);
             if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
-                self.keys[i] = k;
-                self.vals[i] = self.vals[j];
+                self.words[i] = w;
                 i = j;
             }
         }
-        self.keys[i] = EMPTY;
+        self.words[i] = EMPTY;
     }
 }
 
 /// Caller-owned memo of where one access stream last translated, for
-/// [`Tlb::access_hinted`]. Self-validating like [`crate::cache::LineMemo`]:
-/// a hit requires the remembered slot to still hold the remembered page,
-/// so a stale memo simply falls back to the indexed lookup.
+/// [`Tlb::access_hinted`]. The memo is self-validating: a hit requires the
+/// remembered slot to still hold the remembered page, so a stale memo
+/// simply falls back to the indexed lookup.
 #[derive(Debug, Clone, Copy)]
 pub struct PageMemo {
     page: u64,
@@ -179,9 +187,14 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if the entry count is zero.
+    /// Panics if the entry count is zero or above 4095 (the packed index
+    /// keeps a slot in 12 bits).
     pub fn new(config: TlbConfig) -> Tlb {
         assert!(config.entries > 0, "TLB needs at least one entry");
+        assert!(
+            config.entries <= MAX_ENTRIES,
+            "TLB supports at most 4095 entries"
+        );
         let n = config.entries as usize;
         // Recency order of never-used slots must pop 0, 1, 2, … to match
         // the stamp implementation's first-lowest-index tie-break: slot 0
@@ -354,6 +367,12 @@ mod tests {
         let _ = Tlb::new(TlbConfig { entries: 0 });
     }
 
+    #[test]
+    #[should_panic(expected = "at most 4095")]
+    fn too_many_entries_rejected() {
+        let _ = Tlb::new(TlbConfig { entries: 4096 });
+    }
+
     /// Reference reimplementation of the original stamp-scan TLB, kept to
     /// pin the indexed implementation to the seed-era decision sequence.
     struct StampTlb {
@@ -487,7 +506,13 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let page = x % 96;
+            // Half the pages sit at the top of the address space, where a
+            // packed word's page bits come closest to the empty marker.
+            let page = if x & 1 == 0 {
+                x % 96
+            } else {
+                (1 << 52) - 1 - x % 96
+            };
             match reference.remove(&page) {
                 Some(_) => idx.remove(page),
                 None => {
