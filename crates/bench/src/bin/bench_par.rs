@@ -966,7 +966,7 @@ fn run() -> Result<(), rhmd_core::RhmdError> {
     let path = "BENCH_par.json";
     let json = serde_json::to_string_pretty(&report)
         .map_err(|e| rhmd_core::RhmdError::config(format!("cannot serialize report: {e}")))?;
-    rhmd_bench::durable::Durable::from_env()?
+    rhmd_runtime::durable::Durable::from_env()?
         .write_atomic(std::path::Path::new(path), (json + "\n").as_bytes())?;
     println!(
         "serial {serial_seconds:.2}s -> engine {parallel_seconds:.2}s \

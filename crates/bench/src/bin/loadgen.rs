@@ -33,12 +33,12 @@
 //! Run `RHMD_SCALE=tiny cargo run --release -p rhmd-bench --bin loadgen`
 //! for a quick pass; see `--help`.
 
-use rhmd_bench::durable::Durable;
 use rhmd_bench::Experiment;
 use rhmd_core::hmd::Hmd;
 use rhmd_core::RhmdError;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
 use rhmd_ml::trainer::Algorithm;
+use rhmd_runtime::durable::Durable;
 use rhmd_serve::chaos::{EngineFaults, WireFaults};
 use rhmd_serve::engine::{Engine, OutEvent};
 use rhmd_serve::proto::{

@@ -5,10 +5,10 @@
 //! RHMD_SCALE=standard cargo run --release -p rhmd-bench --bin repro_all
 //! ```
 
-use rhmd_bench::durable::Durable;
 use rhmd_bench::figures;
 use rhmd_bench::{Experiment, Table};
 use rhmd_core::RhmdError;
+use rhmd_runtime::durable::Durable;
 
 fn main() {
     if let Err(e) = run() {

@@ -94,7 +94,7 @@ fn run() -> Result<(), RhmdError> {
     opts.metrics.install();
     let exp = Experiment::load();
     let spec = exp.spec(FeatureKind::Architectural, 10_000);
-    let journal = rhmd_bench::ckpt::journal_with(
+    let journal = rhmd_runtime::ckpt::journal_with(
         opts.ckpt.as_ref(),
         "robustness",
         &format!(

@@ -5,7 +5,6 @@
 //! generation (Fig 13) is journaled durably; a rerun after a crash skips
 //! finished work and produces bit-identical tables.
 
-use crate::ckpt::{journal_with, unit_or_compute, CkptOptions};
 use crate::context::Experiment;
 use crate::report::Table;
 use rhmd_core::evasion::{plan_evasion, EvasionConfig, Strategy};
@@ -17,6 +16,7 @@ use rhmd_core::reveng::reverse_engineer;
 use rhmd_core::RhmdError;
 use rhmd_features::vector::FeatureKind;
 use rhmd_ml::trainer::{Algorithm, TrainerConfig};
+use rhmd_runtime::ckpt::{journal_with, unit_or_compute, CkptOptions};
 use rhmd_trace::inject::Placement;
 
 /// The corpus fingerprint experiments put in their checkpoint manifests.

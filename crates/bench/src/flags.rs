@@ -13,9 +13,9 @@
 //! --metrics-summary    print a metrics summary table to stderr
 //! ```
 
-use crate::ckpt::CkptOptions;
 use crate::metrics::MetricsOptions;
 use rhmd_core::RhmdError;
+use rhmd_runtime::ckpt::CkptOptions;
 use std::path::PathBuf;
 
 /// Options shared by the experiment binaries.

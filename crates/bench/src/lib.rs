@@ -10,11 +10,6 @@
 //! Scale is selected with `RHMD_SCALE` (`tiny` | `small` | `standard` |
 //! `paper`); experiments default to `standard`.
 
-// Durable I/O and checkpoint journals moved to `rhmd-runtime` so the corpus
-// store (`rhmd_data::store`) can write shards through the same plane; the
-// historical `rhmd_bench::durable` / `rhmd_bench::ckpt` paths keep working.
-pub use rhmd_runtime::{ckpt, durable};
-
 pub mod context;
 pub mod figures;
 pub mod flags;

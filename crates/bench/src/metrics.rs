@@ -2,7 +2,7 @@
 //! experiment layer: the standard key set every pipeline stage emits, the
 //! `--metrics` / `--metrics-summary` options shared by the CLI and the
 //! experiment binaries, and a [`JsonRecorder`] wired to
-//! [`crate::durable`]'s atomic writer.
+//! [`rhmd_runtime::durable`]'s atomic writer.
 //!
 //! Metrics are **observe-only**: every instrumentation site records counts
 //! and latencies of work that happens identically with metrics on or off,
@@ -10,9 +10,9 @@
 //! test suite asserts byte-identical sweep cells either way, at any thread
 //! count.
 
-use crate::durable::Durable;
 use rhmd_core::RhmdError;
 use rhmd_obs::{self as obs, JsonRecorder, NoopRecorder, Recorder};
+use rhmd_runtime::durable::Durable;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 

@@ -23,7 +23,6 @@
 //! beyond one short mutex acquisition, and the whole scheduler is ~100
 //! lines of std — the approved dependency set has no rayon.
 
-use crate::ckpt::Journal;
 use rhmd_core::detector::{Detector, StreamRng};
 use rhmd_core::hmd::{Hmd, QuorumVerdict};
 use rhmd_core::retrain::DetectionQuality;
@@ -38,6 +37,7 @@ use rhmd_features::window::{apply_faults, RawWindow};
 use rhmd_ml::matrix::FeatureMatrix;
 use rhmd_ml::model::Dataset;
 use rhmd_obs::{self as obs, NoopRecorder, Recorder};
+use rhmd_runtime::ckpt::Journal;
 use rhmd_trace::seed::derive_seed;
 use rhmd_uarch::faults::{FaultConfig, FaultModel};
 use std::collections::HashMap;

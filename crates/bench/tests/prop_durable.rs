@@ -3,7 +3,7 @@
 //! and fatal errors are never retried.
 
 use proptest::prelude::*;
-use rhmd_bench::durable::{fnv1a, is_transient, Durable, FaultPlane, RetryPolicy};
+use rhmd_runtime::durable::{fnv1a, is_transient, Durable, FaultPlane, RetryPolicy};
 use rhmd_core::RhmdError;
 use std::cell::Cell;
 use std::io;

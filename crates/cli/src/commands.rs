@@ -2,8 +2,6 @@
 
 use crate::args::Args;
 use crate::persist::{load_hmd, save_hmd};
-use rhmd_bench::ckpt::{Journal, Manifest};
-use rhmd_bench::durable::Durable;
 use rhmd_bench::metrics::MetricsOptions;
 use rhmd_bench::par::{Evaluator, EvaluatorBuilder, Pool, WatchdogConfig};
 use rhmd_core::evasion::{evade_corpus, plan_evasion, EvasionConfig, Strategy};
@@ -21,6 +19,8 @@ use rhmd_features::window::RawWindow;
 use rhmd_ml::metrics::{auc, best_accuracy_threshold};
 use rhmd_ml::model::score_all;
 use rhmd_ml::trainer::{Algorithm, TrainerConfig};
+use rhmd_runtime::ckpt::{Journal, Manifest};
+use rhmd_runtime::durable::Durable;
 use rhmd_trace::inject::Placement;
 use rhmd_uarch::faults::FaultConfig;
 use rhmd_uarch::CoreConfig;

@@ -4,9 +4,9 @@
 //! durable layer (retry/backoff on transient errors, fsynced atomic
 //! rename; the `RHMD_IO_FAULTS` fault plane applies in tests).
 
-use rhmd_bench::durable::Durable;
 use rhmd_core::hmd::Hmd;
 use rhmd_core::RhmdError;
+use rhmd_runtime::durable::Durable;
 use std::path::Path;
 
 pub use rhmd_core::persist::load_hmd;

@@ -6,8 +6,8 @@
 //! [`ResilientHmd`](crate::rhmd::ResilientHmd), and the
 //! [`NonStationaryRhmd`](crate::rhmd::NonStationaryRhmd) — historically
 //! grew its own near-duplicate method family (`label_subwindows`,
-//! `decisions`, `quorum_verdict`, plus the `*_seeded` variants the
-//! parallel evaluator needs). This module collapses all of them behind one
+//! `decisions`, `quorum_verdict`, plus seeded variants for the parallel
+//! evaluator). This module collapses all of them behind one
 //! trait whose randomness is an *explicit parameter*: every call takes a
 //! caller-seeded [`StreamRng`], so
 //!
@@ -17,9 +17,6 @@
 //!   always yields the same output, regardless of call order or thread
 //!   count. That property is what lets the parallel evaluator fan programs
 //!   out without sharing RNG state.
-//!
-//! The old inherent `*_seeded` methods remain as thin deprecated
-//! forwarders for one release.
 //!
 //! # Examples
 //!
@@ -43,9 +40,8 @@ use std::fmt;
 /// codebase: derive one seed per program, construct one `StreamRng` per
 /// query stream).
 ///
-/// Wraps the same `SmallRng::seed_from_u64` construction the historical
-/// `*_seeded` methods used, so trait-path results are bit-identical to
-/// them.
+/// Wraps `SmallRng::seed_from_u64`, so a stream is a pure function of its
+/// seed.
 pub struct StreamRng {
     rng: SmallRng,
 }

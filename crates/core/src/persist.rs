@@ -120,9 +120,9 @@ pub fn restore(saved: SavedHmd) -> Hmd {
     Hmd::from_parts(saved.spec, algorithm, saved.model.into_classifier())
 }
 
-/// Saves an HMD as pretty JSON through a caller-supplied writer (dependency
-/// inversion: `rhmd_bench::durable` supplies its fsynced, fault-retried
-/// `write_atomic` here without this crate depending on it).
+/// Saves an HMD as pretty JSON through a caller-supplied writer: the CLI
+/// passes `rhmd_runtime::durable`'s fsynced, fault-retried `write_atomic`,
+/// [`save_hmd`] a plain rename-atomic write.
 ///
 /// # Errors
 ///

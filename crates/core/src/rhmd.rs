@@ -197,47 +197,6 @@ impl ResilientHmd {
             .collect();
         QuorumVerdict::from_votes(&votes)
     }
-
-    /// Like [`ResilientHmd::quorum_verdict`], but drawing the switching
-    /// stream from an explicit `stream_seed` instead of the pool's shared
-    /// RNG. A fresh pool walked serially after `reset()` produces the same
-    /// verdict as this method with `stream_seed == self.seed()`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Detector::quorum` with an explicit `StreamRng` instead"
-    )]
-    pub fn quorum_verdict_seeded(
-        &self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        stream_seed: u64,
-    ) -> QuorumVerdict {
-        Detector::quorum(self, subwindows, min_fill, &mut StreamRng::from_seed(stream_seed))
-    }
-
-    /// Seeded, shared-state-free counterpart of
-    /// [`BlackBox::label_subwindows`] (same expansion to subwindow
-    /// granularity), for order-independent parallel evaluation.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Detector::label_stream` with an explicit `StreamRng` instead"
-    )]
-    pub fn label_subwindows_seeded(
-        &self,
-        subwindows: &[RawWindow],
-        stream_seed: u64,
-    ) -> Vec<bool> {
-        Detector::label_stream(self, subwindows, &mut StreamRng::from_seed(stream_seed))
-    }
-
-    /// Seeded, shared-state-free counterpart of [`BlackBox::decisions`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Detector::epoch_decisions` with an explicit `StreamRng` instead"
-    )]
-    pub fn decisions_seeded(&self, subwindows: &[RawWindow], stream_seed: u64) -> Vec<bool> {
-        Detector::epoch_decisions(self, subwindows, &mut StreamRng::from_seed(stream_seed))
-    }
 }
 
 impl Detector for ResilientHmd {
@@ -744,23 +703,18 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the `*_seeded` forwarders stay bit-compatible for one release
     fn seeded_walks_match_fresh_serial_walks() {
         let (traced, splits) = fixture();
         let mut rhmd = two_detector_pool(&traced, &splits.victim_train, 0x5eed);
         let subs = traced.subwindows(0);
-        // Seeded with the construction seed, the immutable variants replay
-        // exactly what a freshly reset pool produces.
+        // Seeded with the construction seed, the trait walks replay exactly
+        // what a freshly reset pool produces.
         rhmd.reset();
         let serial_labels = rhmd.label_subwindows(subs);
-        assert_eq!(rhmd.label_subwindows_seeded(subs, 0x5eed), serial_labels);
         rhmd.reset();
         let serial_decisions = rhmd.decisions(subs);
-        assert_eq!(rhmd.decisions_seeded(subs, 0x5eed), serial_decisions);
         rhmd.reset();
         let serial_quorum = rhmd.quorum_verdict(subs, 1.0);
-        assert_eq!(rhmd.quorum_verdict_seeded(subs, 1.0, 0x5eed), serial_quorum);
-        // The trait path is the same walk: bit-identical to the forwarders.
         assert_eq!(
             rhmd.label_stream(subs, &mut StreamRng::from_seed(0x5eed)),
             serial_labels
@@ -775,12 +729,15 @@ mod tests {
         );
         // And they are order-free: judging another program first changes
         // nothing, unlike the shared-RNG path.
-        let _ = rhmd.quorum_verdict_seeded(traced.subwindows(1), 1.0, 7);
-        assert_eq!(rhmd.quorum_verdict_seeded(subs, 1.0, 0x5eed), serial_quorum);
+        let _ = rhmd.quorum(traced.subwindows(1), 1.0, &mut StreamRng::from_seed(7));
+        assert_eq!(
+            rhmd.quorum(subs, 1.0, &mut StreamRng::from_seed(0x5eed)),
+            serial_quorum
+        );
         // Repeated seeded calls are pure functions of (subwindows, seed).
         assert_eq!(
-            rhmd.label_subwindows_seeded(subs, 1),
-            rhmd.label_subwindows_seeded(subs, 1)
+            rhmd.label_stream(subs, &mut StreamRng::from_seed(1)),
+            rhmd.label_stream(subs, &mut StreamRng::from_seed(1))
         );
     }
 

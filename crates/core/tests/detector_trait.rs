@@ -91,7 +91,6 @@ fn ensemble_trait_object_matches_inherent_methods() {
 }
 
 #[test]
-#[allow(deprecated)] // exercises the one-release compatibility forwarders
 fn resilient_trait_object_matches_seeded_and_serial_walks() {
     let (traced, splits) = fixture();
     for seed in SEEDS {
@@ -108,27 +107,26 @@ fn resilient_trait_object_matches_seeded_and_serial_walks() {
             &splits.victim_train,
             seed,
         );
-        for i in 0..traced.corpus().len().min(3) {
+        let programs = traced.corpus().len().min(3);
+        for i in 0..programs {
             let subs = traced.subwindows(i);
             // The legacy stateful walk from a fresh reset, captured first
             // (it needs `&mut`, the trait object only `&`).
             pool.reset();
             let serial = BlackBox::label_subwindows(&mut pool, subs);
             let boxed: &dyn Detector = &pool;
-            // Trait path == deprecated seeded forwarders, any stream seed.
+            // Any stream seed: a pure function of (subwindows, seed), and
+            // order-free — judging another program in between changes nothing.
+            let other = traced.subwindows((i + 1) % programs);
             for stream_seed in SEEDS {
-                assert_eq!(
-                    boxed.label_stream(subs, &mut StreamRng::from_seed(stream_seed)),
-                    pool.label_subwindows_seeded(subs, stream_seed)
-                );
-                assert_eq!(
-                    boxed.epoch_decisions(subs, &mut StreamRng::from_seed(stream_seed)),
-                    pool.decisions_seeded(subs, stream_seed)
-                );
-                assert_eq!(
-                    boxed.quorum(subs, 1.0, &mut StreamRng::from_seed(stream_seed)),
-                    pool.quorum_verdict_seeded(subs, 1.0, stream_seed)
-                );
+                let rng = || StreamRng::from_seed(stream_seed);
+                let labels = boxed.label_stream(subs, &mut rng());
+                let decisions = boxed.epoch_decisions(subs, &mut rng());
+                let quorum = boxed.quorum(subs, 1.0, &mut rng());
+                let _ = boxed.quorum(other, 1.0, &mut rng());
+                assert_eq!(boxed.label_stream(subs, &mut rng()), labels);
+                assert_eq!(boxed.epoch_decisions(subs, &mut rng()), decisions);
+                assert_eq!(boxed.quorum(subs, 1.0, &mut rng()), quorum);
             }
             // Trait path == the legacy stateful walk.
             assert_eq!(

@@ -236,7 +236,9 @@ fn class_weights(config: &MlpConfig, data: &Dataset) -> (f64, f64) {
 /// - `v2`, `w2` and `b1` are still updated, and each `delta_h` computed
 ///   (from the old `w2[h]`), in the per-unit loop;
 /// - the `w1` update of unit `h` reads only `delta_h`, the row and unit
-///   `h`'s own weights, so sweeping it afterwards changes nothing.
+///   `h`'s own weights, so sweeping it afterwards changes nothing;
+/// - the `b1` momentum goes through [`momentum_step`], which returns the
+///   hardware's bits without multiplying a subnormal.
 fn sgd(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng) {
     let (wt_pos, wt_neg) = class_weights(config, scaled);
     let (dims, hidden) = (scaled.dims(), model.w2.len());
@@ -283,7 +285,7 @@ fn sgd(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng
                 let grad2 = delta_out * act[h] + config.l2 * w2[h];
                 v2[h] = config.momentum * v2[h] - lr * grad2;
                 delta[h] = delta_out * w2[h] * (1.0 - act[h] * act[h]);
-                vb1[h] = config.momentum * vb1[h] - lr * delta[h];
+                vb1[h] = momentum_step(config.momentum, vb1[h], lr * delta[h]);
                 b1[h] += vb1[h];
                 w2[h] += v2[h];
             }
@@ -307,6 +309,54 @@ fn sgd(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng
         for (d, w) in unit.iter_mut().enumerate() {
             *w = w1[d * hidden + h];
         }
+    }
+}
+
+const SIGN: u64 = 1 << 63;
+const MANTISSA: u64 = (1 << 52) - 1;
+/// Biased exponent of 2⁻⁹⁶⁸. Half the gap below any finite `|g|` from here
+/// up is at least 2⁻¹⁰²², so subtracting `g` from a subnormal gives `-g`.
+const ABSORBING_EXP: u64 = 55;
+
+fn biased_exp(x: f64) -> u64 {
+    (x.to_bits() >> 52) & 0x7ff
+}
+
+fn is_subnormal(x: f64) -> bool {
+    let magnitude = x.to_bits() & !SIGN;
+    magnitude != 0 && magnitude <= MANTISSA
+}
+
+/// `m * v` for a subnormal `v` and a normal `0 < m < 1`, rounded to
+/// nearest, ties to even, on the subnormal grid in integers.
+///
+/// `v = N·2⁻¹⁰⁷⁴` and `m = M·2^(e−1075)` with `M` the 53-bit significand,
+/// so `m·v = (N·M >> (1075 − e))·2⁻¹⁰⁷⁴`. The product fits in 105 bits;
+/// from a shift of 106 up it rounds to 0, so the shift is capped at 127.
+pub(crate) fn mul_subnormal(m: f64, v: f64) -> f64 {
+    let (mb, vb) = (m.to_bits(), v.to_bits());
+    let product = u128::from(vb & MANTISSA) * u128::from(mb & MANTISSA | 1 << 52);
+    let shift = (1075 - (mb >> 52)).min(127) as u32;
+    let (q, rem, half) = (product >> shift, product & ((1 << shift) - 1), 1 << (shift - 1));
+    let q = q + u128::from(rem > half || (rem == half && q & 1 == 1));
+    f64::from_bits(vb & SIGN | q as u64)
+}
+
+/// `m * v - g`, bit-identical to the hardware expression. For a subnormal
+/// `v` it avoids float ops on subnormals where the result is provable:
+/// `p - ±0` is `p` for `p ≠ 0`, and against a finite `|g| ≥ 2⁻⁹⁶⁸` the
+/// subnormal-or-zero `p` is below half an ulp of `g`, so the result is `-g`.
+pub(crate) fn momentum_step(m: f64, v: f64, g: f64) -> f64 {
+    if !(is_subnormal(v) && m.is_normal() && 0.0 < m && m < 1.0) {
+        return m * v - g;
+    }
+    let p = mul_subnormal(m, v);
+    if g.to_bits() & !SIGN == 0 && p.to_bits() & !SIGN != 0 {
+        p
+    } else if g.is_finite() && biased_exp(g) >= ABSORBING_EXP {
+        -g
+    } else {
+        p - g
     }
 }
 

@@ -3,9 +3,14 @@
 //! they replaced (per-node-sort CART, row-copying forest, per-unit SGD).
 //! Every `f64` of every model is compared by `to_bits`, since the derived
 //! `PartialEq` takes `-0.0 == 0.0`. `PROPTEST_CASES` deepens the search.
+//!
+//! The integer subnormal path [`Mlp::fit`] runs its bias momentum through
+//! is checked against the hardware expressions it replaces, and one MLP
+//! case trains long enough on saturating data that saturated units' bias
+//! momentum decays into the subnormal range.
 
 use crate::forest::{ForestConfig, RandomForest};
-use crate::mlp::{Mlp, MlpConfig};
+use crate::mlp::{momentum_step, mul_subnormal, Mlp, MlpConfig};
 use crate::model::Dataset;
 use crate::tree::{DecisionTree, TreeConfig};
 use proptest::prelude::*;
@@ -140,6 +145,42 @@ fn mlp_case() -> impl Strategy<Value = (MlpConfig, Dataset)> {
         )
 }
 
+/// MLP configs whose hidden units saturate (`tanh` exactly ±1) early and
+/// stay saturated, so the bias momentum of those units decays through the
+/// subnormal range: to zero under momentum 0.5, and to a fixed point a few
+/// quanta above zero under 0.95. Under momentum 1e-30 it turns subnormal
+/// within a dozen saturated rows, so a later unsaturated row meets it with
+/// a normal gradient.
+fn saturating_mlp_case() -> impl Strategy<Value = (MlpConfig, Dataset)> {
+    (
+        prop::sample::select(vec![(0.5, 48u32), (0.95, 480), (1e-30, 48)]),
+        prop::sample::select(vec![2.0, 8.0]),
+        1usize..=4,
+        any::<u64>(),
+    )
+        .prop_map(|((momentum, epochs), learning_rate, hidden, seed)| {
+            let config = MlpConfig {
+                epochs,
+                learning_rate,
+                momentum,
+                seed,
+                hidden: Some(hidden),
+                ..MlpConfig::default()
+            };
+            // Two well-separated clusters with one far outlier per class.
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (mut flat, mut labels) = (Vec::new(), Vec::new());
+            for r in 0..32 {
+                let label = r % 2 == 0;
+                let centre = if label { 1.0 } else { -1.0 };
+                let spread = if r < 2 { 40.0 } else { 1.0 };
+                flat.extend((0..2).map(|_| centre * spread + rng.gen_range(-0.2..0.2)));
+                labels.push(label);
+            }
+            (config, Dataset::from_flat(2, flat, labels))
+        })
+}
+
 fn mlp_bits(model: &Mlp) -> Vec<u64> {
     let (scaler, w1, b1, w2, b2, threshold) = model.parts();
     let mut out: Vec<u64> = [w1.len(), w1.first().map_or(0, Vec::len)]
@@ -183,4 +224,115 @@ proptest! {
             mlp_bits(&Mlp::fit_reference(&config, &data))
         );
     }
+
+    #[test]
+    fn saturated_mlp_matches_reference((config, data) in saturating_mlp_case()) {
+        prop_assert_eq!(
+            mlp_bits(&Mlp::fit(&config, &data)),
+            mlp_bits(&Mlp::fit_reference(&config, &data))
+        );
+    }
 }
+
+const MAX_SUBNORMAL: u64 = (1 << 52) - 1;
+
+/// `2^exp` for a normal exponent.
+fn pow2(exp: i32) -> f64 {
+    f64::from_bits(((exp + 1023) as u64) << 52)
+}
+
+/// Positive subnormals: every `N < 2¹²`, 4096 random `N < 2⁵²` and the
+/// largest.
+fn subnormal_mantissas() -> Vec<u64> {
+    let mut rng = SmallRng::seed_from_u64(0x5ab);
+    let mut out: Vec<u64> = (1..1 << 12).collect();
+    out.extend((0..4096).map(|_| rng.gen_range(1..=MAX_SUBNORMAL)));
+    out.push(MAX_SUBNORMAL);
+    out
+}
+
+/// Momentum coefficients: the defaults, exact halves and quarters (ties),
+/// and random values in (0, 1) across every normal exponent.
+fn momenta() -> Vec<f64> {
+    let mut rng = SmallRng::seed_from_u64(0x3e7a);
+    let mut out = vec![0.95, 0.9, 0.5, 0.25, 0.75, 1f64.next_down(), f64::MIN_POSITIVE];
+    out.extend((0..16).map(|_| rng.gen_range(f64::MIN_POSITIVE..1.0)));
+    out.extend((0..16).map(|_| {
+        f64::from_bits(rng.gen_range(1u64..=1022) << 52 | rng.gen_range(0..=MAX_SUBNORMAL))
+    }));
+    out
+}
+
+/// Both signs of every value.
+fn signed(values: &[f64]) -> Vec<f64> {
+    values.iter().flat_map(|&x| [x, -x]).collect()
+}
+
+/// Gradients around the absorbing threshold 2⁻⁹⁶⁸, plus zeros, subnormals,
+/// normals and non-finite values.
+fn gradients() -> Vec<f64> {
+    let mut out = signed(&[
+        0.0,
+        f64::from_bits(1),
+        f64::from_bits(1 << 51),
+        f64::from_bits(MAX_SUBNORMAL),
+        f64::MIN_POSITIVE,
+        pow2(-969),
+        pow2(-968).next_down(),
+        pow2(-968),
+        pow2(-968).next_up(),
+        1e-300,
+        0.5,
+        1.0,
+        3.0,
+        f64::MAX,
+        f64::INFINITY,
+    ]);
+    out.push(f64::NAN);
+    out
+}
+
+#[test]
+fn mul_subnormal_matches_hardware() {
+    for m in momenta() {
+        for n in subnormal_mantissas() {
+            for v in signed(&[f64::from_bits(n)]) {
+                assert_eq!(mul_subnormal(m, v).to_bits(), (m * v).to_bits(), "{m:e} * {v:e}");
+            }
+        }
+    }
+}
+
+#[test]
+fn mul_subnormal_rounds_ties_to_even() {
+    // (m, N, rounded m·N): every product sits exactly halfway.
+    let ties = [(0.5, 1, 0), (0.5, 3, 2), (0.5, 5, 2), (0.5, 7, 4), (0.75, 2, 2), (0.75, 6, 4)];
+    for (m, n, q) in ties {
+        for sign in [0, 1 << 63] {
+            let v = f64::from_bits(sign | n);
+            assert_eq!(mul_subnormal(m, v).to_bits(), sign | q, "{m} * {n}");
+            assert_eq!((m * v).to_bits(), sign | q, "{m} * {n}");
+        }
+    }
+}
+
+#[test]
+fn momentum_step_matches_hardware() {
+    let mut vs: Vec<f64> = subnormal_mantissas().into_iter().step_by(17).map(f64::from_bits).collect();
+    vs.extend([0.0, f64::MIN_POSITIVE, 1e-300, 0.5]);
+    // Momenta outside (0, 1) or not normal take the hardware path.
+    let mut ms = momenta();
+    ms.extend([0.0, 1.0, 1.5, -0.5, f64::from_bits(1), f64::NAN]);
+    for m in ms {
+        for &v in &signed(&vs) {
+            for g in gradients() {
+                assert_eq!(
+                    momentum_step(m, v, g).to_bits(),
+                    (m * v - g).to_bits(),
+                    "{m:e} * {v:e} - {g:e}"
+                );
+            }
+        }
+    }
+}
+

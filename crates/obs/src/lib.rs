@@ -552,7 +552,7 @@ impl Snapshot {
 /// [`Recorder::is_enabled`]` == false`, so pipeline stages skip even
 /// snapshotting. [`JsonRecorder`] renders [`Snapshot::to_json`] to a file;
 /// the bench/CLI layers construct it with a durable atomic writer
-/// (`rhmd_bench::durable`) injected via [`JsonRecorder::with_writer`].
+/// (`rhmd_runtime::durable`) injected via [`JsonRecorder::with_writer`].
 pub trait Recorder: Send + Sync {
     /// Whether recording is live. Callers use this to decide whether to
     /// flip the global [`set_enabled`] switch.
@@ -612,7 +612,7 @@ impl JsonRecorder {
     }
 
     /// A recorder writing to `path` through a caller-supplied atomic
-    /// writer (dependency inversion: `rhmd_bench::durable` supplies its
+    /// writer (dependency inversion: `rhmd_runtime::durable` supplies its
     /// fault-retried `write_atomic` here without this crate depending on
     /// it).
     pub fn with_writer(

@@ -4,14 +4,14 @@
 //! `rhmd-bench` (durable I/O, checkpoint journals), which pinned them near
 //! the top of the crate graph. The on-disk corpus store (`rhmd_data::store`)
 //! needs all three from *below* `rhmd-core`, so they live here — just above
-//! `rhmd-trace` — and the original paths re-export them unchanged:
+//! `rhmd-trace`:
 //!
-//! * [`error::RhmdError`] — the typed error hierarchy (still reachable as
+//! * [`error::RhmdError`] — the typed error hierarchy (also re-exported as
 //!   `rhmd_core::RhmdError`);
 //! * [`durable`] — atomic writes, checksummed payloads, seeded I/O fault
-//!   plane with bounded retry (still reachable as `rhmd_bench::durable`);
+//!   plane with bounded retry;
 //! * [`ckpt`] — manifest-guarded journals for crash-tolerant, bit-identical
-//!   resume (still reachable as `rhmd_bench::ckpt`).
+//!   resume.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
