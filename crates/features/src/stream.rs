@@ -597,4 +597,70 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(fast, slow);
     }
+
+    /// Operand sizes that are not powers of two take the remainder branch
+    /// of the misalignment predicate; the batched collector and the
+    /// per-event core must count them as a remainder does.
+    #[test]
+    fn odd_operand_sizes_count_unaligned_on_both_paths() {
+        use rhmd_trace::isa::{AddrPattern, Instruction, Opcode};
+        use rhmd_trace::{BasicBlock, BlockId, Function, Program, ProgramClass, Terminator};
+        use rhmd_uarch::CoreModel;
+
+        let mut p = Program {
+            name: "odd-sizes".into(),
+            class: ProgramClass::Benign,
+            family: 0,
+            seed: 17,
+            functions: vec![Function::new(vec![BlockId(0), BlockId(1)])],
+            blocks: vec![
+                BasicBlock::new(
+                    vec![
+                        Instruction::mem(Opcode::Load, 0, 3),
+                        Instruction::mem(Opcode::Store, 1, 6),
+                        Instruction::mem(Opcode::Load, 2, 10),
+                        Instruction::mem(Opcode::Load, 0, 4),
+                        Instruction::reg(Opcode::Add),
+                    ],
+                    Terminator::Branch {
+                        taken: BlockId(0),
+                        fallthrough: BlockId(1),
+                        taken_prob: 0.8,
+                        persistence: 0.5,
+                    },
+                ),
+                BasicBlock::new(
+                    vec![Instruction::mem(Opcode::Store, 2, 10)],
+                    Terminator::Jump { target: BlockId(0) },
+                ),
+            ],
+            streams: vec![
+                AddrPattern::Strided { stride: 1 },
+                AddrPattern::Strided { stride: 7 },
+                AddrPattern::Random,
+            ],
+            scratch_delta: 64,
+        };
+        p.relayout();
+        p.validate().unwrap();
+        let limits = ExecLimits::instructions(30_000);
+
+        let (windows, _) = collect_subwindows(&p, limits, CoreConfig::default());
+        let batched: u64 = windows.iter().map(|w| w.counters.unaligned).sum();
+        let mut core = CoreModel::new(CoreConfig::default());
+        p.execute(limits, &mut core);
+        let per_event = core.counters().unaligned;
+        let (mut remainder, mut odd) = (0u64, 0u64);
+        p.execute(limits, &mut |ev: &ExecEvent| {
+            if let Some(m) = ev.mem {
+                let size = u64::from(m.size);
+                let misaligned = size > 1 && !m.addr.is_multiple_of(size);
+                remainder += u64::from(misaligned);
+                odd += u64::from(misaligned && !size.is_power_of_two());
+            }
+        });
+        assert!(odd > 0, "no misaligned odd-sized access was exercised");
+        assert_eq!(batched, remainder);
+        assert_eq!(per_event, remainder);
+    }
 }

@@ -29,10 +29,18 @@ pub struct MemAccess {
 }
 
 impl MemAccess {
-    /// Whether the access is unaligned with respect to its size.
+    /// Whether the access is unaligned with respect to its size: its address
+    /// is not a multiple of a size above one byte. Power-of-two sizes (every
+    /// generated operand) test with a mask instead of a division.
     #[inline]
     pub fn is_unaligned(&self) -> bool {
-        self.size > 1 && !self.addr.is_multiple_of(u64::from(self.size))
+        let size = u64::from(self.size);
+        size > 1
+            && if size.is_power_of_two() {
+                self.addr & (size - 1) != 0
+            } else {
+                !self.addr.is_multiple_of(size)
+            }
     }
 }
 

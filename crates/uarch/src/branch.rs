@@ -61,23 +61,33 @@ impl GsharePredictor {
 
     /// Predicts and updates on the actual outcome; returns `true` if the
     /// prediction was correct.
+    ///
+    /// Both saturating steps of the counter are computed and the outcome
+    /// selects one, so the update has no branch on `taken`.
     #[inline]
     pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
         self.predictions += 1;
         let idx = self.index(pc);
         let counter = self.table[idx];
-        let predicted_taken = counter >= 2;
-        let correct = predicted_taken == taken;
-        if !correct {
-            self.mispredictions += 1;
-        }
-        self.table[idx] = if taken {
-            (counter + 1).min(3)
-        } else {
-            counter.saturating_sub(1)
-        };
+        let correct = (counter >= 2) == taken;
+        self.mispredictions += u64::from(!correct);
+        let up = counter + u8::from(counter < 3);
+        let down = counter - u8::from(counter > 0);
+        self.table[idx] = if taken { up } else { down };
         self.history = ((self.history << 1) | u64::from(taken)) & self.mask;
         correct
+    }
+
+    /// The 2-bit counter in slot `idx`.
+    #[cfg(test)]
+    pub(crate) fn counter(&self, idx: usize) -> u8 {
+        self.table[idx]
+    }
+
+    /// The global history register.
+    #[cfg(test)]
+    pub(crate) fn history(&self) -> u64 {
+        self.history
     }
 
     /// Fraction of conditional branches mispredicted.
@@ -121,17 +131,24 @@ impl Btb {
 
     /// Looks up a taken transfer and installs the real target; returns
     /// `true` when the buffered target was present and correct.
+    ///
+    /// The slot is written on every lookup; on a hit the write stores the
+    /// values already there.
     #[inline]
     pub fn lookup_and_update(&mut self, pc: u64, target: u64) -> bool {
         self.lookups += 1;
         let idx = ((pc >> 2) & self.mask) as usize;
-        let hit = self.tags[idx] == pc && self.targets[idx] == target;
-        if !hit {
-            self.misses += 1;
-            self.tags[idx] = pc;
-            self.targets[idx] = target;
-        }
+        let hit = (self.tags[idx] == pc) & (self.targets[idx] == target);
+        self.misses += u64::from(!hit);
+        self.tags[idx] = pc;
+        self.targets[idx] = target;
         hit
+    }
+
+    /// The `(tag, target)` held in slot `idx`.
+    #[cfg(test)]
+    pub(crate) fn slot(&self, idx: usize) -> (u64, u64) {
+        (self.tags[idx], self.targets[idx])
     }
 }
 

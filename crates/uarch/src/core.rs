@@ -5,7 +5,7 @@ use crate::branch::{BranchConfig, Btb, GsharePredictor};
 use crate::cache::{Cache, CacheConfig};
 use crate::events::CounterSet;
 use crate::tlb::{PageMemo, Tlb, TlbConfig};
-use rhmd_trace::exec::{BranchKind, BranchOutcome, ExecEvent, Observer};
+use rhmd_trace::exec::{BranchKind, BranchOutcome, ExecEvent, MemAccess, Observer};
 use serde::{Deserialize, Serialize};
 
 /// Full core configuration.
@@ -208,7 +208,7 @@ impl CoreModel {
         if is_store {
             c.stores += 1;
         }
-        if size > 1 && !addr.is_multiple_of(u64::from(size)) {
+        if (MemAccess { addr, size }).is_unaligned() {
             c.unaligned += 1;
         }
     }
