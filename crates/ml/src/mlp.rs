@@ -107,6 +107,24 @@ impl Mlp {
         Mlp::fit_with(config, data, sgd_reference)
     }
 
+    /// [`Mlp::fit`] as dispatched, then on each compiled instance of its
+    /// SGD step: the portable one, and the AVX2 one where the CPU has AVX2,
+    /// whatever the `simd` feature selects.
+    #[cfg(test)]
+    pub(crate) fn fit_instances(config: &MlpConfig, data: &Dataset) -> Vec<(&'static str, Mlp)> {
+        let mut fits = vec![
+            ("dispatched", Mlp::fit(config, data)),
+            ("portable", Mlp::fit_with(config, data, sgd_portable)),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just checked.
+            let avx2: SgdLoop = |c, d, m, r| unsafe { sgd_avx2(c, d, m, r) };
+            fits.push(("avx2", Mlp::fit_with(config, data, avx2)));
+        }
+        fits
+    }
+
     /// Standardizes `data`, initializes the weights, runs `train` over them
     /// and calibrates the threshold.
     fn fit_with(config: &MlpConfig, data: &Dataset, train: SgdLoop) -> Mlp {
@@ -159,7 +177,8 @@ impl Mlp {
         let mut grad = vec![0.0; dims];
         for ((w, b), &wout) in self.w1.iter().zip(&self.b1).zip(&self.w2) {
             let pre: f64 = b + w.iter().zip(&z).map(|(wi, xi)| wi * xi).sum::<f64>();
-            let slope = 1.0 - pre.tanh() * pre.tanh();
+            let t = pre.tanh();
+            let slope = 1.0 - t * t;
             for (g, &wi) in grad.iter_mut().zip(w) {
                 *g += wout * slope * wi;
             }
@@ -226,22 +245,58 @@ fn class_weights(config: &MlpConfig, data: &Dataset) -> (f64, f64) {
 }
 
 /// SGD with momentum on a hidden-major copy of `w1` (`dims × hidden`,
-/// contiguous), so the forward pass and the `w1` update each sweep all
-/// hidden units as lanes of one contiguous row per input.
+/// contiguous), dispatched like [`kernel::dot`]: to the AVX2 instance of
+/// the step when the `simd` feature is enabled and the CPU has AVX2, to
+/// the portable instance otherwise. Both compile [`sgd_lanes`] and give
+/// the same bits.
+fn sgd(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just checked.
+            return unsafe { sgd_avx2(config, scaled, model, rng) };
+        }
+    }
+    sgd_portable(config, scaled, model, rng);
+}
+
+/// [`sgd_lanes`] for the baseline target.
+fn sgd_portable(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng) {
+    sgd_lanes(config, scaled, model, rng);
+}
+
+/// [`sgd_lanes`] on 4-wide AVX2 lanes (no FMA: every lane op is the IEEE
+/// op of the portable instance).
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available.
+#[cfg(all(target_arch = "x86_64", any(feature = "simd", test)))]
+#[target_feature(enable = "avx2")]
+unsafe fn sgd_avx2(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng) {
+    sgd_lanes(config, scaled, model, rng);
+}
+
+/// The SGD step over hidden units as lanes.
 ///
 /// Every weight sees the arithmetic of the per-unit loop it replaced
 /// ([`sgd_reference`]), in the same order, so the result is bit-identical:
 /// - each unit's pre-activation still sums `w·x` for `d = 0..dims` from
-///   `-0.0` (where `Sum for f64` starts), then adds the bias;
-/// - `v2`, `w2` and `b1` are still updated, and each `delta_h` computed
-///   (from the old `w2[h]`), in the per-unit loop;
+///   `-0.0` (where `Sum for f64` starts), then adds the bias; [`forward`]
+///   only decides which units share registers;
+/// - `v2`, `w2` and `delta_h` (from the old `w2[h]`) are computed in one
+///   lane-wise loop, the `b1` momentum in a second: each reads only unit
+///   `h`'s own state;
 /// - the `w1` update of unit `h` reads only `delta_h`, the row and unit
 ///   `h`'s own weights, so sweeping it afterwards changes nothing;
-/// - the `b1` momentum goes through [`momentum_step`], which returns the
-///   hardware's bits without multiplying a subnormal.
-fn sgd(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng) {
+/// - the `b1` momentum of a subnormal `vb1` goes through [`momentum_step`]
+///   (via [`StepMemo`]), which returns the hardware's bits without
+///   multiplying a subnormal.
+#[inline(always)]
+fn sgd_lanes(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng) {
     let (wt_pos, wt_neg) = class_weights(config, scaled);
     let (dims, hidden) = (scaled.dims(), model.w2.len());
+    let (momentum, l2) = (config.momentum, config.l2);
     let mut w1 = vec![0.0; dims * hidden];
     for (h, unit) in model.w1.iter().enumerate() {
         for (d, &w) in unit.iter().enumerate() {
@@ -255,6 +310,7 @@ fn sgd(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng
     let mut vb1 = vec![0.0; hidden];
     let mut v2 = vec![0.0; hidden];
     let mut vb2 = 0.0;
+    let mut memo = vec![StepMemo::default(); hidden];
 
     let mut order: Vec<usize> = (0..scaled.len()).collect();
     let mut act = vec![0.0; hidden];
@@ -268,12 +324,7 @@ fn sgd(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng
             let sample_weight = if scaled.labels()[i] { wt_pos } else { wt_neg };
 
             // Forward.
-            act.fill(-0.0);
-            for (&x, w) in row.iter().zip(w1.chunks_exact(hidden)) {
-                for (a, &wi) in act.iter_mut().zip(w) {
-                    *a += wi * x;
-                }
-            }
+            forward(&w1, row, &mut act);
             for (a, b) in act.iter_mut().zip(b1.iter()) {
                 *a = (b + *a).tanh();
             }
@@ -281,13 +332,25 @@ fn sgd(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng
 
             // Backward.
             let delta_out = (out - y) * sample_weight;
-            for h in 0..hidden {
-                let grad2 = delta_out * act[h] + config.l2 * w2[h];
-                v2[h] = config.momentum * v2[h] - lr * grad2;
-                delta[h] = delta_out * w2[h] * (1.0 - act[h] * act[h]);
-                vb1[h] = momentum_step(config.momentum, vb1[h], lr * delta[h]);
-                b1[h] += vb1[h];
-                w2[h] += v2[h];
+            for (((w, v), &a), d) in w2.iter_mut().zip(&mut v2).zip(&act).zip(&mut delta) {
+                let grad2 = delta_out * a + l2 * *w;
+                *v = momentum * *v - lr * grad2;
+                *d = delta_out * *w * (1.0 - a * a);
+                *w += *v;
+            }
+            // Kept apart from the loop above: merged into it, the compiler
+            // vectorizes `momentum_step` by computing both its integer path
+            // and the hardware `m·v` on every lane and blending, so a
+            // subnormal lane pays the multiply's microcode assist.
+            let bias = vb1.iter_mut().zip(b1.iter_mut());
+            for (((v, b), &d), memo) in bias.zip(&delta).zip(&mut memo) {
+                let g = lr * d;
+                *v = if is_subnormal(*v) {
+                    memo.step(momentum, *v, g)
+                } else {
+                    momentum * *v - g
+                };
+                *b += *v;
             }
             for ((&x, w), v) in row
                 .iter()
@@ -295,12 +358,12 @@ fn sgd(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng
                 .zip(v1.chunks_exact_mut(hidden))
             {
                 for ((wi, vi), &delta_h) in w.iter_mut().zip(v.iter_mut()).zip(&delta) {
-                    let grad1 = delta_h * x + config.l2 * *wi;
-                    *vi = config.momentum * *vi - lr * grad1;
+                    let grad1 = delta_h * x + l2 * *wi;
+                    *vi = momentum * *vi - lr * grad1;
                     *wi += *vi;
                 }
             }
-            vb2 = config.momentum * vb2 - lr * delta_out;
+            vb2 = momentum * vb2 - lr * delta_out;
             *b2 += vb2;
         }
     }
@@ -309,6 +372,71 @@ fn sgd(config: &MlpConfig, scaled: &Dataset, model: &mut Mlp, rng: &mut SmallRng
         for (d, w) in unit.iter_mut().enumerate() {
             *w = w1[d * hidden + h];
         }
+    }
+}
+
+/// Hidden pre-activations `act[h] = Σ_d w1[d·hidden + h]·row[d]`, without
+/// the bias. Units go in register blocks of 16 lanes, then 4, then one;
+/// within a block each lane starts from `-0.0` and adds its products for
+/// `d = 0..dims` in order, exactly as the per-unit sum does.
+#[inline(always)]
+pub(crate) fn forward(w1: &[f64], row: &[f64], act: &mut [f64]) {
+    let hidden = act.len();
+    let mut h = 0;
+    while h + 16 <= hidden {
+        forward_block::<16>(w1, row, hidden, h, act);
+        h += 16;
+    }
+    while h + 4 <= hidden {
+        forward_block::<4>(w1, row, hidden, h, act);
+        h += 4;
+    }
+    while h < hidden {
+        forward_block::<1>(w1, row, hidden, h, act);
+        h += 1;
+    }
+}
+
+/// Units `h0..h0 + L` of [`forward`], accumulated in `L` registers.
+#[inline(always)]
+fn forward_block<const L: usize>(
+    w1: &[f64],
+    row: &[f64],
+    hidden: usize,
+    h0: usize,
+    act: &mut [f64],
+) {
+    let mut acc = [-0.0f64; L];
+    for (&x, w) in row.iter().zip(w1.chunks_exact(hidden)) {
+        let w: &[f64; L] = w[h0..h0 + L].try_into().expect("block inside the row");
+        for (a, &wi) in acc.iter_mut().zip(w) {
+            *a += wi * x;
+        }
+    }
+    act[h0..h0 + L].copy_from_slice(&acc);
+}
+
+/// One hidden unit's last out-of-line bias momentum step for each sign of
+/// `g`, keyed on the bits of `(v, g)`. The momentum is fixed within a fit,
+/// so [`momentum_step`] is a pure function of `(v, g)` there, and a
+/// repeated key returns its bits. A saturated unit repeats its keys step
+/// after step: `vb1` sits a few quanta above zero, where `0.95·N` rounds
+/// back to `N`, and `g` is `+0` or `-0` with the sign of the output error,
+/// so one entry per sign holds both. The zero key never matches, since
+/// only a subnormal `v` is looked up.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StepMemo([(u64, u64, f64); 2]);
+
+impl StepMemo {
+    /// `momentum_step(m, v, g)`, for the fit's one `m`.
+    #[inline(always)]
+    pub(crate) fn step(&mut self, m: f64, v: f64, g: f64) -> f64 {
+        let (v_bits, g_bits) = (v.to_bits(), g.to_bits());
+        let entry = &mut self.0[(g_bits >> 63) as usize];
+        if (entry.0, entry.1) != (v_bits, g_bits) {
+            *entry = (v_bits, g_bits, momentum_step(m, v, g));
+        }
+        entry.2
     }
 }
 
@@ -346,6 +474,11 @@ pub(crate) fn mul_subnormal(m: f64, v: f64) -> f64 {
 /// `v` it avoids float ops on subnormals where the result is provable:
 /// `p - ±0` is `p` for `p ≠ 0`, and against a finite `|g| ≥ 2⁻⁹⁶⁸` the
 /// subnormal-or-zero `p` is below half an ulp of `g`, so the result is `-g`.
+///
+/// Kept out of line, so the compiler cannot if-convert it into the `vb1`
+/// loop of [`sgd_lanes`]; training reaches it only on a [`StepMemo`] miss.
+#[inline(never)]
+#[cold]
 pub(crate) fn momentum_step(m: f64, v: f64, g: f64) -> f64 {
     if !(is_subnormal(v) && m.is_normal() && 0.0 < m && m < 1.0) {
         return m * v - g;
@@ -504,6 +637,53 @@ mod tests {
         for (row, _) in data.iter() {
             let s = nn.score(row);
             assert!((0.0..=1.0).contains(&s), "score {s}");
+        }
+    }
+
+    /// [`Mlp::input_gradient`] as first written, evaluating `tanh` twice
+    /// per hidden unit.
+    fn input_gradient_two_tanh_calls(nn: &Mlp, x: &[f64]) -> Vec<f64> {
+        let z = nn.scaler.transform(x);
+        let mut grad = vec![0.0; nn.scaler.dims()];
+        for ((w, b), &wout) in nn.w1.iter().zip(&nn.b1).zip(&nn.w2) {
+            let pre: f64 = b + w.iter().zip(&z).map(|(wi, xi)| wi * xi).sum::<f64>();
+            let slope = 1.0 - pre.tanh() * pre.tanh();
+            for (g, &wi) in grad.iter_mut().zip(w) {
+                *g += wout * slope * wi;
+            }
+        }
+        for (g, &s) in grad.iter_mut().zip(nn.scaler.std()) {
+            *g /= s;
+        }
+        grad
+    }
+
+    #[test]
+    fn input_gradient_matches_two_tanh_calls() {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for seed in 0..12 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let dims = rng.gen_range(1..=6);
+            let mut d = Dataset::new(dims);
+            for _ in 0..60 {
+                d.push((0..dims).map(|_| rng.gen_range(-5.0..5.0)).collect(), rng.gen());
+            }
+            let config = MlpConfig {
+                epochs: 5,
+                seed,
+                hidden: Some(rng.gen_range(2..=9)),
+                ..MlpConfig::default()
+            };
+            let nn = Mlp::fit(&config, &d);
+            // Inputs near the data and far out, where units saturate.
+            for scale in [1.0, 10.0, 1e3] {
+                let x: Vec<f64> = (0..dims).map(|_| rng.gen_range(-scale..scale)).collect();
+                assert_eq!(
+                    bits(nn.input_gradient(&x)),
+                    bits(input_gradient_two_tanh_calls(&nn, &x)),
+                    "seed {seed}, scale {scale}"
+                );
+            }
         }
     }
 

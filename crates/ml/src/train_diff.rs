@@ -4,13 +4,17 @@
 //! Every `f64` of every model is compared by `to_bits`, since the derived
 //! `PartialEq` takes `-0.0 == 0.0`. `PROPTEST_CASES` deepens the search.
 //!
-//! The integer subnormal path [`Mlp::fit`] runs its bias momentum through
-//! is checked against the hardware expressions it replaces, and one MLP
-//! case trains long enough on saturating data that saturated units' bias
-//! momentum decays into the subnormal range.
+//! The MLP cases run [`Mlp::fit`] and every compiled instance of its SGD
+//! step (portable, and AVX2 where the CPU has it), whatever the `simd`
+//! feature selects. The step's building blocks are checked on their own:
+//! the register-blocked forward pass against per-unit sums, the integer
+//! subnormal path its bias momentum runs through against the hardware
+//! expressions it replaces, and the memo in front of that path against
+//! the path itself. One MLP case trains long enough on saturating data
+//! that saturated units' bias momentum decays into the subnormal range.
 
 use crate::forest::{ForestConfig, RandomForest};
-use crate::mlp::{momentum_step, mul_subnormal, Mlp, MlpConfig};
+use crate::mlp::{forward, momentum_step, mul_subnormal, Mlp, MlpConfig, StepMemo};
 use crate::model::Dataset;
 use crate::tree::{DecisionTree, TreeConfig};
 use proptest::prelude::*;
@@ -120,10 +124,13 @@ fn forest_case() -> impl Strategy<Value = (ForestConfig, Dataset)> {
         .prop_map(|((tree, data), trees, seed)| (ForestConfig { trees, tree, seed }, data))
 }
 
-/// MLP configs with hidden widths below, at and above the input width.
+/// MLP configs with the paper's width (`hidden = dims`, drawn as 0) or a
+/// hidden width that differs from the input width: below, at and around
+/// the 4- and 16-lane blocks of the forward pass, and past two 16-lane
+/// blocks.
 fn mlp_case() -> impl Strategy<Value = (MlpConfig, Dataset)> {
     (
-        0usize..=6,
+        prop::sample::select(vec![0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 20, 33]),
         prop::sample::select(vec![0u32, 1, 3, 8]),
         prop::sample::select(vec![0.08, 0.5]),
         any::<bool>(),
@@ -131,7 +138,11 @@ fn mlp_case() -> impl Strategy<Value = (MlpConfig, Dataset)> {
         shape(32),
     )
         .prop_map(
-            |(hidden, epochs, learning_rate, balance_classes, seed, shape)| {
+            |(hidden, epochs, learning_rate, balance_classes, seed, mut shape)| {
+                // `Mlp::fit` widens a single unit to two.
+                if hidden > 0 && shape.dims == hidden.max(2) {
+                    shape.dims = hidden.max(2) % 4 + 1;
+                }
                 let config = MlpConfig {
                     epochs,
                     learning_rate,
@@ -200,6 +211,21 @@ fn mlp_bits(model: &Mlp) -> Vec<u64> {
     out
 }
 
+/// Checks [`Mlp::fit`] and every compiled instance of its SGD step against the
+/// per-unit reference loop, bit for bit.
+fn mlp_instances_match_reference(config: &MlpConfig, data: &Dataset) -> Result<(), TestCaseError> {
+    let reference = mlp_bits(&Mlp::fit_reference(config, data));
+    for (instance, model) in Mlp::fit_instances(config, data) {
+        prop_assert_eq!(
+            &mlp_bits(&model),
+            &reference,
+            "{} instance differs from the reference",
+            instance
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn presorted_tree_matches_reference((config, data) in tree_case()) {
@@ -219,18 +245,12 @@ proptest! {
 
     #[test]
     fn hidden_major_mlp_matches_reference((config, data) in mlp_case()) {
-        prop_assert_eq!(
-            mlp_bits(&Mlp::fit(&config, &data)),
-            mlp_bits(&Mlp::fit_reference(&config, &data))
-        );
+        mlp_instances_match_reference(&config, &data)?;
     }
 
     #[test]
     fn saturated_mlp_matches_reference((config, data) in saturating_mlp_case()) {
-        prop_assert_eq!(
-            mlp_bits(&Mlp::fit(&config, &data)),
-            mlp_bits(&Mlp::fit_reference(&config, &data))
-        );
+        mlp_instances_match_reference(&config, &data)?;
     }
 }
 
@@ -336,3 +356,58 @@ fn momentum_step_matches_hardware() {
     }
 }
 
+#[test]
+fn memoized_step_matches_momentum_step() {
+    // `v = 1` quantum under m = 0.5 or 1e-30 makes `p = m·v` zero.
+    let vs = signed(&[1, 2, 3, 19, 20, 1 << 40, MAX_SUBNORMAL].map(f64::from_bits));
+    let gs = signed(&[0.0, f64::from_bits(1), 1e-310, pow2(-968), 0.5]);
+    for m in [0.95, 0.5, 0.25, 1e-30] {
+        let mut memo = StepMemo::default();
+        let mut check = |v: f64, g: f64| {
+            let expected = momentum_step(m, v, g).to_bits();
+            // Twice in a row: a miss, then a hit on the same key.
+            for _ in 0..2 {
+                assert_eq!(memo.step(m, v, g).to_bits(), expected, "{m:e} * {v:e} - {g:e}");
+            }
+        };
+        // One `v` under every `g`, then one `g` under every `v`: a key
+        // that drops either half returns a stale step.
+        for &v in &vs {
+            for &g in &gs {
+                check(v, g);
+            }
+        }
+        for &g in &gs {
+            for &v in &vs {
+                check(v, g);
+            }
+        }
+    }
+}
+
+#[test]
+fn blocked_forward_matches_per_unit_sums() {
+    let mut rng = SmallRng::seed_from_u64(0xf0d);
+    for hidden in 1..=40 {
+        for dims in [1, 2, 3, 5, 16] {
+            // Signed zeros in both operands: a unit whose products are all
+            // `-0.0` sums to `-0.0` only from a `-0.0` start.
+            let pick = |rng: &mut SmallRng| match rng.gen_range(0..4) {
+                0 => -0.0,
+                1 => 0.0,
+                _ => rng.gen_range(-3.0..3.0),
+            };
+            let w1: Vec<f64> = (0..dims * hidden).map(|_| pick(&mut rng)).collect();
+            let mixed = (0..dims).map(|_| pick(&mut rng)).collect();
+            let rows = [vec![-0.0; dims], vec![0.0; dims], mixed];
+            for row in &rows {
+                let mut act = vec![f64::NAN; hidden];
+                forward(&w1, row, &mut act);
+                for (h, a) in act.iter().enumerate() {
+                    let sum: f64 = (0..dims).map(|d| w1[d * hidden + h] * row[d]).sum();
+                    assert_eq!(a.to_bits(), sum.to_bits(), "unit {h} of {hidden}, {dims} dims");
+                }
+            }
+        }
+    }
+}
