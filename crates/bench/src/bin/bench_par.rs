@@ -404,14 +404,13 @@ struct TraceBench {
 /// Benchmarks the two trace paths and pins their bit-identity.
 fn trace_bench(exp: &Experiment) -> TraceBench {
     use rhmd_features::pipeline::{project_windows_into, trace_subwindows_reference};
-    use rhmd_features::stream::{collect_subwindows, stream_features_into, LaneSpec};
+    use rhmd_features::stream::{collect_subwindows, stream_features_into};
 
     let specs = specs(exp);
     let limits = exp.traced.limits();
     let core_config = exp.traced.core_config();
     let corpus = exp.traced.corpus();
     let n = corpus.len().min(24);
-    let lanes: Vec<LaneSpec> = specs.iter().map(LaneSpec::clean).collect();
     const TRIALS: usize = 3;
 
     // Correctness first: batched subwindows and streamed rows must match
@@ -429,7 +428,7 @@ fn trace_bench(exp: &Experiment) -> TraceBench {
             buf.clear();
         }
         let mut outs: Vec<&mut Vec<f64>> = streamed.iter_mut().collect();
-        stream_features_into(program, limits, core_config, &lanes, &mut outs);
+        stream_features_into(program, limits, core_config, &specs, &mut outs);
         for (spec, out) in specs.iter().zip(&streamed) {
             let mut expect = Vec::new();
             project_windows_into(&reference, spec, &mut expect);
@@ -459,7 +458,7 @@ fn trace_bench(exp: &Experiment) -> TraceBench {
                 buf.clear();
             }
             let mut outs: Vec<&mut Vec<f64>> = streamed.iter_mut().collect();
-            stream_features_into(corpus.program(id), limits, core_config, &lanes, &mut outs);
+            stream_features_into(corpus.program(id), limits, core_config, &specs, &mut outs);
             std::hint::black_box(&streamed);
         }
         streaming_seconds = streaming_seconds.min(start.elapsed().as_secs_f64());

@@ -168,15 +168,14 @@ impl ResilientHmd {
                 break;
             }
             let chunk = &subwindows[cursor..cursor + per];
-            let mut windows = aggregate_with_gaps(chunk, detector.spec().period, min_fill);
-            if windows.len() != 1 && !skip_gaps {
-                break; // truncated tail of a clean stream: end of usable trace
-            }
-            if windows.len() == 1 {
-                pending[idx].push(windows.pop().expect("exactly one window"));
-                meta.push((idx, true, per));
-            } else {
-                meta.push((idx, false, per)); // below the fill floor: abstain
+            match aggregate_with_gaps(chunk, detector.spec().period, min_fill).pop() {
+                Some(window) => {
+                    pending[idx].push(window);
+                    meta.push((idx, true, per));
+                }
+                // Truncated tail of a clean stream: end of usable trace.
+                None if !skip_gaps => break,
+                None => meta.push((idx, false, per)), // below the fill floor: abstain
             }
             cursor += per;
         }
@@ -461,22 +460,16 @@ impl NonStationaryRhmd {
             if cursor + per > subwindows.len() {
                 break;
             }
-            let mut windows = aggregate_with_gaps(
-                &subwindows[cursor..cursor + per],
-                detector.spec().period,
-                min_fill,
-            );
-            if windows.len() != 1 {
-                if !skip_gaps {
-                    break; // truncated tail of a clean stream
+            let chunk = &subwindows[cursor..cursor + per];
+            match aggregate_with_gaps(chunk, detector.spec().period, min_fill).pop() {
+                Some(window) => {
+                    epochs_since_redraw += 1;
+                    pending[pick].push(window);
+                    meta.push((pick, true, per));
                 }
-                meta.push((pick, false, per));
-                cursor += per;
-                continue;
+                None if !skip_gaps => break, // truncated tail of a clean stream
+                None => meta.push((pick, false, per)),
             }
-            epochs_since_redraw += 1;
-            pending[pick].push(windows.pop().expect("exactly one window"));
-            meta.push((pick, true, per));
             cursor += per;
         }
         // Pass 2: batch-score per candidate, reassemble in epoch order.
@@ -497,13 +490,12 @@ impl NonStationaryRhmd {
         if cursor + per > subwindows.len() {
             return None;
         }
-        let windows =
-            aggregate_with_gaps(&subwindows[cursor..cursor + per], detector.spec().period, 1.0);
-        if windows.len() != 1 {
-            return None; // truncated tail of a clean stream
-        }
+        // `None` is the truncated tail of a clean stream.
+        let window =
+            aggregate_with_gaps(&subwindows[cursor..cursor + per], detector.spec().period, 1.0)
+                .pop()?;
         self.epochs_since_redraw += 1;
-        Some((detector.classify_window_checked(&windows[0]), per))
+        Some((detector.classify_window_checked(&window), per))
     }
 }
 

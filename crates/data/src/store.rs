@@ -57,7 +57,7 @@
 use crate::config::CorpusConfig;
 use crate::corpus::Corpus;
 use crate::traced::parallel_map_threads;
-use rhmd_features::stream::{stream_features_into, LaneSpec};
+use rhmd_features::stream::stream_features_into;
 use rhmd_features::vector::FeatureSpec;
 
 std::thread_local! {
@@ -379,23 +379,22 @@ impl StoreBuilder {
                 // streaming pass: every spec is a clean lane fed from the
                 // same execution, writing rows into per-thread staging
                 // buffers reused across programs.
-                let lanes: Vec<LaneSpec> = self.specs.iter().map(LaneSpec::clean).collect();
                 let flats: Vec<Vec<(u64, Vec<u8>)>> =
                     parallel_map_threads(self.threads, ids, |&id| {
                         STAGING.with(|staging| {
                             let mut staging = staging.borrow_mut();
-                            let want = lanes.len().max(staging.len());
+                            let want = self.specs.len().max(staging.len());
                             staging.resize_with(want, Vec::new);
-                            for buf in staging.iter_mut().take(lanes.len()) {
+                            for buf in staging.iter_mut().take(self.specs.len()) {
                                 buf.clear();
                             }
                             let mut outs: Vec<&mut Vec<f64>> =
-                                staging.iter_mut().take(lanes.len()).collect();
+                                staging.iter_mut().take(self.specs.len()).collect();
                             let outcome = stream_features_into(
                                 corpus.program(id),
                                 limits,
                                 core_config,
-                                &lanes,
+                                &self.specs,
                                 &mut outs,
                             );
                             outcome

@@ -19,6 +19,9 @@
 //! consumer knows its specs up front, [`stream::stream_features_into`]
 //! fuses tracing, aggregation, and projection into one batched pass that
 //! writes rows straight into caller-owned buffers (bit-identical output).
+//! Every gap-tolerant consumer — [`window::aggregate_with_gaps`], the
+//! stream lanes, and `rhmd serve`'s sessions — assembles windows through
+//! one incremental [`window::WindowAssembler`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -30,7 +33,7 @@ pub mod vector;
 pub mod window;
 
 pub use pipeline::{extract, project_windows, trace_subwindows};
-pub use stream::{collect_subwindows, stream_features_into, LaneSpec, StreamOutcome};
+pub use stream::{collect_subwindows, stream_features_into, StreamOutcome};
 pub use select::{select_top_delta_opcodes, DEFAULT_TOP_K};
 pub use vector::{FeatureKind, FeatureSpec};
 pub use window::{RawWindow, MEM_BINS, SUBWINDOW};

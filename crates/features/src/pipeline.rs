@@ -104,8 +104,13 @@ pub fn extract_into(
     config: CoreConfig,
     out: &mut Vec<f64>,
 ) -> usize {
-    let lanes = [crate::stream::LaneSpec::clean(spec)];
-    let outcome = crate::stream::stream_features_into(program, limits, config, &lanes, &mut [out]);
+    let outcome = crate::stream::stream_features_into(
+        program,
+        limits,
+        config,
+        std::slice::from_ref(spec),
+        &mut [out],
+    );
     outcome.rows[0]
 }
 

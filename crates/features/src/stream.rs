@@ -3,10 +3,9 @@
 //! The two-phase pipeline ([`crate::pipeline::trace_subwindows`] then
 //! [`crate::pipeline::project_windows_into`]) materializes a
 //! `Vec<RawWindow>` per program before projecting it. This module folds the
-//! whole chain — µarch simulation, subwindow slicing, fault injection,
-//! gap-tolerant aggregation, and feature projection — into one pass over
-//! the batched instruction stream, writing finished rows directly into
-//! caller-owned flat buffers.
+//! whole chain — µarch simulation, subwindow slicing, aggregation, and
+//! feature projection — into one pass over the batched instruction stream,
+//! writing finished rows directly into caller-owned flat buffers.
 //!
 //! Everything here is **bit-identical** to the two-phase path:
 //!
@@ -19,18 +18,18 @@
 //!   path;
 //! * runs never cross a subwindow seal, so every miss lands in the same
 //!   window as the per-event path;
-//! * each stream lane replays [`crate::window::apply_faults`] +
-//!   [`crate::window::aggregate_with_gaps`] + projection incrementally with
-//!   the same channel order, pending-merge, and trailing-chunk semantics.
+//! * each lane is one clean spec fed through a
+//!   [`crate::window::WindowAssembler`] at `min_fill = 1.0`, which on a
+//!   clean stream keeps exactly the windows strict
+//!   [`crate::window::aggregate`] keeps. Faulted streams go through
+//!   [`crate::window::apply_faults`] and the two-phase path instead.
 
 use crate::vector::FeatureSpec;
-use crate::window::{delta_bin, RawWindow, SUBWINDOW};
-use rhmd_trace::exec::{ExecEvent, ExecLimits, ExecSummary, Observer};
+use crate::window::{delta_bin, RawWindow, Sealed, WindowAssembler, SUBWINDOW};
+use rhmd_trace::exec::{ExecEvent, ExecLimits, ExecSummary};
 use rhmd_trace::flat::{BatchSink, FlatInstr, FlatProgram};
-use rhmd_trace::isa::{INSTR_BYTES, OPCODE_COUNT};
+use rhmd_trace::isa::INSTR_BYTES;
 use rhmd_trace::Program;
-use rhmd_uarch::events::COUNTER_DIMS;
-use rhmd_uarch::faults::FaultModel;
 use rhmd_uarch::{CoreConfig, CoreModel, PageMemo};
 
 /// Receiver of sealed subwindows emitted by a [`SubwindowCursor`].
@@ -47,7 +46,8 @@ impl SubwindowSink for Vec<RawWindow> {
 impl SubwindowSink for Vec<StreamLane<'_>> {
     fn subwindow(&mut self, window: RawWindow) {
         for lane in self.iter_mut() {
-            lane.push(&window);
+            let sealed = lane.assembler.push(&window);
+            lane.emit(sealed);
         }
     }
 }
@@ -155,24 +155,6 @@ impl SubwindowCursor {
         }
     }
 
-    /// Processes one event exactly as [`crate::window::WindowAccumulator`]
-    /// does — the per-event observer path.
-    fn event_exact(&mut self, ev: &ExecEvent, sink: &mut dyn SubwindowSink) {
-        self.core.observe(ev);
-        let w = &mut self.current;
-        w.instructions += 1;
-        w.opcode_counts[ev.opcode.index()] += 1;
-        if let Some(mem) = ev.mem {
-            if let Some(prev) = self.last_mem_addr {
-                w.mem_delta_hist[delta_bin(prev, mem.addr)] += 1;
-            }
-            self.last_mem_addr = Some(mem.addr);
-        }
-        if w.instructions == u64::from(SUBWINDOW) {
-            self.seal(sink);
-        }
-    }
-
     fn seal(&mut self, sink: &mut dyn SubwindowSink) {
         if self.current.instructions > 0 {
             let mut window = std::mem::take(&mut self.current);
@@ -188,152 +170,21 @@ impl SubwindowCursor {
     }
 }
 
-/// Streaming replica of [`crate::window::apply_faults`] for one lane:
-/// identical pending-merge, drop, and channel-order corruption semantics
-/// (trailing pending reads are discarded at stream end, as there).
-#[derive(Debug)]
-struct FaultLane {
-    model: FaultModel,
-    pending: Option<RawWindow>,
-    prev: Option<RawWindow>,
-    idx: u64,
-}
-
-impl FaultLane {
-    fn push(&mut self, clean: &RawWindow) -> Option<RawWindow> {
-        let window = self.idx;
-        self.idx += 1;
-        let mut merged = self.pending.take().unwrap_or_default();
-        merged.merge(clean);
-        if self.model.drops_window(window) {
-            self.pending = Some(merged);
-            return None;
-        }
-        let mut read = merged;
-        self.model.corrupt_counters(
-            window,
-            &mut read.counters,
-            self.prev.as_ref().map(|p| &p.counters),
-        );
-        for (i, v) in read.opcode_counts.iter_mut().enumerate() {
-            let ch = (COUNTER_DIMS + i) as u64;
-            *v = self
-                .model
-                .corrupt_value(window, ch, *v, self.prev.as_ref().map(|p| p.opcode_counts[i]));
-        }
-        for (i, v) in read.mem_delta_hist.iter_mut().enumerate() {
-            let ch = (COUNTER_DIMS + OPCODE_COUNT + i) as u64;
-            *v = self
-                .model
-                .corrupt_value(window, ch, *v, self.prev.as_ref().map(|p| p.mem_delta_hist[i]));
-        }
-        self.prev = Some(read.clone());
-        Some(read)
-    }
-}
-
-/// Configuration of one extraction lane: a feature spec plus the
-/// aggregation and fault plan it reads subwindows through.
-#[derive(Debug, Clone, Copy)]
-pub struct LaneSpec<'a> {
-    /// The feature spec to project (its period picks the chunk size).
-    pub spec: &'a FeatureSpec,
-    /// Minimum fill fraction for gap-tolerant aggregation; `1.0` with no
-    /// fault model reproduces strict [`crate::window::aggregate`] exactly.
-    pub min_fill: f64,
-    /// Counter fault plan applied ahead of aggregation, if any.
-    pub fault: Option<&'a FaultModel>,
-}
-
-impl<'a> LaneSpec<'a> {
-    /// A clean, strict-aggregation lane (the store/live sweep shape).
-    pub fn clean(spec: &'a FeatureSpec) -> LaneSpec<'a> {
-        LaneSpec {
-            spec,
-            min_fill: 1.0,
-            fault: None,
-        }
-    }
-}
-
-/// One live lane: incremental faults → chunking → projection into a
-/// caller-owned flat buffer.
+/// One live lane: a clean spec's assembler projecting each kept window
+/// into a caller-owned flat buffer.
 #[derive(Debug)]
 struct StreamLane<'a> {
     spec: &'a FeatureSpec,
-    per: usize,
-    min_fill: f64,
-    fault: Option<FaultLane>,
-    chunk: RawWindow,
-    filled: usize,
+    assembler: WindowAssembler,
     rows: usize,
     out: &'a mut Vec<f64>,
 }
 
-impl<'a> StreamLane<'a> {
-    fn new(lane: &LaneSpec<'a>, out: &'a mut Vec<f64>) -> StreamLane<'a> {
-        let period = lane.spec.period;
-        assert!(
-            period > 0 && period.is_multiple_of(SUBWINDOW),
-            "period {period} must be a positive multiple of {SUBWINDOW}"
-        );
-        StreamLane {
-            spec: lane.spec,
-            per: (period / SUBWINDOW) as usize,
-            min_fill: lane.min_fill,
-            fault: lane
-                .fault
-                .filter(|m| !m.is_identity())
-                .map(|m| FaultLane {
-                    model: m.clone(),
-                    pending: None,
-                    prev: None,
-                    idx: 0,
-                }),
-            chunk: RawWindow::default(),
-            filled: 0,
-            rows: 0,
-            out,
-        }
-    }
-
-    fn push(&mut self, clean: &RawWindow) {
-        let read = match &mut self.fault {
-            None => {
-                self.chunk.merge(clean);
-                true
-            }
-            Some(f) => match f.push(clean) {
-                Some(read) => {
-                    self.chunk.merge(&read);
-                    true
-                }
-                None => false,
-            },
-        };
-        if read {
-            self.filled += 1;
-            if self.filled == self.per {
-                self.flush();
-            }
-        }
-    }
-
-    fn flush(&mut self) {
-        let merged = std::mem::take(&mut self.chunk);
-        self.filled = 0;
-        let fill = merged.instructions as f64 / f64::from(self.spec.period);
-        if merged.instructions > 0 && fill >= self.min_fill {
-            self.spec.project_into(&merged, self.out);
+impl StreamLane<'_> {
+    fn emit(&mut self, sealed: Option<Sealed>) {
+        if let Some(Sealed::Window(window)) = sealed {
+            self.spec.project_into(&window, self.out);
             self.rows += 1;
-        }
-    }
-
-    /// Flushes the trailing partial chunk (matching `chunks()` semantics in
-    /// the buffered aggregators).
-    fn finish(&mut self) {
-        if self.filled > 0 {
-            self.flush();
         }
     }
 }
@@ -341,7 +192,7 @@ impl<'a> StreamLane<'a> {
 /// Result of one streaming extraction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamOutcome {
-    /// Rows appended per lane (parallel to the `lanes` argument).
+    /// Rows appended per lane (parallel to the `specs` argument).
     pub rows: Vec<usize>,
     /// The execution summary.
     pub summary: ExecSummary,
@@ -349,8 +200,8 @@ pub struct StreamOutcome {
     pub subwindows: u64,
 }
 
-/// The incremental window-extraction observer/batch-sink: one core, many
-/// lanes, rows written straight into caller buffers.
+/// The incremental window-extraction batch sink: one core, many lanes,
+/// rows written straight into caller buffers.
 #[derive(Debug)]
 struct WindowStream<'a> {
     cursor: SubwindowCursor,
@@ -358,18 +209,23 @@ struct WindowStream<'a> {
 }
 
 impl<'a> WindowStream<'a> {
-    fn new(config: CoreConfig, lanes: &[LaneSpec<'a>], outs: &'a mut [&mut Vec<f64>]) -> WindowStream<'a> {
+    fn new(config: CoreConfig, specs: &'a [FeatureSpec], outs: &'a mut [&mut Vec<f64>]) -> WindowStream<'a> {
         assert_eq!(
-            lanes.len(),
+            specs.len(),
             outs.len(),
-            "one output buffer per lane is required"
+            "one output buffer per spec is required"
         );
         WindowStream {
             cursor: SubwindowCursor::new(config),
-            lanes: lanes
+            lanes: specs
                 .iter()
                 .zip(outs.iter_mut())
-                .map(|(lane, out)| StreamLane::new(lane, out))
+                .map(|(spec, out)| StreamLane {
+                    spec,
+                    assembler: WindowAssembler::new(spec.period, 1.0),
+                    rows: 0,
+                    out,
+                })
                 .collect(),
         }
     }
@@ -377,7 +233,8 @@ impl<'a> WindowStream<'a> {
     fn finish(mut self, summary: ExecSummary) -> StreamOutcome {
         self.cursor.finish(&mut self.lanes);
         for lane in &mut self.lanes {
-            lane.finish();
+            let tail = lane.assembler.finish();
+            lane.emit(tail);
         }
         StreamOutcome {
             rows: self.lanes.iter().map(|l| l.rows).collect(),
@@ -399,25 +256,19 @@ impl BatchSink for WindowStream<'_> {
     }
 }
 
-impl Observer for WindowStream<'_> {
-    #[inline]
-    fn observe(&mut self, ev: &ExecEvent) {
-        self.cursor.event_exact(ev, &mut self.lanes);
-    }
-}
-
-/// Executes a pre-lowered program once, streaming every lane's rows into
-/// its output buffer (appended; existing contents survive).
+/// Executes a pre-lowered program once, streaming each spec's rows into
+/// its output buffer (appended; existing contents survive). Each spec is a
+/// clean lane: strict aggregation at its period, then projection.
 pub fn stream_features_flat(
     flat: &FlatProgram,
     limits: ExecLimits,
     config: CoreConfig,
-    lanes: &[LaneSpec],
+    specs: &[FeatureSpec],
     outs: &mut [&mut Vec<f64>],
 ) -> StreamOutcome {
     rhmd_obs::incr("trace.programs_executed");
     let _span = rhmd_obs::span("trace.exec");
-    let mut stream = WindowStream::new(config, lanes, outs);
+    let mut stream = WindowStream::new(config, specs, outs);
     let summary =
         rhmd_trace::flat::with_scratch(|scratch| flat.run_batched(limits, &mut stream, scratch));
     let outcome = stream.finish(summary);
@@ -431,26 +282,10 @@ pub fn stream_features_into(
     program: &Program,
     limits: ExecLimits,
     config: CoreConfig,
-    lanes: &[LaneSpec],
+    specs: &[FeatureSpec],
     outs: &mut [&mut Vec<f64>],
 ) -> StreamOutcome {
-    stream_features_flat(&FlatProgram::lower(program), limits, config, lanes, outs)
-}
-
-/// Streaming extraction driven per-event through the [`Observer`] seam
-/// (reference interpreter + incremental lanes). Exists to pin the
-/// observer-path equivalence; the batched drivers above are the hot path.
-pub fn stream_features_observed(
-    program: &Program,
-    limits: ExecLimits,
-    config: CoreConfig,
-    lanes: &[LaneSpec],
-    outs: &mut [&mut Vec<f64>],
-) -> StreamOutcome {
-    let mut stream = WindowStream::new(config, lanes, outs);
-    let summary =
-        rhmd_trace::exec::Executor::new(program, limits).run_reference(&mut stream);
-    stream.finish(summary)
+    stream_features_flat(&FlatProgram::lower(program), limits, config, specs, outs)
 }
 
 /// Executes a pre-lowered program once on the batched path and returns its
@@ -504,10 +339,8 @@ mod tests {
     use super::*;
     use crate::pipeline::{project_windows_into, trace_subwindows_reference};
     use crate::vector::FeatureKind;
-    use crate::window::{aggregate_with_gaps, apply_faults};
     use rhmd_trace::generate::{benign_profile, malware_profile, BenignClass, MalwareFamily,
                                ProgramGenerator};
-    use rhmd_uarch::faults::FaultConfig;
 
     #[test]
     fn collected_subwindows_match_reference_accumulator() {
@@ -529,73 +362,27 @@ mod tests {
     fn streaming_lanes_match_two_phase_projection() {
         let p = ProgramGenerator::new(benign_profile(BenignClass::Browser)).generate(5);
         let limits = ExecLimits::instructions(33_000);
-        let spec_a = FeatureSpec::new(FeatureKind::Architectural, 5_000, vec![]);
-        let spec_b = FeatureSpec::new(FeatureKind::Memory, 4_000, vec![]);
-        let lanes = [LaneSpec::clean(&spec_a), LaneSpec::clean(&spec_b)];
+        let specs = [
+            FeatureSpec::new(FeatureKind::Architectural, 5_000, vec![]),
+            FeatureSpec::new(FeatureKind::Memory, 4_000, vec![]),
+        ];
         let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
         let outcome = stream_features_into(
             &p,
             limits,
             CoreConfig::default(),
-            &lanes,
+            &specs,
             &mut [&mut out_a, &mut out_b],
         );
 
         let reference = trace_subwindows_reference(&p, limits, CoreConfig::default());
         let (mut ref_a, mut ref_b) = (Vec::new(), Vec::new());
-        let ra = project_windows_into(&reference, &spec_a, &mut ref_a);
-        let rb = project_windows_into(&reference, &spec_b, &mut ref_b);
+        let ra = project_windows_into(&reference, &specs[0], &mut ref_a);
+        let rb = project_windows_into(&reference, &specs[1], &mut ref_b);
         assert_eq!(outcome.rows, vec![ra, rb]);
         assert_eq!(out_a, ref_a);
         assert_eq!(out_b, ref_b);
         assert_eq!(outcome.subwindows, reference.len() as u64);
-    }
-
-    #[test]
-    fn faulted_lane_matches_buffered_fault_pipeline() {
-        let p = ProgramGenerator::new(malware_profile(MalwareFamily::Spambot)).generate(9);
-        let limits = ExecLimits::instructions(24_000);
-        let spec = FeatureSpec::new(FeatureKind::Architectural, 3_000, vec![]);
-        for config in [
-            FaultConfig::dropping(0.3),
-            FaultConfig::noise(0.4),
-            FaultConfig::bursty(0.2, 3),
-        ] {
-            let model = FaultModel::new(config, 7);
-            let lanes = [LaneSpec {
-                spec: &spec,
-                min_fill: 0.5,
-                fault: Some(&model),
-            }];
-            let mut out = Vec::new();
-            let outcome =
-                stream_features_into(&p, limits, CoreConfig::default(), &lanes, &mut [&mut out]);
-
-            let reference = trace_subwindows_reference(&p, limits, CoreConfig::default());
-            let faulted = apply_faults(&reference, &model);
-            let windows = aggregate_with_gaps(&faulted, spec.period, 0.5);
-            let mut ref_out = Vec::new();
-            for w in &windows {
-                spec.project_into(w, &mut ref_out);
-            }
-            assert_eq!(outcome.rows, vec![windows.len()]);
-            assert_eq!(out, ref_out);
-        }
-    }
-
-    #[test]
-    fn observer_path_matches_batched_path() {
-        let p = ProgramGenerator::new(benign_profile(BenignClass::SpecCompute)).generate(2);
-        let limits = ExecLimits::instructions(12_345);
-        let spec = FeatureSpec::new(FeatureKind::Instructions, 2_000, vec![]);
-        let lanes = [LaneSpec::clean(&spec)];
-        let mut fast = Vec::new();
-        let a = stream_features_into(&p, limits, CoreConfig::default(), &lanes, &mut [&mut fast]);
-        let mut slow = Vec::new();
-        let b =
-            stream_features_observed(&p, limits, CoreConfig::default(), &lanes, &mut [&mut slow]);
-        assert_eq!(a, b);
-        assert_eq!(fast, slow);
     }
 
     /// Operand sizes that are not powers of two take the remainder branch

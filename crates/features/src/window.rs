@@ -151,18 +151,35 @@ impl<C: Observer + CounterSource> Observer for WindowAccumulator<C> {
     }
 }
 
+/// Subwindows per collection window of `period` instructions.
+///
+/// # Panics
+///
+/// Panics if `period` is zero or not a multiple of [`SUBWINDOW`].
+fn subwindows_per(period: u32) -> usize {
+    assert!(
+        period > 0 && period.is_multiple_of(SUBWINDOW),
+        "period {period} must be a positive multiple of {SUBWINDOW}"
+    );
+    (period / SUBWINDOW) as usize
+}
+
 /// Aggregates fine subwindows into collection windows of `period`
-/// instructions, dropping a trailing partial window.
+/// instructions, keeping a chunk only when all of its subwindows hold
+/// exactly [`SUBWINDOW`] instructions (so a trailing partial window drops).
+///
+/// This strict rule differs from [`aggregate_with_gaps`] at `min_fill =
+/// 1.0` on faulted streams: a chunk holding a read coalesced by
+/// [`apply_faults`] is dropped here but kept there. The faulted evaluation
+/// path (`FeatureCache` in `rhmd-bench`, which projects
+/// `apply_faults(..)` through [`crate::pipeline::project_windows_into`])
+/// depends on the strict rule.
 ///
 /// # Panics
 ///
 /// Panics if `period` is zero or not a multiple of [`SUBWINDOW`].
 pub fn aggregate(subwindows: &[RawWindow], period: u32) -> Vec<RawWindow> {
-    assert!(
-        period > 0 && period.is_multiple_of(SUBWINDOW),
-        "period {period} must be a positive multiple of {SUBWINDOW}"
-    );
-    let per = (period / SUBWINDOW) as usize;
+    let per = subwindows_per(period);
     subwindows
         .chunks(per)
         .filter(|chunk| {
@@ -178,11 +195,92 @@ pub fn aggregate(subwindows: &[RawWindow], period: u32) -> Vec<RawWindow> {
         .collect()
 }
 
+/// Outcome of sealing one collection-window chunk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Sealed {
+    /// The merged window carries enough instructions to be judged.
+    Window(Box<RawWindow>),
+    /// The chunk fell below the `min_fill` floor (or was empty) and is
+    /// dropped.
+    Dropped,
+}
+
+impl Sealed {
+    /// The kept window, if the chunk was not dropped.
+    pub fn into_window(self) -> Option<RawWindow> {
+        match self {
+            Sealed::Window(w) => Some(*w),
+            Sealed::Dropped => None,
+        }
+    }
+}
+
+/// Incremental gap-tolerant aggregation of subwindows into `period`-sized
+/// collection windows: the one place the keep rule `instructions > 0 &&
+/// fill >= min_fill` lives.
+///
+/// A chunk seals after every `period / SUBWINDOW` *received* subwindows,
+/// whatever their sizes, so a faulted stream assembles exactly as its
+/// batch counterpart. [`aggregate_with_gaps`] is a fold over it, the
+/// streaming lanes and `rhmd serve`'s sessions push into it, and a clone
+/// taken mid-stream continues exactly where the original would.
+#[derive(Debug, Clone)]
+pub struct WindowAssembler {
+    period: u32,
+    per: usize,
+    min_fill: f64,
+    chunk: RawWindow,
+    count: usize,
+}
+
+impl WindowAssembler {
+    /// Creates an assembler for `period` with gap-tolerance floor
+    /// `min_fill` (fraction of the period's instructions a chunk needs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero or not a multiple of [`SUBWINDOW`].
+    pub fn new(period: u32, min_fill: f64) -> WindowAssembler {
+        WindowAssembler {
+            period,
+            per: subwindows_per(period),
+            min_fill,
+            chunk: RawWindow::default(),
+            count: 0,
+        }
+    }
+
+    /// Feeds one subwindow; returns the sealed chunk when it completes one.
+    pub fn push(&mut self, sub: &RawWindow) -> Option<Sealed> {
+        self.chunk.merge(sub);
+        self.count += 1;
+        (self.count == self.per).then(|| self.seal())
+    }
+
+    /// Seals the trailing partial chunk at end of stream, if any
+    /// subwindows are pending. It passes the same `min_fill` filter as a
+    /// full chunk, so at `min_fill = 1.0` a short tail drops.
+    pub fn finish(&mut self) -> Option<Sealed> {
+        (self.count > 0).then(|| self.seal())
+    }
+
+    fn seal(&mut self) -> Sealed {
+        let merged = std::mem::take(&mut self.chunk);
+        self.count = 0;
+        let fill = merged.instructions as f64 / f64::from(self.period);
+        if merged.instructions > 0 && fill >= self.min_fill {
+            Sealed::Window(Box::new(merged))
+        } else {
+            Sealed::Dropped
+        }
+    }
+}
+
 /// Like [`aggregate`], but tolerant of gaps: chunks whose subwindows were
 /// dropped or coalesced by fault injection are kept as long as they carry at
 /// least `min_fill` of the period's instructions. Feature projection
 /// normalizes by the window's *actual* counts, so short windows renormalize
-/// instead of skewing low.
+/// instead of skewing low. A fold over [`WindowAssembler`].
 ///
 /// With `min_fill = 1.0` and a clean stream this matches [`aggregate`]
 /// exactly (coalesced reads can exceed the period; they are kept too).
@@ -191,22 +289,14 @@ pub fn aggregate(subwindows: &[RawWindow], period: u32) -> Vec<RawWindow> {
 ///
 /// Panics if `period` is zero or not a multiple of [`SUBWINDOW`].
 pub fn aggregate_with_gaps(subwindows: &[RawWindow], period: u32, min_fill: f64) -> Vec<RawWindow> {
-    assert!(
-        period > 0 && period.is_multiple_of(SUBWINDOW),
-        "period {period} must be a positive multiple of {SUBWINDOW}"
-    );
-    let per = (period / SUBWINDOW) as usize;
-    subwindows
-        .chunks(per)
-        .filter_map(|chunk| {
-            let mut merged = RawWindow::default();
-            for w in chunk {
-                merged.merge(w);
-            }
-            let fill = merged.instructions as f64 / f64::from(period);
-            (merged.instructions > 0 && fill >= min_fill).then_some(merged)
-        })
-        .collect()
+    let mut assembler = WindowAssembler::new(period, min_fill);
+    let mut windows: Vec<RawWindow> = subwindows
+        .iter()
+        .filter_map(|w| assembler.push(w))
+        .filter_map(Sealed::into_window)
+        .collect();
+    windows.extend(assembler.finish().and_then(Sealed::into_window));
+    windows
 }
 
 /// Runs a subwindow stream through a counter [`FaultModel`].
@@ -259,6 +349,7 @@ pub fn apply_faults(subwindows: &[RawWindow], model: &FaultModel) -> Vec<RawWind
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rhmd_trace::exec::ExecLimits;
     use rhmd_trace::generate::{benign_profile, BenignClass, ProgramGenerator};
     use rhmd_uarch::faults::FaultConfig;
@@ -387,6 +478,141 @@ mod tests {
             aggregate_with_gaps(&subs, 5_000, 1.0),
             aggregate(&subs, 5_000)
         );
+    }
+
+    /// Why `aggregate` keeps its own rule: a read coalesced inside a full
+    /// chunk makes the strict rule drop the chunk, while the gap-tolerant
+    /// rule at `min_fill = 1.0` keeps it (6 subwindows' worth of
+    /// instructions in 5 reads).
+    #[test]
+    fn strict_and_gap_tolerant_rules_differ_on_coalesced_reads() {
+        let subs = subwindows(10_000);
+        assert_eq!(subs.len(), 10);
+        assert_eq!(
+            aggregate(&subs, 5_000),
+            aggregate_with_gaps(&subs, 5_000, 1.0)
+        );
+        // A dropping model that loses exactly one read among the first four,
+        // so that read coalesces into its successor inside the first chunk.
+        let model = (0u64..)
+            .map(|seed| FaultModel::new(FaultConfig::dropping(0.1), seed))
+            .find(|m| {
+                let dropped: Vec<u64> = (0..10).filter(|&i| m.drops_window(i)).collect();
+                dropped.len() == 1 && dropped[0] < 4
+            })
+            .expect("some seed drops exactly one early read");
+        let faulted = apply_faults(&subs, &model);
+        assert_eq!(faulted.len(), 9);
+        assert!(faulted[..4].iter().any(|w| w.instructions == 2_000));
+        assert!(aggregate(&faulted, 5_000).is_empty());
+        let kept = aggregate_with_gaps(&faulted, 5_000, 1.0);
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].instructions, 6_000);
+    }
+
+    /// The `chunks(per)` body `aggregate_with_gaps` had before it became a
+    /// fold over [`WindowAssembler`], frozen as the differential oracle.
+    fn aggregate_with_gaps_reference(
+        subwindows: &[RawWindow],
+        period: u32,
+        min_fill: f64,
+    ) -> Vec<RawWindow> {
+        assert!(
+            period > 0 && period.is_multiple_of(SUBWINDOW),
+            "period {period} must be a positive multiple of {SUBWINDOW}"
+        );
+        let per = (period / SUBWINDOW) as usize;
+        subwindows
+            .chunks(per)
+            .filter_map(|chunk| {
+                let mut merged = RawWindow::default();
+                for w in chunk {
+                    merged.merge(w);
+                }
+                let fill = merged.instructions as f64 / f64::from(period);
+                (merged.instructions > 0 && fill >= min_fill).then_some(merged)
+            })
+            .collect()
+    }
+
+    /// A read of `instructions` whose other channels are derived from it
+    /// and `salt`, so a merge mistake in any channel shows up.
+    fn read(instructions: u64, salt: u64) -> RawWindow {
+        let mut w = RawWindow {
+            instructions,
+            ..RawWindow::default()
+        };
+        w.opcode_counts[(salt % OPCODE_COUNT as u64) as usize] = instructions / 2 + salt;
+        w.mem_delta_hist[(salt % MEM_BINS as u64) as usize] = instructions / 3 + 1;
+        w.counters.cond_branches = salt;
+        w
+    }
+
+    /// A stream mixing full, short, coalesced and zero-instruction reads.
+    fn any_stream() -> impl Strategy<Value = Vec<RawWindow>> {
+        prop::collection::vec((0u8..4, 1u64..1_000, 2u64..5), 0..60).prop_map(|reads| {
+            reads
+                .into_iter()
+                .enumerate()
+                .map(|(i, (kind, short, merged))| {
+                    let instructions = match kind {
+                        0 => u64::from(SUBWINDOW),
+                        1 => short,
+                        2 => merged * u64::from(SUBWINDOW),
+                        _ => 0,
+                    };
+                    read(instructions, i as u64)
+                })
+                .collect()
+        })
+    }
+
+    fn any_min_fill() -> impl Strategy<Value = f64> {
+        (0usize..5, 0.0f64..=1.0).prop_map(|(pick, uniform)| [0.0, 0.3, 0.5, 1.0, uniform][pick])
+    }
+
+    /// Drains `assembler` over `rest`, appending every kept window to
+    /// `out`; returns how many chunks sealed (kept or dropped).
+    fn drain(
+        assembler: &mut WindowAssembler,
+        rest: &[RawWindow],
+        out: &mut Vec<RawWindow>,
+    ) -> usize {
+        let mut sealed: Vec<Sealed> = rest.iter().filter_map(|w| assembler.push(w)).collect();
+        sealed.extend(assembler.finish());
+        let count = sealed.len();
+        out.extend(sealed.into_iter().filter_map(Sealed::into_window));
+        count
+    }
+
+    proptest! {
+        /// The fold and a push-by-push assembler, cloned and continued at
+        /// every position, seal exactly the frozen `chunks(per)`
+        /// aggregation, and every chunk (the tail included) seals once.
+        #[test]
+        fn assembler_matches_frozen_chunk_aggregation(
+            subs in any_stream(),
+            period in (1u32..=20).prop_map(|k| k * SUBWINDOW),
+            min_fill in any_min_fill(),
+        ) {
+            let reference = aggregate_with_gaps_reference(&subs, period, min_fill);
+            prop_assert_eq!(aggregate_with_gaps(&subs, period, min_fill), reference.clone());
+            let chunks = subs.len().div_ceil((period / SUBWINDOW) as usize);
+            let mut assembler = WindowAssembler::new(period, min_fill);
+            let mut kept = Vec::new();
+            let mut sealed = 0;
+            for at in 0..=subs.len() {
+                let mut fork = assembler.clone();
+                let mut forked = kept.clone();
+                let forked_sealed = sealed + drain(&mut fork, &subs[at..], &mut forked);
+                prop_assert_eq!(&forked, &reference, "clone taken at {}", at);
+                prop_assert_eq!(forked_sealed, chunks, "chunks sealed, clone taken at {}", at);
+                if let Some(s) = subs.get(at).and_then(|w| assembler.push(w)) {
+                    sealed += 1;
+                    kept.extend(s.into_window());
+                }
+            }
+        }
     }
 
     #[test]

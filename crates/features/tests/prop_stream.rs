@@ -4,21 +4,18 @@
 //! The streaming path (flat IR, batched µarch simulation, incremental
 //! lanes) claims to be a pure optimization of the seed-era per-event
 //! pipeline. These properties check that claim across random programs,
-//! execution budgets, collection periods, fill thresholds, and fault
-//! plans — the full cross product the experiments exercise.
+//! execution budgets, feature kinds and collection periods. Lanes are
+//! clean: faulted streams take `apply_faults` and the two-phase path,
+//! which `tests/prop_faults.rs` covers.
 
 use proptest::prelude::*;
-use rhmd_features::pipeline::trace_subwindows_reference;
-use rhmd_features::stream::{
-    collect_subwindows, stream_features_into, LaneSpec,
-};
+use rhmd_features::pipeline::{project_windows_into, trace_subwindows_reference};
+use rhmd_features::stream::{collect_subwindows, stream_features_into};
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
-use rhmd_features::window::{aggregate_with_gaps, apply_faults};
 use rhmd_trace::exec::ExecLimits;
 use rhmd_trace::generate::{benign_profile, malware_profile, BenignClass, MalwareFamily,
                            ProgramGenerator};
 use rhmd_trace::Program;
-use rhmd_uarch::faults::{FaultConfig, FaultModel};
 use rhmd_uarch::CoreConfig;
 
 fn any_profile_seeded() -> impl Strategy<Value = Program> {
@@ -38,22 +35,6 @@ fn any_kind() -> impl Strategy<Value = FeatureKind> {
 /// A period that is a positive multiple of the subwindow size.
 fn any_period() -> impl Strategy<Value = u32> {
     (1u32..12).prop_map(|k| k * 1_000)
-}
-
-fn any_spec() -> impl Strategy<Value = FeatureSpec> {
-    (any_kind(), any_period()).prop_map(|(kind, period)| FeatureSpec::new(kind, period, vec![]))
-}
-
-fn any_fault() -> impl Strategy<Value = FaultConfig> {
-    (0usize..7, 0.05f64..0.5, 8u32..24).prop_map(|(kind, rate, bits)| match kind {
-        0 => FaultConfig::noise(rate),
-        1 => FaultConfig::dropping(rate),
-        2 => FaultConfig::multiplexed(rate),
-        3 => FaultConfig::bursty(rate / 2.0, 4),
-        4 => FaultConfig::saturating(bits),
-        5 => FaultConfig::wrapping(bits),
-        _ => FaultConfig::none(),
-    })
 }
 
 fn bits_equal(a: &[f64], b: &[f64]) -> bool {
@@ -80,101 +61,59 @@ proptest! {
         );
     }
 
-    /// A clean streaming lane reproduces trace → aggregate → project
-    /// bit-for-bit, for any spec kind, period, and fill threshold.
+    /// A streaming lane reproduces trace → aggregate → project
+    /// bit-for-bit, for any spec kind and period.
     #[test]
     fn clean_lane_matches_two_phase(
         program in any_profile_seeded(),
         budget in 1_000u64..30_000,
         kind in any_kind(),
         period in any_period(),
-        min_fill in prop::sample::select(vec![0.0f64, 0.5, 1.0]),
     ) {
         let limits = ExecLimits::instructions(budget);
         let spec = FeatureSpec::new(kind, period, vec![]);
-        let lanes = [LaneSpec { spec: &spec, min_fill, fault: None }];
         let mut out = Vec::new();
-        let outcome =
-            stream_features_into(&program, limits, CoreConfig::default(), &lanes, &mut [&mut out]);
+        let outcome = stream_features_into(
+            &program,
+            limits,
+            CoreConfig::default(),
+            std::slice::from_ref(&spec),
+            &mut [&mut out],
+        );
 
         let reference = trace_subwindows_reference(&program, limits, CoreConfig::default());
-        let windows = aggregate_with_gaps(&reference, period, min_fill);
         let mut expect = Vec::new();
-        for w in &windows {
-            spec.project_into(w, &mut expect);
-        }
-        prop_assert_eq!(outcome.rows, vec![windows.len()]);
+        let rows = project_windows_into(&reference, &spec, &mut expect);
+        prop_assert_eq!(outcome.rows, vec![rows]);
         prop_assert!(bits_equal(&out, &expect));
     }
 
-    /// A faulted lane reproduces trace → apply_faults → aggregate →
-    /// project bit-for-bit, for any fault plan and seed.
-    #[test]
-    fn faulted_lane_matches_two_phase(
-        program in any_profile_seeded(),
-        budget in 1_000u64..30_000,
-        spec in any_spec(),
-        config in any_fault(),
-        seed in any::<u64>(),
-        min_fill in prop::sample::select(vec![0.0f64, 0.5]),
-    ) {
-        let limits = ExecLimits::instructions(budget);
-        let period = spec.period;
-        let model = FaultModel::new(config, seed);
-        let lanes = [LaneSpec { spec: &spec, min_fill, fault: Some(&model) }];
-        let mut out = Vec::new();
-        let outcome =
-            stream_features_into(&program, limits, CoreConfig::default(), &lanes, &mut [&mut out]);
-
-        let reference = trace_subwindows_reference(&program, limits, CoreConfig::default());
-        let faulted = apply_faults(&reference, &model);
-        let windows = aggregate_with_gaps(&faulted, period, min_fill);
-        let mut expect = Vec::new();
-        for w in &windows {
-            spec.project_into(w, &mut expect);
-        }
-        prop_assert_eq!(outcome.rows, vec![windows.len()]);
-        prop_assert!(bits_equal(&out, &expect));
-    }
-
-    /// Lanes are independent: a multi-lane pass (mixed kinds, periods, and
-    /// fault plans) produces exactly what each lane would alone.
+    /// Lanes are independent: a multi-lane pass (mixed kinds and periods)
+    /// produces exactly what each lane would alone.
     #[test]
     fn lanes_are_independent(
         program in any_profile_seeded(),
         budget in 5_000u64..25_000,
         periods in prop::collection::vec(any_period(), 2..4),
-        config in any_fault(),
-        seed in any::<u64>(),
     ) {
         let limits = ExecLimits::instructions(budget);
-        let model = FaultModel::new(config, seed);
         let specs: Vec<FeatureSpec> = periods
             .iter()
             .zip(FeatureKind::ALL.iter().cycle())
             .map(|(&p, &k)| FeatureSpec::new(k, p, vec![]))
             .collect();
-        let lanes: Vec<LaneSpec> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| LaneSpec {
-                spec,
-                min_fill: 0.5,
-                fault: (i % 2 == 1).then_some(&model),
-            })
-            .collect();
-        let mut bufs: Vec<Vec<f64>> = vec![Vec::new(); lanes.len()];
+        let mut bufs: Vec<Vec<f64>> = vec![Vec::new(); specs.len()];
         let mut outs: Vec<&mut Vec<f64>> = bufs.iter_mut().collect();
         let joint =
-            stream_features_into(&program, limits, CoreConfig::default(), &lanes, &mut outs);
+            stream_features_into(&program, limits, CoreConfig::default(), &specs, &mut outs);
 
-        for (i, lane) in lanes.iter().enumerate() {
+        for (i, spec) in specs.iter().enumerate() {
             let mut solo = Vec::new();
             let alone = stream_features_into(
                 &program,
                 limits,
                 CoreConfig::default(),
-                &[*lane],
+                std::slice::from_ref(spec),
                 &mut [&mut solo],
             );
             prop_assert_eq!(joint.rows[i], alone.rows[0]);

@@ -40,11 +40,11 @@ use crate::batch::MicroBatcher;
 use crate::chaos::EngineFaults;
 use crate::proto::{Request, Response, StatsMsg, VerdictMsg};
 use crate::queue::BoundedQueue;
-use crate::session::{Sealed, SessionKey, SessionSnapshot, SessionState, Slot};
+use crate::session::{SessionKey, SessionSnapshot, SessionState, Slot};
 use crate::ServeConfig;
 use rhmd_core::hmd::{Hmd, QuorumVerdict, ABSTAIN_BOUND};
 use rhmd_core::RhmdError;
-use rhmd_features::window::RawWindow;
+use rhmd_features::window::{RawWindow, Sealed};
 use rhmd_ml::matrix::FeatureMatrix;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -745,6 +745,18 @@ impl Supervisor {
     }
 }
 
+/// The window a sealed chunk keeps, if any; a chunk dropped below the
+/// fill floor is counted in `serve.windows.gap_dropped`.
+fn kept_window(sealed: Option<Sealed>) -> Option<Box<RawWindow>> {
+    match sealed? {
+        Sealed::Window(w) => Some(w),
+        Sealed::Dropped => {
+            rhmd_obs::incr("serve.windows.gap_dropped");
+            None
+        }
+    }
+}
+
 /// Best-effort panic payload extraction (`&str` / `String` payloads only).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -887,12 +899,11 @@ impl Worker {
         if snaps.is_empty() {
             return;
         }
-        let period = read_snapshot(&self.model).hmd().spec().period;
         let now = Instant::now();
         rhmd_obs::add("serve.shard.sessions_restored", snaps.len() as u64);
         for (key, snap) in snaps {
             self.tenant_activity.insert(key.tenant.clone(), now);
-            let state = SessionState::restore(period, self.config.min_fill, snap, now);
+            let state = SessionState::restore(snap, now);
             if let Some(at) = state.deadline_at {
                 self.nearest_deadline = Some(self.nearest_deadline.map_or(at, |n| n.min(at)));
             }
@@ -1013,15 +1024,10 @@ impl Worker {
             rhmd_obs::add("serve.seq_gaps", gap);
         }
         self.dirty.insert(key.clone());
-        if let Some(sealed) = state.assembler.push(window) {
-            match sealed {
-                Sealed::Window(w) => {
-                    if self.enqueue_vote(&key, &snap, &w, now) {
-                        rhmd_obs::incr("serve.batch.flush_full");
-                        self.flush_tenant(&key.tenant.clone());
-                    }
-                }
-                Sealed::Dropped => {}
+        if let Some(w) = kept_window(state.assembler.push(window)) {
+            if self.enqueue_vote(&key, &snap, &w, now) {
+                rhmd_obs::incr("serve.batch.flush_full");
+                self.flush_tenant(&key.tenant.clone());
             }
         }
     }
@@ -1195,7 +1201,7 @@ impl Worker {
                     Some(Entry::Live(state)) => state.assembler.finish(),
                     _ => None,
                 };
-                if let Some(Sealed::Window(w)) = tail {
+                if let Some(w) = kept_window(tail) {
                     self.enqueue_vote(key, &snap, &w, now);
                 }
                 // Resolve every pending slot before judging. This can

@@ -24,8 +24,9 @@
 //!
 //! [`parse_request`] decodes a line in one pass, straight into a
 //! [`Request`], in time linear in the line's length. It accepts exactly
-//! what `serde_json::from_str::<Request>` accepts (the JSON tree path it
-//! replaced, kept as the test oracle):
+//! what the JSON tree path it replaced accepted; that tree reading now
+//! lives only in the serve property tests, as the decoder's differential
+//! oracle:
 //!
 //! - keys may come in any order, with any JSON whitespace between tokens;
 //! - unknown keys are ignored (their values must still be valid JSON), and
@@ -70,11 +71,11 @@ pub const MAX_ID_BYTES: usize = 256;
 /// assembly) — rejected with a typed error instead.
 pub const MAX_COUNTER: u64 = 1 << 53;
 
-/// A client → server message.
+/// A client → server message, decoded from the wire by [`parse_request`].
 ///
-/// `Deserialize` is hand-written (rather than derived) so optional fields
-/// like `deadline_ms` may be omitted on the wire — robustness demands the
-/// parser accept yesterday's frames, not just its own round trips.
+/// Optional fields like `deadline_ms` may be omitted on the wire —
+/// robustness demands the parser accept yesterday's frames, not just its
+/// own round trips.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Request {
     /// One committed-event subwindow for a session, with its stream
@@ -213,7 +214,7 @@ impl StatsMsg {
 }
 
 /// Looks up `name` in a map value, treating a missing key as JSON `null`
-/// (the lenient accessor backing optional wire fields).
+/// (the lenient accessor behind `StatsMsg`'s missing counters).
 fn opt_field<'a>(value: &'a serde::Value, name: &str) -> &'a serde::Value {
     static NULL: serde::Value = serde::Value::Null;
     match value {
@@ -222,48 +223,6 @@ fn opt_field<'a>(value: &'a serde::Value, name: &str) -> &'a serde::Value {
             .find(|(k, _)| k == name)
             .map_or(&NULL, |(_, v)| v),
         _ => &NULL,
-    }
-}
-
-/// The tree-path reading of a request line: the reference that
-/// [`parse_request`]'s single-pass decoder is tested against.
-impl serde::Deserialize for Request {
-    fn deserialize(value: &serde::Value) -> Result<Request, serde::Error> {
-        let entries = value.map()?;
-        if entries.len() != 1 {
-            return Err(serde::Error::msg(format!(
-                "expected exactly one externally-tagged request object, found {} keys",
-                entries.len()
-            )));
-        }
-        let (tag, inner) = &entries[0];
-        match tag.as_str() {
-            "Event" => Ok(Request::Event {
-                tenant: serde::Deserialize::deserialize(inner.field("tenant")?)?,
-                session: serde::Deserialize::deserialize(inner.field("session")?)?,
-                seq: serde::Deserialize::deserialize(inner.field("seq")?)?,
-                window: serde::Deserialize::deserialize(inner.field("window")?)?,
-                deadline_ms: serde::Deserialize::deserialize(opt_field(inner, "deadline_ms"))?,
-            }),
-            "End" => Ok(Request::End {
-                tenant: serde::Deserialize::deserialize(inner.field("tenant")?)?,
-                session: serde::Deserialize::deserialize(inner.field("session")?)?,
-            }),
-            "Reload" => Ok(Request::Reload {
-                model: serde::Deserialize::deserialize(inner.field("model")?)?,
-            }),
-            "Stats" => {
-                inner.map()?;
-                Ok(Request::Stats {})
-            }
-            "Drain" => {
-                inner.map()?;
-                Ok(Request::Drain {})
-            }
-            other => Err(serde::Error::msg(format!(
-                "unknown request type `{other}`"
-            ))),
-        }
     }
 }
 
@@ -360,8 +319,9 @@ pub fn parse_request(line: &str) -> Result<Request, rhmd_core::RhmdError> {
 
 /// Decodes a request line straight into [`Request`], with no intermediate
 /// JSON tree. Every rule mirrors the vendored `serde_json` tree parser plus
-/// the `Deserialize` impls above, so both accept exactly the same lines
-/// (`tests/prop_serve.rs` checks this differentially).
+/// the derived `Deserialize` impls of the payload types, so the decoder
+/// accepts exactly the lines the tree path accepts (`tests/prop_serve.rs`
+/// keeps that tree reading as its oracle and checks this differentially).
 struct Decoder<'a> {
     line: &'a str,
     bytes: &'a [u8],

@@ -1,15 +1,15 @@
-//! Per-session state: streaming, gap-tolerant assembly of subwindows into
-//! collection windows, plus the vote ledger a session's verdict is built
+//! Per-session state: the sequence filter, the session's
+//! [`WindowAssembler`] and the vote ledger a session's verdict is built
 //! from.
 //!
-//! [`WindowAssembler`] is the streaming twin of
-//! [`rhmd_features::window::aggregate_with_gaps`]: feeding it a subwindow
-//! stream one element at a time yields exactly the windows the batch
-//! aggregator yields on the whole slice (a property test pins this), which
-//! is what makes `rhmd serve` replay verdicts bit-identical to the batch
-//! `rhmd evaluate` path.
+//! Sessions assemble windows through [`rhmd_features::window`]'s
+//! assembler, the same one [`rhmd_features::window::aggregate_with_gaps`]
+//! folds over on the batch `rhmd evaluate` path, which is what makes
+//! `rhmd serve` replay verdicts bit-identical to it. A snapshot holds a
+//! clone of the assembler, so a restored session continues assembly
+//! exactly where it left off.
 
-use rhmd_features::window::{RawWindow, SUBWINDOW};
+use rhmd_features::window::WindowAssembler;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,110 +46,6 @@ impl SessionKey {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         (h % shards as u64) as usize
-    }
-}
-
-/// Outcome of sealing one collection-window chunk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Sealed {
-    /// The merged window carries enough instructions to be judged.
-    Window(Box<RawWindow>),
-    /// The chunk fell below the `min_fill` floor (or was empty) and is
-    /// dropped without a vote — exactly what `aggregate_with_gaps` does.
-    Dropped,
-}
-
-/// Streaming aggregation of subwindows into `period`-sized collection
-/// windows with `min_fill` gap tolerance.
-#[derive(Debug, Clone)]
-pub struct WindowAssembler {
-    period: u32,
-    per: usize,
-    min_fill: f64,
-    chunk: RawWindow,
-    count: usize,
-}
-
-impl WindowAssembler {
-    /// Creates an assembler for `period` (a positive multiple of
-    /// [`SUBWINDOW`]) and gap-tolerance floor `min_fill`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero or not a multiple of [`SUBWINDOW`] —
-    /// callers validate specs before building sessions.
-    pub fn new(period: u32, min_fill: f64) -> WindowAssembler {
-        assert!(
-            period > 0 && period.is_multiple_of(SUBWINDOW),
-            "period {period} must be a positive multiple of {SUBWINDOW}"
-        );
-        WindowAssembler {
-            period,
-            per: (period / SUBWINDOW) as usize,
-            min_fill,
-            chunk: RawWindow::default(),
-            count: 0,
-        }
-    }
-
-    /// Feeds one subwindow; returns the sealed chunk when this subwindow
-    /// completes one (every `per` received subwindows, mirroring the batch
-    /// aggregator's `chunks(per)` — chunk position is by *received count*,
-    /// so a faulted stream assembles exactly as its batch counterpart).
-    pub fn push(&mut self, sub: &RawWindow) -> Option<Sealed> {
-        self.chunk.merge(sub);
-        self.count += 1;
-        if self.count == self.per {
-            Some(self.seal())
-        } else {
-            None
-        }
-    }
-
-    /// Seals the trailing partial chunk at end-of-stream, if any subwindows
-    /// are pending. Subject to the same `min_fill` filter as full chunks
-    /// (so with `min_fill = 1.0` a partial tail drops, matching strict
-    /// aggregation).
-    pub fn finish(&mut self) -> Option<Sealed> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(self.seal())
-    }
-
-    /// Rebuilds an assembler mid-stream from a snapshot's `(chunk, count)`
-    /// pair, as captured by [`WindowAssembler::chunk_state`]. The resumed
-    /// assembler continues the stream exactly where the snapshot left it —
-    /// the foundation of bit-identical shard recovery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is invalid (same contract as
-    /// [`WindowAssembler::new`]) — snapshots only ever carry validated
-    /// configs.
-    pub fn resume(period: u32, min_fill: f64, chunk: RawWindow, count: usize) -> WindowAssembler {
-        let mut asm = WindowAssembler::new(period, min_fill);
-        asm.chunk = chunk;
-        asm.count = count.min(asm.per.saturating_sub(1));
-        asm
-    }
-
-    /// The in-flight partial chunk and how many subwindows it has merged —
-    /// everything a snapshot needs to resume assembly.
-    pub fn chunk_state(&self) -> (&RawWindow, usize) {
-        (&self.chunk, self.count)
-    }
-
-    fn seal(&mut self) -> Sealed {
-        let merged = std::mem::take(&mut self.chunk);
-        self.count = 0;
-        let fill = merged.instructions as f64 / f64::from(self.period);
-        if merged.instructions > 0 && fill >= self.min_fill {
-            Sealed::Window(Box::new(merged))
-        } else {
-            rhmd_obs::incr("serve.windows.gap_dropped");
-            Sealed::Dropped
-        }
     }
 }
 
@@ -269,10 +165,8 @@ impl SessionState {
     ///
     /// [`restore`]: SessionState::restore
     pub fn snapshot(&self) -> SessionSnapshot {
-        let (chunk, count) = self.assembler.chunk_state();
         SessionSnapshot {
-            chunk: chunk.clone(),
-            count,
+            assembler: self.assembler.clone(),
             slots: self.slots.clone(),
             next_seq: self.next_seq,
             gap_events: self.gap_events,
@@ -287,9 +181,9 @@ impl SessionState {
     /// never flushed); slots resolved before the snapshot keep their votes,
     /// so a kill after a full batch flush + snapshot sync recovers
     /// bit-identically.
-    pub fn restore(period: u32, min_fill: f64, snap: SessionSnapshot, now: Instant) -> SessionState {
+    pub fn restore(snap: SessionSnapshot, now: Instant) -> SessionState {
         SessionState {
-            assembler: WindowAssembler::resume(period, min_fill, snap.chunk, snap.count),
+            assembler: snap.assembler,
             slots: snap
                 .slots
                 .into_iter()
@@ -312,10 +206,8 @@ impl SessionState {
 /// engine's in-memory snapshot store and replayed into a restarted shard.
 #[derive(Debug, Clone)]
 pub struct SessionSnapshot {
-    /// In-flight partial collection-window chunk.
-    pub chunk: RawWindow,
-    /// Subwindows merged into `chunk` so far.
-    pub count: usize,
+    /// Window assembly, in-flight partial chunk included.
+    pub assembler: WindowAssembler,
     /// Vote ledger at capture time.
     pub slots: Vec<Slot>,
     /// Next expected subwindow sequence number.
@@ -333,7 +225,7 @@ pub struct SessionSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rhmd_features::window::aggregate_with_gaps;
+    use rhmd_features::window::{RawWindow, Sealed, SUBWINDOW};
 
     fn sub(instructions: u64) -> RawWindow {
         let mut w = RawWindow {
@@ -356,23 +248,6 @@ mod tests {
             out.push(*w);
         }
         out
-    }
-
-    #[test]
-    fn matches_batch_aggregation_on_clean_and_gappy_streams() {
-        let clean: Vec<RawWindow> = (0..13).map(|_| sub(u64::from(SUBWINDOW))).collect();
-        let mut gappy = clean.clone();
-        gappy[3] = sub(200); // short read
-        gappy[7] = sub(3_500); // coalesced read
-        for subs in [&clean, &gappy] {
-            for min_fill in [1.0, 0.5, 0.0] {
-                assert_eq!(
-                    streamed(subs, 5_000, min_fill),
-                    aggregate_with_gaps(subs, 5_000, min_fill),
-                    "min_fill {min_fill}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -448,7 +323,7 @@ mod tests {
         s.slots.push(Slot::Done(Some(false)));
         s.slots.push(Slot::Pending);
         let snap = s.snapshot();
-        let mut r = SessionState::restore(5_000, 0.0, snap, Instant::now());
+        let mut r = SessionState::restore(snap, Instant::now());
         assert_eq!(r.conn, 7);
         assert_eq!(
             r.slots,

@@ -1,7 +1,5 @@
-//! Property tests for the serving pipeline's three load-bearing pieces:
+//! Property tests for the serving pipeline's load-bearing pieces:
 //!
-//! * the gap-tolerant window assembler streams to exactly what the batch
-//!   path's [`aggregate_with_gaps`] computes, on arbitrary streams;
 //! * the micro-batcher never loses, duplicates, or reorders a row across
 //!   any interleaving of size-triggered and forced flushes;
 //! * the engine emits exactly one verdict per offered session and keeps
@@ -9,19 +7,23 @@
 //!   including runs where shedding kicks in and later recovers;
 //! * the hostile-input boundary never panics: `parse_request` and the
 //!   bounded frame reader accept arbitrary bytes, and the session
-//!   sequence filter makes duplicate/stale/out-of-order re-delivery
-//!   invisible to window assembly;
+//!   sequence filter and snapshot/restore make duplicate/stale/out-of-order
+//!   re-delivery and shard recovery invisible to window assembly;
 //! * the single-pass request decoder agrees with the JSON tree path it
-//!   replaced (`serde_json::from_str::<Request>`) on rendered, reshaped,
-//!   numerically odd, truncated and chaos-mutated frames: both return the
-//!   same `Request`, or both fail. The differential properties use the
-//!   default case count, which `PROPTEST_CASES` raises.
+//!   replaced ([`request_from_tree`] over the parsed `serde::Value`) on
+//!   rendered, reshaped, numerically odd, truncated and chaos-mutated
+//!   frames: both return the same `Request`, or both fail. The
+//!   differential properties use the default case count, which
+//!   `PROPTEST_CASES` raises.
+//!
+//! The window assembler itself lives in `rhmd_features::window`, whose
+//! differential suite pins it to the frozen batch aggregation.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use rhmd_features::window::{aggregate_with_gaps, RawWindow, SUBWINDOW};
+use rhmd_features::window::{RawWindow, Sealed, SUBWINDOW};
 use rhmd_serve::batch::MicroBatcher;
 use rhmd_serve::chaos::WireFaults;
 use rhmd_serve::engine::{Engine, OutEvent};
@@ -30,7 +32,7 @@ use rhmd_serve::proto::{
 };
 use rhmd_serve::queue::Watermarks;
 use rhmd_serve::server::{read_frame, Frame};
-use rhmd_serve::session::{Sealed, SessionKey, SessionState, WindowAssembler};
+use rhmd_serve::session::{SessionKey, SessionState};
 use rhmd_serve::ServeConfig;
 use serde::Value;
 use std::fmt::Write as _;
@@ -49,44 +51,8 @@ fn sub(fill: u64, salt: u64) -> RawWindow {
     w
 }
 
-fn assembled(subs: &[RawWindow], period: u32, min_fill: f64) -> Vec<RawWindow> {
-    let mut asm = WindowAssembler::new(period, min_fill);
-    let mut out = Vec::new();
-    let mut keep = |sealed: Option<Sealed>| {
-        if let Some(Sealed::Window(w)) = sealed {
-            out.push(*w);
-        }
-    };
-    for s in subs {
-        keep(asm.push(s));
-    }
-    keep(asm.finish());
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Streamed assembly == batch aggregation, for any stream shape
-    /// (short, over-full, and empty subwindows included), period, and
-    /// fill floor.
-    #[test]
-    fn assembler_matches_batch_aggregation(
-        fills in prop::collection::vec(0u64..=(u64::from(SUBWINDOW) * 3 / 2), 0..40),
-        per in 1u32..6,
-        min_fill in prop::sample::select(vec![0.0, 0.25, 0.5, 1.0]),
-    ) {
-        let period = per * SUBWINDOW;
-        let subs: Vec<RawWindow> = fills
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| sub(f, i as u64))
-            .collect();
-        prop_assert_eq!(
-            assembled(&subs, period, min_fill),
-            aggregate_with_gaps(&subs, period, min_fill)
-        );
-    }
 
     /// Every pushed row comes back exactly once, in push order, with its
     /// flat storage aligned to its entry — across any interleaving of
@@ -176,13 +142,16 @@ proptest! {
 
     /// Re-delivery chaos is invisible to assembly: a stream delivered with
     /// injected duplicates and stale replays (gated by the session
-    /// sequence filter, exactly as the engine gates it) seals the same
-    /// windows as the clean in-order stream.
+    /// sequence filter, exactly as the engine gates it) and a shard
+    /// recovery (snapshot, then restore from the snapshot's cloned
+    /// assembler) seals the same windows as the clean in-order stream.
     #[test]
     fn sequence_filter_makes_redelivery_invisible_to_assembly(
         fills in prop::collection::vec(1u64..=u64::from(SUBWINDOW), 1..24),
         per in 1u32..4,
         replays in prop::collection::vec((0usize..24, 0usize..24), 0..32),
+        restore_at in 0usize..24,
+        min_fill in prop::sample::select(vec![0.0, 0.5, 1.0]),
     ) {
         let period = per * SUBWINDOW;
         let subs: Vec<RawWindow> = fills
@@ -192,7 +161,7 @@ proptest! {
             .collect();
         let now = Instant::now();
         let deliver = |chaos: bool| {
-            let mut state = SessionState::new(period, 1.0, 0, now);
+            let mut state = SessionState::new(period, min_fill, 0, now);
             let mut sealed = Vec::new();
             let mut push = |state: &mut SessionState, seq: u64, w: &RawWindow| {
                 if state.admit_seq(seq).is_some() {
@@ -202,6 +171,9 @@ proptest! {
                 }
             };
             for (i, w) in subs.iter().enumerate() {
+                if chaos && i == restore_at {
+                    state = SessionState::restore(state.snapshot(), now);
+                }
                 push(&mut state, i as u64, w);
                 if chaos {
                     // Replay arbitrary already-delivered frames (duplicates
@@ -213,6 +185,7 @@ proptest! {
                     }
                 }
             }
+            sealed.extend(state.assembler.finish().and_then(Sealed::into_window));
             sealed
         };
         prop_assert_eq!(deliver(false), deliver(true));
@@ -286,9 +259,56 @@ proptest! {
     }
 }
 
+/// A parsed JSON document, kept as its `serde::Value` tree.
+struct Tree(Value);
+
+impl serde::Deserialize for Tree {
+    fn deserialize(value: &Value) -> Result<Tree, serde::Error> {
+        Ok(Tree(value.clone()))
+    }
+}
+
+/// The tree-path reading of a request the decoder replaced: one
+/// externally-tagged object; a missing or `null` `deadline_ms` is `None`;
+/// for a duplicate key the first one wins.
+fn request_from_tree(value: &Value) -> Result<Request, serde::Error> {
+    use serde::Deserialize as De;
+    let entries = value.map()?;
+    if entries.len() != 1 {
+        return Err(serde::Error::msg(format!(
+            "expected exactly one externally-tagged request object, found {} keys",
+            entries.len()
+        )));
+    }
+    let (tag, inner) = &entries[0];
+    match tag.as_str() {
+        "Event" => {
+            let deadline = inner.map()?.iter().find(|(k, _)| k == "deadline_ms");
+            Ok(Request::Event {
+                tenant: De::deserialize(inner.field("tenant")?)?,
+                session: De::deserialize(inner.field("session")?)?,
+                seq: De::deserialize(inner.field("seq")?)?,
+                window: De::deserialize(inner.field("window")?)?,
+                deadline_ms: De::deserialize(deadline.map_or(&Value::Null, |(_, v)| v))?,
+            })
+        }
+        "End" => Ok(Request::End {
+            tenant: De::deserialize(inner.field("tenant")?)?,
+            session: De::deserialize(inner.field("session")?)?,
+        }),
+        "Reload" => Ok(Request::Reload {
+            model: De::deserialize(inner.field("model")?)?,
+        }),
+        "Stats" => inner.map().map(|_| Request::Stats {}),
+        "Drain" => inner.map().map(|_| Request::Drain {}),
+        other => Err(serde::Error::msg(format!("unknown request type `{other}`"))),
+    }
+}
+
 /// The tree path the decoder replaced.
 fn oracle(line: &str) -> Option<Request> {
-    serde_json::from_str::<Request>(line).ok()
+    let Tree(value) = serde_json::from_str::<Tree>(line).ok()?;
+    request_from_tree(&value).ok()
 }
 
 /// Describes how the decoder and the tree oracle disagree on `line`, if
