@@ -8,10 +8,9 @@
 //! vote instead of letting them mis-vote.
 //!
 //! Run with `RHMD_SCALE=tiny cargo run --release -p rhmd-bench --bin
-//! robustness_sweep` for a quick pass. `--checkpoint <dir>` (or the
-//! `RHMD_CKPT` env-var fallback) journals each fault cell durably and
-//! resumes after a crash; `--metrics <path>` / `--metrics-summary` export
-//! observability counters. See `--help`.
+//! robustness_sweep` for a quick pass. `--checkpoint <dir>` journals each
+//! fault cell durably and resumes after a crash; `--metrics <path>` /
+//! `--metrics-summary` export observability counters. See `--help`.
 
 use rhmd_bench::flags::parse_env_args;
 use rhmd_bench::par::{DegradedQuality, Evaluator, Pool};

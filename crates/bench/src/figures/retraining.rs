@@ -1,9 +1,10 @@
 //! Figs 11, 13 — retraining on evasive malware.
 //!
 //! Both figures are long multi-stage campaigns, so both are checkpointable:
-//! set `RHMD_CKPT=<dir>` and each completed sweep point (Fig 11) or played
-//! generation (Fig 13) is journaled durably; a rerun after a crash skips
-//! finished work and produces bit-identical tables.
+//! under `repro --checkpoint <dir>` each completed sweep point (Fig 11,
+//! `<dir>/fig11`) or played generation (Fig 13, `<dir>/fig13`) is journaled
+//! durably; a rerun after a crash skips finished work and produces
+//! bit-identical tables.
 
 use crate::context::Experiment;
 use crate::report::Table;
@@ -31,8 +32,7 @@ fn corpus_summary(exp: &Experiment) -> String {
 /// Figs 11a/11b: retraining LR and NN with a growing share of evasive
 /// malware in the training set.
 ///
-/// Checkpointing comes from `ckpt` (the binary's `--checkpoint`/`--resume`
-/// flags) when given, else from the `RHMD_CKPT` env-var fallback.
+/// Checkpointing is on when `ckpt` is given.
 ///
 /// # Errors
 ///
@@ -120,8 +120,7 @@ pub fn fig11(exp: &Experiment, ckpt: Option<&CkptOptions>) -> Result<Vec<Table>,
 
 /// Fig 13: the NN evade–retrain game over seven generations.
 ///
-/// Checkpointing comes from `ckpt` (the binary's `--checkpoint`/`--resume`
-/// flags) when given, else from the `RHMD_CKPT` env-var fallback.
+/// Checkpointing is on when `ckpt` is given.
 ///
 /// # Errors
 ///

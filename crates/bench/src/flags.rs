@@ -1,9 +1,5 @@
-//! Minimal command-line options for the experiment binaries.
-//!
-//! The figure regenerators and sweeps historically took *no* arguments —
-//! checkpointing rode on the `RHMD_CKPT` env var. That stays as the
-//! documented fallback, but the long-running binaries now accept proper
-//! flags:
+//! Minimal command-line options shared by the experiment binaries
+//! (`repro`, `robustness_sweep`):
 //!
 //! ```text
 //! --checkpoint <dir>   journal completed work units to <dir>
@@ -12,7 +8,11 @@
 //! --metrics <path>     export a metrics snapshot as JSON to <path>
 //! --metrics-summary    print a metrics summary table to stderr
 //! ```
+//!
+//! `repro` also takes `--only <id,...>` ([`take_only`]) to run a subset of
+//! its experiment table.
 
+use crate::figures::{Entry, EXPERIMENTS};
 use crate::metrics::MetricsOptions;
 use rhmd_core::RhmdError;
 use rhmd_runtime::ckpt::CkptOptions;
@@ -36,8 +36,8 @@ options:
   --metrics-summary    print a metrics summary table to stderr
   --help               show this message
 
-env fallbacks: RHMD_SCALE (tiny|small|standard|paper), RHMD_CKPT (checkpoint
-dir when no flag is given), RHMD_IO_FAULTS (I/O fault injection).";
+env: RHMD_SCALE (tiny|small|standard|paper), RHMD_IO_FAULTS (I/O fault
+injection).";
 
 /// Parses the process's own arguments into [`BinOptions`], printing usage
 /// and exiting on `--help`.
@@ -50,10 +50,12 @@ pub fn parse_env_args(binary: &str) -> Result<BinOptions, RhmdError> {
     parse(binary, std::env::args().skip(1))
 }
 
-fn parse(
-    binary: &str,
-    raw: impl IntoIterator<Item = String>,
-) -> Result<BinOptions, RhmdError> {
+/// [`parse_env_args`] over explicit argument tokens.
+///
+/// # Errors
+///
+/// See [`parse_env_args`].
+pub fn parse(binary: &str, raw: impl IntoIterator<Item = String>) -> Result<BinOptions, RhmdError> {
     let mut checkpoint: Option<PathBuf> = None;
     let mut resume: Option<PathBuf> = None;
     let mut metrics_path: Option<PathBuf> = None;
@@ -115,6 +117,34 @@ fn parse(
     })
 }
 
+/// Takes `repro`'s `--only <id,...>` out of `args`: the [`EXPERIMENTS`]
+/// it names, each once in first-mention order, or `None` (run them all)
+/// when the flag is absent.
+///
+/// # Errors
+///
+/// [`RhmdError::Config`] listing the valid ids when an id is unknown or
+/// empty.
+pub fn take_only(args: &mut Vec<String>) -> Result<Option<Vec<&'static Entry>>, RhmdError> {
+    let Some(at) = args.iter().position(|a| a == "--only") else {
+        return Ok(None);
+    };
+    let list = args.get(at + 1).cloned().unwrap_or_default();
+    args.drain(at..args.len().min(at + 2));
+    let mut picked: Vec<&'static Entry> = Vec::new();
+    for id in list.split(',') {
+        let Some(entry) = EXPERIMENTS.iter().find(|e| e.id == id) else {
+            let ids: Vec<_> = EXPERIMENTS.iter().map(|e| e.id).collect();
+            let msg = format!("unknown experiment '{id}'; ids: {}", ids.join(","));
+            return Err(RhmdError::config(msg));
+        };
+        if !picked.iter().any(|p| p.id == id) {
+            picked.push(entry);
+        }
+    }
+    Ok(Some(picked))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,5 +187,42 @@ mod tests {
     fn bad_flags_are_rejected() {
         assert!(args(&["--metrics"]).is_err(), "missing value");
         assert!(args(&["--frobnicate"]).is_err(), "unknown flag");
+    }
+
+    fn split(line: &str) -> Vec<String> {
+        line.split(' ').map(str::to_owned).collect()
+    }
+
+    fn only(line: &str) -> Result<Option<Vec<&'static str>>, RhmdError> {
+        let picked = take_only(&mut split(line))?;
+        Ok(picked.map(|entries| entries.iter().map(|e| e.id).collect()))
+    }
+
+    #[test]
+    fn experiment_ids_are_unique() {
+        let mut all: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), EXPERIMENTS.len());
+    }
+
+    #[test]
+    fn only_runs_a_repeated_id_once_and_leaves_other_flags() {
+        let picked = only("--only abl-c,fig02,abl-c").unwrap();
+        assert_eq!(picked, Some(vec!["abl-c", "fig02"]));
+        let mut args = split("--metrics-summary --only fig04 --checkpoint ck");
+        assert_eq!(take_only(&mut args).unwrap().unwrap().len(), 1);
+        assert_eq!(args, split("--metrics-summary --checkpoint ck"));
+        assert_eq!(only("--metrics-summary").unwrap(), None);
+    }
+
+    #[test]
+    fn only_rejects_unknown_or_empty_ids_listing_the_valid_ones() {
+        for bad in ["--only fig99", "--only ", "--only", "--only fig02,,fig04"] {
+            let err = only(bad).unwrap_err();
+            assert!(matches!(err, RhmdError::Config(_)), "{bad}");
+            let msg = err.to_string();
+            assert!(EXPERIMENTS.iter().all(|e| msg.contains(e.id)), "{msg}");
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! Reproduction harness for every table and figure in the RHMD paper.
 //!
-//! Each figure has a binary (`cargo run --release -p rhmd-bench --bin
-//! fig08_least_weight`, etc.) that prints the regenerated rows;
-//! `repro_all` runs the whole evaluation and writes a combined report.
+//! One binary, `repro`, regenerates them from the experiment table in
+//! [`figures`]: `cargo run --release -p rhmd-bench --bin repro` runs the
+//! whole evaluation and writes a combined report; `--only fig08,abl-c`
+//! prints just those experiments.
 //! Criterion benches (in `benches/`) cover the performance of the
 //! substrate itself: feature extraction, simulation, training, inference,
 //! injection and RHMD switching.

@@ -31,7 +31,6 @@ use rhmd_core::verdict::{DegradedVerdict, VerdictPolicy};
 use rhmd_core::RhmdError;
 use rhmd_data::store::CorpusStore;
 use rhmd_data::{CorpusSource, TracedCorpus};
-use rhmd_features::pipeline::project_windows_into;
 use rhmd_features::vector::FeatureSpec;
 use rhmd_features::window::{apply_faults, RawWindow};
 use rhmd_ml::matrix::FeatureMatrix;
@@ -474,9 +473,8 @@ impl Pool {
 // ---------------------------------------------------------------------------
 
 /// Cache key: one projected window set is identified by the backing corpus
-/// source, the program, the fault seed, the collection period, the feature
-/// definition, and the fault configuration (hashed stably, so keys survive
-/// process boundaries).
+/// source, the program, the collection period, and the feature definition
+/// (hashed stably, so keys survive process boundaries).
 ///
 /// `source` is the [`CorpusSource::identity`] of the backing data — `0` for
 /// live generation, the store's path/config hash otherwise — so mixing a
@@ -486,10 +484,8 @@ impl Pool {
 struct CacheKey {
     source: u64,
     program: usize,
-    seed: u64,
     period: u32,
     spec_hash: u64,
-    fault_hash: u64,
 }
 
 const SHARDS: usize = 16;
@@ -585,16 +581,16 @@ impl CacheStats {
 /// A sharded, thread-safe cache of projected feature matrices.
 ///
 /// Multi-detector ensembles, RHMD pools, and sweep grids repeatedly project
-/// the same `(program, spec, fault)` combination — every detector sharing a
+/// the same `(program, spec)` combination — every detector sharing a
 /// spec, every algorithm trained at the same sweep point, every metric pass
 /// over the same split. The cache computes each combination once — one flat
 /// row-major [`FeatureMatrix`] per program, a single allocation — and hands
 /// out `Arc`s to the immutable result.
 ///
 /// Correctness: a hit returns exactly the matrix a miss would compute (both
-/// call [`project_windows_into`] on the same inputs), so caching can never
-/// change a result — only skip recomputation. The equivalence suite
-/// asserts this against the uncached path.
+/// come from [`CorpusSource::features_of`] on the same inputs), so caching
+/// can never change a result — only skip recomputation. The equivalence
+/// suite asserts this against the uncached path.
 #[derive(Debug)]
 pub struct FeatureCache {
     shards: Vec<Shard>,
@@ -634,42 +630,32 @@ impl FeatureCache {
     }
 
     /// Projected feature matrix of program `program` under `spec` (one row
-    /// per window), optionally through a fault model `(config, seed)` —
-    /// computed on first use, served from the cache afterwards.
+    /// per window) — computed on first use, served from the cache
+    /// afterwards.
     pub fn vectors(
         &self,
         traced: &TracedCorpus,
         program: usize,
         spec: &FeatureSpec,
-        fault: Option<(&FaultConfig, u64)>,
     ) -> Arc<FeatureMatrix> {
-        self.vectors_source(&EvalSource::Traced(traced), program, spec, fault)
+        self.vectors_source(&EvalSource::Traced(traced), program, spec)
     }
 
     /// [`FeatureCache::vectors`] over any [`EvalSource`]. Store-backed hits
     /// and misses both return zero-copy views over the mapped shard; the
     /// source identity is part of the key, so a store and a generated
     /// corpus sharing one process never alias entries.
-    ///
-    /// # Panics
-    ///
-    /// When `fault` is given for a store source: fault injection corrupts
-    /// raw subwindows, which a store does not retain. Degraded evaluations
-    /// require a traced source.
     pub fn vectors_source(
         &self,
         source: &EvalSource<'_>,
         program: usize,
         spec: &FeatureSpec,
-        fault: Option<(&FaultConfig, u64)>,
     ) -> Arc<FeatureMatrix> {
         let key = CacheKey {
             source: source.identity(),
             program,
-            seed: fault.map_or(0, |(_, s)| s),
             period: spec.period,
             spec_hash: spec.stable_hash(),
-            fault_hash: fault.map_or(0, |(c, _)| c.stable_hash()),
         };
         if let Some(found) = self.shard(&key).lock().expect("cache mutex poisoned").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -681,33 +667,9 @@ impl FeatureCache {
         // may win the insert.
         self.misses.fetch_add(1, Ordering::Relaxed);
         obs::incr("cache.misses");
-        let projected = match (source, fault) {
-            (EvalSource::Traced(traced), Some((config, seed))) => {
-                let subs = traced.subwindows(program);
-                let mut flat = Vec::new();
-                let model = FaultModel::new(*config, seed);
-                let windows = project_windows_into(&apply_faults(subs, &model), spec, &mut flat);
-                if spec.dims() == 0 {
-                    // Flat storage cannot infer a row count at zero dims;
-                    // keep the window count by pushing empty rows.
-                    let mut m = FeatureMatrix::new(0);
-                    for _ in 0..windows {
-                        m.push_row(&[]);
-                    }
-                    m
-                } else {
-                    FeatureMatrix::from_flat(spec.dims(), flat)
-                }
-            }
-            (EvalSource::Store(_), Some(_)) => panic!(
-                "fault injection needs raw subwindows, which a corpus store does not \
-                 retain; evaluate degraded runs from a traced corpus"
-            ),
-            // Clean stream: both sources produce bit-identical rows (a
-            // store-backed matrix is a zero-copy view into the shard).
-            (_, None) => source.features_of(program, spec),
-        };
-        let value = Arc::new(projected);
+        // Both sources produce bit-identical rows (a store-backed matrix
+        // is a zero-copy view into the shard).
+        let value = Arc::new(source.features_of(program, spec));
         let mut shard = self.shard(&key).lock().expect("cache mutex poisoned");
         Arc::clone(shard.entry(key).or_insert(value))
     }
@@ -752,8 +714,8 @@ pub struct DegradedQuality {
 /// Configures and builds an [`Evaluator`].
 ///
 /// Obtained from [`Evaluator::builder`]; every knob has a sensible default
-/// (single-threaded pool, 16 cache shards, no fault model, no watchdog, no
-/// checkpoint, metrics off), so callers name only what they deviate on:
+/// (single-threaded pool, 16 cache shards, no watchdog, no checkpoint,
+/// metrics off), so callers name only what they deviate on:
 ///
 /// ```
 /// use rhmd_bench::par::Evaluator;
@@ -766,7 +728,6 @@ pub struct EvaluatorBuilder<'a> {
     run_seed: u64,
     pool: Pool,
     cache_shards: usize,
-    fault: Option<FaultConfig>,
     watchdog: Option<WatchdogConfig>,
     recorder: Arc<dyn Recorder>,
     checkpoint: Option<Journal>,
@@ -791,14 +752,6 @@ impl<'a> EvaluatorBuilder<'a> {
     #[must_use]
     pub fn cache_shards(mut self, shards: usize) -> Self {
         self.cache_shards = shards.max(1);
-        self
-    }
-
-    /// Attaches a counter fault model; [`Evaluator::fault_config`] hands it
-    /// back to evaluation loops that inject degradation.
-    #[must_use]
-    pub fn fault(mut self, config: FaultConfig) -> Self {
-        self.fault = Some(config);
         self
     }
 
@@ -843,7 +796,6 @@ impl<'a> EvaluatorBuilder<'a> {
             pool: self.pool,
             cache: FeatureCache::with_shards(self.cache_shards),
             run_seed: self.run_seed,
-            fault: self.fault,
             watchdog: self.watchdog,
             recorder: self.recorder,
             checkpoint: self.checkpoint.map(Mutex::new),
@@ -854,8 +806,8 @@ impl<'a> EvaluatorBuilder<'a> {
 
 /// The parallel corpus-evaluation engine: a [`Pool`], a [`FeatureCache`],
 /// and a run seed from which every per-program seed is derived — plus the
-/// optional run services every experiment shares (fault model, watchdog,
-/// metrics recorder, checkpoint journal), all configured through
+/// optional run services every experiment shares (watchdog, metrics
+/// recorder, checkpoint journal), all configured through
 /// [`Evaluator::builder`].
 ///
 /// Every loop is bit-exact with its serial counterpart at any thread count;
@@ -866,7 +818,6 @@ pub struct Evaluator<'a> {
     pool: Pool,
     cache: FeatureCache,
     run_seed: u64,
-    fault: Option<FaultConfig>,
     watchdog: Option<WatchdogConfig>,
     recorder: Arc<dyn Recorder>,
     checkpoint: Option<Mutex<Journal>>,
@@ -878,7 +829,6 @@ impl fmt::Debug for Evaluator<'_> {
         f.debug_struct("Evaluator")
             .field("pool", &self.pool)
             .field("run_seed", &self.run_seed)
-            .field("fault", &self.fault)
             .field("watchdog", &self.watchdog)
             .field("checkpointed", &self.checkpoint.is_some())
             .finish_non_exhaustive()
@@ -897,9 +847,8 @@ impl<'a> Evaluator<'a> {
     /// [`Evaluator::window_dataset`], [`Evaluator::quality_hmd`]) produces
     /// bit-identical results to a traced-corpus engine over the same
     /// underlying corpus. Subwindow-dependent loops
-    /// ([`Evaluator::quality_rhmd`], [`Evaluator::degraded_quality`],
-    /// [`Evaluator::vectors_faulted`]) need raw traces and panic in store
-    /// mode.
+    /// ([`Evaluator::quality_rhmd`], [`Evaluator::degraded_quality`]) need
+    /// raw traces and panic in store mode.
     pub fn builder_from_store(store: &'a CorpusStore, run_seed: u64) -> EvaluatorBuilder<'a> {
         Evaluator::builder_from_source(EvalSource::Store(store), run_seed)
     }
@@ -914,7 +863,6 @@ impl<'a> Evaluator<'a> {
             run_seed,
             pool: Pool::new(1),
             cache_shards: SHARDS,
-            fault: None,
             watchdog: None,
             recorder: Arc::new(NoopRecorder),
             checkpoint: None,
@@ -925,11 +873,6 @@ impl<'a> Evaluator<'a> {
     /// so far (empty and non-degraded when no watchdog is configured).
     pub fn run_report(&self) -> RunReport {
         self.report.lock().expect("report mutex poisoned").clone()
-    }
-
-    /// The fault model attached at build time, if any.
-    pub fn fault_config(&self) -> Option<&FaultConfig> {
-        self.fault.as_ref()
     }
 
     /// The attached metrics recorder ([`NoopRecorder`] by default).
@@ -1073,37 +1016,10 @@ impl<'a> Evaluator<'a> {
         derive_seed(self.run_seed, index as u64)
     }
 
-    /// Runs `f` over the given program indices on the pool; results come
-    /// back in `indices` order. `f` receives `(program index, derived
-    /// program seed)`.
-    pub fn map_programs<R, F>(&self, indices: &[usize], f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, u64) -> R + Sync,
-    {
-        self.run_map(indices, |_, &i| f(i, self.program_seed(i)))
-    }
-
     /// Cached projected feature matrix of one program (clean stream) —
     /// from the traced corpus or, in store mode, a zero-copy shard view.
     pub fn vectors(&self, program: usize, spec: &FeatureSpec) -> Arc<FeatureMatrix> {
-        self.cache.vectors_source(&self.source, program, spec, None)
-    }
-
-    /// Cached projected feature matrix of one program through a fault model
-    /// seeded with the program's derived seed.
-    ///
-    /// # Panics
-    ///
-    /// In store-backed mode — see [`Evaluator::traced`].
-    pub fn vectors_faulted(
-        &self,
-        program: usize,
-        spec: &FeatureSpec,
-        config: &FaultConfig,
-    ) -> Arc<FeatureMatrix> {
-        self.cache
-            .vectors(self.traced(), program, spec, Some((config, self.program_seed(program))))
+        self.cache.vectors_source(&self.source, program, spec)
     }
 
     /// Window-level dataset over `indices` — the parallel, cached
@@ -1386,8 +1302,8 @@ mod tests {
         let t = traced();
         let cache = FeatureCache::new();
         let spec = FeatureSpec::new(FeatureKind::Architectural, 5_000, vec![]);
-        let first = cache.vectors(&t, 0, &spec, None);
-        let again = cache.vectors(&t, 0, &spec, None);
+        let first = cache.vectors(&t, 0, &spec);
+        let again = cache.vectors(&t, 0, &spec);
         assert!(Arc::ptr_eq(&first, &again), "second lookup must hit");
         let direct = rhmd_features::pipeline::project_windows(t.subwindows(0), &spec);
         assert_eq!(first.len(), direct.len());
@@ -1395,21 +1311,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cache_keys_separate_fault_configs_and_seeds() {
-        let t = traced();
-        let cache = FeatureCache::new();
-        let spec = FeatureSpec::new(FeatureKind::Architectural, 5_000, vec![]);
-        let clean = cache.vectors(&t, 0, &spec, None);
-        let noisy = cache.vectors(&t, 0, &spec, Some((&FaultConfig::noise(0.2), 7)));
-        let noisy_other_seed = cache.vectors(&t, 0, &spec, Some((&FaultConfig::noise(0.2), 8)));
-        assert_ne!(*clean, *noisy);
-        assert_ne!(*noisy, *noisy_other_seed);
-        assert_eq!(cache.stats().entries, 3);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Plain-text tables for experiment output — every figure/table binary
-//! prints one or more of these, and `repro_all` concatenates them into the
-//! experiment record.
+//! Plain-text tables for experiment output — every experiment `repro`
+//! runs prints one or more of these, and a full run concatenates them into
+//! the experiment record.
 
 use std::fmt;
 

@@ -96,7 +96,7 @@ fn cache_serves_exactly_the_uncached_projection() {
                 // Ask twice: a miss then a hit; both must equal the direct path.
                 let direct = project_windows(traced.subwindows(program), &spec);
                 for _ in 0..2 {
-                    let cached = cache.vectors(&traced, program, &spec, None);
+                    let cached = cache.vectors(&traced, program, &spec);
                     assert_eq!(cached.len(), direct.len(), "{kind} @{period} program {program}");
                     assert!(
                         cached.iter().eq(direct.iter().map(|v| v.as_slice())),

@@ -912,20 +912,6 @@ impl CorpusStore {
             Ok(m)
         }
     }
-
-    /// Number of feature rows program `index` contributes under `spec`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CorpusStore::features_of`].
-    pub fn rows_of(&self, index: usize, spec: &FeatureSpec) -> Result<usize, RhmdError> {
-        let si = self.shard_index(spec)?;
-        let shard = &self.shards[si];
-        let rank = *self.rank.get(index).ok_or_else(|| {
-            RhmdError::config(format!("program index {index} out of range"))
-        })?;
-        Ok((shard.row_offsets[rank + 1] - shard.row_offsets[rank]) as usize)
-    }
 }
 
 /// A `dims == 0` matrix with `rows` empty rows (degenerate-spec support).

@@ -93,27 +93,6 @@ pub fn extract(
     project_windows(&trace_subwindows(program, limits, config), spec)
 }
 
-/// [`extract`] writing flat row-major values into a caller-owned buffer;
-/// returns the number of windows appended. Rides the single-pass streaming
-/// path ([`crate::stream::stream_features_into`]) — no intermediate
-/// `Vec<RawWindow>` is materialized.
-pub fn extract_into(
-    program: &Program,
-    spec: &FeatureSpec,
-    limits: ExecLimits,
-    config: CoreConfig,
-    out: &mut Vec<f64>,
-) -> usize {
-    let outcome = crate::stream::stream_features_into(
-        program,
-        limits,
-        config,
-        std::slice::from_ref(spec),
-        &mut [out],
-    );
-    outcome.rows[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

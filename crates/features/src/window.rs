@@ -169,11 +169,11 @@ fn subwindows_per(period: u32) -> usize {
 /// exactly [`SUBWINDOW`] instructions (so a trailing partial window drops).
 ///
 /// This strict rule differs from [`aggregate_with_gaps`] at `min_fill =
-/// 1.0` on faulted streams: a chunk holding a read coalesced by
-/// [`apply_faults`] is dropped here but kept there. The faulted evaluation
-/// path (`FeatureCache` in `rhmd-bench`, which projects
-/// `apply_faults(..)` through [`crate::pipeline::project_windows_into`])
-/// depends on the strict rule.
+/// 1.0` only on faulted streams: a chunk holding a read coalesced by
+/// [`apply_faults`] is dropped here but kept there. The in-tree callers
+/// aggregate clean traced streams, where the two rules agree; faulted
+/// evaluations (degraded quality, the detectors' quorum paths) go through
+/// [`aggregate_with_gaps`].
 ///
 /// # Panics
 ///

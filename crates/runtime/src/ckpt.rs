@@ -66,21 +66,8 @@ impl Manifest {
     }
 }
 
-/// The checkpoint directory set by `RHMD_CKPT`, if any — the documented
-/// fallback for experiment binaries when no `--checkpoint`/`--resume` flag
-/// is given.
-#[must_use]
-pub fn dir_from_env() -> Option<PathBuf> {
-    std::env::var_os("RHMD_CKPT").map(PathBuf::from)
-}
-
 /// Checkpointing options an experiment binary parsed from its command line
 /// (`--checkpoint <dir>` / `--resume <dir>`).
-///
-/// Unlike the `RHMD_CKPT` fallback — which nests one subdirectory per
-/// experiment so a single env var serves a whole `repro_all` run — an
-/// explicit flag names the directory for exactly one experiment, so it is
-/// used as given.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CkptOptions {
     /// The checkpoint directory.
@@ -116,57 +103,29 @@ impl CkptOptions {
     }
 }
 
-/// Opens the journal for `experiment`: from explicit `--checkpoint` /
-/// `--resume` options when given, else from the `RHMD_CKPT` env var, else
-/// `Ok(None)` (checkpointing off). Announces a resume on stderr either way.
+/// Opens the journal for `experiment` from `--checkpoint` / `--resume`
+/// options, or returns `Ok(None)` (checkpointing off) when none were given.
+/// Announces a resume on stderr.
 ///
 /// # Errors
 ///
-/// See [`CkptOptions::journal`] and [`journal_from_env`].
+/// See [`CkptOptions::journal`].
 pub fn journal_with(
     options: Option<&CkptOptions>,
     experiment: &str,
     summary: &str,
 ) -> Result<Option<Journal>, RhmdError> {
-    match options {
-        None => journal_from_env(experiment, summary),
-        Some(options) => {
-            let journal = options.journal(experiment, summary)?;
-            if journal.resumed_units() > 0 {
-                eprintln!(
-                    "[ckpt] {experiment}: resuming, {} completed unit(s) will be skipped",
-                    journal.resumed_units()
-                );
-            }
-            Ok(Some(journal))
-        }
+    let Some(options) = options else {
+        return Ok(None);
+    };
+    let journal = options.journal(experiment, summary)?;
+    if journal.resumed_units() > 0 {
+        eprintln!(
+            "[ckpt] {experiment}: resuming, {} completed unit(s) will be skipped",
+            journal.resumed_units()
+        );
     }
-}
-
-/// Opens (create-or-resume) a journal under `$RHMD_CKPT/<experiment>` when
-/// the env var is set; `Ok(None)` means checkpointing is simply off. Each
-/// experiment gets its own subdirectory so one `RHMD_CKPT` serves a whole
-/// `repro_all` run.
-///
-/// # Errors
-///
-/// See [`Journal::create`].
-pub fn journal_from_env(experiment: &str, summary: &str) -> Result<Option<Journal>, RhmdError> {
-    match dir_from_env() {
-        None => Ok(None),
-        Some(dir) => {
-            let manifest = Manifest::new(experiment, summary);
-            let journal =
-                Journal::create(&dir.join(experiment), &manifest, Durable::from_env()?, 1)?;
-            if journal.resumed_units() > 0 {
-                eprintln!(
-                    "[ckpt] {experiment}: resuming, {} completed unit(s) will be skipped",
-                    journal.resumed_units()
-                );
-            }
-            Ok(Some(journal))
-        }
-    }
+    Ok(Some(journal))
 }
 
 /// Runs `compute` through the journal when one is open, or directly when
@@ -336,12 +295,6 @@ impl Journal {
     #[must_use]
     pub fn resumed_units(&self) -> usize {
         self.resumed_units
-    }
-
-    /// Total completed units (replayed + recorded this run).
-    #[must_use]
-    pub fn completed_units(&self) -> usize {
-        self.completed.len()
     }
 
     /// Whether `key` is already recorded.

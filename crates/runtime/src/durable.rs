@@ -274,12 +274,6 @@ impl Durable {
         })
     }
 
-    /// The retry policy in effect.
-    #[must_use]
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Runs `f` under the retry policy, sleeping the backoff schedule
     /// between transient failures.
     ///

@@ -510,16 +510,6 @@ impl FlatProgram {
     ) -> ExecSummary {
         self.run_batched(limits, &mut EventAdapter(observer), scratch)
     }
-
-    /// Total body instructions in the arena.
-    pub fn instr_count(&self) -> usize {
-        self.instrs.len()
-    }
-
-    /// Number of basic blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
 }
 
 #[cfg(test)]

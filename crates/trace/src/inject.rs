@@ -129,11 +129,6 @@ impl InjectionPlan {
         }
     }
 
-    /// Whether each site receives independently sampled opcodes.
-    pub fn is_random(&self) -> bool {
-        matches!(self.payload, PayloadSpec::Random { .. })
-    }
-
     /// The placement strategy.
     pub fn placement(&self) -> Placement {
         self.placement

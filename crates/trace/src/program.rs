@@ -2,7 +2,7 @@
 
 use crate::address::AddressStream;
 use crate::block::{BasicBlock, BlockId, FuncId, Function};
-use crate::isa::{AddrPattern, INSTR_BYTES};
+use crate::isa::AddrPattern;
 use serde::{Deserialize, Serialize};
 
 /// Stream id reserved for injected instructions' scratch traffic.
@@ -212,19 +212,6 @@ impl Program {
             }
         }
         Ok(())
-    }
-
-    /// Iterates over `(pc, instruction)` pairs of a block's body.
-    pub fn block_body_pcs(
-        &self,
-        id: BlockId,
-    ) -> impl Iterator<Item = (u64, &crate::isa::Instruction)> + '_ {
-        let block = self.block(id);
-        block
-            .body
-            .iter()
-            .enumerate()
-            .map(move |(i, instr)| (block.addr + i as u64 * INSTR_BYTES, instr))
     }
 }
 

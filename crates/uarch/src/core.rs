@@ -116,16 +116,6 @@ impl CoreModel {
         &self.counters
     }
 
-    /// Lifetime I-cache miss rate.
-    pub fn icache_miss_rate(&self) -> f64 {
-        self.icache.miss_rate()
-    }
-
-    /// Lifetime D-cache miss rate.
-    pub fn dcache_miss_rate(&self) -> f64 {
-        self.dcache.miss_rate()
-    }
-
     /// Lifetime direction-misprediction rate.
     pub fn misprediction_rate(&self) -> f64 {
         self.gshare.misprediction_rate()
