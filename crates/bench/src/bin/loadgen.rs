@@ -205,10 +205,7 @@ fn parse_args() -> Result<Options, RhmdError> {
                     RhmdError::parse("--chaos-seed", format!("invalid value '{v}'"))
                 })?;
             }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
+            "--help" | "-h" => rhmd_bench::flags::print_help_and_exit(USAGE),
             other => {
                 return Err(RhmdError::config(format!(
                     "unknown argument '{other}' (try --help)"

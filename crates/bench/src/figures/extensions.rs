@@ -8,6 +8,7 @@
 
 use crate::context::Experiment;
 use crate::report::Table;
+use rhmd_core::detector::Epoch;
 use rhmd_core::ensemble::{Combiner, EnsembleHmd};
 use rhmd_core::evasion::{evade_corpus, plan_evasion, EvasionConfig};
 use rhmd_core::hmd::{BlackBox, Hmd, ProgramVerdict};
@@ -15,7 +16,7 @@ use rhmd_core::retrain::detection_quality;
 use rhmd_core::reveng;
 use rhmd_core::rhmd::{pool_specs, NonStationaryRhmd, ResilientHmd};
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
-use rhmd_features::window::{aggregate, RawWindow, SUBWINDOW};
+use rhmd_features::window::{aggregate_with_gaps, RawWindow, SUBWINDOW};
 use rhmd_ml::anomaly::{AnomalyConfig, GaussianAnomaly};
 use rhmd_ml::model::Classifier;
 use rhmd_ml::trainer::{Algorithm, TrainerConfig};
@@ -112,31 +113,16 @@ struct AnomalyHmd {
     model: GaussianAnomaly,
 }
 
-impl AnomalyHmd {
-    fn decide_windows(&self, subwindows: &[RawWindow]) -> Vec<bool> {
-        aggregate(subwindows, self.spec.period)
-            .iter()
-            .map(|w| self.model.predict(&self.spec.project(w)))
-            .collect()
-    }
-}
-
 impl BlackBox for AnomalyHmd {
-    fn label_subwindows(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        let per = (self.spec.period / SUBWINDOW) as usize;
-        let mut out = Vec::with_capacity(subwindows.len());
-        for decision in self.decide_windows(subwindows) {
-            out.extend(std::iter::repeat_n(decision, per));
-        }
-        out
-    }
-
-    fn decisions(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        self.decide_windows(subwindows)
-    }
-
-    fn describe(&self) -> String {
-        format!("ANOM[{}]", self.spec.label())
+    fn query(&mut self, subwindows: &[RawWindow]) -> Vec<Epoch> {
+        let span = (self.spec.period / SUBWINDOW) as usize;
+        aggregate_with_gaps(subwindows, self.spec.period, 1.0)
+            .iter()
+            .map(|w| Epoch {
+                vote: Some(self.model.predict(&self.spec.project(w))),
+                span,
+            })
+            .collect()
     }
 }
 

@@ -16,6 +16,7 @@ use crate::figures::{Entry, EXPERIMENTS};
 use crate::metrics::MetricsOptions;
 use rhmd_core::RhmdError;
 use rhmd_runtime::ckpt::CkptOptions;
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 /// Options shared by the experiment binaries.
@@ -72,10 +73,7 @@ pub fn parse(binary: &str, raw: impl IntoIterator<Item = String>) -> Result<BinO
             "--resume" => resume = Some(value("--resume")?),
             "--metrics" => metrics_path = Some(value("--metrics")?),
             "--metrics-summary" => metrics_summary = true,
-            "--help" | "-h" => {
-                println!("usage: {binary} [options]\n{USAGE}");
-                std::process::exit(0);
-            }
+            "--help" | "-h" => print_help_and_exit(&format!("usage: {binary} [options]\n{USAGE}")),
             other => {
                 return Err(RhmdError::config(format!(
                     "unknown argument '{other}' (try --help)"
@@ -115,6 +113,26 @@ pub fn parse(binary: &str, raw: impl IntoIterator<Item = String>) -> Result<BinO
         ckpt,
         metrics: MetricsOptions::new(metrics_path, metrics_summary),
     })
+}
+
+/// Writes `text` and a newline to `out`, treating a closed pipe as
+/// success: a reader that stops early (`repro --help | head -1`) is not an
+/// error.
+///
+/// # Errors
+///
+/// Any write error other than [`io::ErrorKind::BrokenPipe`].
+pub fn write_help(out: &mut impl Write, text: &str) -> io::Result<()> {
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        other => other,
+    }
+}
+
+/// Answers `--help`: writes `text` to stdout through [`write_help`] and
+/// exits 0, or 1 if stdout fails for a reason other than a closed pipe.
+pub fn print_help_and_exit(text: &str) -> ! {
+    std::process::exit(i32::from(write_help(&mut io::stdout().lock(), text).is_err()))
 }
 
 /// Takes `repro`'s `--only <id,...>` out of `args`: the [`EXPERIMENTS`]
@@ -181,6 +199,31 @@ mod tests {
         let opts = args(&["--metrics", "m.json", "--metrics-summary"]).unwrap();
         assert!(opts.metrics.any());
         assert_eq!(opts.metrics.path(), Some(std::path::Path::new("m.json")));
+    }
+
+    /// A writer whose reader has gone away.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    #[test]
+    fn help_into_a_closed_pipe_succeeds() {
+        assert!(write_help(&mut ClosedPipe, USAGE).is_ok());
+        let mut buf = Vec::new();
+        write_help(&mut buf, USAGE).unwrap();
+        assert_eq!(buf, format!("{USAGE}\n").into_bytes());
+        // Other failures still surface.
+        let mut full = [0u8; 4];
+        let err = write_help(&mut &mut full[..], USAGE).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

@@ -1041,10 +1041,10 @@ impl<'a> Evaluator<'a> {
     /// `indices`, evaluated on the pool. Matches
     /// [`rhmd_core::retrain::detection_quality`] exactly — an `Hmd` holds no
     /// evaluation state, so order cannot matter. Window projections come
-    /// from the cache ([`Hmd::decide_windows`] is precisely "predict each
-    /// row of the projected matrix"), so detectors sharing a spec classify
-    /// without re-projecting, and each program's windows score through one
-    /// [`rhmd_ml::model::Classifier::score_batch`] sweep.
+    /// from the cache (on a clean stream, [`Hmd::verdict`] votes precisely
+    /// "predict each row of the projected matrix"), so detectors sharing a
+    /// spec classify without re-projecting, and each program's windows
+    /// score through one [`rhmd_ml::model::Classifier::score_batch`] sweep.
     pub fn quality_hmd(&self, hmd: &Hmd, indices: &[usize]) -> DetectionQuality {
         let threshold = hmd.model().threshold();
         let verdicts = self.run_map(indices, |_, &i| {

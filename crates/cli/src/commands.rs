@@ -4,6 +4,7 @@ use crate::args::Args;
 use crate::persist::{load_hmd, save_hmd};
 use rhmd_bench::metrics::MetricsOptions;
 use rhmd_bench::par::{Evaluator, EvaluatorBuilder, Pool, WatchdogConfig};
+use rhmd_core::detector::Detector;
 use rhmd_core::evasion::{evade_corpus, plan_evasion, EvasionConfig, Strategy};
 use rhmd_core::hmd::Hmd;
 use rhmd_core::retrain::detection_quality;
@@ -620,7 +621,7 @@ pub fn train(args: &Args) -> Result<(), RhmdError> {
     let (_, acc) = best_accuracy_threshold(&scores, test.labels());
     println!(
         "trained {}: window AUC {roc_auc:.3}, window accuracy {:.1}%",
-        hmd.describe_public(),
+        hmd.name(),
         100.0 * acc
     );
 
@@ -659,7 +660,7 @@ pub fn evaluate(args: &Args) -> Result<(), RhmdError> {
     let quality = engine.quality_hmd(&hmd, &bench.splits.attacker_test);
     println!(
         "{}: program-level sensitivity {:.1}%, specificity {:.1}%",
-        hmd.describe_public(),
+        hmd.name(),
         100.0 * quality.sensitivity_unmodified,
         100.0 * quality.specificity
     );
@@ -1143,18 +1144,6 @@ fn serve_transport(
         return Err(RhmdError::config("--listen is only supported on Unix"));
     }
     rhmd_serve::server::serve_stdio(engine)
-}
-
-/// Extension trait so commands can describe HMDs without `BlackBox`'s
-/// `&mut` requirement.
-trait DescribePublic {
-    fn describe_public(&self) -> String;
-}
-
-impl DescribePublic for Hmd {
-    fn describe_public(&self) -> String {
-        format!("{}[{}]", self.algorithm(), self.spec().label())
-    }
 }
 
 #[cfg(test)]

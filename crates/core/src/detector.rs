@@ -4,12 +4,15 @@
 //! [`Hmd`](crate::hmd::Hmd) and
 //! [`EnsembleHmd`](crate::ensemble::EnsembleHmd), the randomized
 //! [`ResilientHmd`](crate::rhmd::ResilientHmd), and the
-//! [`NonStationaryRhmd`](crate::rhmd::NonStationaryRhmd) — historically
-//! grew its own near-duplicate method family (`label_subwindows`,
-//! `decisions`, `quorum_verdict`, plus seeded variants for the parallel
-//! evaluator). This module collapses all of them behind one
-//! trait whose randomness is an *explicit parameter*: every call takes a
-//! caller-seeded [`StreamRng`], so
+//! [`NonStationaryRhmd`](crate::rhmd::NonStationaryRhmd) — implements one
+//! method, [`Detector::walk`]: the program's epochs, each with its vote
+//! and span. The clean label stream, the per-epoch decisions and the
+//! quorum verdict are provided over it, and the attacker's stateful
+//! [`BlackBox`](crate::hmd::BlackBox) runs the same walk on the detector's
+//! own switching state, so each family's detection logic exists once.
+//!
+//! Randomness is an *explicit parameter*: every call takes a caller-seeded
+//! [`StreamRng`], so
 //!
 //! * deterministic detectors simply ignore it,
 //! * randomized detectors draw their switching stream from it, and
@@ -66,14 +69,47 @@ impl fmt::Debug for StreamRng {
     }
 }
 
+/// How a [`Detector::walk`] treats an epoch whose window falls short of
+/// the fill floor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Gaps {
+    /// The clean rule: a window must cover its whole period, and a
+    /// randomized walk stops at the first epoch without one (the truncated
+    /// tail of a clean stream).
+    Stop,
+    /// The degraded rule: an epoch whose window covers less than this
+    /// fraction of its period abstains, and the walk continues.
+    Abstain(f64),
+}
+
+impl Gaps {
+    /// The fraction of a period a window must cover to be judged.
+    pub fn min_fill(self) -> f64 {
+        match self {
+            Gaps::Stop => 1.0,
+            Gaps::Abstain(min_fill) => min_fill,
+        }
+    }
+}
+
+/// One detection epoch of a [`Detector::walk`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Epoch {
+    /// The decision; `None` = abstain (window below the fill floor, or
+    /// features that fail the sanity check).
+    pub vote: Option<bool>,
+    /// Subwindows the epoch spans.
+    pub span: usize,
+}
+
 /// The single detection API all four detector families implement.
 ///
 /// All methods take `&self` plus an explicit [`StreamRng`]: state that the
-/// legacy API hid inside `&mut self` (the switching RNG of randomized
-/// detectors) is now owned by the caller, which makes every call a pure
-/// function of `(detector, subwindows, rng seed)` — the contract the
-/// parallel evaluator and the checkpoint/resume machinery rely on for
-/// bit-identical results at any thread count.
+/// stateful [`BlackBox`](crate::hmd::BlackBox) keeps inside `&mut self`
+/// (the switching RNG of randomized detectors) is owned by the caller here,
+/// which makes every call a pure function of `(detector, subwindows, rng
+/// seed)` — the contract the parallel evaluator and the checkpoint/resume
+/// machinery rely on for bit-identical results at any thread count.
 ///
 /// Deterministic detectors ([`Hmd`], `EnsembleHmd`) ignore the RNG
 /// entirely; for them every method is trivially seed-independent.
@@ -83,20 +119,56 @@ pub trait Detector {
     /// Short human-readable description for reports (e.g. `LR[Arch@10k]`).
     fn name(&self) -> String;
 
+    /// The detector's epochs over one traced program, in order, under the
+    /// `gaps` rule. A randomized detector draws from `rng` once per epoch
+    /// it attempts, so how a walk ends decides how much of `rng` it uses.
+    fn walk(&self, subwindows: &[RawWindow], gaps: Gaps, rng: &mut StreamRng) -> Vec<Epoch>;
+
     /// Per-subwindow decision stream for one traced program: each
     /// detection epoch's decision is replicated across the subwindows it
     /// covers, truncated at the last complete epoch.
-    fn label_stream(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool>;
+    fn label_stream(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool> {
+        label_stream(&self.walk(subwindows, Gaps::Stop, rng))
+    }
 
     /// One decision per detection epoch (collection window), without
     /// subwindow expansion.
-    fn epoch_decisions(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool>;
+    fn epoch_decisions(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool> {
+        decisions(&self.walk(subwindows, Gaps::Stop, rng))
+    }
 
     /// Program-level quorum verdict over a possibly degraded trace:
     /// epochs whose window covers less than `min_fill` of the period, or
     /// whose features fail the sanity check, abstain instead of voting.
-    fn quorum(&self, subwindows: &[RawWindow], min_fill: f64, rng: &mut StreamRng)
-        -> QuorumVerdict;
+    fn quorum(
+        &self,
+        subwindows: &[RawWindow],
+        min_fill: f64,
+        rng: &mut StreamRng,
+    ) -> QuorumVerdict {
+        let votes: Vec<Option<bool>> = self
+            .walk(subwindows, Gaps::Abstain(min_fill), rng)
+            .iter()
+            .map(|epoch| epoch.vote)
+            .collect();
+        QuorumVerdict::from_votes(&votes)
+    }
+}
+
+/// Each voting epoch's decision replicated across the subwindows it spans.
+pub(crate) fn label_stream(epochs: &[Epoch]) -> Vec<bool> {
+    let mut out = Vec::with_capacity(epochs.iter().map(|e| e.span).sum());
+    for epoch in epochs {
+        if let Some(decision) = epoch.vote {
+            out.extend(std::iter::repeat_n(decision, epoch.span));
+        }
+    }
+    out
+}
+
+/// The voting epochs' decisions, one per epoch.
+pub(crate) fn decisions(epochs: &[Epoch]) -> Vec<bool> {
+    epochs.iter().filter_map(|e| e.vote).collect()
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //! deterministic, they can be reverse engineered and evaded." This module
 //! implements that baseline so the claim can be tested head-to-head.
 
+use crate::detector::{Detector, Epoch, Gaps, StreamRng};
 use crate::hmd::{BlackBox, Hmd, QuorumVerdict};
-use rhmd_features::window::{aggregate, aggregate_with_gaps, RawWindow, SUBWINDOW};
+use rhmd_features::window::{aggregate_with_gaps, RawWindow, SUBWINDOW};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -87,112 +88,54 @@ impl EnsembleHmd {
         self.combiner
     }
 
-    /// Per-epoch combined decisions. Windows are aggregated once and each
-    /// base detector scores the whole epoch stream through its batch path.
-    pub fn decide_windows(&self, subwindows: &[RawWindow]) -> Vec<bool> {
-        let windows = aggregate(subwindows, self.period);
-        let per_detector: Vec<Vec<bool>> = self
-            .detectors
-            .iter()
-            .map(|d| d.classify_windows(&windows))
-            .collect();
-        (0..windows.len())
-            .map(|i| {
-                let votes = per_detector.iter().filter(|flags| flags[i]).count();
-                self.combiner.combine(votes, self.detectors.len())
-            })
-            .collect()
+    /// Program-level quorum verdict over a possibly degraded trace.
+    pub fn quorum_verdict(&self, subwindows: &[RawWindow], min_fill: f64) -> QuorumVerdict {
+        self.quorum(subwindows, min_fill, &mut StreamRng::from_seed(0))
+    }
+}
+
+impl Detector for EnsembleHmd {
+    fn name(&self) -> String {
+        let parts: Vec<String> = self.detectors.iter().map(Detector::name).collect();
+        format!("Ensemble<{}>{{{}}}", self.combiner, parts.join(", "))
     }
 
-    /// Fault-tolerant variant of [`EnsembleHmd::decide_windows`]: windows
-    /// are recovered gap-tolerantly (keeping those at least `min_fill`
-    /// full), each base detector abstains on windows whose features fail
-    /// the sanity check, and an epoch abstains only when *every* base
-    /// detector does — so one corrupted counter channel degrades the vote
-    /// instead of poisoning it.
-    pub fn quorum_verdict(&self, subwindows: &[RawWindow], min_fill: f64) -> QuorumVerdict {
-        let windows = aggregate_with_gaps(subwindows, self.period, min_fill);
+    /// Deterministic: the RNG is ignored. Windows are assembled once and
+    /// each base detector scores the whole epoch stream through its batch
+    /// path. A base detector abstains on a window whose features fail the
+    /// sanity check, and an epoch abstains only when *every* base detector
+    /// does — so one corrupted counter channel degrades the vote instead of
+    /// poisoning it. Dropped chunks are no epochs, as for [`Hmd`].
+    fn walk(&self, subwindows: &[RawWindow], gaps: Gaps, _rng: &mut StreamRng) -> Vec<Epoch> {
+        let span = (self.period / SUBWINDOW) as usize;
+        let windows = aggregate_with_gaps(subwindows, self.period, gaps.min_fill());
         let per_detector: Vec<Vec<Option<bool>>> = self
             .detectors
             .iter()
             .map(|d| d.classify_windows_checked(&windows))
             .collect();
-        let votes: Vec<Option<bool>> = (0..windows.len())
+        (0..windows.len())
             .map(|i| {
                 let cast: Vec<bool> = per_detector.iter().filter_map(|v| v[i]).collect();
-                if cast.is_empty() {
-                    None
-                } else {
-                    let flags = cast.iter().filter(|&&v| v).count();
-                    Some(self.combiner.combine(flags, cast.len()))
-                }
+                let flags = cast.iter().filter(|&&v| v).count();
+                let vote = (!cast.is_empty()).then(|| self.combiner.combine(flags, cast.len()));
+                Epoch { vote, span }
             })
-            .collect();
-        QuorumVerdict::from_votes(&votes)
+            .collect()
     }
 }
 
 impl BlackBox for EnsembleHmd {
-    fn label_subwindows(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        let per = (self.period / SUBWINDOW) as usize;
-        let mut out = Vec::with_capacity(subwindows.len());
-        for decision in EnsembleHmd::decide_windows(self, subwindows) {
-            out.extend(std::iter::repeat_n(decision, per));
-        }
-        out
-    }
-
-    fn decisions(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        EnsembleHmd::decide_windows(self, subwindows)
-    }
-
-    fn describe(&self) -> String {
-        let parts: Vec<String> = self.detectors.iter().map(|d| d.describe()).collect();
-        format!("Ensemble<{}>{{{}}}", self.combiner, parts.join(", "))
-    }
-}
-
-impl crate::detector::Detector for EnsembleHmd {
-    fn name(&self) -> String {
-        self.describe()
-    }
-
-    /// Deterministic: the RNG is ignored.
-    fn label_stream(
-        &self,
-        subwindows: &[RawWindow],
-        _rng: &mut crate::detector::StreamRng,
-    ) -> Vec<bool> {
-        let per = (self.period / SUBWINDOW) as usize;
-        let mut out = Vec::with_capacity(subwindows.len());
-        for decision in self.decide_windows(subwindows) {
-            out.extend(std::iter::repeat_n(decision, per));
-        }
-        out
-    }
-
-    fn epoch_decisions(
-        &self,
-        subwindows: &[RawWindow],
-        _rng: &mut crate::detector::StreamRng,
-    ) -> Vec<bool> {
-        self.decide_windows(subwindows)
-    }
-
-    fn quorum(
-        &self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        _rng: &mut crate::detector::StreamRng,
-    ) -> QuorumVerdict {
-        self.quorum_verdict(subwindows, min_fill)
+    /// Deterministic: nothing persists, so a query is the seeded walk.
+    fn query(&mut self, subwindows: &[RawWindow]) -> Vec<Epoch> {
+        self.walk(subwindows, Gaps::Stop, &mut StreamRng::from_seed(0))
     }
 }
 
 impl fmt::Debug for EnsembleHmd {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EnsembleHmd")
-            .field("detectors", &self.describe())
+            .field("detectors", &self.name())
             .finish_non_exhaustive()
     }
 }
@@ -272,9 +215,9 @@ mod tests {
     }
 
     #[test]
-    fn describe_names_combiner() {
+    fn name_names_combiner() {
         let (_, _, detectors) = fixture();
         let e = EnsembleHmd::new(detectors, Combiner::Or);
-        assert!(e.describe().starts_with("Ensemble<or>"));
+        assert!(e.name().starts_with("Ensemble<or>"));
     }
 }

@@ -1,9 +1,10 @@
 //! Baseline hardware malware detectors (HMDs) and the black-box query
 //! interface attackers see.
 
+use crate::detector::{self, Detector, Epoch, Gaps, StreamRng};
 use rhmd_data::TracedCorpus;
 use rhmd_features::vector::FeatureSpec;
-use rhmd_features::window::{aggregate, aggregate_with_gaps, RawWindow, SUBWINDOW};
+use rhmd_features::window::{aggregate_with_gaps, RawWindow, SUBWINDOW};
 use rhmd_ml::matrix::FeatureMatrix;
 use rhmd_ml::model::{Classifier, Dataset};
 use rhmd_ml::trainer::{train, Algorithm, TrainerConfig};
@@ -16,9 +17,7 @@ use std::fmt;
 pub const ABSTAIN_BOUND: f64 = 1e3;
 
 /// The black-box interface the attacker can query (paper §2: "the attacker
-/// has access to a machine with a similar detector"). Formerly named
-/// `Detector`; that name now refers to the defender-side
-/// [`crate::detector::Detector`] trait.
+/// has access to a machine with a similar detector").
 ///
 /// A detector consumes a program's trace and emits a stream of binary
 /// decisions, reported at [`SUBWINDOW`] granularity so detectors with
@@ -27,21 +26,33 @@ pub const ABSTAIN_BOUND: f64 = 1e3;
 /// it covers. The stream is truncated at the last complete collection
 /// window.
 ///
+/// Unlike the defender-side [`Detector`], a black box keeps its switching
+/// state itself: every query advances it, as a deployed detector's would.
+/// Implementations supply only [`BlackBox::query`], which hands their
+/// [`Detector::walk`] (or, outside this crate, their own walk) the state
+/// that persists across queries; the label streams are provided.
+///
 /// Decisions are label-only: no confidence is exposed, matching the paper's
 /// threat model (§9.2).
 pub trait BlackBox {
+    /// One query: the clean walk ([`Gaps::Stop`]) over one program, run on
+    /// the state the detector carries from query to query — the switching
+    /// RNG of a randomized pool (plus the active subset and its redraw
+    /// clock for a non-stationary one), nothing for a deterministic
+    /// detector.
+    fn query(&mut self, subwindows: &[RawWindow]) -> Vec<Epoch>;
+
     /// Per-subwindow decision stream for one traced program.
-    ///
-    /// Takes `&mut self` because randomized detectors consume RNG state.
-    fn label_subwindows(&mut self, subwindows: &[RawWindow]) -> Vec<bool>;
+    fn label_subwindows(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
+        detector::label_stream(&self.query(subwindows))
+    }
 
     /// One decision per detection epoch (collection window), without
     /// subwindow expansion — the granularity at which the attacker actually
     /// observes the detector's output.
-    fn decisions(&mut self, subwindows: &[RawWindow]) -> Vec<bool>;
-
-    /// Short description for reports.
-    fn describe(&self) -> String;
+    fn decisions(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
+        detector::decisions(&self.query(subwindows))
+    }
 }
 
 /// Program-level verdict from a decision stream: the paper raises
@@ -226,12 +237,9 @@ impl Hmd {
     }
 
     /// Assembles an HMD from an already-trained classifier (used by model
-    /// persistence and by custom detector constructions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing guarantees the model matches the spec — callers are
-    /// trusted; prefer [`Hmd::train`] where possible.
+    /// persistence and by custom detector constructions). Nothing checks
+    /// that the model matches the spec — callers are trusted; prefer
+    /// [`Hmd::train`] where possible.
     pub fn from_parts(
         spec: FeatureSpec,
         algorithm: Algorithm,
@@ -259,11 +267,6 @@ impl Hmd {
         self.model.as_ref()
     }
 
-    /// Decision for one already-aggregated collection window.
-    pub fn classify_window(&self, window: &RawWindow) -> bool {
-        self.model.predict(&self.spec.project(window))
-    }
-
     /// Decision with abstention: `None` when the window is empty or its
     /// projection carries a component beyond [`ABSTAIN_BOUND`] — the
     /// signature of corrupted counters — so callers can skip this detector's
@@ -277,26 +280,6 @@ impl Hmd {
             return None;
         }
         Some(self.model.predict(&v))
-    }
-
-    /// Batch decisions for a slice of already-aggregated collection
-    /// windows: all windows are projected into one flat [`FeatureMatrix`]
-    /// and scored through [`Classifier::score_batch`], bit-identically to
-    /// calling [`Hmd::classify_window`] per window.
-    pub fn classify_windows(&self, windows: &[RawWindow]) -> Vec<bool> {
-        let dims = self.spec.dims();
-        if dims == 0 {
-            return windows.iter().map(|w| self.classify_window(w)).collect();
-        }
-        let mut flat = Vec::with_capacity(windows.len() * dims);
-        for w in windows {
-            self.spec.project_into(w, &mut flat);
-        }
-        let xs = FeatureMatrix::from_flat(dims, flat);
-        let mut scores = vec![0.0; xs.len()];
-        self.model.score_batch(&xs, &mut scores);
-        let threshold = self.model.threshold();
-        scores.into_iter().map(|s| s >= threshold).collect()
     }
 
     /// Batch counterpart of [`Hmd::classify_window_checked`]: abstaining
@@ -336,89 +319,45 @@ impl Hmd {
         votes
     }
 
-    /// Per-collection-window votes over a possibly degraded trace:
-    /// aggregation tolerates dropped/coalesced subwindows down to
-    /// `min_fill` of the period, and corrupted windows abstain.
-    pub fn decide_windows_checked(
-        &self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-    ) -> Vec<Option<bool>> {
-        let windows = aggregate_with_gaps(subwindows, self.spec.period, min_fill);
-        self.classify_windows_checked(&windows)
-    }
-
-    /// Program-level quorum verdict over a possibly degraded trace.
-    pub fn quorum_verdict(&self, subwindows: &[RawWindow], min_fill: f64) -> QuorumVerdict {
-        QuorumVerdict::from_votes(&self.decide_windows_checked(subwindows, min_fill))
-    }
-
-    /// Per-collection-window decisions for a program trace, scored through
-    /// the batch path.
+    /// Per-collection-window decisions for a clean program trace.
     pub fn decide_windows(&self, subwindows: &[RawWindow]) -> Vec<bool> {
-        let windows = aggregate(subwindows, self.spec.period);
-        self.classify_windows(&windows)
+        self.epoch_decisions(subwindows, &mut StreamRng::from_seed(0))
     }
 
     /// Program-level verdict by majority vote over collection windows.
     pub fn verdict(&self, subwindows: &[RawWindow]) -> ProgramVerdict {
         ProgramVerdict::from_decisions(&self.decide_windows(subwindows))
     }
-}
 
-impl BlackBox for Hmd {
-    fn label_subwindows(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        let per = (self.spec.period / SUBWINDOW) as usize;
-        let mut out = Vec::with_capacity(subwindows.len());
-        for decision in Hmd::decide_windows(self, subwindows) {
-            out.extend(std::iter::repeat_n(decision, per));
-        }
-        out
-    }
-
-    fn decisions(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        Hmd::decide_windows(self, subwindows)
-    }
-
-    fn describe(&self) -> String {
-        format!("{}[{}]", self.algorithm, self.spec.label())
+    /// Program-level quorum verdict over a possibly degraded trace.
+    pub fn quorum_verdict(&self, subwindows: &[RawWindow], min_fill: f64) -> QuorumVerdict {
+        self.quorum(subwindows, min_fill, &mut StreamRng::from_seed(0))
     }
 }
 
-impl crate::detector::Detector for Hmd {
+impl Detector for Hmd {
     fn name(&self) -> String {
         format!("{}[{}]", self.algorithm, self.spec.label())
     }
 
-    /// Deterministic: the RNG is ignored.
-    fn label_stream(
-        &self,
-        subwindows: &[RawWindow],
-        _rng: &mut crate::detector::StreamRng,
-    ) -> Vec<bool> {
-        let per = (self.spec.period / SUBWINDOW) as usize;
-        let mut out = Vec::with_capacity(subwindows.len());
-        for decision in self.decide_windows(subwindows) {
-            out.extend(std::iter::repeat_n(decision, per));
-        }
-        out
+    /// Deterministic: the RNG is ignored. Every window the assembler keeps
+    /// at the fill floor is an epoch, voting or abstaining on corrupted
+    /// features; a chunk it drops is no epoch at all, so [`Gaps::Stop`]
+    /// and [`Gaps::Abstain`] differ only in their floor.
+    fn walk(&self, subwindows: &[RawWindow], gaps: Gaps, _rng: &mut StreamRng) -> Vec<Epoch> {
+        let span = (self.spec.period / SUBWINDOW) as usize;
+        let windows = aggregate_with_gaps(subwindows, self.spec.period, gaps.min_fill());
+        self.classify_windows_checked(&windows)
+            .into_iter()
+            .map(|vote| Epoch { vote, span })
+            .collect()
     }
+}
 
-    fn epoch_decisions(
-        &self,
-        subwindows: &[RawWindow],
-        _rng: &mut crate::detector::StreamRng,
-    ) -> Vec<bool> {
-        self.decide_windows(subwindows)
-    }
-
-    fn quorum(
-        &self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        _rng: &mut crate::detector::StreamRng,
-    ) -> QuorumVerdict {
-        self.quorum_verdict(subwindows, min_fill)
+impl BlackBox for Hmd {
+    /// Deterministic: nothing persists, so a query is the seeded walk.
+    fn query(&mut self, subwindows: &[RawWindow]) -> Vec<Epoch> {
+        self.walk(subwindows, Gaps::Stop, &mut StreamRng::from_seed(0))
     }
 }
 
@@ -556,10 +495,11 @@ mod tests {
             &traced,
             &splits.victim_train,
         );
-        // Clean windows vote identically to the unchecked path.
-        let windows = aggregate(traced.subwindows(0), 5_000);
+        // Clean windows vote exactly as the unchecked model would.
+        let windows = aggregate_with_gaps(traced.subwindows(0), 5_000, 1.0);
         for w in &windows {
-            assert_eq!(hmd.classify_window_checked(w), Some(hmd.classify_window(w)));
+            let unchecked = hmd.model().predict(&hmd.spec().project(w));
+            assert_eq!(hmd.classify_window_checked(w), Some(unchecked));
         }
         // An empty window abstains.
         assert_eq!(hmd.classify_window_checked(&RawWindow::default()), None);
@@ -570,9 +510,39 @@ mod tests {
         assert_eq!(hmd.classify_window_checked(&corrupt), None);
     }
 
+    /// The collection periods the figures, the sweep and the ablations
+    /// use, bracketed by the finest and a coarse one.
+    const PERIODS: [u32; 12] = [
+        1_000, 2_000, 5_000, 8_000, 9_000, 10_000, 11_000, 12_000, 15_000, 19_000, 20_000,
+        50_000,
+    ];
+
+    /// The clean verdict paths score through `classify_windows_checked`,
+    /// which is only sound if no clean window abstains: every projected
+    /// component of every clean window of the tiny corpus, at every
+    /// feature kind and period, is finite and within [`ABSTAIN_BOUND`].
     #[test]
-    fn checked_decisions_match_plain_on_clean_traces() {
+    fn no_clean_window_abstains() {
+        use rhmd_features::vector::FeatureKind;
+        use rhmd_trace::isa::Opcode;
         let (traced, splits) = fixture();
+        for kind in FeatureKind::ALL {
+            for period in PERIODS {
+                let spec = FeatureSpec::new(kind, period, Opcode::ALL.to_vec());
+                for i in 0..traced.corpus().len() {
+                    for w in aggregate_with_gaps(traced.subwindows(i), period, 1.0) {
+                        assert!(w.instructions > 0);
+                        let v = spec.project(&w);
+                        assert!(
+                            v.iter().all(|x| x.is_finite() && x.abs() <= ABSTAIN_BOUND),
+                            "program {i}, {}: {v:?}",
+                            spec.label()
+                        );
+                    }
+                }
+            }
+        }
+        // And so the checked batch path never abstains on the clean corpus.
         let hmd = Hmd::train(
             Algorithm::Lr,
             arch_spec(),
@@ -580,14 +550,10 @@ mod tests {
             &traced,
             &splits.victim_train,
         );
-        let subs = traced.subwindows(2);
-        let plain = hmd.decide_windows(subs);
-        let checked: Vec<bool> = hmd
-            .decide_windows_checked(subs, 1.0)
-            .into_iter()
-            .map(|v| v.expect("clean trace must not abstain"))
-            .collect();
-        assert_eq!(plain, checked);
+        for i in 0..traced.corpus().len() {
+            let windows = aggregate_with_gaps(traced.subwindows(i), 5_000, 1.0);
+            assert!(hmd.classify_windows_checked(&windows).iter().all(Option::is_some));
+        }
     }
 
     #[test]
@@ -599,7 +565,7 @@ mod tests {
     }
 
     #[test]
-    fn describe_mentions_spec() {
+    fn name_mentions_spec() {
         let (traced, splits) = fixture();
         let hmd = Hmd::train(
             Algorithm::Nn,
@@ -608,6 +574,6 @@ mod tests {
             &traced,
             &splits.victim_train[..4],
         );
-        assert_eq!(hmd.describe(), "NN[Architectural@5k]");
+        assert_eq!(hmd.name(), "NN[Architectural@5k]");
     }
 }

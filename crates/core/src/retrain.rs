@@ -66,7 +66,7 @@ pub fn mixed_training_set(
     // ...and draw the remainder from evasive variants.
     let need = malware.len() - keep.min(malware.len());
     for subs in evasive_subwindows.iter().cycle().take(need) {
-        for w in rhmd_features::window::aggregate(subs, spec.period) {
+        for w in rhmd_features::window::aggregate_with_gaps(subs, spec.period, 1.0) {
             data.push(spec.project(&w), true);
         }
     }
@@ -456,7 +456,7 @@ pub fn evade_retrain_game_resumable(
 
         // Defender: retrain with the new evasive samples added.
         for subs in &evasive_train {
-            for w in rhmd_features::window::aggregate(subs, config.spec.period) {
+            for w in rhmd_features::window::aggregate_with_gaps(subs, config.spec.period, 1.0) {
                 let row = config.spec.project(&w);
                 training_data.push(row.clone(), true);
                 evasive_rows.push(row);

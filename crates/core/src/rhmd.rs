@@ -1,8 +1,8 @@
 //! Resilient HMDs (paper §7): a pool of diverse base detectors with
 //! stochastic, unpredictable switching between them.
 
-use crate::detector::{Detector, StreamRng};
-use crate::hmd::{BlackBox, Hmd, QuorumVerdict};
+use crate::detector::{Detector, Epoch, Gaps, StreamRng};
+use crate::hmd::{BlackBox, Hmd};
 use rhmd_data::TracedCorpus;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
 use rhmd_features::window::{aggregate_with_gaps, RawWindow, SUBWINDOW};
@@ -97,196 +97,40 @@ impl ResilientHmd {
     pub fn reset(&mut self) {
         self.rng = SmallRng::seed_from_u64(self.seed);
     }
-
-    fn draw_from(probabilities: &[f64], rng: &mut SmallRng) -> usize {
-        let mut u = rng.gen::<f64>();
-        for (i, &p) in probabilities.iter().enumerate() {
-            if u < p {
-                return i;
-            }
-            u -= p;
-        }
-        probabilities.len() - 1
-    }
-}
-
-impl ResilientHmd {
-    /// Walks a trace emitting `(vote, subwindows_consumed)` pairs.
-    ///
-    /// A vote of `None` marks an epoch whose window was truncated by a gap
-    /// or whose features failed the sanity check — the epoch is *skipped*
-    /// (the cursor still advances) rather than aborting the walk, so one
-    /// corrupted window in the middle of a trace does not silence every
-    /// detector downstream of it.
-    ///
-    /// `min_fill` is the minimum fraction of the detector's period an
-    /// epoch's window must cover to vote. `1.0` reproduces the strict
-    /// behavior on clean streams while still accepting the *over*-full
-    /// windows an interrupt-coalescing fault produces (dropped reads merge
-    /// into the next surviving one, so those windows span extra
-    /// instructions and their rate features renormalize).
-    fn walk(
-        &mut self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        skip_gaps: bool,
-    ) -> Vec<(Option<bool>, usize)> {
-        Self::walk_with(
-            &self.detectors,
-            &self.probabilities,
-            &mut self.rng,
-            subwindows,
-            min_fill,
-            skip_gaps,
-        )
-    }
-
-    /// The walk body, parameterized over an explicit RNG so per-program
-    /// switching streams can be derived without mutating shared state (the
-    /// requirement for order-independent — and therefore parallel —
-    /// evaluation).
-    fn walk_with(
-        detectors: &[Hmd],
-        probabilities: &[f64],
-        rng: &mut SmallRng,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        skip_gaps: bool,
-    ) -> Vec<(Option<bool>, usize)> {
-        // Pass 1: draw the switching stream and aggregate each epoch's
-        // window. Detector draws, the cursor, and every break condition
-        // depend only on the RNG and window fill — never on scores — so
-        // scoring can be deferred and batched per detector.
-        let mut meta: Vec<(usize, bool, usize)> = Vec::new();
-        let mut pending: Vec<Vec<RawWindow>> = vec![Vec::new(); detectors.len()];
-        let mut cursor = 0usize;
-        loop {
-            let idx = Self::draw_from(probabilities, rng);
-            let detector = &detectors[idx];
-            let per = (detector.spec().period / SUBWINDOW) as usize;
-            if cursor + per > subwindows.len() {
-                break;
-            }
-            let chunk = &subwindows[cursor..cursor + per];
-            match aggregate_with_gaps(chunk, detector.spec().period, min_fill).pop() {
-                Some(window) => {
-                    pending[idx].push(window);
-                    meta.push((idx, true, per));
-                }
-                // Truncated tail of a clean stream: end of usable trace.
-                None if !skip_gaps => break,
-                None => meta.push((idx, false, per)), // below the fill floor: abstain
-            }
-            cursor += per;
-        }
-        // Pass 2: each detector scores its epochs through the flat batch
-        // path; votes are reassembled in epoch order.
-        batch_walk_votes(detectors, &meta, &pending)
-    }
-
-    /// Walks a trace and pools every epoch into a [`QuorumVerdict`],
-    /// counting corrupted epochs as abstentions instead of votes. Epochs
-    /// whose window covers less than `min_fill` of the drawn detector's
-    /// period abstain.
-    pub fn quorum_verdict(&mut self, subwindows: &[RawWindow], min_fill: f64) -> QuorumVerdict {
-        let votes: Vec<Option<bool>> = self
-            .walk(subwindows, min_fill, true)
-            .into_iter()
-            .map(|(v, _)| v)
-            .collect();
-        QuorumVerdict::from_votes(&votes)
-    }
 }
 
 impl Detector for ResilientHmd {
     fn name(&self) -> String {
-        self.describe()
+        let parts: Vec<String> = self.detectors.iter().map(Detector::name).collect();
+        format!("RHMD{{{}}}", parts.join(", "))
     }
 
     /// Draws the switching stream from the caller's `rng`: `&self` only,
     /// so two threads can judge different programs concurrently, and the
     /// result for a program depends only on its subwindows and seed —
     /// never on which other programs were judged before it.
-    fn label_stream(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool> {
-        let mut out = Vec::with_capacity(subwindows.len());
-        for (vote, per) in Self::walk_with(
-            &self.detectors,
-            &self.probabilities,
-            rng.small(),
-            subwindows,
-            1.0,
-            false,
-        ) {
-            if let Some(decision) = vote {
-                out.extend(std::iter::repeat_n(decision, per));
-            }
-        }
-        out
-    }
-
-    fn epoch_decisions(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool> {
-        Self::walk_with(
-            &self.detectors,
-            &self.probabilities,
-            rng.small(),
-            subwindows,
-            1.0,
-            false,
-        )
-        .into_iter()
-        .filter_map(|(d, _)| d)
-        .collect()
-    }
-
-    fn quorum(
-        &self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        rng: &mut StreamRng,
-    ) -> QuorumVerdict {
-        let votes: Vec<Option<bool>> = Self::walk_with(
-            &self.detectors,
-            &self.probabilities,
-            rng.small(),
-            subwindows,
-            min_fill,
-            true,
-        )
-        .into_iter()
-        .map(|(v, _)| v)
-        .collect();
-        QuorumVerdict::from_votes(&votes)
+    fn walk(&self, subwindows: &[RawWindow], gaps: Gaps, rng: &mut StreamRng) -> Vec<Epoch> {
+        let rng = rng.small();
+        switching_walk(&self.detectors, subwindows, gaps, |_| {
+            draw_from(&self.probabilities, rng)
+        })
     }
 }
 
 impl BlackBox for ResilientHmd {
-    fn label_subwindows(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        let mut out = Vec::with_capacity(subwindows.len());
-        for (vote, per) in self.walk(subwindows, 1.0, false) {
-            if let Some(decision) = vote {
-                out.extend(std::iter::repeat_n(decision, per));
-            }
-        }
-        out
-    }
-
-    fn decisions(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        self.walk(subwindows, 1.0, false)
-            .into_iter()
-            .filter_map(|(d, _)| d)
-            .collect()
-    }
-
-    fn describe(&self) -> String {
-        let parts: Vec<String> = self.detectors.iter().map(|d| d.describe()).collect();
-        format!("RHMD{{{}}}", parts.join(", "))
+    /// The walk on the pool's own switching RNG, which carries into the
+    /// next query.
+    fn query(&mut self, subwindows: &[RawWindow]) -> Vec<Epoch> {
+        switching_walk(&self.detectors, subwindows, Gaps::Stop, |_| {
+            draw_from(&self.probabilities, &mut self.rng)
+        })
     }
 }
 
 impl fmt::Debug for ResilientHmd {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ResilientHmd")
-            .field("detectors", &self.describe())
+            .field("detectors", &self.name())
             .field("seed", &self.seed)
             .finish_non_exhaustive()
     }
@@ -362,13 +206,59 @@ pub fn build_stochastic_pool(
 /// the decision boundary itself moves.
 pub struct NonStationaryRhmd {
     candidates: Vec<Hmd>,
-    active: Vec<usize>,
-    active_size: usize,
-    /// Number of detection epochs between subset re-draws.
-    redraw_every: u32,
-    epochs_since_redraw: u32,
+    subset: Subset,
     rng: SmallRng,
     seed: u64,
+}
+
+/// The active subset of a [`NonStationaryRhmd`] and its redraw clock —
+/// with the RNG, the state a non-stationary walk carries from epoch to
+/// epoch, and the stateful pool from query to query.
+#[derive(Debug, Clone)]
+struct Subset {
+    active: Vec<usize>,
+    candidates: usize,
+    size: usize,
+    /// Number of detection epochs between subset re-draws.
+    redraw_every: u32,
+    /// Epochs judged since the last redraw.
+    age: u32,
+}
+
+impl Subset {
+    /// A freshly drawn subset of `size` among `candidates` (a partial
+    /// Fisher-Yates over the candidate indices), its clock at zero.
+    fn draw(rng: &mut SmallRng, candidates: usize, size: usize, redraw_every: u32) -> Subset {
+        let mut active: Vec<usize> = (0..candidates).collect();
+        for i in 0..size {
+            let j = rng.gen_range(i..active.len());
+            active.swap(i, j);
+        }
+        active.truncate(size);
+        Subset {
+            active,
+            candidates,
+            size,
+            redraw_every,
+            age: 0,
+        }
+    }
+
+    /// A fresh draw with this subset's shape.
+    fn redrawn(&self, rng: &mut SmallRng) -> Subset {
+        Subset::draw(rng, self.candidates, self.size, self.redraw_every)
+    }
+
+    /// Picks the next epoch's candidate. Only epochs that kept a window age
+    /// the subset (`aged` says whether the previous one did); once
+    /// `redraw_every` of them have, the subset is re-drawn first.
+    fn pick(&mut self, aged: bool, rng: &mut SmallRng) -> usize {
+        self.age += u32::from(aged);
+        if self.age >= self.redraw_every {
+            *self = self.redrawn(rng);
+        }
+        self.active[rng.gen_range(0..self.active.len())]
+    }
 }
 
 impl NonStationaryRhmd {
@@ -390,17 +280,14 @@ impl NonStationaryRhmd {
             "active subset size out of range"
         );
         assert!(redraw_every > 0, "redraw interval must be positive");
-        let mut pool = NonStationaryRhmd {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let subset = Subset::draw(&mut rng, candidates.len(), active_size, redraw_every);
+        NonStationaryRhmd {
             candidates,
-            active: Vec::new(),
-            active_size,
-            redraw_every,
-            epochs_since_redraw: 0,
-            rng: SmallRng::seed_from_u64(seed),
+            subset,
+            rng,
             seed,
-        };
-        pool.redraw();
-        pool
+        }
     }
 
     /// The full candidate pool.
@@ -410,215 +297,117 @@ impl NonStationaryRhmd {
 
     /// Indices of the currently active subset.
     pub fn active(&self) -> &[usize] {
-        &self.active
+        &self.subset.active
     }
 
     /// Restarts the RNG and re-draws the initial subset.
     pub fn reset(&mut self) {
         self.rng = SmallRng::seed_from_u64(self.seed);
-        self.epochs_since_redraw = 0;
-        self.redraw();
-    }
-
-    fn redraw(&mut self) {
-        self.active = draw_active(&mut self.rng, self.candidates.len(), self.active_size);
-    }
-
-    /// The walk body, parameterized over an explicit RNG: replays exactly
-    /// what a freshly constructed pool with the same seed produces (the
-    /// constructor's initial subset draw included), without mutating shared
-    /// state — the requirement for order-independent parallel evaluation.
-    ///
-    /// With `skip_gaps`, epochs whose window falls below the fill floor
-    /// abstain and the cursor advances; such epochs do not advance the
-    /// redraw clock (only voted-on epochs age the active subset, matching
-    /// the stateful walk on clean streams).
-    fn walk_seeded(
-        &self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        skip_gaps: bool,
-        rng: &mut SmallRng,
-    ) -> Vec<(Option<bool>, usize)> {
-        // Pass 1: replay the draw/redraw stream and collect each epoch's
-        // window. The redraw clock advances only on epochs whose window
-        // aggregated cleanly — a fact known before scoring — so draws never
-        // depend on scores and scoring can be batched per candidate.
-        let mut active = draw_active(rng, self.candidates.len(), self.active_size);
-        let mut epochs_since_redraw = 0u32;
-        let mut meta: Vec<(usize, bool, usize)> = Vec::new();
-        let mut pending: Vec<Vec<RawWindow>> = vec![Vec::new(); self.candidates.len()];
-        let mut cursor = 0usize;
-        loop {
-            if epochs_since_redraw >= self.redraw_every {
-                active = draw_active(rng, self.candidates.len(), self.active_size);
-                epochs_since_redraw = 0;
-            }
-            let pick = active[rng.gen_range(0..active.len())];
-            let detector = &self.candidates[pick];
-            let per = (detector.spec().period / SUBWINDOW) as usize;
-            if cursor + per > subwindows.len() {
-                break;
-            }
-            let chunk = &subwindows[cursor..cursor + per];
-            match aggregate_with_gaps(chunk, detector.spec().period, min_fill).pop() {
-                Some(window) => {
-                    epochs_since_redraw += 1;
-                    pending[pick].push(window);
-                    meta.push((pick, true, per));
-                }
-                None if !skip_gaps => break, // truncated tail of a clean stream
-                None => meta.push((pick, false, per)),
-            }
-            cursor += per;
-        }
-        // Pass 2: batch-score per candidate, reassemble in epoch order.
-        batch_walk_votes(&self.candidates, &meta, &pending)
-    }
-
-    /// Advances one epoch. Outer `None` means the stream is exhausted or
-    /// truncated; an inner `None` vote marks an epoch whose features failed
-    /// the sanity check, which is skipped rather than terminating the walk.
-    fn step(&mut self, subwindows: &[RawWindow], cursor: usize) -> Option<(Option<bool>, usize)> {
-        if self.epochs_since_redraw >= self.redraw_every {
-            self.redraw();
-            self.epochs_since_redraw = 0;
-        }
-        let pick = self.active[self.rng.gen_range(0..self.active.len())];
-        let detector = &self.candidates[pick];
-        let per = (detector.spec().period / SUBWINDOW) as usize;
-        if cursor + per > subwindows.len() {
-            return None;
-        }
-        // `None` is the truncated tail of a clean stream.
-        let window =
-            aggregate_with_gaps(&subwindows[cursor..cursor + per], detector.spec().period, 1.0)
-                .pop()?;
-        self.epochs_since_redraw += 1;
-        Some((detector.classify_window_checked(&window), per))
-    }
-}
-
-impl BlackBox for NonStationaryRhmd {
-    fn label_subwindows(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        let mut out = Vec::with_capacity(subwindows.len());
-        let mut cursor = 0usize;
-        while let Some((vote, per)) = self.step(subwindows, cursor) {
-            if let Some(decision) = vote {
-                out.extend(std::iter::repeat_n(decision, per));
-            }
-            cursor += per;
-        }
-        out
-    }
-
-    fn decisions(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        let mut out = Vec::new();
-        let mut cursor = 0usize;
-        while let Some((vote, per)) = self.step(subwindows, cursor) {
-            if let Some(decision) = vote {
-                out.push(decision);
-            }
-            cursor += per;
-        }
-        out
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "NonStationaryRHMD{{{} of {} candidates, redraw every {} epochs}}",
-            self.active_size,
-            self.candidates.len(),
-            self.redraw_every
-        )
+        self.subset = self.subset.redrawn(&mut self.rng);
     }
 }
 
 impl Detector for NonStationaryRhmd {
     fn name(&self) -> String {
-        self.describe()
+        format!(
+            "NonStationaryRHMD{{{} of {} candidates, redraw every {} epochs}}",
+            self.subset.size,
+            self.candidates.len(),
+            self.subset.redraw_every
+        )
     }
 
-    /// Seeded replay of the full walk, re-drawing the active subset from
-    /// the caller's `rng` exactly as a freshly constructed pool would.
-    fn label_stream(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool> {
-        let mut out = Vec::with_capacity(subwindows.len());
-        for (vote, per) in self.walk_seeded(subwindows, 1.0, false, rng.small()) {
-            if let Some(decision) = vote {
-                out.extend(std::iter::repeat_n(decision, per));
-            }
-        }
-        out
-    }
-
-    fn epoch_decisions(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool> {
-        self.walk_seeded(subwindows, 1.0, false, rng.small())
-            .into_iter()
-            .filter_map(|(d, _)| d)
-            .collect()
-    }
-
-    fn quorum(
-        &self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        rng: &mut StreamRng,
-    ) -> QuorumVerdict {
-        let votes: Vec<Option<bool>> = self
-            .walk_seeded(subwindows, min_fill, true, rng.small())
-            .into_iter()
-            .map(|(v, _)| v)
-            .collect();
-        QuorumVerdict::from_votes(&votes)
+    /// Replays exactly what a freshly constructed pool with the same seed
+    /// produces — the constructor's initial subset draw included — from
+    /// the caller's `rng`, without mutating shared state: the requirement
+    /// for order-independent parallel evaluation.
+    fn walk(&self, subwindows: &[RawWindow], gaps: Gaps, rng: &mut StreamRng) -> Vec<Epoch> {
+        let rng = rng.small();
+        let mut subset = self.subset.redrawn(rng);
+        switching_walk(&self.candidates, subwindows, gaps, |aged| subset.pick(aged, rng))
     }
 }
 
-/// Scores a drawn epoch stream through each detector's flat batch path and
-/// reassembles `(vote, subwindows_consumed)` pairs in epoch order.
+impl BlackBox for NonStationaryRhmd {
+    /// The walk on the pool's own RNG and active subset, both of which
+    /// carry into the next query.
+    fn query(&mut self, subwindows: &[RawWindow]) -> Vec<Epoch> {
+        let (subset, rng) = (&mut self.subset, &mut self.rng);
+        switching_walk(&self.candidates, subwindows, Gaps::Stop, |aged| subset.pick(aged, rng))
+    }
+}
+
+/// Draws one base detector by the selection probabilities.
+fn draw_from(probabilities: &[f64], rng: &mut SmallRng) -> usize {
+    let mut u = rng.gen::<f64>();
+    for (i, &p) in probabilities.iter().enumerate() {
+        if u < p {
+            return i;
+        }
+        u -= p;
+    }
+    probabilities.len() - 1
+}
+
+/// The epoch walk both randomized pools share. At every epoch `draw`
+/// picks a base detector — it is told whether the walk's previous epoch
+/// kept a window — and the epoch spans that detector's period. A window
+/// below the `gaps` floor ends the walk ([`Gaps::Stop`]: the truncated
+/// tail of a clean stream) or abstains while the cursor advances
+/// ([`Gaps::Abstain`]), so one corrupted window in the middle of a trace
+/// does not silence every epoch after it. The walk ends when the drawn
+/// period overruns the trace; that draw is consumed too.
 ///
-/// `meta` carries one `(detector index, has_window, subwindows_consumed)`
-/// triple per epoch; `pending[d]` holds detector `d`'s windows in epoch
-/// order. Epochs without a window abstain. Votes are bit-identical to
-/// scoring each epoch inline because the batch path shares the per-row
-/// kernels.
-fn batch_walk_votes(
+/// Draws, the cursor and every break condition depend only on the RNG and
+/// window fill — never on scores — so pass 1 collects each epoch's window
+/// and pass 2 scores them batched per detector, bit-identically to scoring
+/// each epoch inline (the batch path shares the per-row kernels), and
+/// reassembles the votes in epoch order.
+fn switching_walk(
     detectors: &[Hmd],
-    meta: &[(usize, bool, usize)],
-    pending: &[Vec<RawWindow>],
-) -> Vec<(Option<bool>, usize)> {
-    let mut votes: Vec<std::vec::IntoIter<Option<bool>>> = pending
+    subwindows: &[RawWindow],
+    gaps: Gaps,
+    mut draw: impl FnMut(bool) -> usize,
+) -> Vec<Epoch> {
+    let mut meta: Vec<(usize, bool, usize)> = Vec::new();
+    let mut pending: Vec<Vec<RawWindow>> = vec![Vec::new(); detectors.len()];
+    let mut cursor = 0usize;
+    let mut kept = false;
+    loop {
+        let idx = draw(kept);
+        let period = detectors[idx].spec().period;
+        let span = (period / SUBWINDOW) as usize;
+        let Some(chunk) = subwindows.get(cursor..cursor + span) else {
+            break;
+        };
+        let window = aggregate_with_gaps(chunk, period, gaps.min_fill()).pop();
+        kept = window.is_some();
+        if !kept && gaps == Gaps::Stop {
+            break;
+        }
+        pending[idx].extend(window);
+        meta.push((idx, kept, span));
+        cursor += span;
+    }
+    let mut votes: Vec<_> = pending
         .iter()
         .zip(detectors)
         .map(|(windows, d)| d.classify_windows_checked(windows).into_iter())
         .collect();
-    meta.iter()
-        .map(|&(idx, has_window, per)| {
-            let vote = if has_window {
-                votes[idx].next().expect("one vote per batched window")
-            } else {
-                None
-            };
-            (vote, per)
+    meta.into_iter()
+        .map(|(idx, has_window, span)| Epoch {
+            vote: has_window
+                .then(|| votes[idx].next().expect("one vote per batched window"))
+                .flatten(),
+            span,
         })
         .collect()
-}
-
-/// Partial Fisher-Yates over candidate indices: the subset-draw primitive
-/// shared by the stateful pool and the seeded walk.
-fn draw_active(rng: &mut SmallRng, candidates: usize, active_size: usize) -> Vec<usize> {
-    let mut indices: Vec<usize> = (0..candidates).collect();
-    for i in 0..active_size {
-        let j = rng.gen_range(i..indices.len());
-        indices.swap(i, j);
-    }
-    indices.truncate(active_size);
-    indices
 }
 
 impl fmt::Debug for NonStationaryRhmd {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NonStationaryRhmd")
-            .field("pool", &self.describe())
+            .field("pool", &self.name())
             .field("seed", &self.seed)
             .finish_non_exhaustive()
     }
@@ -692,79 +481,6 @@ mod tests {
         };
         a.reset();
         assert_eq!(a.label_subwindows(subs), first);
-    }
-
-    #[test]
-    fn seeded_walks_match_fresh_serial_walks() {
-        let (traced, splits) = fixture();
-        let mut rhmd = two_detector_pool(&traced, &splits.victim_train, 0x5eed);
-        let subs = traced.subwindows(0);
-        // Seeded with the construction seed, the trait walks replay exactly
-        // what a freshly reset pool produces.
-        rhmd.reset();
-        let serial_labels = rhmd.label_subwindows(subs);
-        rhmd.reset();
-        let serial_decisions = rhmd.decisions(subs);
-        rhmd.reset();
-        let serial_quorum = rhmd.quorum_verdict(subs, 1.0);
-        assert_eq!(
-            rhmd.label_stream(subs, &mut StreamRng::from_seed(0x5eed)),
-            serial_labels
-        );
-        assert_eq!(
-            rhmd.epoch_decisions(subs, &mut StreamRng::from_seed(0x5eed)),
-            serial_decisions
-        );
-        assert_eq!(
-            rhmd.quorum(subs, 1.0, &mut StreamRng::from_seed(0x5eed)),
-            serial_quorum
-        );
-        // And they are order-free: judging another program first changes
-        // nothing, unlike the shared-RNG path.
-        let _ = rhmd.quorum(traced.subwindows(1), 1.0, &mut StreamRng::from_seed(7));
-        assert_eq!(
-            rhmd.quorum(subs, 1.0, &mut StreamRng::from_seed(0x5eed)),
-            serial_quorum
-        );
-        // Repeated seeded calls are pure functions of (subwindows, seed).
-        assert_eq!(
-            rhmd.label_stream(subs, &mut StreamRng::from_seed(1)),
-            rhmd.label_stream(subs, &mut StreamRng::from_seed(1))
-        );
-    }
-
-    #[test]
-    fn non_stationary_seeded_walk_matches_fresh_pool() {
-        let (traced, splits) = fixture();
-        let kinds = [FeatureKind::Memory, FeatureKind::Architectural];
-        let candidates: Vec<Hmd> = pool_specs(&kinds, &[5_000, 10_000], &[])
-            .into_iter()
-            .map(|spec| {
-                Hmd::train(
-                    Algorithm::Lr,
-                    spec,
-                    &TrainerConfig::default(),
-                    &traced,
-                    &splits.victim_train,
-                )
-            })
-            .collect();
-        let subs = traced.subwindows(0);
-        for seed in [0u64, 42, 0x5eed] {
-            let mut pool = NonStationaryRhmd::new(candidates.clone(), 2, 2, seed);
-            let stateful = pool.label_subwindows(subs);
-            assert_eq!(
-                pool.label_stream(subs, &mut StreamRng::from_seed(seed)),
-                stateful,
-                "seed {seed}: trait walk diverged from fresh stateful walk"
-            );
-            pool.reset();
-            let decisions = pool.decisions(subs);
-            assert_eq!(
-                pool.epoch_decisions(subs, &mut StreamRng::from_seed(seed)),
-                decisions
-            );
-        }
     }
 
     #[test]
@@ -901,14 +617,15 @@ mod tests {
 
         let (traced, splits) = fixture();
         let subs = traced.subwindows(0).to_vec();
-        let mut rhmd = two_detector_pool(&traced, &splits.victim_train, 11);
+        let rhmd = two_detector_pool(&traced, &splits.victim_train, 11);
+        let rng = || StreamRng::from_seed(11);
 
         // Dropped reads coalesce into over-full windows: shorter stream,
         // but the surviving epochs still vote.
         let drops = FaultModel::new(FaultConfig::dropping(0.3), 0xfa17);
         let dropped = apply_faults(&subs, &drops);
         assert!(dropped.len() < subs.len(), "drops must coalesce reads");
-        let q = rhmd.quorum_verdict(&dropped, 1.0);
+        let q = rhmd.quorum(&dropped, 1.0, &mut rng());
         assert!(q.voted > 0, "walk must vote on coalesced windows");
 
         // A lost mid-stream window drags its epoch below the fill floor:
@@ -916,16 +633,13 @@ mod tests {
         let mut corrupted = subs.clone();
         let mid = corrupted.len() / 2;
         corrupted[mid] = rhmd_features::window::RawWindow::default();
-        rhmd.reset();
-        let q = rhmd.quorum_verdict(&corrupted, 1.0);
+        let q = rhmd.quorum(&corrupted, 1.0, &mut rng());
         assert!(q.abstained > 0, "garbage windows should force abstentions");
         assert!(q.voted > 0, "walk must continue past corrupted epochs");
 
-        // A clean stream matches decisions().
-        rhmd.reset();
-        let clean = rhmd.quorum_verdict(&subs, 1.0);
-        rhmd.reset();
-        let plain = rhmd.decisions(&subs);
+        // A clean stream matches epoch_decisions().
+        let clean = rhmd.quorum(&subs, 1.0, &mut rng());
+        let plain = rhmd.epoch_decisions(&subs, &mut rng());
         assert_eq!(clean.voted, plain.len());
     }
 

@@ -52,7 +52,10 @@ pub struct VerdictPolicy {
 }
 
 impl VerdictPolicy {
-    /// The paper's majority vote: malware if at least half the windows flag.
+    /// The paper's majority vote at threshold ½: malware if *more* than
+    /// half the windows flag, since [`VerdictPolicy::is_malware`] is a
+    /// strict `>`. An exact 50/50 split therefore acquits here, while
+    /// [`ProgramVerdict::is_malware`] (`2 * flagged >= total`) convicts it.
     pub fn majority() -> VerdictPolicy {
         VerdictPolicy { threshold: 0.5 }
     }
@@ -199,6 +202,12 @@ mod tests {
         assert!(policy.is_malware(&v));
         let v2 = ProgramVerdict::from_decisions(&[true, false, false, false]);
         assert!(!policy.is_malware(&v2));
+        // The two rules part on an exact tie: 2 of 4 flagged acquits under
+        // the policy's strict `>` but convicts under `2 * flagged >= total`.
+        // Both rules feed published results, so the split is pinned.
+        let tie = ProgramVerdict::from_decisions(&[true, false, true, false]);
+        assert!(!policy.is_malware(&tie));
+        assert!(tie.is_malware());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end extraction: program → subwindows → feature vectors.
 
 use crate::vector::FeatureSpec;
-use crate::window::{aggregate, RawWindow, WindowAccumulator};
+use crate::window::{RawWindow, Sealed, WindowAccumulator, WindowAssembler, SUBWINDOW};
 use rhmd_trace::exec::ExecLimits;
 use rhmd_trace::Program;
 use rhmd_uarch::{CoreConfig, ReferenceCore};
@@ -41,9 +41,8 @@ pub fn trace_subwindows_reference(
 /// period.
 pub fn project_windows(subwindows: &[RawWindow], spec: &FeatureSpec) -> Vec<Vec<f64>> {
     let _span = rhmd_obs::span("features.project");
-    aggregate(subwindows, spec.period)
-        .iter()
-        .map(|w| spec.project(w))
+    clean_windows(subwindows, spec.period)
+        .map(|w| spec.project(&w))
         .collect()
 }
 
@@ -57,12 +56,28 @@ pub fn project_windows_into(
     out: &mut Vec<f64>,
 ) -> usize {
     let _span = rhmd_obs::span("features.project");
-    let windows = aggregate(subwindows, spec.period);
-    out.reserve(windows.len() * spec.dims());
-    for w in &windows {
-        spec.project_into(w, out);
+    let windows = clean_windows(subwindows, spec.period);
+    out.reserve(subwindows.len() / (spec.period / SUBWINDOW) as usize * spec.dims());
+    let mut projected = 0;
+    for w in windows {
+        spec.project_into(&w, out);
+        projected += 1;
     }
-    windows.len()
+    projected
+}
+
+/// The windows a clean [`WindowAssembler`] (`min_fill = 1.0`) seals from
+/// `subwindows` at `period`, each as it seals: every chunk of full
+/// subwindows, the partial tail dropped. Panics on a bad `period`.
+fn clean_windows(subwindows: &[RawWindow], period: u32) -> impl Iterator<Item = RawWindow> + '_ {
+    let mut assembler = WindowAssembler::new(period, 1.0);
+    let mut rest = subwindows.iter();
+    std::iter::from_fn(move || {
+        rest.by_ref()
+            .find_map(|w| assembler.push(w))
+            .or_else(|| assembler.finish())
+    })
+    .filter_map(Sealed::into_window)
 }
 
 /// Convenience: trace and project in one call.

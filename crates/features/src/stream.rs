@@ -19,10 +19,10 @@
 //! * runs never cross a subwindow seal, so every miss lands in the same
 //!   window as the per-event path;
 //! * each lane is one clean spec fed through a
-//!   [`crate::window::WindowAssembler`] at `min_fill = 1.0`, which on a
-//!   clean stream keeps exactly the windows strict
-//!   [`crate::window::aggregate`] keeps. Faulted streams go through
-//!   [`crate::window::apply_faults`] and the two-phase path instead.
+//!   [`crate::window::WindowAssembler`] at `min_fill = 1.0`, the same rule
+//!   [`crate::pipeline::project_windows_into`] applies to a materialized
+//!   stream. Faulted streams go through [`crate::window::apply_faults`]
+//!   and the two-phase path instead.
 
 use crate::vector::FeatureSpec;
 use crate::window::{delta_bin, RawWindow, Sealed, WindowAssembler, SUBWINDOW};

@@ -4,6 +4,12 @@
 //! later aggregated to any collection period that is a multiple of it. This
 //! lets one (expensive) execution serve every period in the paper's sweep
 //! {5K, 8K, 9K, 10K, 11K, 12K, 15K, 19K} (Fig 3a).
+//!
+//! [`WindowAssembler`] is the one aggregation rule. Clean streams assemble
+//! at `min_fill = 1.0`, which keeps exactly the chunks of `period /
+//! SUBWINDOW` full subwindows and drops the truncated tail; faulted
+//! streams assemble at a lower floor, keeping chunks whose reads were
+//! dropped or coalesced as long as they carry enough instructions.
 
 use rhmd_trace::exec::{ExecEvent, Observer};
 use rhmd_trace::isa::OPCODE_COUNT;
@@ -164,37 +170,6 @@ fn subwindows_per(period: u32) -> usize {
     (period / SUBWINDOW) as usize
 }
 
-/// Aggregates fine subwindows into collection windows of `period`
-/// instructions, keeping a chunk only when all of its subwindows hold
-/// exactly [`SUBWINDOW`] instructions (so a trailing partial window drops).
-///
-/// This strict rule differs from [`aggregate_with_gaps`] at `min_fill =
-/// 1.0` only on faulted streams: a chunk holding a read coalesced by
-/// [`apply_faults`] is dropped here but kept there. The in-tree callers
-/// aggregate clean traced streams, where the two rules agree; faulted
-/// evaluations (degraded quality, the detectors' quorum paths) go through
-/// [`aggregate_with_gaps`].
-///
-/// # Panics
-///
-/// Panics if `period` is zero or not a multiple of [`SUBWINDOW`].
-pub fn aggregate(subwindows: &[RawWindow], period: u32) -> Vec<RawWindow> {
-    let per = subwindows_per(period);
-    subwindows
-        .chunks(per)
-        .filter(|chunk| {
-            chunk.len() == per && chunk.iter().all(|w| w.instructions == u64::from(SUBWINDOW))
-        })
-        .map(|chunk| {
-            let mut merged = RawWindow::default();
-            for w in chunk {
-                merged.merge(w);
-            }
-            merged
-        })
-        .collect()
-}
-
 /// Outcome of sealing one collection-window chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Sealed {
@@ -276,14 +251,16 @@ impl WindowAssembler {
     }
 }
 
-/// Like [`aggregate`], but tolerant of gaps: chunks whose subwindows were
-/// dropped or coalesced by fault injection are kept as long as they carry at
-/// least `min_fill` of the period's instructions. Feature projection
-/// normalizes by the window's *actual* counts, so short windows renormalize
-/// instead of skewing low. A fold over [`WindowAssembler`].
+/// Aggregates subwindows into collection windows of `period` instructions,
+/// tolerant of gaps: chunks whose subwindows were dropped or coalesced by
+/// fault injection are kept as long as they carry at least `min_fill` of
+/// the period's instructions. Feature projection normalizes by the
+/// window's *actual* counts, so short windows renormalize instead of
+/// skewing low. A fold over [`WindowAssembler`].
 ///
-/// With `min_fill = 1.0` and a clean stream this matches [`aggregate`]
-/// exactly (coalesced reads can exceed the period; they are kept too).
+/// At `min_fill = 1.0` a clean stream keeps every chunk of full
+/// subwindows and drops its partial tail (coalesced reads can exceed the
+/// period; they are kept too).
 ///
 /// # Panics
 ///
@@ -377,7 +354,7 @@ mod tests {
     #[test]
     fn aggregation_merges_counts() {
         let subs = subwindows(20_000);
-        let windows = aggregate(&subs, 5_000);
+        let windows = aggregate_with_gaps(&subs, 5_000, 1.0);
         assert_eq!(windows.len(), 4);
         for w in &windows {
             assert_eq!(w.instructions, 5_000);
@@ -388,15 +365,15 @@ mod tests {
     #[test]
     fn aggregation_drops_partial_tail() {
         let subs = subwindows(12_500);
-        assert_eq!(aggregate(&subs, 10_000).len(), 1);
-        assert_eq!(aggregate(&subs, 4_000).len(), 3);
+        assert_eq!(aggregate_with_gaps(&subs, 10_000, 1.0).len(), 1);
+        assert_eq!(aggregate_with_gaps(&subs, 4_000, 1.0).len(), 3);
     }
 
     #[test]
     #[should_panic(expected = "multiple")]
     fn aggregation_rejects_bad_period() {
         let subs = subwindows(2_000);
-        let _ = aggregate(&subs, 1_500);
+        let _ = aggregate_with_gaps(&subs, 1_500, 1.0);
     }
 
     #[test]
@@ -460,9 +437,9 @@ mod tests {
         let subs = subwindows(20_000);
         let model = FaultModel::new(FaultConfig::dropping(0.4), 5);
         let faulted = apply_faults(&subs, &model);
-        // Strict aggregation discards windows whose chunks were disturbed …
-        let strict = aggregate(&faulted, 5_000);
-        // … while the gap-tolerant variant keeps anything half-full.
+        // A full-period floor discards windows whose chunks lost reads …
+        let strict = aggregate_with_gaps(&faulted, 5_000, 1.0);
+        // … while a half-period floor keeps anything half-full.
         let tolerant = aggregate_with_gaps(&faulted, 5_000, 0.5);
         assert!(tolerant.len() >= strict.len());
         assert!(!tolerant.is_empty());
@@ -471,43 +448,76 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gap_tolerant_matches_strict_on_clean_streams() {
-        let subs = subwindows(20_000);
-        assert_eq!(
-            aggregate_with_gaps(&subs, 5_000, 1.0),
-            aggregate(&subs, 5_000)
-        );
+    /// The strict rule the clean paths once used: a chunk is kept only when
+    /// all `period / SUBWINDOW` of its subwindows hold exactly [`SUBWINDOW`]
+    /// instructions. Frozen as the oracle for the fold of clean aggregation
+    /// into the assembler at `min_fill = 1.0`.
+    fn aggregate_strict_reference(subwindows: &[RawWindow], period: u32) -> Vec<RawWindow> {
+        let per = (period / SUBWINDOW) as usize;
+        subwindows
+            .chunks(per)
+            .filter(|chunk| {
+                chunk.len() == per && chunk.iter().all(|w| w.instructions == u64::from(SUBWINDOW))
+            })
+            .map(|chunk| {
+                let mut merged = RawWindow::default();
+                for w in chunk {
+                    merged.merge(w);
+                }
+                merged
+            })
+            .collect()
     }
 
-    /// Why `aggregate` keeps its own rule: a read coalesced inside a full
-    /// chunk makes the strict rule drop the chunk, while the gap-tolerant
-    /// rule at `min_fill = 1.0` keeps it (6 subwindows' worth of
-    /// instructions in 5 reads).
+    /// The tiny corpus's programs (every malware family and benign class,
+    /// the same generator seeds and execution budget), traced clean.
+    fn tiny_corpus_streams() -> Vec<Vec<RawWindow>> {
+        use rhmd_trace::generate::{malware_profile, MalwareFamily};
+        const SEED: u64 = 0xda7a;
+        let limits = ExecLimits {
+            max_instructions: 60_000,
+            max_original_instructions: u64::MAX,
+            max_syscalls: 200,
+            max_call_depth: 128,
+        };
+        let malware = MalwareFamily::ALL.into_iter().flat_map(|f| {
+            (0..8u64).map(move |i| ProgramGenerator::new(malware_profile(f)).generate(SEED ^ i))
+        });
+        let benign = BenignClass::ALL.into_iter().flat_map(|c| {
+            (0..5u64).map(move |i| ProgramGenerator::new(benign_profile(c)).generate(SEED ^ i))
+        });
+        malware
+            .chain(benign)
+            .map(|p| crate::pipeline::trace_subwindows(&p, limits, CoreConfig::default()))
+            .collect()
+    }
+
+    /// Clean traced streams assemble at `min_fill = 1.0` to exactly the
+    /// windows of the frozen chunk aggregation and of the frozen strict
+    /// rule, at every period from 1k to 50k instructions.
     #[test]
-    fn strict_and_gap_tolerant_rules_differ_on_coalesced_reads() {
-        let subs = subwindows(10_000);
-        assert_eq!(subs.len(), 10);
-        assert_eq!(
-            aggregate(&subs, 5_000),
-            aggregate_with_gaps(&subs, 5_000, 1.0)
-        );
-        // A dropping model that loses exactly one read among the first four,
-        // so that read coalesces into its successor inside the first chunk.
-        let model = (0u64..)
-            .map(|seed| FaultModel::new(FaultConfig::dropping(0.1), seed))
-            .find(|m| {
-                let dropped: Vec<u64> = (0..10).filter(|&i| m.drops_window(i)).collect();
-                dropped.len() == 1 && dropped[0] < 4
-            })
-            .expect("some seed drops exactly one early read");
-        let faulted = apply_faults(&subs, &model);
-        assert_eq!(faulted.len(), 9);
-        assert!(faulted[..4].iter().any(|w| w.instructions == 2_000));
-        assert!(aggregate(&faulted, 5_000).is_empty());
-        let kept = aggregate_with_gaps(&faulted, 5_000, 1.0);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].instructions, 6_000);
+    fn clean_streams_assemble_as_the_frozen_rules() {
+        let periods = [
+            1_000, 2_000, 5_000, 8_000, 9_000, 10_000, 11_000, 12_000, 15_000, 19_000, 20_000,
+            50_000,
+        ];
+        let streams = tiny_corpus_streams();
+        assert_eq!(streams.len(), 88);
+        for (i, subs) in streams.iter().enumerate() {
+            for period in periods {
+                let kept = aggregate_with_gaps(subs, period, 1.0);
+                assert_eq!(
+                    kept,
+                    aggregate_with_gaps_reference(subs, period, 1.0),
+                    "program {i} @ {period}"
+                );
+                assert_eq!(
+                    kept,
+                    aggregate_strict_reference(subs, period),
+                    "program {i} @ {period}"
+                );
+            }
+        }
     }
 
     /// The `chunks(per)` body `aggregate_with_gaps` had before it became a

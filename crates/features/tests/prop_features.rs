@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
-use rhmd_features::window::{aggregate, delta_bin, RawWindow, MEM_BINS, SUBWINDOW};
+use rhmd_features::window::{aggregate_with_gaps, delta_bin, RawWindow, MEM_BINS, SUBWINDOW};
 use rhmd_trace::isa::{Opcode, OPCODE_COUNT};
 
 fn any_window() -> impl Strategy<Value = RawWindow> {
@@ -66,7 +66,7 @@ proptest! {
             w.counters.instructions = u64::from(SUBWINDOW);
         }
         let n = subs.len() as u32;
-        let merged = aggregate(&subs, n * SUBWINDOW);
+        let merged = aggregate_with_gaps(&subs, n * SUBWINDOW, 1.0);
         prop_assert_eq!(merged.len(), 1);
         for op in 0..OPCODE_COUNT {
             let total: u64 = subs.iter().map(|w| w.opcode_counts[op]).sum();

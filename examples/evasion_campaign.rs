@@ -31,7 +31,7 @@ fn main() {
         &traced,
         &splits.victim_train,
     );
-    println!("victim deployed: {}", victim.describe());
+    println!("victim deployed: {}", victim.name());
 
     // Attacker: reverse-engineer with its own 20% split.
     let surrogate = reveng::reverse_engineer(
