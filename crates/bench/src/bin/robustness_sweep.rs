@@ -13,10 +13,10 @@
 //! `--metrics-summary` export observability counters. See `--help`.
 
 use rhmd_bench::flags::parse_env_args;
-use rhmd_bench::par::{DegradedQuality, Evaluator, Pool};
 use rhmd_bench::{Experiment, Table};
 use rhmd_core::RhmdError;
 use rhmd_core::detector::{Detector, StreamRng};
+use rhmd_core::engine::{DegradedQuality, Evaluator};
 use rhmd_core::ensemble::{Combiner, EnsembleHmd};
 use rhmd_core::hmd::{Hmd, QuorumVerdict};
 use rhmd_core::rhmd::{build_pool, pool_specs, ResilientHmd};
@@ -24,6 +24,7 @@ use rhmd_core::verdict::VerdictPolicy;
 use rhmd_features::vector::FeatureKind;
 use rhmd_features::window::RawWindow;
 use rhmd_ml::trainer::Algorithm;
+use rhmd_runtime::pool::Pool;
 use rhmd_uarch::faults::FaultConfig;
 
 /// Windows must be at least half-full to vote.

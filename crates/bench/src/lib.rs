@@ -14,10 +14,14 @@
 pub mod context;
 pub mod figures;
 pub mod flags;
-pub mod metrics;
-pub mod par;
 pub mod report;
 
 pub use context::Experiment;
-pub use par::{Evaluator, EvaluatorBuilder, FeatureCache, Pool};
 pub use report::Table;
+
+/// [`rhmd_core::engine`] under its old path, only for the ledger's imports
+/// until ROADMAP item 6 lands.
+pub use rhmd_core::engine as par;
+/// [`rhmd_runtime::pool::Pool`] under its old path, only for the ledger's
+/// imports until ROADMAP item 6 lands.
+pub use rhmd_runtime::pool::Pool;

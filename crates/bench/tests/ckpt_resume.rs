@@ -3,10 +3,10 @@
 //! an uninterrupted run — including under injected I/O faults and with the
 //! watchdog pool doing the computing.
 
-use rhmd_bench::par::{Pool, WatchdogConfig};
 use rhmd_core::RhmdError;
 use rhmd_runtime::ckpt::{Journal, Manifest};
 use rhmd_runtime::durable::{Durable, FaultPlane, RetryPolicy};
+use rhmd_runtime::pool::{Pool, WatchdogConfig};
 use rhmd_trace::seed::{derive_seed, splitmix64};
 use std::path::PathBuf;
 use std::time::Duration;

@@ -1,13 +1,14 @@
 //! Property tests of the parallel engine's determinism primitives: the
-//! work-stealing pool, the per-program seed derivation, and the feature
-//! cache.
+//! work-stealing pool (plain and watchdog maps), the per-program seed
+//! derivation, and the feature cache.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rhmd_bench::par::{FeatureCache, Pool};
+use rhmd_core::engine::FeatureCache;
 use rhmd_data::parallel_map_threads;
 use rhmd_features::pipeline::project_windows;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
+use rhmd_runtime::pool::{Pool, RunReport, WatchdogConfig};
 use rhmd_trace::seed::{derive_seed, mix_seed, splitmix64};
 
 proptest! {
@@ -23,7 +24,7 @@ proptest! {
         prop_assert_eq!(par, serial);
     }
 
-    /// The chunked scoped-thread map (tracing's substrate) agrees too.
+    /// The ledger's `parallel_map_threads` forward to the pool agrees too.
     #[test]
     fn parallel_map_threads_equals_serial(
         items in vec(any::<u32>(), 0..150),
@@ -76,6 +77,43 @@ proptest! {
         let y = splitmix64(x);
         prop_assert_ne!(y, x);
         prop_assert_ne!(splitmix64(y), x);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The watchdog map and the plain map share one stealing loop: on any
+    /// length (empty and one item included) and width, under a skewed
+    /// per-item cost that makes workers steal, both return the serial
+    /// values in input order, and a clean watchdog run reports nothing.
+    #[test]
+    fn watchdog_map_equals_plain_map(
+        items in vec(any::<u64>(), 0..300),
+        threads in 1usize..=8,
+        heavy in 0usize..300,
+    ) {
+        // Items from `heavy` on cost ~100x the others.
+        let f = |i: usize, &x: &u64| {
+            let rounds = if i >= heavy { 2_000u64 } else { 20 };
+            (0..rounds).fold(x, |a, b| a.rotate_left(7) ^ b.wrapping_mul(31)) ^ i as u64
+        };
+        let pool = Pool::new(threads);
+        let watchdog = WatchdogConfig::default();
+        // The empty and one-item prefixes pin the serial short-circuit.
+        for items in [&items[..0], &items[..items.len().min(1)], &items[..]] {
+            let plain = pool.map(items, f);
+            let serial: Vec<u64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+            prop_assert_eq!(&plain, &serial);
+            let (supervised, report) = pool.map_watchdog(items, &watchdog, f).unwrap();
+            prop_assert_eq!(supervised, plain);
+            let clean = RunReport {
+                items: items.len() as u64,
+                deadline_ms: watchdog.deadline.as_millis() as u64,
+                ..RunReport::default()
+            };
+            prop_assert_eq!(report, clean);
+        }
     }
 }
 

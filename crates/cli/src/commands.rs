@@ -2,9 +2,8 @@
 
 use crate::args::Args;
 use crate::persist::{load_hmd, save_hmd};
-use rhmd_bench::metrics::MetricsOptions;
-use rhmd_bench::par::{Evaluator, EvaluatorBuilder, Pool, WatchdogConfig};
 use rhmd_core::detector::Detector;
+use rhmd_core::engine::{CacheStats, Evaluator, EvaluatorBuilder};
 use rhmd_core::evasion::{evade_corpus, plan_evasion, EvasionConfig, Strategy};
 use rhmd_core::hmd::Hmd;
 use rhmd_core::retrain::detection_quality;
@@ -12,7 +11,7 @@ use rhmd_core::reveng;
 use rhmd_core::rhmd::{build_pool, pool_specs};
 use rhmd_core::verdict::VerdictPolicy;
 use rhmd_core::RhmdError;
-use rhmd_data::{parallel_map_threads, Corpus, CorpusConfig, CorpusStore, Splits, StoreBuilder, TracedCorpus};
+use rhmd_data::{Corpus, CorpusConfig, CorpusStore, Splits, StoreBuilder, TracedCorpus};
 use rhmd_features::pipeline::trace_subwindows;
 use rhmd_features::select::select_top_delta_opcodes;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
@@ -22,6 +21,8 @@ use rhmd_ml::model::score_all;
 use rhmd_ml::trainer::{Algorithm, TrainerConfig};
 use rhmd_runtime::ckpt::{Journal, Manifest};
 use rhmd_runtime::durable::Durable;
+use rhmd_runtime::metrics::MetricsOptions;
+use rhmd_runtime::pool::{Pool, WatchdogConfig};
 use rhmd_trace::inject::Placement;
 use rhmd_uarch::faults::FaultConfig;
 use rhmd_uarch::CoreConfig;
@@ -361,10 +362,10 @@ fn select_opcodes(
     corpus: &Corpus,
     splits: &Splits,
     config: &CorpusConfig,
-    threads: usize,
+    pool: Pool,
 ) -> Vec<rhmd_trace::Opcode> {
     let labels = corpus.labels();
-    let windows: Vec<Vec<RawWindow>> = parallel_map_threads(threads, &splits.victim_train, |&i| {
+    let windows: Vec<Vec<RawWindow>> = pool.map(&splits.victim_train, |_, &i| {
         trace_subwindows(corpus.program(i), config.limits(), CoreConfig::default())
     });
     let collect = |want: bool| -> Vec<RawWindow> {
@@ -529,7 +530,7 @@ fn corpus_build(args: &Args) -> Result<(), RhmdError> {
     );
     let corpus = Corpus::build(&config);
     let splits = Splits::new(&corpus, config.seed);
-    let opcodes = select_opcodes(&corpus, &splits, &config, pool.threads());
+    let opcodes = select_opcodes(&corpus, &splits, &config, pool);
     let mut specs = Vec::new();
     for &period in &periods {
         for &kind in &kinds {
@@ -898,7 +899,7 @@ struct SweepReport {
     elapsed_seconds: f64,
     evaluations_per_second: f64,
     cache_hit_rate: f64,
-    cache: rhmd_bench::par::CacheStats,
+    cache: CacheStats,
     cells: Vec<SweepCell>,
 }
 

@@ -26,6 +26,7 @@
 //!               [--snapshot-every-ms n] [--read-stall-secs n]
 //!               [--write-timeout-secs n]
 //!               [--metrics snap.json] [--metrics-summary]
+//! rhmd help     (or --help / -h anywhere)
 //! ```
 
 mod args;
@@ -59,6 +60,7 @@ COMMANDS:
              queues, load-shedding past --high-watermark (explicit shed
              verdicts, never silent drops), watchdog deadlines, hot model
              reload, and graceful drain on EOF / SIGTERM / {\"Drain\":{}}
+  help       print this message (also --help or -h after any command)
 
 COMMON FLAGS:
   --scale tiny|small|standard|paper     corpus size (default: small)
@@ -126,6 +128,11 @@ OBSERVABILITY (train, evaluate, sweep):
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
+    if wants_help(&raw) {
+        // A closed pipe (`rhmd --help | head -3`) still counts as success.
+        let failed = rhmd_runtime::write_help(&mut std::io::stdout().lock(), USAGE).is_err();
+        std::process::exit(i32::from(failed));
+    }
     let exit = match run(raw) {
         Ok(()) => 0,
         Err(message) => {
@@ -135,6 +142,13 @@ fn main() {
         }
     };
     std::process::exit(exit);
+}
+
+/// `--help` or `-h` anywhere on the command line, or `help` as the command
+/// or its action.
+fn wants_help(raw: &[String]) -> bool {
+    let mut positionals = raw.iter().take_while(|a| !a.starts_with("--")).take(2);
+    raw.iter().any(|a| a == "--help" || a == "-h") || positionals.any(|a| a == "help")
 }
 
 fn run(raw: Vec<String>) -> Result<(), RhmdError> {

@@ -177,3 +177,25 @@ fn corpus_tiny_exits_0() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("family"));
 }
+
+/// Help is a success, not a usage error: `--help`, `-h` and `help`, wherever
+/// they appear, print the usage to stdout and exit 0 with a clean stderr.
+#[test]
+fn help_exits_0_with_usage_on_stdout() {
+    for args in [
+        &["--help"][..],
+        &["-h"],
+        &["help"],
+        &["train", "--help"],
+        &["sweep", "--scale", "tiny", "-h"],
+        &["corpus", "help"],
+    ] {
+        let out = rhmd(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "`rhmd {}`; stderr:\n{stderr}", args.join(" "));
+        assert!(stdout.starts_with("rhmd — evasion-resilient"), "{stdout}");
+        assert!(stdout.contains("USAGE: rhmd <command>"), "{stdout}");
+        assert!(stderr.is_empty(), "`rhmd {}`; stderr:\n{stderr}", args.join(" "));
+    }
+}

@@ -115,7 +115,7 @@ fn exported_snapshot_carries_the_standard_schema() {
     as_u64(snap.field("schema_version").expect("schema_version present"));
 
     let counters = snap.field("counters").expect("counters object");
-    for key in rhmd_bench::metrics::STANDARD_COUNTERS {
+    for key in rhmd_runtime::metrics::STANDARD_COUNTERS {
         counters
             .field(key)
             .unwrap_or_else(|e| panic!("counter '{key}' preregistered: {e}"));
@@ -135,7 +135,7 @@ fn exported_snapshot_carries_the_standard_schema() {
     );
 
     let histograms = snap.field("histograms").expect("histograms object");
-    for key in rhmd_bench::metrics::STANDARD_HISTOGRAMS {
+    for key in rhmd_runtime::metrics::STANDARD_HISTOGRAMS {
         let h = histograms
             .field(key)
             .unwrap_or_else(|e| panic!("histogram '{key}' preregistered: {e}"));

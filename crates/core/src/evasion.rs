@@ -3,7 +3,7 @@
 //! the rewritten malware hides.
 
 use crate::hmd::{BlackBox, Hmd, ProgramVerdict};
-use rhmd_data::{parallel_map, TracedCorpus};
+use rhmd_data::TracedCorpus;
 use rhmd_features::stream::collect_subwindows;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
 use rhmd_features::window::MEM_BINS;
@@ -373,9 +373,8 @@ pub fn evade_corpus(
     }
 
     // 2. Rewrite and re-trace them (parallel: tracing dominates).
-    let programs: Vec<&Program> = detected.iter().map(|&i| traced.corpus().program(i)).collect();
-    let rewritten = parallel_map(&programs, |p| {
-        let (subs, static_overhead, summary) = traced.retrace(p, plan);
+    let rewritten = traced.pool().map(&detected, |_, &i| {
+        let (subs, static_overhead, summary) = traced.retrace(traced.corpus().program(i), plan);
         (subs, static_overhead.ratio(), summary.dynamic_overhead())
     });
 
@@ -712,6 +711,30 @@ mod tests {
             assert!(trial.initially_detected > 0, "victim detects nothing");
             assert_eq!(trial_bits(&trial), trial_bits(&oracle), "{trial:?} vs {oracle:?}");
         }
+    }
+
+    /// `evade_corpus` and `trace_evasive_variants` re-trace on the pool the
+    /// corpus was traced on, and give the same results at any width.
+    #[test]
+    fn re_traces_run_on_the_traced_pool_at_any_width() {
+        let config = CorpusConfig::tiny();
+        let splits = Splits::new(&Corpus::build(&config), config.seed);
+        let traced = |threads| {
+            let corpus = Corpus::build(&config);
+            TracedCorpus::trace_threads(corpus, config.limits(), CoreConfig::default(), threads)
+        };
+        let (one, three) = (traced(1), traced(3));
+        assert_eq!((one.pool().threads(), three.pool().threads()), (1, 3));
+        let spec = FeatureSpec::new(FeatureKind::Architectural, 5_000, vec![]);
+        let trainer = TrainerConfig::default();
+        let victim = Hmd::train(Algorithm::Lr, spec, &trainer, &one, &splits.victim_train);
+        let malware = one.corpus().malware_indices();
+        let plan = random_plan(3, 7);
+        let trial = |t| trial_bits(&evade_corpus(&mut victim.clone(), t, &malware, &plan));
+        assert!(trial(&one).0 > 1, "the victim must detect enough malware to map over");
+        assert_eq!(trial(&one), trial(&three));
+        let variants = |t| crate::retrain::trace_evasive_variants(t, &malware, &plan);
+        assert_eq!(variants(&one), variants(&three));
     }
 
     #[test]

@@ -59,6 +59,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod detector;
+pub mod engine;
 pub mod ensemble;
 pub mod evasion;
 pub mod hmd;

@@ -13,13 +13,12 @@ use crate::error::RhmdError;
 use crate::evasion::{plan_evasion, EvasionConfig};
 use crate::hmd::{BlackBox, Hmd, ProgramVerdict};
 use crate::reveng;
-use rhmd_data::{parallel_map, TracedCorpus};
+use rhmd_data::TracedCorpus;
 use rhmd_features::vector::FeatureSpec;
 use rhmd_features::window::RawWindow;
 use rhmd_ml::model::Dataset;
 use rhmd_ml::trainer::{Algorithm, TrainerConfig};
 use rhmd_trace::inject::InjectionPlan;
-use rhmd_trace::Program;
 use serde::{Deserialize, Serialize};
 
 /// Traces the evasive variant of every program in `indices`, returning the
@@ -29,8 +28,7 @@ pub fn trace_evasive_variants(
     indices: &[usize],
     plan: &InjectionPlan,
 ) -> Vec<Vec<RawWindow>> {
-    let programs: Vec<&Program> = indices.iter().map(|&i| traced.corpus().program(i)).collect();
-    parallel_map(&programs, |p| traced.retrace(p, plan).0)
+    traced.pool().map(indices, |_, &i| traced.retrace(traced.corpus().program(i), plan).0)
 }
 
 /// Builds a retraining dataset where `fraction` of the malware windows are

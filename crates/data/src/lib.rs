@@ -51,4 +51,4 @@ pub use corpus::Corpus;
 pub use source::{CorpusSource, SourceChunk};
 pub use splits::Splits;
 pub use store::{CorpusStore, StoreBuilder, StoreManifest, StoreSummary};
-pub use traced::{parallel_map, parallel_map_threads, TracedCorpus};
+pub use traced::{parallel_map_threads, TracedCorpus};

@@ -56,7 +56,6 @@
 
 use crate::config::CorpusConfig;
 use crate::corpus::Corpus;
-use crate::traced::parallel_map_threads;
 use rhmd_features::stream::stream_features_into;
 use rhmd_features::vector::FeatureSpec;
 
@@ -70,6 +69,7 @@ use rhmd_ml::matrix::FeatureMatrix;
 use rhmd_ml::mmap::{MappedBuffer, NATIVE_F64_VIEWS};
 use rhmd_runtime::ckpt::{Journal, Manifest};
 use rhmd_runtime::durable::{fnv1a, Durable};
+use rhmd_runtime::pool::Pool;
 use rhmd_runtime::RhmdError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -251,7 +251,7 @@ pub struct StoreBuilder {
     config: CorpusConfig,
     corpus: Option<Corpus>,
     specs: Vec<FeatureSpec>,
-    threads: usize,
+    pool: Pool,
     chunk: usize,
 }
 
@@ -263,7 +263,7 @@ impl StoreBuilder {
             config,
             corpus: None,
             specs: Vec::new(),
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            pool: Pool::available(),
             chunk: 64,
         }
     }
@@ -278,7 +278,7 @@ impl StoreBuilder {
     /// Worker threads for tracing (results are identical at any count).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> StoreBuilder {
-        self.threads = threads.max(1);
+        self.pool = Pool::new(threads);
         self
     }
 
@@ -341,7 +341,7 @@ impl StoreBuilder {
             Some(c) => c.clone(),
             None => Corpus::build(&self.config),
         };
-        let canonical = canonical_map(&corpus, self.threads)?;
+        let canonical = canonical_map(&corpus, self.pool)?;
         let canonical_ids: Vec<usize> = (0..corpus.len()).filter(|&i| canonical[i] == i).collect();
         rhmd_obs::add("store.duplicates", (corpus.len() - canonical_ids.len()) as u64);
 
@@ -380,7 +380,7 @@ impl StoreBuilder {
                 // same execution, writing rows into per-thread staging
                 // buffers reused across programs.
                 let flats: Vec<Vec<(u64, Vec<u8>)>> =
-                    parallel_map_threads(self.threads, ids, |&id| {
+                    self.pool.map(ids, |_, &id| {
                         STAGING.with(|staging| {
                             let mut staging = staging.borrow_mut();
                             let want = self.specs.len().max(staging.len());
@@ -519,8 +519,8 @@ fn itertools3<'a>(
 /// generated samples that differ only in name collapse; a (vanishingly
 /// unlikely) hash collision is disarmed by an exact equality check before
 /// aliasing.
-fn canonical_map(corpus: &Corpus, threads: usize) -> Result<Vec<usize>, RhmdError> {
-    let hashes: Vec<u64> = parallel_map_threads(threads, corpus.programs(), |p| {
+fn canonical_map(corpus: &Corpus, pool: Pool) -> Result<Vec<usize>, RhmdError> {
+    let hashes: Vec<u64> = pool.map(corpus.programs(), |_, p| {
         let mut anon = p.clone();
         anon.name = String::new();
         let json = serde_json::to_string(&anon).unwrap_or_default();

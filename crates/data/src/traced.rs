@@ -12,57 +12,22 @@ use rhmd_features::stream::collect_subwindows;
 use rhmd_features::vector::FeatureSpec;
 use rhmd_features::window::RawWindow;
 use rhmd_ml::model::Dataset;
+use rhmd_runtime::pool::Pool;
 use rhmd_trace::exec::{ExecLimits, ExecSummary};
 use rhmd_trace::inject::{apply, InjectionPlan, StaticOverhead};
 use rhmd_trace::Program;
 use rhmd_uarch::CoreConfig;
 use std::fmt;
 
-/// Runs `f` over `items` on all available cores, preserving order.
-///
-/// Each item is independent and deterministic, so the result is identical to
-/// a sequential map.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    parallel_map_threads(threads, items, f)
-}
-
-/// [`parallel_map`] with an explicit worker count (the CLI's `--threads`).
-///
-/// Output is identical at any `threads` value, including 1: parallelism
-/// only changes which worker computes each slot, never the result.
+/// `Pool::new(threads).map` over `items`, only for the performance ledger's
+/// imports until ROADMAP item 6 lands.
 pub fn parallel_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 || items.len() < 2 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    let out_chunks: Vec<&mut [Option<R>]> = out.chunks_mut(chunk).collect();
-    std::thread::scope(|scope| {
-        for (slice, results) in items.chunks(chunk).zip(out_chunks) {
-            let f = &f;
-            scope.spawn(move || {
-                for (item, slot) in slice.iter().zip(results.iter_mut()) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|r| r.expect("all slots filled")).collect()
+    Pool::new(threads).map(items, |_, t| f(t))
 }
 
 /// A corpus plus its per-program subwindow traces.
@@ -71,14 +36,13 @@ pub struct TracedCorpus {
     limits: ExecLimits,
     core_config: CoreConfig,
     subwindows: Vec<Vec<RawWindow>>,
+    pool: Pool,
 }
 
 impl TracedCorpus {
-    /// Traces every program in `corpus` (in parallel across cores).
+    /// Traces every program in `corpus` on [`Pool::available`].
     pub fn trace(corpus: Corpus, limits: ExecLimits, core_config: CoreConfig) -> TracedCorpus {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let threads = Pool::available().threads();
         TracedCorpus::trace_threads(corpus, limits, core_config, threads)
     }
 
@@ -91,16 +55,24 @@ impl TracedCorpus {
         core_config: CoreConfig,
         threads: usize,
     ) -> TracedCorpus {
-        let subwindows = parallel_map_threads(threads, corpus.programs(), |p| {
-            trace_subwindows(p, limits, core_config)
-        });
+        let pool = Pool::new(threads);
+        let subwindows =
+            pool.map(corpus.programs(), |_, p| trace_subwindows(p, limits, core_config));
         rhmd_obs::add("data.programs_traced", subwindows.len() as u64);
         TracedCorpus {
             corpus,
             limits,
             core_config,
             subwindows,
+            pool,
         }
+    }
+
+    /// The pool this corpus was traced on. Re-traces of its programs
+    /// (`rhmd_core::evasion::evade_corpus`, the retraining game's evasive
+    /// variants) map on it too, so a caller's thread count reaches them.
+    pub fn pool(&self) -> Pool {
+        self.pool
     }
 
     /// The underlying corpus.
@@ -226,19 +198,6 @@ mod tests {
     fn traced() -> TracedCorpus {
         let cfg = CorpusConfig::tiny();
         TracedCorpus::trace(Corpus::build(&cfg), cfg.limits(), CoreConfig::default())
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let doubled = parallel_map(&items, |&x| x * 2);
-        assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_single() {
-        assert_eq!(parallel_map::<u8, u8, _>(&[], |&x| x), Vec::<u8>::new());
-        assert_eq!(parallel_map(&[5], |&x: &u8| x + 1), vec![6]);
     }
 
     #[test]

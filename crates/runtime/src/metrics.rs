@@ -1,8 +1,8 @@
 //! Glue between the dependency-free metrics crate ([`rhmd_obs`]) and the
-//! experiment layer: the standard key set every pipeline stage emits, the
+//! binaries: the standard key set every pipeline stage emits, the
 //! `--metrics` / `--metrics-summary` options shared by the CLI and the
 //! experiment binaries, and a [`JsonRecorder`] wired to
-//! [`rhmd_runtime::durable`]'s atomic writer.
+//! [`crate::durable`]'s atomic writer.
 //!
 //! Metrics are **observe-only**: every instrumentation site records counts
 //! and latencies of work that happens identically with metrics on or off,
@@ -10,15 +10,20 @@
 //! test suite asserts byte-identical sweep cells either way, at any thread
 //! count.
 
-use rhmd_core::RhmdError;
+use crate::durable::Durable;
+use crate::RhmdError;
 use rhmd_obs::{self as obs, JsonRecorder, NoopRecorder, Recorder};
-use rhmd_runtime::durable::Durable;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Counter names every run preregisters, so exported snapshots always
 /// carry the full schema (a clean tiny run legitimately has zero steals,
 /// retries, or fault events — consumers still find the keys).
+///
+/// `pool.maps` counts every parallel map — tracing, the corpus store's
+/// hashing and chunk maps, the evasion re-traces and every evaluation loop
+/// — including maps short enough to run serially; `pool.steals` counts the
+/// blocks those maps rebalanced.
 pub const STANDARD_COUNTERS: &[&str] = &[
     "cache.hits",
     "cache.misses",

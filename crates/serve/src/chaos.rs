@@ -21,17 +21,7 @@
 //! `RHMD_SERVE_FAULTS="score_panic:0.05,score_nan:0.05,seed:7"`.
 
 use rhmd_core::RhmdError;
-
-/// splitmix64: the workspace-standard seed mixer (matches
-/// `rhmd_bench::par` and `rhmd_ml::quant`).
-#[must_use]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use rhmd_trace::seed::splitmix64;
 
 /// FNV-1a over `bytes`, folded through splitmix64 with `seed` and `salt` —
 /// the deterministic coin every fault decision is derived from.

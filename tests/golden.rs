@@ -14,9 +14,9 @@
 //! and review the diff of `tests/golden_expected.json` like any other code
 //! change.
 
-use rhmd_bench::par::{Evaluator, Pool};
 use rhmd_bench::Experiment;
 use rhmd_core::detector::{Detector, StreamRng};
+use rhmd_core::engine::Evaluator;
 use rhmd_core::hmd::Hmd;
 use rhmd_core::rhmd::{build_pool, pool_specs};
 use rhmd_core::verdict::VerdictPolicy;
@@ -25,6 +25,7 @@ use rhmd_features::vector::FeatureKind;
 use rhmd_ml::metrics::auc;
 use rhmd_ml::model::score_all;
 use rhmd_ml::trainer::Algorithm;
+use rhmd_runtime::pool::Pool;
 use rhmd_uarch::faults::FaultConfig;
 use serde::{Deserialize, Serialize};
 
