@@ -136,8 +136,10 @@ fn main() {
     let exit = match run(raw) {
         Ok(()) => 0,
         Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("\n{USAGE}");
+            // A closed stderr (`rhmd frobnicate 2>&1 | head -c0`) must not
+            // turn the usage error into a panic: the exit code is still 2.
+            let text = format!("error: {message}\n\n{USAGE}");
+            let _ = rhmd_runtime::write_help(&mut std::io::stderr().lock(), &text);
             2
         }
     };

@@ -6,7 +6,7 @@
 //! full path: argument parsing, flag validation order, error rendering,
 //! and the process exit code.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn rhmd(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rhmd"))
@@ -197,5 +197,23 @@ fn help_exits_0_with_usage_on_stdout() {
         assert!(stdout.starts_with("rhmd — evasion-resilient"), "{stdout}");
         assert!(stdout.contains("USAGE: rhmd <command>"), "{stdout}");
         assert!(stderr.is_empty(), "`rhmd {}`; stderr:\n{stderr}", args.join(" "));
+    }
+}
+
+/// A usage error whose stderr reader has already gone still exits 2: the
+/// `error:` line and the usage are written through a writer that takes a
+/// closed pipe as done, not a panic.
+#[test]
+fn usage_error_into_a_closed_stderr_exits_2() {
+    for _ in 0..5 {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_rhmd"))
+            .arg("frobnicate")
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn rhmd binary");
+        drop(child.stderr.take());
+        let status = child.wait().expect("wait for rhmd");
+        assert_eq!(status.code(), Some(2), "{status}");
     }
 }

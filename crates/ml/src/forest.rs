@@ -6,6 +6,7 @@ use crate::model::{Classifier, Dataset};
 use crate::tree::{DecisionTree, Presorted, TreeConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use rhmd_runtime::pool::Pool;
 use serde::{Deserialize, Serialize};
 
 /// Training hyperparameters for [`RandomForest`].
@@ -61,30 +62,38 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Trains `config.trees` CART trees on bootstrap resamples.
+    /// Trains `config.trees` CART trees on bootstrap resamples, grown in
+    /// parallel on every available core. The forest does not depend on the
+    /// core count.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty or `config.trees` is zero.
     pub fn fit(config: &ForestConfig, data: &Dataset) -> RandomForest {
+        RandomForest::fit_on(&Pool::available(), config, data)
+    }
+
+    /// [`RandomForest::fit`] with the trees grown on `pool`. Every tree's
+    /// bootstrap draws come first, in tree order from the one generator, so
+    /// each tree sees the same resample whichever worker grows it.
+    pub(crate) fn fit_on(pool: &Pool, config: &ForestConfig, data: &Dataset) -> RandomForest {
         assert!(!data.is_empty(), "cannot train on an empty dataset");
         assert!(config.trees > 0, "forest needs at least one tree");
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let n = data.len();
-        let presorted = Presorted::new(data);
-        let mut counts = vec![0u32; n];
-        let trees = (0..config.trees)
+        let draws: Vec<Vec<u32>> = (0..config.trees)
             .map(|_| {
-                counts.fill(0);
+                let mut counts = vec![0u32; n];
                 for _ in 0..n {
                     counts[rng.gen_range(0..n)] += 1;
                 }
-                DecisionTree::fit_presorted(
-                    &config.tree,
-                    presorted.resample(&counts, data.labels()),
-                )
+                counts
             })
             .collect();
+        let presorted = Presorted::new(data);
+        let trees = pool.map(&draws, |_, counts| {
+            DecisionTree::fit_presorted(&config.tree, presorted.resample(counts, data.labels()))
+        });
         RandomForest::calibrated(trees, data)
     }
 

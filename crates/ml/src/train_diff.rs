@@ -3,6 +3,8 @@
 //! they replaced (per-node-sort CART, row-copying forest, per-unit SGD).
 //! Every `f64` of every model is compared by `to_bits`, since the derived
 //! `PartialEq` takes `-0.0 == 0.0`. `PROPTEST_CASES` deepens the search.
+//! Each forest is grown on pools of 1–4 workers, since `RandomForest::fit`
+//! grows its trees on every available core.
 //!
 //! The MLP cases run [`Mlp::fit`] and every compiled instance of its SGD
 //! step (portable, and AVX2 where the CPU has it), whatever the `simd`
@@ -20,6 +22,7 @@ use crate::tree::{DecisionTree, TreeConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use rhmd_runtime::pool::Pool;
 
 /// Values for tie-heavy columns. A column draws from the first 3–5, so
 /// `-0.0` and `0.0` (equal under `==`, ordered by `total_cmp`) always mix.
@@ -119,9 +122,44 @@ fn tree_case() -> impl Strategy<Value = (TreeConfig, Dataset)> {
         })
 }
 
+/// A forest config of 1–9 trees (so both fewer and more trees than the
+/// 1–4 pool workers) over one of three kinds of set: a [`tree_case`] set;
+/// a tiny set of 1–4 rows, where a bootstrap draws one row many times over
+/// and may leave the rest out; or a set of up to 160 rows whose columns
+/// hold 3–4 distinct values, so most boundaries are ties.
 fn forest_case() -> impl Strategy<Value = (ForestConfig, Dataset)> {
-    (tree_case(), 1u32..=4, any::<u64>())
+    let kinds = (
+        tree_case(),
+        0u8..3,
+        1usize..=4,
+        24usize..=160,
+        3usize..=4,
+        any::<u64>(),
+    );
+    let data = kinds.prop_map(
+        |((config, data), kind, tiny, tied, levels, seed)| match kind {
+            0 => (config, data),
+            1 => (config, two_class(tiny, 0, seed)),
+            _ => (config, two_class(tied, levels, seed)),
+        },
+    );
+    (data, 1u32..=9, any::<u64>())
         .prop_map(|((tree, data), trees, seed)| (ForestConfig { trees, tree, seed }, data))
+}
+
+/// A two-class set of `rows` rows and 1–4 dims, seeded by `seed`: `levels`
+/// distinct values per column, or continuous values for 0.
+fn two_class(rows: usize, levels: usize, seed: u64) -> Dataset {
+    Shape {
+        dims: (seed % 4) as usize + 1,
+        rows,
+        levels,
+        single_class: false,
+        duplicate_rows: false,
+        duplicate_column: false,
+        seed,
+    }
+    .build()
 }
 
 /// MLP configs with the paper's width (`hidden = dims`, drawn as 0) or a
@@ -237,10 +275,15 @@ proptest! {
 
     #[test]
     fn presorted_forest_matches_reference((config, data) in forest_case()) {
-        prop_assert_eq!(
-            RandomForest::fit(&config, &data).to_bits(),
-            RandomForest::fit_reference(&config, &data).to_bits()
-        );
+        let reference = RandomForest::fit_reference(&config, &data).to_bits();
+        for threads in 1..=4 {
+            prop_assert_eq!(
+                &RandomForest::fit_on(&Pool::new(threads), &config, &data).to_bits(),
+                &reference,
+                "forest grown on {} worker(s) differs from the reference",
+                threads
+            );
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl DecisionTree {
     /// [`crate::forest::RandomForest`] trains on bootstrap resamples of
     /// one presorted dataset.
     pub(crate) fn fit_presorted(config: &TreeConfig, rows: Presorted) -> DecisionTree {
-        let (len, positives) = (rows.len, rows.positives);
+        let (len, weight, positives) = (rows.len, rows.weight, rows.positives);
         let mut grower = Grower {
             config,
             goes_left: vec![false; rows.source_rows],
@@ -86,7 +86,7 @@ impl DecisionTree {
             depth: 0,
             leaves: 0,
         };
-        let root = grower.grow(0, len, positives, 0);
+        let root = grower.grow(0, len, weight, positives, 0);
         DecisionTree {
             root,
             depth: grower.depth,
@@ -329,12 +329,16 @@ fn split_threshold(lo: f64, hi: f64) -> f64 {
     }
 }
 
-/// One row's value in one feature's sorted order, with the row's label
-/// carried along so the Gini scan reads a single sequential stream.
+/// One row's value in one feature's sorted order, with the row's label and
+/// draw count carried along so the Gini scan reads a single sequential
+/// stream.
 #[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     value: f64,
     row: u32,
+    /// Times the row was drawn: 1 in a plain training set, its bootstrap
+    /// count in a resample. Never 0.
+    count: u32,
     label: bool,
 }
 
@@ -343,15 +347,23 @@ struct Entry {
 /// same index range of every run, and splitting a node stable-partitions
 /// each run so it stays sorted down the tree — no node ever sorts again.
 ///
+/// A bootstrap resample keeps one entry per drawn row, weighted by its
+/// draw count, instead of one entry per draw. The grown tree is the one the
+/// expanded resample grows: copies of a row share its value, so the scan
+/// skipped every boundary between them, and each boundary it does score
+/// sees the same integer row and malware counts on either side.
+///
 /// The order among tied values is arbitrary, and that is why the grown
 /// tree does not depend on it: the Gini scan scores only boundaries between
 /// *distinct* values, where the left side is exactly "every row below the
 /// boundary" whatever order its ties came in.
 #[derive(Debug)]
 pub(crate) struct Presorted {
-    /// Entries per run (bootstrap duplicates included).
+    /// Entries per run: one per distinct row.
     len: usize,
-    /// Malware rows among them.
+    /// Rows they stand for, bootstrap draws counted: the sum of the counts.
+    weight: usize,
+    /// Malware rows among them, draws counted.
     positives: usize,
     /// Rows of the source dataset, which `Entry::row` indexes.
     source_rows: usize,
@@ -369,6 +381,7 @@ impl Presorted {
                 entries[f * n + r] = Entry {
                     value,
                     row: r as u32,
+                    count: 1,
                     label,
                 };
             }
@@ -380,30 +393,38 @@ impl Presorted {
         }
         Presorted {
             len: n,
+            weight: n,
             positives: data.positives(),
             source_rows: n,
             entries,
         }
     }
 
-    /// The bootstrap resample holding source row `r` `counts[r]` times,
-    /// sorted by expanding each entry in place instead of sorting again.
-    /// `labels` are the source rows' labels.
+    /// The bootstrap resample holding source row `r` `counts[r]` times:
+    /// this set's entries of the rows drawn at least once, each weighted by
+    /// its count, so every run stays sorted without sorting again. `labels`
+    /// are the source rows' labels.
     pub(crate) fn resample(&self, counts: &[u32], labels: &[bool]) -> Presorted {
         debug_assert_eq!(counts.len(), self.source_rows);
-        let len = counts.iter().map(|&c| c as usize).sum();
-        let mut entries = Vec::with_capacity(self.entries.len());
+        let len = counts.iter().filter(|&&c| c > 0).count();
+        let mut entries = Vec::with_capacity(len * (self.entries.len() / self.len.max(1)));
         for e in &self.entries {
-            entries.extend(std::iter::repeat_n(*e, counts[e.row as usize] as usize));
+            let count = counts[e.row as usize];
+            if count > 0 {
+                entries.push(Entry { count, ..*e });
+            }
+        }
+        let (mut weight, mut positives) = (0, 0);
+        for (&c, &label) in counts.iter().zip(labels) {
+            weight += c as usize;
+            if label {
+                positives += c as usize;
+            }
         }
         Presorted {
             len,
-            positives: counts
-                .iter()
-                .zip(labels)
-                .filter(|(_, &label)| label)
-                .map(|(&c, _)| c as usize)
-                .sum(),
+            weight,
+            positives,
             source_rows: self.source_rows,
             entries,
         }
@@ -415,8 +436,10 @@ struct Split {
     impurity: f64,
     feature: usize,
     threshold: f64,
-    /// Rows (and malware rows) that go left: the sorted prefix of
-    /// `feature`'s run.
+    /// First entry of the right side: entries `lo..mid` of `feature`'s run
+    /// go left.
+    mid: usize,
+    /// Rows (and malware rows) that go left, draws counted.
     left_n: usize,
     left_pos: usize,
 }
@@ -435,24 +458,25 @@ struct Grower<'a> {
 }
 
 impl Grower<'_> {
-    /// Grows the node owning entries `lo..hi` of every run, `pos` of them
-    /// malware.
-    fn grow(&mut self, lo: usize, hi: usize, pos: usize, depth: u32) -> Node {
+    /// Grows the node owning entries `lo..hi` of every run, which stand for
+    /// `n` rows, `pos` of them malware. `min_split`, `min_leaf` and the
+    /// impurities count rows, not entries.
+    fn grow(&mut self, lo: usize, hi: usize, n: usize, pos: usize, depth: u32) -> Node {
         self.depth = self.depth.max(depth);
-        let total = (hi - lo) as f64;
+        let total = n as f64;
         let node_gini = gini(pos as f64, total);
-        if depth >= self.config.max_depth || hi - lo < self.config.min_split || node_gini == 0.0 {
+        if depth >= self.config.max_depth || n < self.config.min_split || node_gini == 0.0 {
             return self.leaf(pos, total);
         }
-        match self.best_split(lo, hi, pos as f64, total) {
+        match self.best_split(lo, hi, n, pos) {
             Some(split) if split.impurity < node_gini - 1e-12 => {
-                let mid = lo + split.left_n;
+                let (mid, left_n, left_pos) = (split.mid, split.left_n, split.left_pos);
                 self.partition(lo, hi, mid, split.feature);
                 Node::Split {
                     feature: split.feature,
                     threshold: split.threshold,
-                    left: Box::new(self.grow(lo, mid, split.left_pos, depth + 1)),
-                    right: Box::new(self.grow(mid, hi, pos - split.left_pos, depth + 1)),
+                    left: Box::new(self.grow(lo, mid, left_n, left_pos, depth + 1)),
+                    right: Box::new(self.grow(mid, hi, n - left_n, pos - left_pos, depth + 1)),
                 }
             }
             _ => self.leaf(pos, total),
@@ -467,33 +491,39 @@ impl Grower<'_> {
         }
     }
 
-    /// The lowest-impurity split of entries `lo..hi`, candidates visited in
-    /// (feature, boundary) order with the first of equal impurities kept.
-    fn best_split(&self, lo: usize, hi: usize, pos: f64, total: f64) -> Option<Split> {
+    /// The lowest-impurity split of entries `lo..hi` (`n` rows, `pos`
+    /// malware), candidates visited in (feature, boundary) order with the
+    /// first of equal impurities kept.
+    fn best_split(&self, lo: usize, hi: usize, n: usize, pos: usize) -> Option<Split> {
         let min_leaf = self.config.min_leaf;
+        let (pos_f, total) = (pos as f64, n as f64);
         let mut best: Option<Split> = None;
         for (feature, column) in self.rows.entries.chunks_exact(self.rows.len).enumerate() {
-            let mut left_pos = 0.0;
+            let (mut left_n, mut left_pos) = (0usize, 0usize);
             for (k, pair) in column[lo..hi].windows(2).enumerate() {
+                let count = pair[0].count as usize;
+                left_n += count;
                 if pair[0].label {
-                    left_pos += 1.0;
+                    left_pos += count;
                 }
-                let left_n = (k + 1) as f64;
-                let right_n = total - left_n;
+                let right_n = n - left_n;
                 let (a, b) = (pair[0].value, pair[1].value);
-                if a == b || (k + 1) < min_leaf || (right_n as usize) < min_leaf {
+                if a == b || left_n < min_leaf || right_n < min_leaf {
                     continue;
                 }
-                let right_pos = pos - left_pos;
-                let weighted =
-                    (left_n * gini(left_pos, left_n) + right_n * gini(right_pos, right_n)) / total;
+                let (left_f, right_f) = (left_n as f64, right_n as f64);
+                let left_pos_f = left_pos as f64;
+                let weighted = (left_f * gini(left_pos_f, left_f)
+                    + right_f * gini(pos_f - left_pos_f, right_f))
+                    / total;
                 if best.as_ref().is_none_or(|b| weighted < b.impurity) {
                     best = Some(Split {
                         impurity: weighted,
                         feature,
                         threshold: split_threshold(a, b),
-                        left_n: k + 1,
-                        left_pos: left_pos as usize,
+                        mid: lo + k + 1,
+                        left_n,
+                        left_pos,
                     });
                 }
             }
@@ -772,6 +802,29 @@ mod tests {
     fn threshold_near_f64_max_does_not_overflow() {
         // 1e308 + 1.5e308 overflows to +inf.
         assert_splits_cleanly(1e308, 1.5e308);
+    }
+
+    #[test]
+    fn resample_weights_rows_drawn_past_u16_max() {
+        // Row 0 drawn 70,000 times: its count does not fit in a u16.
+        let data = Dataset::from_flat(1, vec![0.0, 1.0, 2.0], vec![false, true, false]);
+        let counts = [70_000, 1, 2];
+        let config = TreeConfig {
+            max_depth: 4,
+            min_split: 2,
+            min_leaf: 1,
+        };
+        let resample = Presorted::new(&data).resample(&counts, data.labels());
+        let weighted = DecisionTree::fit_presorted(&config, resample);
+        let mut expanded = Dataset::new(1);
+        for (r, &c) in counts.iter().enumerate() {
+            for _ in 0..c {
+                expanded.push_row(data.row(r), data.labels()[r]);
+            }
+        }
+        let reference = DecisionTree::fit_reference(&config, &expanded);
+        assert_eq!(weighted.to_bits(), reference.to_bits());
+        assert_eq!(weighted.leaves(), 3);
     }
 
     #[test]

@@ -21,9 +21,9 @@ use std::sync::Arc;
 /// retries, or fault events — consumers still find the keys).
 ///
 /// `pool.maps` counts every parallel map — tracing, the corpus store's
-/// hashing and chunk maps, the evasion re-traces and every evaluation loop
-/// — including maps short enough to run serially; `pool.steals` counts the
-/// blocks those maps rebalanced.
+/// hashing and chunk maps, the evasion re-traces, every evaluation loop and
+/// each random forest's trees — including maps short enough to run
+/// serially; `pool.steals` counts the blocks those maps rebalanced.
 pub const STANDARD_COUNTERS: &[&str] = &[
     "cache.hits",
     "cache.misses",

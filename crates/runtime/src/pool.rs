@@ -1,6 +1,7 @@
 //! The one parallel map of the workspace: tracing, the corpus store, the
-//! evasion re-traces and the evaluation engine (`rhmd_core::engine`) all
-//! run on [`Pool`], optionally under a per-unit deadline watchdog.
+//! evasion re-traces, the evaluation engine (`rhmd_core::engine`) and the
+//! random forest's trees (`rhmd_ml::forest`) all run on [`Pool`],
+//! optionally under a per-unit deadline watchdog.
 //!
 //! The pool itself is a scoped-thread work-stealing scheduler: items are
 //! pre-split into one contiguous block per worker, a worker drains its own
