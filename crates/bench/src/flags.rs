@@ -118,7 +118,7 @@ pub fn parse(binary: &str, raw: impl IntoIterator<Item = String>) -> Result<BinO
 
 /// Answers `--help`: writes `text` to stdout through [`write_help`] and
 /// exits 0, or 1 if stdout fails for a reason other than a closed pipe.
-pub fn print_help_and_exit(text: &str) -> ! {
+fn print_help_and_exit(text: &str) -> ! {
     std::process::exit(i32::from(write_help(&mut io::stdout().lock(), text).is_err()))
 }
 

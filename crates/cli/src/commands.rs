@@ -1047,11 +1047,13 @@ pub fn serve(args: &Args) -> Result<(), RhmdError> {
     let model_path = args.get("model").ok_or_else(|| {
         RhmdError::config("serve needs --model <path> (train one with: rhmd train --out model.json)")
     })?;
-    let metrics = parse_metrics(args);
-    metrics.install();
-    let hmd = load_hmd(Path::new(model_path))?;
+    // Validate every flag before the model loads so a typo fails first.
     let pool = parse_pool(args)?;
     let capacity: usize = args.parse_or("queue-cap", 4096)?;
+    let tenant_deadline: u64 = args.parse_or("tenant-deadline", 120)?;
+    if tenant_deadline == 0 {
+        return Err(RhmdError::parse("--tenant-deadline", "must be at least 1 second"));
+    }
     let config = rhmd_serve::ServeConfig {
         shards: pool.threads(),
         queue: rhmd_serve::queue::Watermarks {
@@ -1071,9 +1073,7 @@ pub fn serve(args: &Args) -> Result<(), RhmdError> {
                 .unwrap_or(WatchdogConfig::from_secs(30))
                 .deadline,
         ),
-        tenant_deadline: Some(std::time::Duration::from_secs(
-            args.parse_or("tenant-deadline", 120u64)?.max(1),
-        )),
+        tenant_deadline: Some(std::time::Duration::from_secs(tenant_deadline)),
         min_fill: args.parse_or("min-fill", 1.0)?,
         min_coverage: args.parse_or("min-coverage", 0.0)?,
         snapshot_every: std::time::Duration::from_millis(
@@ -1086,6 +1086,10 @@ pub fn serve(args: &Args) -> Result<(), RhmdError> {
         read_stall: std::time::Duration::from_secs(args.parse_or("read-stall-secs", 5u64)?),
         write_timeout: std::time::Duration::from_secs(args.parse_or("write-timeout-secs", 2u64)?),
     };
+    config.validate()?;
+    let metrics = parse_metrics(args);
+    metrics.install();
+    let hmd = load_hmd(Path::new(model_path))?;
     // `Engine::start` reads RHMD_SERVE_FAULTS: the daemon's injectable
     // fault plane for chaos drills stays env-gated, off by default.
     let engine = rhmd_serve::engine::Engine::start(hmd, config)?;

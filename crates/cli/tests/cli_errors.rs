@@ -137,6 +137,15 @@ fn wrong_shape_model_file_exits_2() {
     std::fs::remove_file(&path).ok();
 }
 
+// serve validates its flags before the model file is opened.
+
+#[test]
+fn zero_tenant_deadline_exits_2_before_the_model_loads() {
+    let stderr = expect_failure(&["serve", "--model", "missing.json", "--tenant-deadline", "0"]);
+    assert!(stderr.contains("cannot parse --tenant-deadline"), "{stderr}");
+    assert!(stderr.contains("at least 1 second"), "{stderr}");
+}
+
 // --threads is validated before tracing starts in every command that
 // builds a workbench.
 

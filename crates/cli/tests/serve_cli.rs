@@ -1,6 +1,7 @@
 //! End-to-end tests of the `rhmd serve` subcommand: the real binary, the
 //! real NDJSON protocol, a real model file — over stdin/stdout and over a
-//! Unix socket with a SIGTERM mid-stream.
+//! Unix socket with a SIGTERM mid-stream, also under the daemon's env
+//! fault plane with hostile clients attached.
 
 use rhmd_data::{Corpus, CorpusConfig, TracedCorpus};
 use rhmd_serve::proto::{Request, Response};
@@ -58,6 +59,35 @@ fn session_lines(traced: &TracedCorpus, program: usize, tenant: &str, session: &
         .unwrap(),
     );
     lines
+}
+
+/// Connects to the daemon's socket, waiting up to 5 s for it to bind.
+#[cfg(unix)]
+fn connect_when_bound(sock: &std::path::Path) -> std::os::unix::net::UnixStream {
+    for _ in 0..200 {
+        if let Ok(s) = std::os::unix::net::UnixStream::connect(sock) {
+            return s;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    panic!("serve never bound {}", sock.display());
+}
+
+/// `.counters[key]` of a `--metrics` snapshot file.
+#[cfg(unix)]
+fn counter(metrics: &std::path::Path, key: &str) -> u64 {
+    struct Raw(serde::Value);
+    impl serde::Deserialize for Raw {
+        fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+            Ok(Raw(value.clone()))
+        }
+    }
+    let text = std::fs::read_to_string(metrics).unwrap();
+    let snap = serde_json::from_str::<Raw>(&text).expect("snapshot is valid JSON").0;
+    match snap.field("counters").and_then(|c| c.field(key)) {
+        Ok(serde::Value::U64(n)) => *n,
+        other => panic!("counter {key}: {other:?}"),
+    }
 }
 
 fn tiny_traced() -> TracedCorpus {
@@ -126,7 +156,6 @@ fn stdio_session_gets_verdict_and_clean_drain_on_eof() {
 #[test]
 fn sigterm_mid_stream_drains_gracefully_over_the_socket() {
     use std::io::{BufRead, BufReader};
-    use std::os::unix::net::UnixStream;
     use std::time::Duration;
 
     let dir = scratch("sigterm");
@@ -146,19 +175,7 @@ fn sigterm_mid_stream_drains_gracefully_over_the_socket() {
         .stderr(Stdio::null())
         .spawn()
         .unwrap();
-    let mut stream = {
-        let mut tries = 0;
-        loop {
-            match UnixStream::connect(&sock) {
-                Ok(s) => break s,
-                Err(_) if tries < 200 => {
-                    tries += 1;
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => panic!("serve never bound {}: {e}", sock.display()),
-            }
-        }
-    };
+    let mut stream = connect_when_bound(&sock);
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
 
     // One complete session, then a second session left mid-stream when the
@@ -217,6 +234,7 @@ fn sigterm_mid_stream_drains_gracefully_over_the_socket() {
     let cut = verdicts.iter().find(|(s, _)| s == "cut").unwrap();
     assert_eq!(cut.1, "abstain", "the mid-stream session abstains loudly");
     assert!(metrics.is_file(), "metrics snapshot flushed during shutdown");
+    assert!(counter(&metrics, "serve.conns.accepted") >= 1);
     assert!(!sock.exists(), "socket file removed on exit");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -229,7 +247,6 @@ fn sigterm_mid_stream_drains_gracefully_over_the_socket() {
 #[test]
 fn repeated_signals_coalesce_into_one_clean_drain() {
     use std::io::{BufRead, BufReader};
-    use std::os::unix::net::UnixStream;
     use std::time::Duration;
 
     let dir = scratch("double-signal");
@@ -247,19 +264,7 @@ fn repeated_signals_coalesce_into_one_clean_drain() {
         .spawn()
         .unwrap();
     let mut child = child;
-    let mut stream = {
-        let mut tries = 0;
-        loop {
-            match UnixStream::connect(&sock) {
-                Ok(s) => break s,
-                Err(_) if tries < 200 => {
-                    tries += 1;
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => panic!("serve never bound {}: {e}", sock.display()),
-            }
-        }
-    };
+    let mut stream = connect_when_bound(&sock);
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
 
     // A session left mid-stream so the signals land with real state to
@@ -307,5 +312,107 @@ fn repeated_signals_coalesce_into_one_clean_drain() {
     assert_eq!(drained, 1, "exactly one drain despite three signals");
     assert_eq!(verdicts, 1, "the mid-stream session is finalized exactly once");
     assert!(!sock.exists(), "socket file removed on exit");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The daemon's env fault plane under live socket traffic: the scorer is
+/// poisoned through `RHMD_SERVE_FAULTS`, a mid-frame disconnect and a
+/// slow-loris connection sit beside the healthy client, and that client's
+/// frames run the standard wire-fault mix. Every session still gets one
+/// verdict, the faults reach the boundaries they target, and SIGTERM still
+/// drains cleanly.
+#[cfg(unix)]
+#[test]
+fn env_fault_plane_and_hostile_clients_leave_the_daemon_draining_cleanly() {
+    use rhmd_serve::chaos::WireFaults;
+    use std::io::{BufRead, BufReader};
+    use std::os::unix::net::UnixStream;
+    use std::time::{Duration, Instant};
+
+    const SESSIONS: usize = 16;
+    let dir = scratch("chaos");
+    let model = train_model(&dir);
+    let metrics = dir.join("metrics.json");
+    let sock = dir.join("serve.sock");
+    let traced = tiny_traced();
+
+    let mut child = rhmd()
+        .args(["serve", "--model"])
+        .arg(&model)
+        .args(["--listen"])
+        .arg(&sock)
+        .args(["--read-stall-secs", "1", "--metrics"])
+        .arg(&metrics)
+        .env("RHMD_SERVE_FAULTS", "score_panic:0.2,score_nan:0.15,seed:7")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut stream = connect_when_bound(&sock);
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+
+    // A client that vanishes mid-frame, and a slow-loris that holds half a
+    // frame open for the rest of the run.
+    let mut vanish = UnixStream::connect(&sock).unwrap();
+    vanish.write_all(br#"{"Event":{"tenant":"t0","session":"vanish","#).unwrap();
+    vanish.shutdown(std::net::Shutdown::Both).unwrap();
+    let mut loris = UnixStream::connect(&sock).unwrap();
+    loris.write_all(br#"{"Event":{"tenant":"t0","session":"loris","#).unwrap();
+    loris.flush().unwrap();
+
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    let verdicts = std::sync::Mutex::new(Vec::new());
+    let drained = std::thread::scope(|scope| {
+        let collector = scope.spawn(|| {
+            for line in reader.lines() {
+                let Ok(line) = line else { break };
+                match serde_json::from_str::<Response>(&line).unwrap() {
+                    Response::Verdict(v) => verdicts.lock().unwrap().push(v.session),
+                    Response::Drained(stats) => return Some(stats),
+                    _ => {}
+                }
+            }
+            None
+        });
+        let wire = WireFaults::standard(7);
+        for k in 0..SESSIONS {
+            let session = format!("s{k}");
+            let lines = session_lines(&traced, k, "t0", &session);
+            let (events, end) = lines.split_at(lines.len() - 1);
+            for (seq, frame) in events.iter().enumerate() {
+                for line in wire.mutate(&session, seq as u64, frame, &events[0]) {
+                    writeln!(stream, "{line}").unwrap();
+                }
+            }
+            writeln!(stream, "{}", end[0]).unwrap();
+        }
+        stream.flush().unwrap();
+        let began = Instant::now();
+        while verdicts.lock().unwrap().len() < SESSIONS {
+            assert!(began.elapsed() < Duration::from_secs(30), "verdicts never arrived");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let kill = Command::new("kill")
+            .args(["-TERM", &child.id().to_string()])
+            .status()
+            .unwrap();
+        assert!(kill.success());
+        collector.join().unwrap()
+    });
+    let status = child.wait().unwrap();
+    drop(loris);
+    assert!(status.success(), "the daemon drains to exit 0 under chaos");
+    assert!(!sock.exists(), "socket file removed on exit");
+
+    let stats = drained.expect("drained notice reaches the client");
+    assert!(stats.accounted(), "identity under chaos: {stats:?}");
+    assert_eq!(stats.offered_sessions, SESSIONS as u64, "{stats:?}");
+    let mut sessions = verdicts.into_inner().unwrap();
+    sessions.sort_unstable();
+    sessions.dedup();
+    assert_eq!(sessions.len(), SESSIONS, "one verdict per session");
+    // The hostile traffic reached the boundaries it targets.
+    assert!(counter(&metrics, "serve.requests.malformed") >= 1);
+    assert!(counter(&metrics, "serve.sessions.quarantined") >= 1);
     std::fs::remove_dir_all(&dir).ok();
 }

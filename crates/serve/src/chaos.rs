@@ -6,11 +6,11 @@
 //! batching, sharding, or timing:
 //!
 //! * [`EngineFaults`] — server-side faults, read from the
-//!   `RHMD_SERVE_FAULTS` environment variable by `rhmd serve` (and
-//!   `loadgen --chaos`). They perturb the scoring hot path itself —
-//!   injected panics and non-finite scores — to exercise the poison-pill
-//!   quarantine boundary in [`crate::engine`].
-//! * [`WireFaults`] — client-side faults, applied by `loadgen --chaos` to
+//!   `RHMD_SERVE_FAULTS` environment variable by `rhmd serve` (or passed
+//!   to [`crate::engine::Engine::start_with_faults`]). They perturb the
+//!   scoring hot path itself — injected panics and non-finite scores — to
+//!   exercise the poison-pill quarantine boundary in [`crate::engine`].
+//! * [`WireFaults`] — client-side faults, applied by the chaos suites to
 //!   the NDJSON frame stream before it reaches the parser: malformed and
 //!   truncated frames, oversized payloads, duplicate and stale sequence
 //!   numbers, and counter values no real PMU could produce. The parser and
@@ -198,8 +198,8 @@ impl Default for WireFaults {
 }
 
 impl WireFaults {
-    /// The `loadgen --chaos` default: half the sessions targeted, every
-    /// fault kind enabled at a visible rate.
+    /// The chaos suites' mix: half the sessions targeted, every fault kind
+    /// enabled at a visible rate.
     #[must_use]
     pub fn standard(seed: u64) -> WireFaults {
         WireFaults {

@@ -172,7 +172,7 @@ struct ShardHandle {
 }
 
 /// The resident serving engine. One per `rhmd serve` process (or embedded
-/// in-process by `loadgen`).
+/// in-process by the serve test suites and the performance ledger).
 pub struct Engine {
     shards: Arc<Vec<ShardHandle>>,
     workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
@@ -232,8 +232,9 @@ impl Engine {
     }
 
     /// [`Engine::start`] with an explicit fault plane (ignores the
-    /// environment) — what `loadgen` uses to keep its clean baseline
-    /// points clean while chaos points inject.
+    /// environment), so a clean run stays clean whatever
+    /// `RHMD_SERVE_FAULTS` says while a chaos run injects exactly the
+    /// faults it names.
     ///
     /// # Errors
     ///
@@ -345,7 +346,7 @@ impl Engine {
 
     /// Wall-clock nanoseconds of each completed shard recovery
     /// (death detection through restored worker running, backoff
-    /// included) — the chaos benchmark's recovery-latency sample set.
+    /// included) — the samples behind the chaos suite's recovery p99.
     pub fn recoveries_ns(&self) -> Vec<u64> {
         lock(&self.recovery_ns).clone()
     }
@@ -1460,6 +1461,7 @@ mod tests {
     use rhmd_features::vector::{FeatureKind, FeatureSpec};
     use rhmd_ml::trainer::{Algorithm, TrainerConfig};
     use rhmd_uarch::CoreConfig;
+    use std::sync::atomic::AtomicUsize;
 
     fn fixture() -> (TracedCorpus, Splits, Hmd) {
         let config = CorpusConfig::tiny();
@@ -1502,51 +1504,6 @@ mod tests {
             }
         }
         Ok(verdicts)
-    }
-
-    #[test]
-    fn replay_matches_batch_evaluation() {
-        let (traced, splits, hmd) = fixture();
-        for shards in [1, 3] {
-            let engine = Engine::start_with_faults(
-                hmd.clone(),
-                ServeConfig {
-                    shards,
-                    session_deadline: None,
-                    tenant_deadline: None,
-                    ..ServeConfig::default()
-                },
-                EngineFaults::default(),
-            )
-            .unwrap();
-            let out = engine.output();
-            let programs: Vec<usize> = splits.attacker_test.iter().copied().take(6).collect();
-            for &i in &programs {
-                let session = format!("p{i}");
-                for (seq, sub) in traced.subwindows(i).iter().enumerate() {
-                    engine.submit_event(0, "t0", &session, seq as u64, Box::new(sub.clone()), None);
-                }
-                engine.submit_end(0, "t0", &session);
-            }
-            let verdicts = collect_verdicts(&out, programs.len()).unwrap();
-            for &i in &programs {
-                let batch = hmd.verdict(traced.subwindows(i));
-                let served = &verdicts[&("t0".to_string(), format!("p{i}"))];
-                if batch.total == 0 {
-                    assert_eq!(served.verdict, "abstain", "program {i}");
-                } else {
-                    let expected = if batch.is_malware() { "malware" } else { "benign" };
-                    assert_eq!(served.verdict, expected, "program {i} at {shards} shards");
-                    assert_eq!(served.voted, batch.total, "program {i}");
-                    assert!((served.flag_rate - batch.flag_rate()).abs() < 1e-12);
-                }
-            }
-            let stats = engine.drain();
-            assert!(stats.accounted(), "{stats:?}");
-            assert_eq!(stats.offered_sessions, programs.len() as u64);
-            assert_eq!(stats.shed_sessions, 0);
-            assert_eq!(stats.quarantined, 0);
-        }
     }
 
     #[test]
@@ -1628,6 +1585,102 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), verdicts.len());
+    }
+
+    /// Four unpaced senders flood the shards through queues shaped like a
+    /// sweep point past saturation: every offered session still gets
+    /// exactly one verdict line, the identity closes, and the sessions that
+    /// were served see their verdict within a bounded p99.
+    #[test]
+    fn concurrent_flood_answers_every_session_once_with_bounded_p99() {
+        let (traced, splits, hmd) = fixture();
+        let test = &splits.attacker_test;
+        let events: usize = test.iter().map(|&i| traced.subwindows(i).len()).sum();
+        let capacity = (8 * events / test.len()).clamp(512, 1 << 15);
+        let engine = Engine::start_with_faults(
+            hmd,
+            ServeConfig {
+                shards: std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get),
+                queue: crate::queue::Watermarks {
+                    capacity,
+                    high: capacity * 3 / 4,
+                    low: capacity / 4,
+                },
+                output: crate::queue::Watermarks {
+                    capacity: 1 << 16,
+                    high: 1 << 16,
+                    low: 0,
+                },
+                session_deadline: None,
+                tenant_deadline: None,
+                ..ServeConfig::default()
+            },
+            EngineFaults::default(),
+        )
+        .unwrap();
+        let out = engine.output();
+        let sessions = (8 * test.len()).clamp(64, 512);
+        let next = AtomicUsize::new(0);
+        let ends: Mutex<HashMap<String, Instant>> = Mutex::new(HashMap::new());
+        let (stats, verdicts, mut served_ms) = std::thread::scope(|scope| {
+            let collector = scope.spawn(|| {
+                let mut verdicts: Vec<VerdictMsg> = Vec::new();
+                let mut served_ms: Vec<f64> = Vec::new();
+                while let Some(ev) = out.pop() {
+                    match ev {
+                        OutEvent::Response {
+                            response: Response::Verdict(v),
+                            ..
+                        } => {
+                            let end = lock(&ends).remove(&v.session);
+                            if let (Some(at), false) = (end, v.reason.as_deref() == Some("shed")) {
+                                served_ms.push(at.elapsed().as_secs_f64() * 1e3);
+                            }
+                            verdicts.push(v);
+                        }
+                        OutEvent::Response { .. } => {}
+                        OutEvent::Closed => break,
+                    }
+                }
+                (verdicts, served_ms)
+            });
+            let senders: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        if k >= sessions {
+                            break;
+                        }
+                        let tenant = if k.is_multiple_of(2) { "t0" } else { "t1" };
+                        let session = format!("s{k}");
+                        let subs = traced.subwindows(test[k % test.len()]);
+                        for (seq, sub) in subs.iter().enumerate() {
+                            let window = Box::new(sub.clone());
+                            engine.submit_event(0, tenant, &session, seq as u64, window, None);
+                        }
+                        lock(&ends).insert(session.clone(), Instant::now());
+                        engine.submit_end(0, tenant, &session);
+                    })
+                })
+                .collect();
+            for sender in senders {
+                sender.join().unwrap();
+            }
+            let stats = engine.drain();
+            let (verdicts, served_ms) = collector.join().unwrap();
+            (stats, verdicts, served_ms)
+        });
+        assert!(stats.accounted(), "{stats:?}");
+        assert_eq!(stats.offered_sessions, sessions as u64, "{stats:?}");
+        assert_eq!(verdicts.len(), sessions, "exactly one verdict per offered session: {stats:?}");
+        let mut ids: Vec<&str> = verdicts.iter().map(|v| v.session.as_str()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), sessions, "a session got two verdicts");
+        assert!(!served_ms.is_empty(), "no session was served: {stats:?}");
+        served_ms.sort_by(f64::total_cmp);
+        let p99 = served_ms[((served_ms.len() - 1) as f64 * 0.99).round() as usize];
+        assert!(p99 < 1_000.0, "served end-to-verdict p99 {p99:.2} ms");
     }
 
     #[test]

@@ -1,49 +1,42 @@
 //! Bit-identity under chaos: streaming every test program through the
 //! full hostile-input pipeline (bounded frame reader → parser → validator
-//! → engine) with wire faults *and* injected scorer faults must leave
-//! every non-quarantined session's verdict exactly equal to the fault-free
-//! replay — same decision, same vote counts, same flag rate — while every
-//! quarantine-targeted session gets an explicit `abstain`/`quarantine`
-//! line and the four-term accounting identity stays closed.
+//! → engine) with wire faults, injected scorer faults *and* shard workers
+//! killed mid-session must leave every non-quarantined session's verdict
+//! exactly equal to the fault-free replay — same decision, same vote
+//! counts, same flag rate — while every quarantine-targeted session gets an
+//! explicit `abstain`/`quarantine` line, the four-term accounting identity
+//! stays closed, the engine never fails, and every killed shard is back
+//! within the recovery bound.
 
+mod common;
+
+use common::fixture;
 use rhmd_core::hmd::Hmd;
-use rhmd_data::{Corpus, CorpusConfig, Splits, TracedCorpus};
-use rhmd_features::vector::{FeatureKind, FeatureSpec};
-use rhmd_ml::trainer::{Algorithm, TrainerConfig};
+use rhmd_data::TracedCorpus;
 use rhmd_serve::chaos::{EngineFaults, WireFaults};
 use rhmd_serve::engine::{Engine, OutEvent};
 use rhmd_serve::proto::{parse_request, validate_request, Request, Response, VerdictMsg};
 use rhmd_serve::queue::Watermarks;
 use rhmd_serve::server::{read_frame, Frame};
 use rhmd_serve::ServeConfig;
-use rhmd_uarch::CoreConfig;
 use std::collections::HashMap;
 use std::sync::Mutex;
-
-fn fixture() -> (TracedCorpus, Splits, Hmd) {
-    let config = CorpusConfig::tiny();
-    let corpus = Corpus::build(&config);
-    let splits = Splits::new(&corpus, config.seed);
-    let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
-    let hmd = Hmd::train(
-        Algorithm::Lr,
-        FeatureSpec::new(FeatureKind::Architectural, 5_000, vec![]),
-        &TrainerConfig::default(),
-        &traced,
-        &splits.victim_train,
-    );
-    (traced, splits, hmd)
-}
+use std::time::{Duration, Instant};
 
 struct ChaosRun {
     verdicts: HashMap<String, VerdictMsg>,
     stats: rhmd_serve::proto::StatsMsg,
     rejected_frames: u64,
+    /// Shard workers killed mid-session.
+    kills: u64,
+    /// Kill-to-serving recovery of every restarted shard, nanoseconds.
+    recoveries_ns: Vec<u64>,
 }
 
 /// Streams every program through the wire pipeline. With `Some(faults)`,
-/// every session's frame stream is expanded by [`WireFaults::mutate`] and
-/// the engine injects scorer faults; with `None` the run is clean.
+/// every session's frame stream is expanded by [`WireFaults::mutate`], the
+/// engine injects scorer faults, and every third session has shard `k % 2`
+/// killed halfway through its stream; with `None` the run is clean.
 fn replay(
     traced: &TracedCorpus,
     test: &[usize],
@@ -73,6 +66,7 @@ fn replay(
     let out = engine.output();
     let verdicts = Mutex::new(HashMap::new());
     let mut rejected_frames = 0u64;
+    let mut kills = 0u64;
     let stats = std::thread::scope(|scope| {
         let collector = scope.spawn(|| {
             while let Some(ev) = out.pop() {
@@ -95,7 +89,8 @@ fn replay(
             // on the wire, with faults expanding each frame.
             let mut bytes: Vec<u8> = Vec::new();
             let mut first_frame = String::new();
-            for (seq, sub) in traced.subwindows(prog).iter().enumerate() {
+            let subs = traced.subwindows(prog);
+            for (seq, sub) in subs.iter().enumerate() {
                 let frame = serde_json::to_string(&Request::Event {
                     tenant: "t0".into(),
                     session: session.clone(),
@@ -119,6 +114,8 @@ fn replay(
             // Feed the stream through the real hostile-input pipeline.
             let mut input = std::io::Cursor::new(bytes);
             let mut partial = Vec::new();
+            let mut submitted = 0usize;
+            let mut kill_due = wire.is_some() && k % 3 == 1;
             loop {
                 match read_frame(&mut input, &mut partial) {
                     Frame::Line(line) => {
@@ -128,6 +125,7 @@ fn replay(
                         }) {
                             Ok(request) => {
                                 engine.submit(0, request);
+                                submitted += 1;
                             }
                             Err(_) => rejected_frames += 1,
                         }
@@ -136,6 +134,20 @@ fn replay(
                     Frame::Idle | Frame::Stalled => unreachable!("cursors never block"),
                     Frame::Eof { .. } => break,
                 }
+                // Mid-session shard kill: live sessions must survive the
+                // restart through the snapshot store.
+                if kill_due && submitted >= subs.len() / 2 && submitted > 0 {
+                    kill_due = false;
+                    assert!(engine.kill_shard(k % 2), "kill of shard {} not delivered", k % 2);
+                    kills += 1;
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    while (engine.recoveries_ns().len() as u64) < kills
+                        && !engine.failed()
+                        && Instant::now() < deadline
+                    {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
             }
             engine.submit_end(0, "t0", &session);
         }
@@ -143,6 +155,7 @@ fn replay(
         collector.join().unwrap();
         stats
     });
+    assert!(!engine.failed(), "engine failed: {:?}", engine.last_error());
     assert!(stats.accounted(), "identity violated: {stats:?}");
     assert_eq!(stats.offered_sessions, test.len() as u64);
     assert_eq!(stats.shed_sessions, 0, "replay must not shed");
@@ -150,6 +163,8 @@ fn replay(
         verdicts: verdicts.into_inner().unwrap(),
         stats,
         rejected_frames,
+        kills,
+        recoveries_ns: engine.recoveries_ns(),
     }
 }
 
@@ -190,4 +205,20 @@ fn chaos_changes_no_nonquarantined_verdict() {
     // Clean-run cross-check: quarantine only ever fires when injected.
     assert_eq!(clean.stats.quarantined, 0);
     assert_eq!(clean.rejected_frames, 0);
+
+    // Every killed shard was supervised back up, within the recovery bound.
+    assert!(chaotic.kills > 0, "no shard was killed");
+    assert!(
+        chaotic.stats.shard_restarts >= chaotic.kills,
+        "{} kills, {} restarts",
+        chaotic.kills,
+        chaotic.stats.shard_restarts
+    );
+    let mut recovery_ms: Vec<f64> =
+        chaotic.recoveries_ns.iter().map(|&ns| ns as f64 / 1e6).collect();
+    recovery_ms.sort_by(f64::total_cmp);
+    let p99 = recovery_ms[((recovery_ms.len() - 1) as f64 * 0.99).round() as usize];
+    assert!(p99 > 0.0 && p99 < 5_000.0, "recovery p99 {p99:.2} ms");
+    assert_eq!(clean.kills, 0);
+    assert_eq!(clean.stats.shard_restarts, 0);
 }

@@ -822,7 +822,8 @@ fn decoder_matches_tree_on_every_wire_fault() {
             assert_agree(&line);
         }
     }
-    // The loadgen mix, minus the (already covered) megabyte junk frame.
+    // The chaos suites' standard mix, minus the (already covered) megabyte
+    // junk frame.
     let standard = WireFaults {
         oversize: 0.0,
         ..WireFaults::standard(7)

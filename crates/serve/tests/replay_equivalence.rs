@@ -3,32 +3,17 @@
 //! shard counts, must produce exactly the verdict `rhmd evaluate` computes
 //! — same decision, same vote counts, same flag rate, at any parallelism.
 
+mod common;
+
+use common::fixture;
 use rhmd_core::hmd::Hmd;
-use rhmd_data::{Corpus, CorpusConfig, Splits, TracedCorpus};
-use rhmd_features::vector::{FeatureKind, FeatureSpec};
-use rhmd_ml::trainer::{Algorithm, TrainerConfig};
+use rhmd_data::TracedCorpus;
 use rhmd_serve::engine::{Engine, OutEvent};
 use rhmd_serve::proto::{Response, VerdictMsg};
 use rhmd_serve::queue::Watermarks;
 use rhmd_serve::ServeConfig;
-use rhmd_uarch::CoreConfig;
 use std::sync::Mutex;
 use std::time::Duration;
-
-fn fixture() -> (TracedCorpus, Splits, Hmd) {
-    let config = CorpusConfig::tiny();
-    let corpus = Corpus::build(&config);
-    let splits = Splits::new(&corpus, config.seed);
-    let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
-    let hmd = Hmd::train(
-        Algorithm::Lr,
-        FeatureSpec::new(FeatureKind::Architectural, 5_000, vec![]),
-        &TrainerConfig::default(),
-        &traced,
-        &splits.victim_train,
-    );
-    (traced, splits, hmd)
-}
 
 /// Streams every test program as one session through an engine with
 /// `shards` workers and returns the verdict lines, keyed by session id.
@@ -81,6 +66,7 @@ fn replay(traced: &TracedCorpus, test: &[usize], hmd: &Hmd, shards: usize) -> Ve
         collector.join().unwrap();
         assert!(stats.accounted());
         assert_eq!(stats.shed_sessions, 0, "replay must not shed");
+        assert_eq!(stats.quarantined, 0, "a clean replay quarantines nothing");
         assert_eq!(stats.offered_sessions, test.len() as u64);
     });
     verdicts.into_inner().unwrap()
@@ -90,7 +76,7 @@ fn replay(traced: &TracedCorpus, test: &[usize], hmd: &Hmd, shards: usize) -> Ve
 fn streamed_verdicts_match_batch_evaluation_at_any_shard_count() {
     let (traced, splits, hmd) = fixture();
     let test = &splits.attacker_test;
-    for shards in [1usize, 2, 4] {
+    for shards in [1usize, 2, 3, 4] {
         let verdicts = replay(&traced, test, &hmd, shards);
         assert_eq!(verdicts.len(), test.len());
         for v in &verdicts {
