@@ -3,7 +3,8 @@
 //!
 //! A full run prints the report and writes it to `EXPERIMENTS-data.txt`;
 //! `--only fig11,fig13,abl-c` prints just those ids, in that order.
-//! `--checkpoint <dir>` journals Figs 11 and 13 under `<dir>/<id>`;
+//! `--checkpoint <dir>` journals Figs 11 and 13 and the robustness sweep
+//! under `<dir>/<id>`;
 //! `--metrics` records one `repro.<id>` span per experiment. See `--help`.
 
 use rhmd_bench::figures::EXPERIMENTS;

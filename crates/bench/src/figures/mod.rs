@@ -9,11 +9,21 @@ pub mod extensions;
 pub mod resilient;
 pub mod retraining;
 pub mod reveng;
+pub mod robustness;
 pub mod theory;
 
 use crate::{Experiment, Table};
 use rhmd_core::RhmdError;
 use rhmd_runtime::ckpt::CkptOptions;
+
+/// The corpus fingerprint experiments put in their checkpoint manifests.
+fn corpus_summary(exp: &Experiment) -> String {
+    format!(
+        "programs={};seed={}",
+        exp.config.total_programs(),
+        exp.config.seed
+    )
+}
 
 /// One experiment `repro` runs.
 #[derive(Debug)]
@@ -48,7 +58,8 @@ macro_rules! entry {
 }
 
 /// Every experiment, in the order a full `repro` run prints them: the
-/// paper's figures and tables, then the ablations, then the extensions.
+/// paper's figures and tables, then the ablations, then the extensions,
+/// then the counter-fault robustness sweep.
 #[rustfmt::skip]
 pub static EXPERIMENTS: &[Entry] = &[
     entry!("fig02", "Fig 2: baseline detectors", one baseline::fig02),
@@ -77,4 +88,5 @@ pub static EXPERIMENTS: &[Entry] = &[
     entry!("ext2", "Ext 2: anomaly detector", one extensions::ext_anomaly_detector),
     entry!("ext3", "Ext 3: random-forest victim", one extensions::ext_random_forest_victim),
     entry!("ext4", "Ext 4: dormant malware", one extensions::ext_dormant_malware),
+    entry!("robust", "Robustness: counter fault injection", robustness::robust),
 ];

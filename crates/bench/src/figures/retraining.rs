@@ -6,6 +6,7 @@
 //! durably; a rerun after a crash skips finished work and produces
 //! bit-identical tables.
 
+use super::corpus_summary;
 use crate::context::Experiment;
 use crate::report::Table;
 use rhmd_core::evasion::{plan_evasion, EvasionConfig, Strategy};
@@ -19,15 +20,6 @@ use rhmd_features::vector::FeatureKind;
 use rhmd_ml::trainer::{Algorithm, TrainerConfig};
 use rhmd_runtime::ckpt::{journal_with, unit_or_compute, CkptOptions};
 use rhmd_trace::inject::Placement;
-
-/// The corpus fingerprint experiments put in their checkpoint manifests.
-fn corpus_summary(exp: &Experiment) -> String {
-    format!(
-        "programs={};seed={}",
-        exp.config.total_programs(),
-        exp.config.seed
-    )
-}
 
 /// Figs 11a/11b: retraining LR and NN with a growing share of evasive
 /// malware in the training set.

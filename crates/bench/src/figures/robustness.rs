@@ -1,4 +1,4 @@
-//! Robustness sweep: detection quality under counter fault injection.
+//! Robustness — detection quality under counter fault injection.
 //!
 //! Sweeps fault intensity × kind over the held-out test programs and
 //! reports how each detector family degrades: a single LR and NN baseline,
@@ -7,23 +7,24 @@
 //! base detector, because abstention removes corrupted windows from the
 //! vote instead of letting them mis-vote.
 //!
-//! Run with `RHMD_SCALE=tiny cargo run --release -p rhmd-bench --bin
-//! robustness_sweep` for a quick pass. `--checkpoint <dir>` journals each
-//! fault cell durably and resumes after a crash; `--metrics <path>` /
-//! `--metrics-summary` export observability counters. See `--help`.
+//! Under `repro --checkpoint <dir>` each (fault, detector) cell is
+//! journaled durably under `<dir>/robust`; a rerun after a crash skips the
+//! finished cells and prints bit-identical tables.
 
-use rhmd_bench::flags::parse_env_args;
-use rhmd_bench::{Experiment, Table};
-use rhmd_core::RhmdError;
+use super::corpus_summary;
+use crate::context::Experiment;
+use crate::report::Table;
 use rhmd_core::detector::{Detector, StreamRng};
 use rhmd_core::engine::{DegradedQuality, Evaluator};
 use rhmd_core::ensemble::{Combiner, EnsembleHmd};
 use rhmd_core::hmd::{Hmd, QuorumVerdict};
 use rhmd_core::rhmd::{build_pool, pool_specs, ResilientHmd};
 use rhmd_core::verdict::VerdictPolicy;
+use rhmd_core::RhmdError;
 use rhmd_features::vector::FeatureKind;
 use rhmd_features::window::RawWindow;
 use rhmd_ml::trainer::Algorithm;
+use rhmd_runtime::ckpt::{journal_with, CkptOptions};
 use rhmd_runtime::pool::Pool;
 use rhmd_uarch::faults::FaultConfig;
 
@@ -82,55 +83,28 @@ fn cell(q: &DegradedQuality) -> String {
     }
 }
 
-fn main() {
-    if let Err(e) = run() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-}
-
-fn run() -> Result<(), RhmdError> {
-    let opts = parse_env_args("robustness_sweep")?;
-    opts.metrics.install();
-    let exp = Experiment::load();
+/// The Robustness table (sensitivity / specificity per fault and detector)
+/// and the Degradation table (worst-case sensitivity drop per detector).
+///
+/// Checkpointing is on when `ckpt` is given.
+///
+/// # Errors
+///
+/// Checkpoint I/O failures when checkpointing is on (see [`journal_with`]).
+pub fn robust(exp: &Experiment, ckpt: Option<&CkptOptions>) -> Result<Vec<Table>, RhmdError> {
     let spec = exp.spec(FeatureKind::Architectural, 10_000);
-    let journal = rhmd_runtime::ckpt::journal_with(
-        opts.ckpt.as_ref(),
-        "robustness",
-        &format!(
-            "programs={};seed={}",
-            exp.config.total_programs(),
-            exp.config.seed
-        ),
-    )?;
+    let journal = journal_with(ckpt, "robustness", &corpus_summary(exp))?;
 
     eprintln!("[robustness] training detectors ...");
-    let lr = Hmd::train(
-        Algorithm::Lr,
-        spec.clone(),
-        &exp.trainer,
-        &exp.traced,
-        &exp.splits.victim_train,
-    );
-    let nn = Hmd::train(
-        Algorithm::Nn,
-        spec,
-        &exp.trainer,
-        &exp.traced,
-        &exp.splits.victim_train,
-    );
+    let train = |algorithm, spec| {
+        Hmd::train(algorithm, spec, &exp.trainer, &exp.traced, &exp.splits.victim_train)
+    };
+    let lr = train(Algorithm::Lr, spec.clone());
+    let nn = train(Algorithm::Nn, spec);
     let ensemble = EnsembleHmd::new(
         FeatureKind::ALL
             .iter()
-            .map(|&k| {
-                Hmd::train(
-                    Algorithm::Lr,
-                    exp.spec(k, 10_000),
-                    &exp.trainer,
-                    &exp.traced,
-                    &exp.splits.victim_train,
-                )
-            })
+            .map(|&k| train(Algorithm::Lr, exp.spec(k, 10_000)))
             .collect(),
         Combiner::Majority,
     );
@@ -150,9 +124,7 @@ fn run() -> Result<(), RhmdError> {
          (majority verdict over voting windows; abstentions excluded from the vote)",
         &["fault", "LR", "NN", "Ensemble(3)", "RHMD(6)"],
     );
-    let mut builder = Evaluator::builder(&exp.traced, FAULT_SEED)
-        .pool(Pool::available())
-        .recorder(opts.metrics.recorder()?);
+    let mut builder = Evaluator::builder(&exp.traced, FAULT_SEED).pool(Pool::available());
     if let Some(journal) = journal {
         builder = builder.checkpoint(journal);
     }
@@ -193,7 +165,6 @@ fn run() -> Result<(), RhmdError> {
         sweep.push([q_lr, q_nn, q_en, q_rh]);
     }
     engine.sync_checkpoint()?;
-    println!("{table}");
 
     // Degradation summary relative to the fault-free first row.
     let mut degradation = Table::new(
@@ -214,6 +185,5 @@ fn run() -> Result<(), RhmdError> {
             format!("{:.1}pp", 100.0 * (clean - worst)),
         ]);
     }
-    println!("{degradation}");
-    opts.metrics.finish()
+    Ok(vec![table, degradation])
 }

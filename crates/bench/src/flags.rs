@@ -1,7 +1,7 @@
-//! Minimal command-line options shared by the experiment binaries
-//! (`repro`, `robustness_sweep`):
+//! Minimal command-line options of the `repro` binary:
 //!
 //! ```text
+//! --only <id,...>      run just these experiments, in this order
 //! --checkpoint <dir>   journal completed work units to <dir>
 //!                      (auto-resumes when <dir> already has a manifest)
 //! --resume <dir>       resume strictly: <dir> must already exist
@@ -9,8 +9,8 @@
 //! --metrics-summary    print a metrics summary table to stderr
 //! ```
 //!
-//! `repro` also takes `--only <id,...>` ([`take_only`]) to run a subset of
-//! its experiment table.
+//! [`take_only`] takes `--only` out of the arguments; [`parse`] reads the
+//! rest.
 
 use crate::figures::{Entry, EXPERIMENTS};
 use rhmd_core::RhmdError;
@@ -20,7 +20,7 @@ use rhmd_runtime::write_help;
 use std::io;
 use std::path::PathBuf;
 
-/// Options shared by the experiment binaries.
+/// `repro`'s options other than `--only`.
 #[derive(Debug, Clone, Default)]
 pub struct BinOptions {
     /// `--checkpoint` / `--resume`.
@@ -29,7 +29,7 @@ pub struct BinOptions {
     pub metrics: MetricsOptions,
 }
 
-/// The usage text appended to each binary's `--help`.
+/// The usage text appended to `repro`'s `--help`.
 pub const USAGE: &str = "\
 options:
   --checkpoint <dir>   journal completed work units to <dir> (auto-resume)
@@ -41,22 +41,13 @@ options:
 env: RHMD_SCALE (tiny|small|standard|paper), RHMD_IO_FAULTS (I/O fault
 injection).";
 
-/// Parses the process's own arguments into [`BinOptions`], printing usage
-/// and exiting on `--help`.
+/// Parses argument tokens into [`BinOptions`], printing usage and exiting
+/// on `--help`.
 ///
 /// # Errors
 ///
 /// [`RhmdError::Config`] on unknown flags, missing values, or
 /// `--checkpoint` combined with `--resume`.
-pub fn parse_env_args(binary: &str) -> Result<BinOptions, RhmdError> {
-    parse(binary, std::env::args().skip(1))
-}
-
-/// [`parse_env_args`] over explicit argument tokens.
-///
-/// # Errors
-///
-/// See [`parse_env_args`].
 pub fn parse(binary: &str, raw: impl IntoIterator<Item = String>) -> Result<BinOptions, RhmdError> {
     let mut checkpoint: Option<PathBuf> = None;
     let mut resume: Option<PathBuf> = None;

@@ -3,10 +3,9 @@
 //! One binary, `repro`, regenerates them from the experiment table in
 //! [`figures`]: `cargo run --release -p rhmd-bench --bin repro` runs the
 //! whole evaluation and writes a combined report; `--only fig08,abl-c`
-//! prints just those experiments.
-//! Criterion benches (in `benches/`) cover the performance of the
-//! substrate itself: feature extraction, simulation, training, inference,
-//! injection and RHMD switching.
+//! prints just those experiments. Throughput is the performance ledger's
+//! job; the speed floors the optimized paths must clear over the paths they
+//! replaced are held by the `speed_floors` integration test.
 //!
 //! Scale is selected with `RHMD_SCALE` (`tiny` | `small` | `standard` |
 //! `paper`); experiments default to `standard`.

@@ -103,19 +103,22 @@ fn trained_models_and_aucs_identical_across_thread_counts() {
 #[test]
 fn hmd_verdicts_and_metrics_identical_across_thread_counts() {
     let e = exp();
-    let mut hmd = Hmd::train(
-        Algorithm::Dt,
-        e.spec(FeatureKind::Architectural, 5_000),
-        &e.trainer,
-        &e.traced,
-        &e.splits.victim_train,
-    );
-    let serial = detection_quality(&mut hmd, &e.traced, &e.splits.attacker_test);
-    for threads in THREADS {
-        let engine = Evaluator::builder(&e.traced, 0).pool(Pool::new(threads)).build();
-        let par = engine.quality_hmd(&hmd, &e.splits.attacker_test);
-        assert_eq!(par.sensitivity_unmodified, serial.sensitivity_unmodified, "threads={threads}");
-        assert_eq!(par.specificity, serial.specificity, "threads={threads}");
+    for algorithm in [Algorithm::Lr, Algorithm::Dt, Algorithm::Svm] {
+        let mut hmd = Hmd::train(
+            algorithm,
+            e.spec(FeatureKind::Architectural, 5_000),
+            &e.trainer,
+            &e.traced,
+            &e.splits.victim_train,
+        );
+        let serial = detection_quality(&mut hmd, &e.traced, &e.splits.attacker_test);
+        for threads in THREADS {
+            let engine = Evaluator::builder(&e.traced, 0).pool(Pool::new(threads)).build();
+            let par = engine.quality_hmd(&hmd, &e.splits.attacker_test);
+            let at = format!("{algorithm}, threads={threads}");
+            assert_eq!(par.sensitivity_unmodified, serial.sensitivity_unmodified, "{at}");
+            assert_eq!(par.specificity, serial.specificity, "{at}");
+        }
     }
 }
 

@@ -9,8 +9,8 @@
 //! Metrics are **disabled by default**. Every recording entry point starts
 //! with a single relaxed atomic load of the global enable flag and returns
 //! immediately when it is off, so an uninstrumented run pays one predicted
-//! branch per call site — the `bench_par` binary measures and gates this
-//! disabled-path overhead. Turning metrics on cannot change any result:
+//! branch per call site — `rhmd-bench`'s `speed_floors` test measures this
+//! disabled-path overhead and holds it under 3% of an engine pass. Turning metrics on cannot change any result:
 //! nothing in the registry feeds back into computation, and all updates are
 //! commutative atomics, so totals are identical at any thread count.
 //!
