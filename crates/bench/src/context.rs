@@ -1,7 +1,7 @@
 //! Shared experiment setup: corpus, traces, splits, feature selection.
 
 use rhmd_data::{Corpus, CorpusConfig, Splits, TracedCorpus};
-use rhmd_features::select::select_top_delta_opcodes;
+use rhmd_features::select::select_labelled_opcodes;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
 use rhmd_ml::trainer::TrainerConfig;
 use rhmd_trace::isa::Opcode;
@@ -41,15 +41,10 @@ impl Experiment {
         let splits = Splits::new(&corpus, config.seed);
         let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
         let labels = traced.corpus().labels();
-        let collect = |want: bool| -> Vec<_> {
-            splits
-                .victim_train
-                .iter()
-                .filter(|&&i| labels[i] == want)
-                .flat_map(|&i| traced.subwindows(i).to_vec())
-                .collect()
-        };
-        let opcodes = select_top_delta_opcodes(&collect(true), &collect(false), 16);
+        let opcodes = select_labelled_opcodes(
+            splits.victim_train.iter().map(|&i| (labels[i], traced.subwindows(i))),
+            16,
+        );
         eprintln!("[setup] traced + selected features in {:?}", start.elapsed());
         Experiment {
             config,

@@ -13,7 +13,7 @@ use rhmd_core::verdict::VerdictPolicy;
 use rhmd_core::RhmdError;
 use rhmd_data::{Corpus, CorpusConfig, CorpusStore, Splits, StoreBuilder, TracedCorpus};
 use rhmd_features::pipeline::trace_subwindows;
-use rhmd_features::select::select_top_delta_opcodes;
+use rhmd_features::select::select_labelled_opcodes;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
 use rhmd_features::window::RawWindow;
 use rhmd_ml::metrics::{auc, best_accuracy_threshold};
@@ -368,16 +368,10 @@ fn select_opcodes(
     let windows: Vec<Vec<RawWindow>> = pool.map(&splits.victim_train, |_, &i| {
         trace_subwindows(corpus.program(i), config.limits(), CoreConfig::default())
     });
-    let collect = |want: bool| -> Vec<RawWindow> {
-        splits
-            .victim_train
-            .iter()
-            .zip(&windows)
-            .filter(|&(&i, _)| labels[i] == want)
-            .flat_map(|(_, w)| w.iter().cloned())
-            .collect()
-    };
-    select_top_delta_opcodes(&collect(true), &collect(false), 16)
+    select_labelled_opcodes(
+        splits.victim_train.iter().zip(&windows).map(|(&i, w)| (labels[i], w)),
+        16,
+    )
 }
 
 fn workbench(args: &Args) -> Result<Workbench, RhmdError> {
@@ -400,15 +394,10 @@ fn workbench(args: &Args) -> Result<Workbench, RhmdError> {
         pool.threads(),
     );
     let labels = traced.corpus().labels();
-    let collect = |want: bool| -> Vec<_> {
-        splits
-            .victim_train
-            .iter()
-            .filter(|&&i| labels[i] == want)
-            .flat_map(|&i| traced.subwindows(i).to_vec())
-            .collect()
-    };
-    let opcodes = select_top_delta_opcodes(&collect(true), &collect(false), 16);
+    let opcodes = select_labelled_opcodes(
+        splits.victim_train.iter().map(|&i| (labels[i], traced.subwindows(i))),
+        16,
+    );
     let trainer = TrainerConfig {
         quant: parse_quant(args)?,
         ..TrainerConfig::with_seed(config.seed)

@@ -697,7 +697,8 @@ impl<'a> Evaluator<'a> {
         let labels = self.source.labels();
         let judged: Vec<DegradedVerdict> = self.run_map(indices, |_, &i| {
             let model = FaultModel::new(config, seed_of(i));
-            let subs = apply_faults(traced.subwindows(i), &model);
+            let subs = apply_faults(traced.subwindows(i), &model)
+                .expect("one traced program's coalesced reads fit u32");
             policy.judge_quorum(&quorum_of(i, &subs), min_coverage)
         });
         let (mut tp, mut malware, mut tn, mut benign, mut abstained) =

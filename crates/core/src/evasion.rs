@@ -290,6 +290,11 @@ pub struct OverheadReport {
 /// Rewrites `program` and measures all three overheads by executing both
 /// versions to the same amount of *original* work on the batched flat-IR
 /// path, summing each run's per-window event counters.
+///
+/// # Panics
+///
+/// Panics if a run's summed counters overflow `u32`, which a budget within
+/// [`rhmd_features::MAX_TRACE_INSTRUCTIONS`] cannot reach.
 pub fn measure_overhead(
     program: &Program,
     plan: &InjectionPlan,
@@ -301,7 +306,10 @@ pub fn measure_overhead(
 
     let run = |p: &Program| {
         let (windows, summary) = collect_subwindows(p, bounded, CoreConfig::default());
-        let counters = windows.iter().fold(CounterSet::default(), |sum, w| sum + w.counters);
+        let counters = windows
+            .iter()
+            .try_fold(CounterSet::default(), |sum, w| sum.checked_add(&w.counters))
+            .expect("one run's counters fit u32");
         (summary, counters)
     };
     let (_, base_counters) = run(program);
@@ -415,19 +423,10 @@ mod tests {
         let splits = Splits::new(&corpus, config.seed);
         let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
         let labels = traced.corpus().labels();
-        let mal: Vec<_> = splits
-            .victim_train
-            .iter()
-            .filter(|&&i| labels[i])
-            .flat_map(|&i| traced.subwindows(i).to_vec())
-            .collect();
-        let ben: Vec<_> = splits
-            .victim_train
-            .iter()
-            .filter(|&&i| !labels[i])
-            .flat_map(|&i| traced.subwindows(i).to_vec())
-            .collect();
-        let opcodes = rhmd_features::select::select_top_delta_opcodes(&mal, &ben, 12);
+        let opcodes = rhmd_features::select::select_labelled_opcodes(
+            splits.victim_train.iter().map(|&i| (labels[i], traced.subwindows(i))),
+            12,
+        );
         (traced, splits, opcodes)
     }
 

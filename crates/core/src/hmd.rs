@@ -4,7 +4,7 @@
 use crate::detector::{self, Detector, Epoch, Gaps, StreamRng};
 use rhmd_data::TracedCorpus;
 use rhmd_features::vector::FeatureSpec;
-use rhmd_features::window::{aggregate_with_gaps, RawWindow, SUBWINDOW};
+use rhmd_features::window::{aggregate_with_gaps, CollectionWindow, RawWindow, SUBWINDOW};
 use rhmd_ml::matrix::FeatureMatrix;
 use rhmd_ml::model::{Classifier, Dataset};
 use rhmd_ml::trainer::{train, Algorithm, TrainerConfig};
@@ -271,7 +271,7 @@ impl Hmd {
     /// projection carries a component beyond [`ABSTAIN_BOUND`] — the
     /// signature of corrupted counters — so callers can skip this detector's
     /// vote instead of recording a meaningless one.
-    pub fn classify_window_checked(&self, window: &RawWindow) -> Option<bool> {
+    pub fn classify_window_checked(&self, window: &CollectionWindow) -> Option<bool> {
         if window.instructions == 0 {
             return None;
         }
@@ -285,7 +285,7 @@ impl Hmd {
     /// Batch counterpart of [`Hmd::classify_window_checked`]: abstaining
     /// windows are filtered out first, the rest score through one flat
     /// matrix, and votes are scattered back in window order.
-    pub fn classify_windows_checked(&self, windows: &[RawWindow]) -> Vec<Option<bool>> {
+    pub fn classify_windows_checked(&self, windows: &[CollectionWindow]) -> Vec<Option<bool>> {
         let dims = self.spec.dims();
         let mut votes: Vec<Option<bool>> = vec![None; windows.len()];
         if dims == 0 {
@@ -502,11 +502,11 @@ mod tests {
             assert_eq!(hmd.classify_window_checked(w), Some(unchecked));
         }
         // An empty window abstains.
-        assert_eq!(hmd.classify_window_checked(&RawWindow::default()), None);
+        assert_eq!(hmd.classify_window_checked(&CollectionWindow::default()), None);
         // A wildly out-of-range rate abstains.
         let mut corrupt = windows[0].clone();
-        corrupt.counters.instructions = 1;
-        corrupt.counters.l2_misses = u64::MAX / 2;
+        corrupt.counters[0] = 1; // instructions
+        corrupt.counters[10] = u64::MAX / 2; // l2_misses
         assert_eq!(hmd.classify_window_checked(&corrupt), None);
     }
 

@@ -136,7 +136,7 @@ pub fn mean_block_len(program: &rhmd_trace::Program) -> f64 {
 mod tests {
     use super::*;
     use rhmd_data::{Corpus, CorpusConfig, Splits, TracedCorpus};
-    use rhmd_features::select::select_top_delta_opcodes;
+    use rhmd_features::select::select_labelled_opcodes;
     use rhmd_ml::trainer::{Algorithm, TrainerConfig};
     use rhmd_trace::isa::Opcode;
     use rhmd_uarch::CoreConfig;
@@ -147,23 +147,11 @@ mod tests {
         let splits = Splits::new(&corpus, config.seed);
         let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
         let labels = traced.corpus().labels();
-        let mal: Vec<_> = splits
-            .victim_train
-            .iter()
-            .filter(|&&i| labels[i])
-            .flat_map(|&i| traced.subwindows(i).to_vec())
-            .collect();
-        let ben: Vec<_> = splits
-            .victim_train
-            .iter()
-            .filter(|&&i| !labels[i])
-            .flat_map(|&i| traced.subwindows(i).to_vec())
-            .collect();
-        let spec = FeatureSpec::new(
-            FeatureKind::Instructions,
-            5_000,
-            select_top_delta_opcodes(&mal, &ben, 12),
+        let opcodes = select_labelled_opcodes(
+            splits.victim_train.iter().map(|&i| (labels[i], traced.subwindows(i))),
+            12,
         );
+        let spec = FeatureSpec::new(FeatureKind::Instructions, 5_000, opcodes);
         (traced, splits, spec)
     }
 

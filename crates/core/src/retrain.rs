@@ -486,7 +486,7 @@ mod tests {
     use super::*;
     use rhmd_data::{Corpus, CorpusConfig, Splits};
     use rhmd_features::vector::FeatureKind;
-    use rhmd_features::select::select_top_delta_opcodes;
+    use rhmd_features::select::select_labelled_opcodes;
     use rhmd_uarch::CoreConfig;
 
     fn fixture() -> (TracedCorpus, Splits, FeatureSpec) {
@@ -495,19 +495,10 @@ mod tests {
         let splits = Splits::new(&corpus, config.seed);
         let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
         let labels = traced.corpus().labels();
-        let mal: Vec<_> = splits
-            .victim_train
-            .iter()
-            .filter(|&&i| labels[i])
-            .flat_map(|&i| traced.subwindows(i).to_vec())
-            .collect();
-        let ben: Vec<_> = splits
-            .victim_train
-            .iter()
-            .filter(|&&i| !labels[i])
-            .flat_map(|&i| traced.subwindows(i).to_vec())
-            .collect();
-        let opcodes = select_top_delta_opcodes(&mal, &ben, 12);
+        let opcodes = select_labelled_opcodes(
+            splits.victim_train.iter().map(|&i| (labels[i], traced.subwindows(i))),
+            12,
+        );
         let spec = FeatureSpec::new(FeatureKind::Instructions, 5_000, opcodes);
         (traced, splits, spec)
     }

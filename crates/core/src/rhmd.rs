@@ -5,7 +5,7 @@ use crate::detector::{Detector, Epoch, Gaps, StreamRng};
 use crate::hmd::{BlackBox, Hmd};
 use rhmd_data::TracedCorpus;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
-use rhmd_features::window::{aggregate_with_gaps, RawWindow, SUBWINDOW};
+use rhmd_features::window::{aggregate_with_gaps, CollectionWindow, RawWindow, SUBWINDOW};
 use rhmd_ml::trainer::{Algorithm, TrainerConfig};
 use rhmd_trace::isa::Opcode;
 use rand::rngs::SmallRng;
@@ -370,7 +370,7 @@ fn switching_walk(
     mut draw: impl FnMut(bool) -> usize,
 ) -> Vec<Epoch> {
     let mut meta: Vec<(usize, bool, usize)> = Vec::new();
-    let mut pending: Vec<Vec<RawWindow>> = vec![Vec::new(); detectors.len()];
+    let mut pending: Vec<Vec<CollectionWindow>> = vec![Vec::new(); detectors.len()];
     let mut cursor = 0usize;
     let mut kept = false;
     loop {
@@ -623,7 +623,7 @@ mod tests {
         // Dropped reads coalesce into over-full windows: shorter stream,
         // but the surviving epochs still vote.
         let drops = FaultModel::new(FaultConfig::dropping(0.3), 0xfa17);
-        let dropped = apply_faults(&subs, &drops);
+        let dropped = apply_faults(&subs, &drops).unwrap();
         assert!(dropped.len() < subs.len(), "drops must coalesce reads");
         let q = rhmd.quorum(&dropped, 1.0, &mut rng());
         assert!(q.voted > 0, "walk must vote on coalesced windows");

@@ -13,7 +13,7 @@ use rhmd_core::hmd::{BlackBox, Hmd};
 use rhmd_core::rhmd::{build_pool, pool_specs, NonStationaryRhmd, ResilientHmd};
 use rhmd_data::{Corpus, CorpusConfig, Splits, TracedCorpus};
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
-use rhmd_features::window::{aggregate_with_gaps, RawWindow, SUBWINDOW};
+use rhmd_features::window::{aggregate_with_gaps, CollectionWindow, RawWindow, SUBWINDOW};
 use rhmd_ml::trainer::{Algorithm, TrainerConfig};
 use rhmd_uarch::CoreConfig;
 
@@ -39,15 +39,15 @@ fn train_one(traced: &TracedCorpus, train: &[usize], kind: FeatureKind, period: 
 
 /// The strict window rule the clean paths used before they folded into the
 /// assembler: a chunk is kept only when all of its subwindows are full.
-fn frozen_aggregate(subwindows: &[RawWindow], period: u32) -> Vec<RawWindow> {
+fn frozen_aggregate(subwindows: &[RawWindow], period: u32) -> Vec<CollectionWindow> {
     let per = (period / SUBWINDOW) as usize;
     subwindows
         .chunks(per)
-        .filter(|c| c.len() == per && c.iter().all(|w| w.instructions == u64::from(SUBWINDOW)))
+        .filter(|c| c.len() == per && c.iter().all(|w| w.instructions == SUBWINDOW))
         .map(|c| {
-            let mut merged = RawWindow::default();
+            let mut merged = CollectionWindow::default();
             for w in c {
-                merged.merge(w);
+                merged.add(w);
             }
             merged
         })
@@ -55,7 +55,7 @@ fn frozen_aggregate(subwindows: &[RawWindow], period: u32) -> Vec<RawWindow> {
 }
 
 /// Frozen `Hmd::classify_window`: the unchecked decision for one window.
-fn frozen_classify(hmd: &Hmd, window: &RawWindow) -> bool {
+fn frozen_classify(hmd: &Hmd, window: &CollectionWindow) -> bool {
     hmd.model().predict(&hmd.spec().project(window))
 }
 

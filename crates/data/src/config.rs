@@ -155,6 +155,20 @@ mod tests {
         assert!(err.contains("galactic") && err.contains("tiny|small|standard|paper"));
     }
 
+    /// Every preset's trace budget stays within the largest one whose
+    /// merged counts are certain to fit the `u32` fields of a `RawWindow`.
+    #[test]
+    fn presets_stay_within_the_u32_trace_budget() {
+        for name in ["tiny", "small", "standard", "paper"] {
+            let config = CorpusConfig::from_scale_name(name).unwrap();
+            assert!(
+                config.max_instructions <= rhmd_features::MAX_TRACE_INSTRUCTIONS,
+                "{name}: {} instructions",
+                config.max_instructions
+            );
+        }
+    }
+
     #[test]
     fn limits_carry_budgets() {
         let c = CorpusConfig::tiny();

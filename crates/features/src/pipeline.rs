@@ -1,7 +1,9 @@
 //! End-to-end extraction: program → subwindows → feature vectors.
 
 use crate::vector::FeatureSpec;
-use crate::window::{RawWindow, Sealed, WindowAccumulator, WindowAssembler, SUBWINDOW};
+use crate::window::{
+    CollectionWindow, RawWindow, Sealed, WindowAccumulator, WindowAssembler, SUBWINDOW,
+};
 use rhmd_trace::exec::ExecLimits;
 use rhmd_trace::Program;
 use rhmd_uarch::{CoreConfig, ReferenceCore};
@@ -69,7 +71,10 @@ pub fn project_windows_into(
 /// The windows a clean [`WindowAssembler`] (`min_fill = 1.0`) seals from
 /// `subwindows` at `period`, each as it seals: every chunk of full
 /// subwindows, the partial tail dropped. Panics on a bad `period`.
-fn clean_windows(subwindows: &[RawWindow], period: u32) -> impl Iterator<Item = RawWindow> + '_ {
+fn clean_windows(
+    subwindows: &[RawWindow],
+    period: u32,
+) -> impl Iterator<Item = CollectionWindow> + '_ {
     let mut assembler = WindowAssembler::new(period, 1.0);
     let mut rest = subwindows.iter();
     std::iter::from_fn(move || {

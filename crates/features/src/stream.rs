@@ -92,7 +92,7 @@ impl SubwindowCursor {
         let mut i = 0usize;
         let mut pc = pc;
         while i < instrs.len() {
-            let window_room = u64::from(SUBWINDOW) - self.current.instructions;
+            let window_room = u64::from(SUBWINDOW - self.current.instructions);
             // Instructions from pc to the end of its line/page span.
             let seg_end = (pc | (self.span - 1)) + 1;
             let fit = if seg_end >= pc + INSTR_BYTES {
@@ -128,9 +128,10 @@ impl SubwindowCursor {
                     );
                 }
             }
-            self.core.add_instructions(run as u64);
-            self.current.instructions += run as u64;
-            if self.current.instructions == u64::from(SUBWINDOW) {
+            // `run` fits the subwindow's room, so it is at most SUBWINDOW.
+            self.core.add_instructions(run as u32);
+            self.current.instructions += run as u32;
+            if self.current.instructions == SUBWINDOW {
                 self.seal(sink);
             }
             i += run;
@@ -150,7 +151,7 @@ impl SubwindowCursor {
         self.core.add_instructions(1);
         self.current.instructions += 1;
         self.current.opcode_counts[ev.opcode.index()] += 1;
-        if self.current.instructions == u64::from(SUBWINDOW) {
+        if self.current.instructions == SUBWINDOW {
             self.seal(sink);
         }
     }
@@ -291,6 +292,9 @@ pub fn stream_features_into(
 /// Executes a pre-lowered program once on the batched path and returns its
 /// sealed subwindows plus the execution summary — the streaming engine
 /// behind [`crate::pipeline::trace_subwindows`].
+///
+/// The vector is trimmed to its exact length, since a traced corpus keeps
+/// every one resident.
 pub fn collect_subwindows_flat(
     flat: &FlatProgram,
     limits: ExecLimits,
@@ -320,6 +324,7 @@ pub fn collect_subwindows_flat(
         flat.run_batched(limits, &mut collector, scratch)
     });
     collector.cursor.finish(&mut collector.windows);
+    collector.windows.shrink_to_fit();
     rhmd_obs::add("trace.instructions", summary.instructions);
     rhmd_obs::add("trace.windows", collector.cursor.sealed);
     (collector.windows, summary)
@@ -353,8 +358,30 @@ mod tests {
             assert_eq!(streamed, reference, "seed {seed}");
             assert_eq!(
                 summary.instructions,
-                streamed.iter().map(|w| w.instructions).sum::<u64>()
+                streamed.iter().map(|w| u64::from(w.instructions)).sum::<u64>()
             );
+            assert_eq!(streamed.capacity(), streamed.len(), "seed {seed}");
+        }
+    }
+
+    /// The subwindow vector is trimmed to its exact length whether the
+    /// trace fills its budget, stops early, or has no instruction budget.
+    #[test]
+    fn subwindow_vectors_are_exactly_sized() {
+        let p = ProgramGenerator::new(malware_profile(MalwareFamily::Spambot)).generate(2);
+        let early = ExecLimits {
+            max_syscalls: 3,
+            ..ExecLimits::instructions(200_000)
+        };
+        for limits in [
+            ExecLimits::instructions(20_000),
+            ExecLimits::instructions(20_500),
+            early,
+            ExecLimits::original_instructions(30_000),
+        ] {
+            let (windows, _) = collect_subwindows(&p, limits, CoreConfig::default());
+            assert!(!windows.is_empty());
+            assert_eq!(windows.capacity(), windows.len(), "{limits:?}");
         }
     }
 
@@ -433,10 +460,10 @@ mod tests {
         let limits = ExecLimits::instructions(30_000);
 
         let (windows, _) = collect_subwindows(&p, limits, CoreConfig::default());
-        let batched: u64 = windows.iter().map(|w| w.counters.unaligned).sum();
+        let batched: u64 = windows.iter().map(|w| u64::from(w.counters.unaligned)).sum();
         let mut core = CoreModel::new(CoreConfig::default());
         p.execute(limits, &mut core);
-        let per_event = core.counters().unaligned;
+        let per_event = u64::from(core.counters().unaligned);
         let (mut remainder, mut odd) = (0u64, 0u64);
         p.execute(limits, &mut |ev: &ExecEvent| {
             if let Some(m) = ev.mem {

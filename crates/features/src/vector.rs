@@ -1,7 +1,7 @@
 //! Feature-vector definitions: the three vectors of paper §3 plus the
 //! "combined" vectors the attacker uses against RHMDs (Figs 14–15).
 
-use crate::window::{RawWindow, MEM_BINS};
+use crate::window::{CollectionWindow, MEM_BINS};
 use rhmd_trace::isa::Opcode;
 use rhmd_uarch::events::COUNTER_DIMS;
 use serde::{Deserialize, Serialize};
@@ -111,7 +111,7 @@ impl FeatureSpec {
         names
     }
 
-    /// Projects a raw window onto this spec's feature vector.
+    /// Projects a collection window onto this spec's feature vector.
     ///
     /// Instruction components are opcode *frequencies* (counts normalized by
     /// window instructions); memory components are a normalized delta
@@ -121,7 +121,7 @@ impl FeatureSpec {
     /// fault-truncated) windows renormalize instead of skewing low, and any
     /// non-finite component (possible only on corrupted inputs) is guarded
     /// to zero so downstream models never see NaN/Inf.
-    pub fn project(&self, window: &RawWindow) -> Vec<f64> {
+    pub fn project(&self, window: &CollectionWindow) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.dims());
         self.project_into(window, &mut out);
         out
@@ -131,7 +131,7 @@ impl FeatureSpec {
     /// flat-matrix hot path. Exactly [`FeatureSpec::dims`] values are
     /// appended (prior contents are untouched) and the non-finite guard
     /// applies only to the appended region.
-    pub fn project_into(&self, window: &RawWindow, out: &mut Vec<f64>) {
+    pub fn project_into(&self, window: &CollectionWindow, out: &mut Vec<f64>) {
         let start = out.len();
         for kind in &self.kinds {
             match kind {
@@ -148,7 +148,7 @@ impl FeatureSpec {
                     out.extend(window.mem_delta_hist.iter().map(|&c| c as f64 / denom));
                 }
                 FeatureKind::Architectural => {
-                    out.extend(window.counters.to_rates());
+                    out.extend(window.counter_rates());
                 }
             }
         }
@@ -206,12 +206,13 @@ impl fmt::Display for FeatureSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::RawWindow;
 
     fn spec(kind: FeatureKind) -> FeatureSpec {
         FeatureSpec::new(kind, 10_000, vec![Opcode::Add, Opcode::Xor, Opcode::Load])
     }
 
-    fn window() -> RawWindow {
+    fn window() -> CollectionWindow {
         let mut w = RawWindow {
             instructions: 100,
             ..RawWindow::default()
@@ -223,7 +224,7 @@ mod tests {
         w.mem_delta_hist[3] = 15;
         w.counters.instructions = 100;
         w.counters.loads = 20;
-        w
+        CollectionWindow::from(&w)
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! lets one (expensive) execution serve every period in the paper's sweep
 //! {5K, 8K, 9K, 10K, 11K, 12K, 15K, 19K} (Fig 3a).
 //!
+//! Two widths: a [`RawWindow`] (one subwindow, the form a traced corpus
+//! keeps resident) counts in `u32`, and a [`CollectionWindow`] (the sum of
+//! one period's subwindows, the form features are projected from) counts
+//! in `u64`. Subwindow sums ([`RawWindow::merge`]) are checked and fail
+//! with [`CountOverflow`]; collection sums cannot overflow (see
+//! [`WindowAssembler`]).
+//!
 //! [`WindowAssembler`] is the one aggregation rule. Clean streams assemble
 //! at `min_fill = 1.0`, which keeps exactly the chunks of `period /
 //! SUBWINDOW` full subwindows and drops the truncated tail; faulted
@@ -18,26 +25,48 @@ use rhmd_uarch::faults::FaultModel;
 use rhmd_uarch::{CoreModel, CounterSource};
 use serde::{Deserialize, Serialize};
 
+pub use rhmd_uarch::events::CountOverflow;
+
 /// Fine accumulation granularity, in committed instructions.
 pub const SUBWINDOW: u32 = 1_000;
 
 /// Number of bins in the memory-delta histogram (paper's Memory feature).
 pub const MEM_BINS: usize = 16;
 
-/// Raw statistics of one window of committed instructions.
+/// The largest per-program instruction budget whose whole trace, merged
+/// into one [`RawWindow`], is certain to stay exact in `u32`: 2^26 (about
+/// 67M, 67x the `paper` corpus preset). Each channel rises by far fewer
+/// than 64 events per committed instruction (a data access touches at most
+/// a few cache lines), so a trace at this budget, or at a few times it for
+/// a payload-inflated re-trace, sums below 2^32. Every `CorpusConfig`
+/// preset stays within it (a unit test in `rhmd-data` pins this).
+pub const MAX_TRACE_INSTRUCTIONS: u64 = 1 << 26;
+
+/// Raw statistics of one subwindow of committed instructions.
+///
+/// Every count is a `u32`, so the struct is 260 bytes. That is exact:
+/// a subwindow holds at most [`SUBWINDOW`] instructions and each channel
+/// rises by at most a few per instruction, and even one whole trace merged
+/// into one window stays far below `u32::MAX` at every corpus scale.
+/// Sums go through [`RawWindow::merge`], which fails with
+/// [`CountOverflow`] rather than wrap.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RawWindow {
     /// Committed instructions in the window (== the period except possibly
     /// in the final, truncated window).
-    pub instructions: u64,
+    pub instructions: u32,
     /// Executed count of each opcode class.
-    pub opcode_counts: [u64; OPCODE_COUNT],
+    pub opcode_counts: [u32; OPCODE_COUNT],
     /// Histogram over log2-binned deltas between consecutive memory-access
     /// addresses.
-    pub mem_delta_hist: [u64; MEM_BINS],
+    pub mem_delta_hist: [u32; MEM_BINS],
     /// Hardware event counters for the window.
     pub counters: CounterSet,
 }
+
+// A traced corpus keeps every subwindow resident; the width is part of
+// its footprint.
+const _: () = assert!(std::mem::size_of::<RawWindow>() == 260);
 
 impl Default for RawWindow {
     fn default() -> RawWindow {
@@ -51,21 +80,80 @@ impl Default for RawWindow {
 }
 
 impl RawWindow {
-    /// Merges `other` into `self` (for aggregating subwindows).
-    pub fn merge(&mut self, other: &RawWindow) {
-        self.instructions += other.instructions;
-        for (a, b) in self.opcode_counts.iter_mut().zip(&other.opcode_counts) {
-            *a += b;
+    /// Merges `other` into `self` channel by channel (reads coalesced by
+    /// fault injection).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CountOverflow`] naming the first channel whose sum does
+    /// not fit a `u32`; `self` is then left unchanged.
+    pub fn merge(&mut self, other: &RawWindow) -> Result<(), CountOverflow> {
+        fn add(a: u32, b: u32, channel: &'static str) -> Result<u32, CountOverflow> {
+            a.checked_add(b).ok_or(CountOverflow { channel })
         }
-        for (a, b) in self.mem_delta_hist.iter_mut().zip(&other.mem_delta_hist) {
-            *a += b;
+        let mut sum = self.clone();
+        sum.instructions = add(self.instructions, other.instructions, "instructions")?;
+        for (a, &b) in sum.opcode_counts.iter_mut().zip(&other.opcode_counts) {
+            *a = add(*a, b, "opcode_counts")?;
         }
-        self.counters += other.counters;
+        for (a, &b) in sum.mem_delta_hist.iter_mut().zip(&other.mem_delta_hist) {
+            *a = add(*a, b, "mem_delta_hist")?;
+        }
+        sum.counters = self.counters.checked_add(&other.counters)?;
+        *self = sum;
+        Ok(())
+    }
+}
+
+/// One collection window: the channel-wise sum of the subwindows of one
+/// `period`-sized chunk, at `u64` width, as [`WindowAssembler`] seals it.
+/// Features are projected from it ([`crate::vector::FeatureSpec::project`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CollectionWindow {
+    /// Committed instructions in the window.
+    pub instructions: u64,
+    /// Executed count of each opcode class.
+    pub opcode_counts: [u64; OPCODE_COUNT],
+    /// Log2-binned memory-address-delta histogram.
+    pub mem_delta_hist: [u64; MEM_BINS],
+    /// Hardware event counters, in
+    /// [`rhmd_uarch::events::COUNTER_NAMES`] order.
+    pub counters: [u64; COUNTER_DIMS],
+}
+
+impl CollectionWindow {
+    /// Adds one subwindow's counts, widened to `u64`.
+    pub fn add(&mut self, sub: &RawWindow) {
+        self.instructions += u64::from(sub.instructions);
+        for (a, &b) in self.opcode_counts.iter_mut().zip(&sub.opcode_counts) {
+            *a += u64::from(b);
+        }
+        for (a, &b) in self.mem_delta_hist.iter_mut().zip(&sub.mem_delta_hist) {
+            *a += u64::from(b);
+        }
+        for (a, b) in self.counters.iter_mut().zip(sub.counters.to_array()) {
+            *a += u64::from(b);
+        }
     }
 
     /// Total memory accesses recorded in the delta histogram.
     pub fn mem_accesses(&self) -> u64 {
         self.mem_delta_hist.iter().sum()
+    }
+
+    /// Every counter channel per committed instruction
+    /// ([`rhmd_uarch::events::rates`]).
+    pub fn counter_rates(&self) -> [f64; COUNTER_DIMS] {
+        rhmd_uarch::events::rates(&self.counters)
+    }
+}
+
+impl From<&RawWindow> for CollectionWindow {
+    /// The collection window of a single subwindow.
+    fn from(sub: &RawWindow) -> CollectionWindow {
+        let mut window = CollectionWindow::default();
+        window.add(sub);
+        window
     }
 }
 
@@ -151,7 +239,7 @@ impl<C: Observer + CounterSource> Observer for WindowAccumulator<C> {
             }
             self.last_mem_addr = Some(mem.addr);
         }
-        if w.instructions == u64::from(SUBWINDOW) {
+        if w.instructions == SUBWINDOW {
             self.seal_current();
         }
     }
@@ -174,7 +262,7 @@ fn subwindows_per(period: u32) -> usize {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Sealed {
     /// The merged window carries enough instructions to be judged.
-    Window(Box<RawWindow>),
+    Window(Box<CollectionWindow>),
     /// The chunk fell below the `min_fill` floor (or was empty) and is
     /// dropped.
     Dropped,
@@ -182,7 +270,7 @@ pub enum Sealed {
 
 impl Sealed {
     /// The kept window, if the chunk was not dropped.
-    pub fn into_window(self) -> Option<RawWindow> {
+    pub fn into_window(self) -> Option<CollectionWindow> {
         match self {
             Sealed::Window(w) => Some(*w),
             Sealed::Dropped => None,
@@ -199,12 +287,16 @@ impl Sealed {
 /// batch counterpart. [`aggregate_with_gaps`] is a fold over it, the
 /// streaming lanes and `rhmd serve`'s sessions push into it, and a clone
 /// taken mid-stream continues exactly where the original would.
+///
+/// The chunk sums at `u64` width, so no push can overflow: a chunk holds at
+/// most `u32::MAX / SUBWINDOW` (< 2^23) subwindows of `u32` counts, whose
+/// sum stays below 2^55.
 #[derive(Debug, Clone)]
 pub struct WindowAssembler {
     period: u32,
     per: usize,
     min_fill: f64,
-    chunk: RawWindow,
+    chunk: CollectionWindow,
     count: usize,
 }
 
@@ -220,14 +312,14 @@ impl WindowAssembler {
             period,
             per: subwindows_per(period),
             min_fill,
-            chunk: RawWindow::default(),
+            chunk: CollectionWindow::default(),
             count: 0,
         }
     }
 
     /// Feeds one subwindow; returns the sealed chunk when it completes one.
     pub fn push(&mut self, sub: &RawWindow) -> Option<Sealed> {
-        self.chunk.merge(sub);
+        self.chunk.add(sub);
         self.count += 1;
         (self.count == self.per).then(|| self.seal())
     }
@@ -265,9 +357,13 @@ impl WindowAssembler {
 /// # Panics
 ///
 /// Panics if `period` is zero or not a multiple of [`SUBWINDOW`].
-pub fn aggregate_with_gaps(subwindows: &[RawWindow], period: u32, min_fill: f64) -> Vec<RawWindow> {
+pub fn aggregate_with_gaps(
+    subwindows: &[RawWindow],
+    period: u32,
+    min_fill: f64,
+) -> Vec<CollectionWindow> {
     let mut assembler = WindowAssembler::new(period, min_fill);
-    let mut windows: Vec<RawWindow> = subwindows
+    let mut windows: Vec<CollectionWindow> = subwindows
         .iter()
         .filter_map(|w| assembler.push(w))
         .filter_map(Sealed::into_window)
@@ -287,10 +383,20 @@ pub fn aggregate_with_gaps(subwindows: &[RawWindow], period: u32, min_fill: f64)
 /// aggregation sees over-full and missing windows exactly as a real sampler
 /// would.
 ///
-/// A zero-intensity model returns a bit-exact copy of the input.
-pub fn apply_faults(subwindows: &[RawWindow], model: &FaultModel) -> Vec<RawWindow> {
+/// A zero-intensity model returns a bit-exact copy of the input. Each
+/// corrupted channel is a 32-bit read ([`FaultModel::corrupt_read`]).
+///
+/// # Errors
+///
+/// Returns [`CountOverflow`] when a run of coalesced reads sums past
+/// `u32::MAX` in some channel, which a trace of one corpus program cannot
+/// reach.
+pub fn apply_faults(
+    subwindows: &[RawWindow],
+    model: &FaultModel,
+) -> Result<Vec<RawWindow>, CountOverflow> {
     if model.is_identity() {
-        return subwindows.to_vec();
+        return Ok(subwindows.to_vec());
     }
     let mut out: Vec<RawWindow> = Vec::with_capacity(subwindows.len());
     let mut pending: Option<RawWindow> = None;
@@ -298,7 +404,7 @@ pub fn apply_faults(subwindows: &[RawWindow], model: &FaultModel) -> Vec<RawWind
     for (idx, clean) in subwindows.iter().enumerate() {
         let window = idx as u64;
         let mut merged = pending.take().unwrap_or_default();
-        merged.merge(clean);
+        merged.merge(clean)?;
         if model.drops_window(window) {
             pending = Some(merged);
             continue;
@@ -311,16 +417,16 @@ pub fn apply_faults(subwindows: &[RawWindow], model: &FaultModel) -> Vec<RawWind
         );
         for (i, v) in read.opcode_counts.iter_mut().enumerate() {
             let ch = (COUNTER_DIMS + i) as u64;
-            *v = model.corrupt_value(window, ch, *v, prev.as_ref().map(|p| p.opcode_counts[i]));
+            *v = model.corrupt_read(window, ch, *v, prev.as_ref().map(|p| p.opcode_counts[i]));
         }
         for (i, v) in read.mem_delta_hist.iter_mut().enumerate() {
             let ch = (COUNTER_DIMS + OPCODE_COUNT + i) as u64;
-            *v = model.corrupt_value(window, ch, *v, prev.as_ref().map(|p| p.mem_delta_hist[i]));
+            *v = model.corrupt_read(window, ch, *v, prev.as_ref().map(|p| p.mem_delta_hist[i]));
         }
         prev = Some(read.clone());
         out.push(read);
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -345,7 +451,7 @@ mod tests {
         assert_eq!(subs.len(), 11);
         for w in &subs[..10] {
             assert_eq!(w.instructions, 1_000);
-            assert_eq!(w.opcode_counts.iter().sum::<u64>(), 1_000);
+            assert_eq!(w.opcode_counts.iter().sum::<u32>(), 1_000);
             assert_eq!(w.counters.instructions, 1_000);
         }
         assert_eq!(subs[10].instructions, 500);
@@ -388,7 +494,7 @@ mod tests {
     #[test]
     fn histogram_counts_consecutive_pairs() {
         let subs = subwindows(5_000);
-        let total: u64 = subs.iter().map(RawWindow::mem_accesses).sum();
+        let total: u64 = subs.iter().map(|w| CollectionWindow::from(w).mem_accesses()).sum();
         // Every memory access after the first contributes one delta.
         assert!(total > 0);
         let mem_instrs: u64 = subs
@@ -397,7 +503,7 @@ mod tests {
                 rhmd_trace::isa::Opcode::ALL
                     .iter()
                     .filter(|op| op.is_memory())
-                    .map(move |op| w.opcode_counts[op.index()])
+                    .map(move |op| u64::from(w.opcode_counts[op.index()]))
             })
             .sum();
         assert_eq!(total, mem_instrs - 1);
@@ -407,14 +513,14 @@ mod tests {
     fn apply_faults_identity_is_bit_exact() {
         let subs = subwindows(8_000);
         let model = FaultModel::new(FaultConfig::none(), 3);
-        assert_eq!(apply_faults(&subs, &model), subs);
+        assert_eq!(apply_faults(&subs, &model).unwrap(), subs);
     }
 
     #[test]
     fn apply_faults_preserves_ground_truth_instructions() {
         let subs = subwindows(8_000);
         let model = FaultModel::new(FaultConfig::noise(0.3), 3);
-        let faulted = apply_faults(&subs, &model);
+        let faulted = apply_faults(&subs, &model).unwrap();
         assert_eq!(faulted.len(), subs.len());
         for (f, c) in faulted.iter().zip(&subs) {
             assert_eq!(f.instructions, c.instructions);
@@ -426,7 +532,7 @@ mod tests {
     fn dropped_subwindows_coalesce() {
         let subs = subwindows(20_000);
         let model = FaultModel::new(FaultConfig::dropping(0.4), 5);
-        let faulted = apply_faults(&subs, &model);
+        let faulted = apply_faults(&subs, &model).unwrap();
         assert!(faulted.len() < subs.len());
         // Coalesced reads carry the merged instruction count.
         assert!(faulted.iter().any(|w| w.instructions >= 2_000));
@@ -436,7 +542,7 @@ mod tests {
     fn gap_tolerant_aggregation_keeps_short_windows() {
         let subs = subwindows(20_000);
         let model = FaultModel::new(FaultConfig::dropping(0.4), 5);
-        let faulted = apply_faults(&subs, &model);
+        let faulted = apply_faults(&subs, &model).unwrap();
         // A full-period floor discards windows whose chunks lost reads …
         let strict = aggregate_with_gaps(&faulted, 5_000, 1.0);
         // … while a half-period floor keeps anything half-full.
@@ -452,17 +558,15 @@ mod tests {
     /// all `period / SUBWINDOW` of its subwindows hold exactly [`SUBWINDOW`]
     /// instructions. Frozen as the oracle for the fold of clean aggregation
     /// into the assembler at `min_fill = 1.0`.
-    fn aggregate_strict_reference(subwindows: &[RawWindow], period: u32) -> Vec<RawWindow> {
+    fn aggregate_strict_reference(subwindows: &[RawWindow], period: u32) -> Vec<CollectionWindow> {
         let per = (period / SUBWINDOW) as usize;
         subwindows
             .chunks(per)
-            .filter(|chunk| {
-                chunk.len() == per && chunk.iter().all(|w| w.instructions == u64::from(SUBWINDOW))
-            })
+            .filter(|chunk| chunk.len() == per && chunk.iter().all(|w| w.instructions == SUBWINDOW))
             .map(|chunk| {
-                let mut merged = RawWindow::default();
+                let mut merged = CollectionWindow::default();
                 for w in chunk {
-                    merged.merge(w);
+                    merged.add(w);
                 }
                 merged
             })
@@ -526,7 +630,7 @@ mod tests {
         subwindows: &[RawWindow],
         period: u32,
         min_fill: f64,
-    ) -> Vec<RawWindow> {
+    ) -> Vec<CollectionWindow> {
         assert!(
             period > 0 && period.is_multiple_of(SUBWINDOW),
             "period {period} must be a positive multiple of {SUBWINDOW}"
@@ -535,9 +639,9 @@ mod tests {
         subwindows
             .chunks(per)
             .filter_map(|chunk| {
-                let mut merged = RawWindow::default();
+                let mut merged = CollectionWindow::default();
                 for w in chunk {
-                    merged.merge(w);
+                    merged.add(w);
                 }
                 let fill = merged.instructions as f64 / f64::from(period);
                 (merged.instructions > 0 && fill >= min_fill).then_some(merged)
@@ -547,31 +651,31 @@ mod tests {
 
     /// A read of `instructions` whose other channels are derived from it
     /// and `salt`, so a merge mistake in any channel shows up.
-    fn read(instructions: u64, salt: u64) -> RawWindow {
+    fn read(instructions: u32, salt: u32) -> RawWindow {
         let mut w = RawWindow {
             instructions,
             ..RawWindow::default()
         };
-        w.opcode_counts[(salt % OPCODE_COUNT as u64) as usize] = instructions / 2 + salt;
-        w.mem_delta_hist[(salt % MEM_BINS as u64) as usize] = instructions / 3 + 1;
+        w.opcode_counts[salt as usize % OPCODE_COUNT] = instructions / 2 + salt;
+        w.mem_delta_hist[salt as usize % MEM_BINS] = instructions / 3 + 1;
         w.counters.cond_branches = salt;
         w
     }
 
     /// A stream mixing full, short, coalesced and zero-instruction reads.
     fn any_stream() -> impl Strategy<Value = Vec<RawWindow>> {
-        prop::collection::vec((0u8..4, 1u64..1_000, 2u64..5), 0..60).prop_map(|reads| {
+        prop::collection::vec((0u8..4, 1u32..1_000, 2u32..5), 0..60).prop_map(|reads| {
             reads
                 .into_iter()
                 .enumerate()
                 .map(|(i, (kind, short, merged))| {
                     let instructions = match kind {
-                        0 => u64::from(SUBWINDOW),
+                        0 => SUBWINDOW,
                         1 => short,
-                        2 => merged * u64::from(SUBWINDOW),
+                        2 => merged * SUBWINDOW,
                         _ => 0,
                     };
-                    read(instructions, i as u64)
+                    read(instructions, i as u32)
                 })
                 .collect()
         })
@@ -586,7 +690,7 @@ mod tests {
     fn drain(
         assembler: &mut WindowAssembler,
         rest: &[RawWindow],
-        out: &mut Vec<RawWindow>,
+        out: &mut Vec<CollectionWindow>,
     ) -> usize {
         let mut sealed: Vec<Sealed> = rest.iter().filter_map(|w| assembler.push(w)).collect();
         sealed.extend(assembler.finish());
@@ -630,12 +734,60 @@ mod tests {
         let subs = subwindows(3_000);
         let mut merged = RawWindow::default();
         for w in &subs {
-            merged.merge(w);
+            merged.merge(w).unwrap();
         }
         assert_eq!(merged.instructions, 3_000);
         assert_eq!(
             merged.counters.instructions,
-            subs.iter().map(|w| w.counters.instructions).sum::<u64>()
+            subs.iter().map(|w| w.counters.instructions).sum::<u32>()
         );
+        assert_eq!(CollectionWindow::from(&merged), aggregate_with_gaps(&subs, 3_000, 1.0)[0]);
+    }
+
+    /// Every channel's overflowing merge is a typed error that names the
+    /// channel and leaves the window as it was; the largest exact sum
+    /// merges.
+    #[test]
+    fn merge_overflow_is_typed_and_leaves_the_window_unchanged() {
+        type Set = fn(&mut RawWindow, u32);
+        let edits: [(&str, Set); 4] = [
+            ("instructions", |w, v| w.instructions = v),
+            ("opcode_counts", |w, v| w.opcode_counts[OPCODE_COUNT - 1] = v),
+            ("mem_delta_hist", |w, v| w.mem_delta_hist[3] = v),
+            ("syscalls", |w, v| w.counters.syscalls = v),
+        ];
+        for (channel, set) in edits {
+            let base = read(1_000, 7);
+            let mut full = base.clone();
+            set(&mut full, u32::MAX - 1);
+            let mut one = RawWindow::default();
+            set(&mut one, 1);
+            let mut exact = full.clone();
+            exact.merge(&one).unwrap();
+            let before = exact.clone();
+            assert_eq!(exact.merge(&one), Err(CountOverflow { channel }), "{channel}");
+            assert_eq!(exact, before, "{channel}: a failed merge must not write");
+        }
+    }
+
+    /// A collection window sums `u32::MAX` subwindow counts exactly, where
+    /// a subwindow merge would overflow.
+    #[test]
+    fn assembler_sums_full_width_reads_exactly() {
+        let max = RawWindow {
+            instructions: u32::MAX,
+            opcode_counts: [u32::MAX; OPCODE_COUNT],
+            mem_delta_hist: [u32::MAX; MEM_BINS],
+            counters: CounterSet::from_array([u32::MAX; COUNTER_DIMS]),
+        };
+        assert!(max.clone().merge(&max).is_err());
+        let windows = aggregate_with_gaps(&[max.clone(), max.clone(), max], 3_000, 1.0);
+        let sum = 3 * u64::from(u32::MAX);
+        assert_eq!(windows.len(), 1);
+        assert_eq!(windows[0].instructions, sum);
+        assert!(windows[0].opcode_counts.iter().all(|&c| c == sum));
+        assert!(windows[0].mem_delta_hist.iter().all(|&c| c == sum));
+        assert!(windows[0].counters.iter().all(|&c| c == sum));
+        assert_eq!(windows[0].counter_rates(), [1.0; COUNTER_DIMS]);
     }
 }

@@ -3,16 +3,18 @@
 
 use proptest::prelude::*;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
-use rhmd_features::window::{aggregate_with_gaps, apply_faults, RawWindow, SUBWINDOW};
+use rhmd_features::window::{
+    aggregate_with_gaps, apply_faults, CollectionWindow, RawWindow, SUBWINDOW,
+};
 use rhmd_trace::isa::{Opcode, OPCODE_COUNT};
 use rhmd_uarch::faults::{FaultConfig, FaultModel};
 
 /// A full subwindow with plausible opcode / memory / counter content.
 fn any_subwindow() -> impl Strategy<Value = RawWindow> {
     (
-        prop::collection::vec(0u64..200, OPCODE_COUNT),
-        prop::collection::vec(0u64..200, 16),
-        0u64..500,
+        prop::collection::vec(0u32..200, OPCODE_COUNT),
+        prop::collection::vec(0u32..200, 16),
+        0u32..500,
     )
         .prop_map(|(ops, hist, misses)| {
             let mut w = RawWindow::default();
@@ -22,8 +24,8 @@ fn any_subwindow() -> impl Strategy<Value = RawWindow> {
             for (slot, v) in w.mem_delta_hist.iter_mut().zip(&hist) {
                 *slot = *v;
             }
-            w.instructions = u64::from(SUBWINDOW);
-            w.counters.instructions = u64::from(SUBWINDOW);
+            w.instructions = SUBWINDOW;
+            w.counters.instructions = SUBWINDOW;
             w.counters.loads = hist.iter().sum();
             w.counters.l2_misses = misses;
             w
@@ -64,12 +66,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let model = FaultModel::new(FaultConfig::none(), seed);
-        let faulted = apply_faults(&stream, &model);
+        let faulted = apply_faults(&stream, &model).unwrap();
         prop_assert_eq!(&faulted, &stream);
         for spec in all_specs() {
             for (a, b) in stream.iter().zip(&faulted) {
-                let va = spec.project(a);
-                let vb = spec.project(b);
+                let va = spec.project(&CollectionWindow::from(a));
+                let vb = spec.project(&CollectionWindow::from(b));
                 prop_assert!(
                     va.iter().zip(&vb).all(|(x, y)| x.to_bits() == y.to_bits()),
                     "feature vectors must be bit-identical under {}",
@@ -88,7 +90,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let model = FaultModel::new(config, seed);
-        let faulted = apply_faults(&stream, &model);
+        let faulted = apply_faults(&stream, &model).unwrap();
         for spec in all_specs() {
             for window in aggregate_with_gaps(&faulted, 10_000, 0.0) {
                 let v = spec.project(&window);
@@ -111,9 +113,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let model = FaultModel::new(FaultConfig::dropping(rate), seed);
-        let faulted = apply_faults(&stream, &model);
-        let original: u64 = stream.iter().map(|w| w.instructions).sum();
-        let surviving: u64 = faulted.iter().map(|w| w.instructions).sum();
+        let faulted = apply_faults(&stream, &model).unwrap();
+        let original: u64 = stream.iter().map(|w| u64::from(w.instructions)).sum();
+        let surviving: u64 = faulted.iter().map(|w| u64::from(w.instructions)).sum();
         prop_assert!(surviving <= original);
         // Any shortfall is exactly a trailing run of dropped reads.
         let tail = (original - surviving) / u64::from(SUBWINDOW);

@@ -2,13 +2,15 @@
 
 use proptest::prelude::*;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
-use rhmd_features::window::{aggregate_with_gaps, delta_bin, RawWindow, MEM_BINS, SUBWINDOW};
+use rhmd_features::window::{
+    aggregate_with_gaps, delta_bin, CollectionWindow, RawWindow, MEM_BINS, SUBWINDOW,
+};
 use rhmd_trace::isa::{Opcode, OPCODE_COUNT};
 
 fn any_window() -> impl Strategy<Value = RawWindow> {
     (
-        prop::collection::vec(0u64..50, OPCODE_COUNT),
-        prop::collection::vec(0u64..50, MEM_BINS),
+        prop::collection::vec(0u32..50, OPCODE_COUNT),
+        prop::collection::vec(0u32..50, MEM_BINS),
     )
         .prop_map(|(ops, hist)| {
             let mut w = RawWindow::default();
@@ -18,7 +20,7 @@ fn any_window() -> impl Strategy<Value = RawWindow> {
             for (slot, v) in w.mem_delta_hist.iter_mut().zip(&hist) {
                 *slot = *v;
             }
-            w.instructions = w.opcode_counts.iter().sum::<u64>().max(1);
+            w.instructions = w.opcode_counts.iter().sum::<u32>().max(1);
             w.counters.instructions = w.instructions;
             w
         })
@@ -32,10 +34,10 @@ proptest! {
     #[test]
     fn memory_projection_normalizes(w in any_window()) {
         let spec = FeatureSpec::new(FeatureKind::Memory, 10_000, vec![]);
-        let v = spec.project(&w);
+        let v = spec.project(&CollectionWindow::from(&w));
         prop_assert_eq!(v.len(), MEM_BINS);
         let total: f64 = v.iter().sum();
-        if w.mem_accesses() > 0 {
+        if CollectionWindow::from(&w).mem_accesses() > 0 {
             prop_assert!((total - 1.0).abs() < 1e-9, "sum {total}");
         } else {
             prop_assert_eq!(total, 0.0);
@@ -47,7 +49,7 @@ proptest! {
     fn instruction_projection_bounds(w in any_window()) {
         let opcodes: Vec<Opcode> = Opcode::ALL[..8].to_vec();
         let spec = FeatureSpec::new(FeatureKind::Instructions, 10_000, opcodes.clone());
-        let v = spec.project(&w);
+        let v = spec.project(&CollectionWindow::from(&w));
         for (f, op) in v.iter().zip(&opcodes) {
             prop_assert!((0.0..=1.0).contains(f));
             let expected = w.opcode_counts[op.index()] as f64 / w.instructions as f64;
@@ -62,18 +64,18 @@ proptest! {
         // Regularize sizes to exactly one subwindow each.
         let mut subs = windows;
         for w in &mut subs {
-            w.instructions = u64::from(SUBWINDOW);
-            w.counters.instructions = u64::from(SUBWINDOW);
+            w.instructions = SUBWINDOW;
+            w.counters.instructions = SUBWINDOW;
         }
         let n = subs.len() as u32;
         let merged = aggregate_with_gaps(&subs, n * SUBWINDOW, 1.0);
         prop_assert_eq!(merged.len(), 1);
         for op in 0..OPCODE_COUNT {
-            let total: u64 = subs.iter().map(|w| w.opcode_counts[op]).sum();
+            let total: u64 = subs.iter().map(|w| u64::from(w.opcode_counts[op])).sum();
             prop_assert_eq!(merged[0].opcode_counts[op], total);
         }
         for bin in 0..MEM_BINS {
-            let total: u64 = subs.iter().map(|w| w.mem_delta_hist[bin]).sum();
+            let total: u64 = subs.iter().map(|w| u64::from(w.mem_delta_hist[bin])).sum();
             prop_assert_eq!(merged[0].mem_delta_hist[bin], total);
         }
     }
@@ -107,7 +109,7 @@ proptest! {
             vec![FeatureKind::Instructions, FeatureKind::Memory, FeatureKind::Architectural],
         ] {
             let spec = FeatureSpec::combined(kinds, 10_000, opcodes.clone());
-            prop_assert_eq!(spec.project(&w).len(), spec.dims());
+            prop_assert_eq!(spec.project(&CollectionWindow::from(&w)).len(), spec.dims());
         }
     }
 }

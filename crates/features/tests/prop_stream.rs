@@ -57,7 +57,7 @@ proptest! {
         prop_assert_eq!(&batched, &reference);
         prop_assert_eq!(
             summary.instructions,
-            batched.iter().map(|w| w.instructions).sum::<u64>()
+            batched.iter().map(|w| u64::from(w.instructions)).sum::<u64>()
         );
     }
 

@@ -174,9 +174,8 @@ pub struct WireFaults {
     pub truncate: f64,
     /// P(an oversized (> frame cap) junk frame precedes this one).
     pub oversize: f64,
-    /// P(a copy with absurd/non-representable counter values precedes the
-    /// intact frame) — floats where u64s belong, and counters past
-    /// [`crate::proto::MAX_COUNTER`].
+    /// P(a copy with a non-representable counter value precedes the intact
+    /// frame): a float where a count belongs.
     pub nonfinite: f64,
     /// Seed for all per-frame decisions.
     pub seed: u64,
@@ -300,7 +299,7 @@ impl WireFaults {
             out.push(junk);
         }
         if self.roll(session, seq, 0x6e6674) < self.nonfinite {
-            // Floats where u64 counters belong: serde must reject them.
+            // A float where a count belongs: the decoder must reject it.
             out.push(frame.replacen("\"instructions\":", "\"instructions\":1e999,\"x\":", 1));
         }
         out.push(frame.to_owned());

@@ -44,7 +44,7 @@ use crate::session::{SessionKey, SessionSnapshot, SessionState, Slot};
 use crate::ServeConfig;
 use rhmd_core::hmd::{Hmd, QuorumVerdict, ABSTAIN_BOUND};
 use rhmd_core::RhmdError;
-use rhmd_features::window::{RawWindow, Sealed};
+use rhmd_features::window::{CollectionWindow, RawWindow, Sealed};
 use rhmd_ml::matrix::FeatureMatrix;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -748,7 +748,7 @@ impl Supervisor {
 
 /// The window a sealed chunk keeps, if any; a chunk dropped below the
 /// fill floor is counted in `serve.windows.gap_dropped`.
-fn kept_window(sealed: Option<Sealed>) -> Option<Box<RawWindow>> {
+fn kept_window(sealed: Option<Sealed>) -> Option<Box<CollectionWindow>> {
     match sealed? {
         Sealed::Window(w) => Some(w),
         Sealed::Dropped => {
@@ -1040,7 +1040,7 @@ impl Worker {
         &mut self,
         key: &SessionKey,
         snap: &ModelSnapshot,
-        window: &RawWindow,
+        window: &CollectionWindow,
         now: Instant,
     ) -> bool {
         let dims = snap.hmd().spec().dims();

@@ -64,12 +64,11 @@ pub const MAX_NESTING: usize = 128;
 /// Hard cap on tenant and session identifier length, in bytes.
 pub const MAX_ID_BYTES: usize = 256;
 
-/// Hard cap on any single counter value in a submitted window: `2^53`, the
-/// largest integer range f64 projects exactly. Anything larger is not a
-/// plausible per-subwindow PMU delta and would silently lose precision in
-/// feature space (and can overflow the u64 merge accumulators under
-/// assembly) — rejected with a typed error instead.
-pub const MAX_COUNTER: u64 = 1 << 53;
+/// Hard cap on any single counter value in a submitted window: `u32::MAX`,
+/// the width of a subwindow count ([`RawWindow`]). The decoder rejects a
+/// larger value as a parse error; a session's collection windows sum
+/// these counts at 64-bit width, so assembly cannot overflow either.
+pub const MAX_COUNTER: u64 = u32::MAX as u64;
 
 /// A client → server message, decoded from the wire by [`parse_request`].
 ///
@@ -251,10 +250,11 @@ impl serde::Deserialize for StatsMsg {
     }
 }
 
-/// Validates a parsed request's identifiers and window payload: rejects
-/// empty/oversized tenant or session ids and counter values beyond
-/// [`MAX_COUNTER`] in any channel. Pure reject-or-accept — a hostile frame
-/// draws a typed error, never a panic or a silently-garbled feature row.
+/// Validates a parsed request's identifiers: rejects empty or oversized
+/// tenant and session ids. (Counter values past [`MAX_COUNTER`] cannot be
+/// represented in a [`RawWindow`]; the decoder already rejected them.) Pure
+/// reject-or-accept — a hostile frame draws a typed error, never a panic or
+/// a silently-garbled feature row.
 ///
 /// # Errors
 ///
@@ -274,27 +274,9 @@ pub fn validate_request(request: &Request) -> Result<(), rhmd_core::RhmdError> {
     }
     match request {
         Request::Event {
-            tenant,
-            session,
-            window,
-            ..
-        } => {
-            check_id("tenant", tenant)?;
-            check_id("session", session)?;
-            let over = |v: u64| v > MAX_COUNTER;
-            if over(window.instructions)
-                || window.opcode_counts.iter().copied().any(over)
-                || window.mem_delta_hist.iter().copied().any(over)
-                || window.counters.to_array().iter().copied().any(over)
-            {
-                return Err(rhmd_core::RhmdError::parse(
-                    "window",
-                    format!("counter value exceeds the 2^53 cap ({MAX_COUNTER})"),
-                ));
-            }
-            Ok(())
+            tenant, session, ..
         }
-        Request::End { tenant, session } => {
+        | Request::End { tenant, session } => {
             check_id("tenant", tenant)?;
             check_id("session", session)
         }
@@ -512,9 +494,9 @@ impl<'a> Decoder<'a> {
             }
             seen |= bit;
             match bit {
-                1 => window.instructions = d.u64()?,
-                2 => d.u64_array(&mut window.opcode_counts)?,
-                4 => d.u64_array(&mut window.mem_delta_hist)?,
+                1 => window.instructions = d.count()?,
+                2 => d.count_array(&mut window.opcode_counts)?,
+                4 => d.count_array(&mut window.mem_delta_hist)?,
                 _ => window.counters = d.counters()?,
             }
             Ok(())
@@ -528,13 +510,13 @@ impl<'a> Decoder<'a> {
     /// The `counters` body: each field lands at its [`COUNTER_NAMES`] index.
     fn counters(&mut self) -> Decoded<CounterSet> {
         const ALL: u32 = (1 << COUNTER_DIMS) - 1;
-        let mut values = [0u64; COUNTER_DIMS];
+        let mut values = [0u32; COUNTER_DIMS];
         let mut seen = 0u32;
         self.object(
             |d, key| match COUNTER_NAMES.iter().position(|&name| name == key) {
                 Some(i) if seen & (1 << i) == 0 => {
                     seen |= 1 << i;
-                    values[i] = d.u64()?;
+                    values[i] = d.count()?;
                     Ok(())
                 }
                 _ => d.skip_value(),
@@ -572,8 +554,8 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// A fixed-length array of `u64`s, filled in place.
-    fn u64_array(&mut self, out: &mut [u64]) -> Decoded<()> {
+    /// A fixed-length array of counts, filled in place.
+    fn count_array(&mut self, out: &mut [u32]) -> Decoded<()> {
         self.expect(b'[')?;
         self.enter()?;
         let mut len = 0;
@@ -584,7 +566,7 @@ impl<'a> Decoder<'a> {
                 let Some(slot) = out.get_mut(len) else {
                     return self.fail(format_args!("expected an array of length {}", out.len()));
                 };
-                *slot = self.u64()?;
+                *slot = self.count()?;
                 len += 1;
                 match self.peek() {
                     Some(b',') => self.pos += 1,
@@ -601,6 +583,18 @@ impl<'a> Decoder<'a> {
             return self.fail(format_args!("expected an array of length {}", out.len()));
         }
         Ok(())
+    }
+
+    /// A window count: an unsigned integer (see [`Self::u64`]) no larger
+    /// than [`MAX_COUNTER`].
+    fn count(&mut self) -> Decoded<u32> {
+        let n = self.u64()?;
+        match u32::try_from(n) {
+            Ok(count) => Ok(count),
+            Err(_) => self.fail(format_args!(
+                "counter value {n} exceeds the u32 cap ({MAX_COUNTER})"
+            )),
+        }
     }
 
     /// An unsigned integer: digits only (leading zeros allowed) up to
@@ -905,20 +899,38 @@ mod tests {
             session: "s".repeat(MAX_ID_BYTES + 1),
         };
         assert!(validate_request(&long_session).is_err());
+    }
 
-        let window = RawWindow {
-            instructions: MAX_COUNTER + 1,
-            ..RawWindow::default()
-        };
-        let overflow = Request::Event {
-            tenant: "t".into(),
-            session: "s".into(),
-            seq: 0,
-            window: Box::new(window),
-            deadline_ms: None,
-        };
-        let err = validate_request(&overflow).unwrap_err();
-        assert!(matches!(err, rhmd_core::RhmdError::Parse { .. }));
-        assert!(err.to_string().contains("2^53"));
+    /// A window count past `u32::MAX`, in any kind of count slot, is a
+    /// parse error; `u32::MAX` itself decodes exactly.
+    #[test]
+    fn window_counts_past_u32_are_parse_errors() {
+        const MARK: u32 = 4_242_424_242;
+        let slots: [fn(&mut RawWindow, u32); 4] = [
+            |w, v| w.instructions = v,
+            |w, v| w.opcode_counts[5] = v,
+            |w, v| w.mem_delta_hist[15] = v,
+            |w, v| w.counters.l2_misses = v,
+        ];
+        for set in slots {
+            let event = |value: u32| {
+                let mut window = RawWindow::default();
+                set(&mut window, value);
+                Request::Event {
+                    tenant: "t".into(),
+                    session: "s".into(),
+                    seq: 0,
+                    window: Box::new(window),
+                    deadline_ms: None,
+                }
+            };
+            let frame = serde_json::to_string(&event(MARK)).unwrap();
+            let at_max = frame.replace(&MARK.to_string(), &MAX_COUNTER.to_string());
+            assert_eq!(parse_request(&at_max).unwrap(), event(u32::MAX));
+            let past = frame.replace(&MARK.to_string(), &(MAX_COUNTER + 1).to_string());
+            let err = parse_request(&past).unwrap_err();
+            assert!(matches!(err, rhmd_core::RhmdError::Parse { .. }));
+            assert!(err.to_string().contains("exceeds the u32 cap"), "{err}");
+        }
     }
 }

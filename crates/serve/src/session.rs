@@ -225,9 +225,9 @@ pub struct SessionSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rhmd_features::window::{RawWindow, Sealed, SUBWINDOW};
+    use rhmd_features::window::{CollectionWindow, RawWindow, Sealed, SUBWINDOW};
 
-    fn sub(instructions: u64) -> RawWindow {
+    fn sub(instructions: u32) -> RawWindow {
         let mut w = RawWindow {
             instructions,
             ..RawWindow::default()
@@ -236,7 +236,7 @@ mod tests {
         w
     }
 
-    fn streamed(subs: &[RawWindow], period: u32, min_fill: f64) -> Vec<RawWindow> {
+    fn streamed(subs: &[RawWindow], period: u32, min_fill: f64) -> Vec<CollectionWindow> {
         let mut asm = WindowAssembler::new(period, min_fill);
         let mut out = Vec::new();
         for s in subs {
@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn partial_tail_drops_at_full_fill() {
-        let subs: Vec<RawWindow> = (0..7).map(|_| sub(u64::from(SUBWINDOW))).collect();
+        let subs: Vec<RawWindow> = (0..7).map(|_| sub(SUBWINDOW)).collect();
         // 7 subwindows at period 5k: one full window, tail of 2 drops.
         assert_eq!(streamed(&subs, 5_000, 1.0).len(), 1);
         // With a permissive floor the 2k-instruction tail survives.

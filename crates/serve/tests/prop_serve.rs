@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 /// A synthetic subwindow whose channels are all derived from `fill`, so a
 /// merge mistake in any channel shows up as inequality.
-fn sub(fill: u64, salt: u64) -> RawWindow {
+fn sub(fill: u32, salt: u32) -> RawWindow {
     let mut w = RawWindow {
         instructions: fill,
         ..RawWindow::default()
@@ -147,7 +147,7 @@ proptest! {
     /// assembler) seals the same windows as the clean in-order stream.
     #[test]
     fn sequence_filter_makes_redelivery_invisible_to_assembly(
-        fills in prop::collection::vec(1u64..=u64::from(SUBWINDOW), 1..24),
+        fills in prop::collection::vec(1u32..=SUBWINDOW, 1..24),
         per in 1u32..4,
         replays in prop::collection::vec((0usize..24, 0usize..24), 0..32),
         restore_at in 0usize..24,
@@ -157,7 +157,7 @@ proptest! {
         let subs: Vec<RawWindow> = fills
             .iter()
             .enumerate()
-            .map(|(i, &f)| sub(f, i as u64))
+            .map(|(i, &f)| sub(f, i as u32))
             .collect();
         let now = Instant::now();
         let deliver = |chaos: bool| {
@@ -328,7 +328,7 @@ fn assert_agree(line: &str) {
     }
 }
 
-/// A counter value: zero, small, near the 2^53 cap, or anywhere in u64.
+/// A `seq` or deadline value: zero, small, near 2^53, or anywhere in u64.
 fn counter(rng: &mut SmallRng) -> u64 {
     match rng.gen_range(0..4) {
         0 => 0,
@@ -338,15 +338,26 @@ fn counter(rng: &mut SmallRng) -> u64 {
     }
 }
 
+/// A window count: zero, small, at or just below `u32::MAX`, or anywhere
+/// in u32.
+fn count(rng: &mut SmallRng) -> u32 {
+    match rng.gen_range(0..4) {
+        0 => 0,
+        1 => rng.gen_range(0..2_000),
+        2 => u32::MAX - rng.gen_range(0..3),
+        _ => rng.gen(),
+    }
+}
+
 fn raw_window(rng: &mut SmallRng) -> RawWindow {
     let mut w = RawWindow {
-        instructions: counter(rng),
+        instructions: count(rng),
         ..RawWindow::default()
     };
-    w.opcode_counts.iter_mut().for_each(|v| *v = counter(rng));
-    w.mem_delta_hist.iter_mut().for_each(|v| *v = counter(rng));
+    w.opcode_counts.iter_mut().for_each(|v| *v = count(rng));
+    w.mem_delta_hist.iter_mut().for_each(|v| *v = count(rng));
     let mut channels = w.counters.to_array();
-    channels.iter_mut().for_each(|v| *v = counter(rng));
+    channels.iter_mut().for_each(|v| *v = count(rng));
     w.counters = rhmd_uarch::CounterSet::from_array(channels);
     w
 }
@@ -657,25 +668,27 @@ proptest! {
         }
     }
 
-    /// Numeric edge cases in every kind of `u64` slot, and in a slot no
-    /// field reads.
+    /// Numeric edge cases in every kind of `u32` count slot and `u64`
+    /// slot, and in a slot no field reads.
     #[test]
     fn decoder_matches_tree_on_numeric_edges(seed in any::<u64>()) {
         const SENTINEL: u64 = 4_242_424_242_424_242;
-        const EDGES: [&str; 16] = [
+        const COUNT_SENTINEL: u32 = 4_242_424_242;
+        const EDGES: [&str; 18] = [
             "18446744073709551615", "18446744073709551616", "99999999999999999999999",
+            "4294967295", "4294967296",
             "-0", "-00", "-1", "007", "0", "1.0", "1e3", "1E3", "1e999", "-", "1-2", "-9223372036854775809", "00",
         ];
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut w = raw_window(&mut rng);
         let slot = rng.gen_range(0..7);
         match slot {
-            0 => w.instructions = SENTINEL,
-            1 => w.opcode_counts[rng.gen_range(0..w.opcode_counts.len())] = SENTINEL,
-            2 => w.mem_delta_hist[rng.gen_range(0..w.mem_delta_hist.len())] = SENTINEL,
+            0 => w.instructions = COUNT_SENTINEL,
+            1 => w.opcode_counts[rng.gen_range(0..w.opcode_counts.len())] = COUNT_SENTINEL,
+            2 => w.mem_delta_hist[rng.gen_range(0..w.mem_delta_hist.len())] = COUNT_SENTINEL,
             3 => {
                 let mut c = w.counters.to_array();
-                c[rng.gen_range(0..c.len())] = SENTINEL;
+                c[rng.gen_range(0..c.len())] = COUNT_SENTINEL;
                 w.counters = rhmd_uarch::CounterSet::from_array(c);
             }
             _ => {}
@@ -691,8 +704,9 @@ proptest! {
         if slot == 6 {
             line = line.replacen("\"seq\":", &format!("\"x\":{SENTINEL},\"seq\":"), 1);
         }
+        let mark = if slot < 4 { COUNT_SENTINEL.to_string() } else { SENTINEL.to_string() };
         for edge in EDGES {
-            let edged = line.replacen(&SENTINEL.to_string(), edge, 1);
+            let edged = line.replacen(&mark, edge, 1);
             prop_assert_eq!(disagreement(&edged), None);
         }
     }

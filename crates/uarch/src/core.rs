@@ -130,7 +130,7 @@ impl CoreModel {
 
     /// Bulk-adds `n` committed instructions to the counters.
     #[inline]
-    pub fn add_instructions(&mut self, n: u64) {
+    pub fn add_instructions(&mut self, n: u32) {
         self.counters.instructions += n;
     }
 
@@ -144,7 +144,7 @@ impl CoreModel {
             c.itlb_misses += 1;
         }
         let ic_misses = self.icache.access_range(pc, 4);
-        c.icache_misses += u64::from(ic_misses);
+        c.icache_misses += ic_misses;
         if ic_misses > 0 && !self.l2.access(pc) {
             c.l2_misses += 1;
         }
@@ -188,7 +188,7 @@ impl CoreModel {
             c.dtlb_misses += 1;
         }
         let misses = self.dcache.access_range(addr, size);
-        c.dcache_misses += u64::from(misses);
+        c.dcache_misses += misses;
         if misses > 0 && !self.l2.access(addr) {
             c.l2_misses += 1;
         }
@@ -251,7 +251,7 @@ impl Observer for CoreModel {
             c.itlb_misses += 1;
         }
         let ic_misses = self.icache.access_range(ev.pc, 4);
-        c.icache_misses += u64::from(ic_misses);
+        c.icache_misses += ic_misses;
         if ic_misses > 0 && !self.l2.access(ev.pc) {
             c.l2_misses += 1;
         }
@@ -262,7 +262,7 @@ impl Observer for CoreModel {
                 c.dtlb_misses += 1;
             }
             let misses = self.dcache.access_range(mem.addr, mem.size);
-            c.dcache_misses += u64::from(misses);
+            c.dcache_misses += misses;
             if misses > 0 && !self.l2.access(mem.addr) {
                 c.l2_misses += 1;
             }

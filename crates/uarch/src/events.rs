@@ -2,45 +2,54 @@
 //! Architectural feature reads.
 
 use serde::{Deserialize, Serialize};
-use std::ops::{Add, AddAssign, Sub};
+use std::fmt;
+use std::ops::Sub;
 
 /// One sample of the performance counters.
 ///
-/// All counts are deltas over some interval (usually a collection window).
+/// All counts are deltas over some interval: one drain of a core, which
+/// every trace path takes once per 1,000-instruction subwindow. Counts are
+/// `u32`: a core raises each channel by at most a few per committed
+/// instruction, so a subwindow's channels stay in the low thousands and
+/// even one whole trace's sum fits. Sums of readings go through
+/// [`CounterSet::checked_add`], which fails with [`CountOverflow`] instead
+/// of wrapping. A core that is never drained counts its whole run in these
+/// fields, so a direct [`crate::CoreModel`] observer must stay well below
+/// `u32::MAX` events per channel; debug builds trap an overflowing count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSet {
     /// Committed instructions.
-    pub instructions: u64,
+    pub instructions: u32,
     /// Load micro-accesses.
-    pub loads: u64,
+    pub loads: u32,
     /// Store micro-accesses.
-    pub stores: u64,
+    pub stores: u32,
     /// Unaligned memory accesses.
-    pub unaligned: u64,
+    pub unaligned: u32,
     /// Conditional branches executed.
-    pub cond_branches: u64,
+    pub cond_branches: u32,
     /// Taken control transfers (all kinds).
-    pub taken_branches: u64,
+    pub taken_branches: u32,
     /// Direction mispredictions.
-    pub mispredicts: u64,
+    pub mispredicts: u32,
     /// BTB misses on taken transfers.
-    pub btb_misses: u64,
+    pub btb_misses: u32,
     /// Instruction-cache misses.
-    pub icache_misses: u64,
+    pub icache_misses: u32,
     /// Data-cache misses.
-    pub dcache_misses: u64,
+    pub dcache_misses: u32,
     /// Unified L2 misses.
-    pub l2_misses: u64,
+    pub l2_misses: u32,
     /// Instruction-TLB misses.
-    pub itlb_misses: u64,
+    pub itlb_misses: u32,
     /// Data-TLB misses.
-    pub dtlb_misses: u64,
+    pub dtlb_misses: u32,
     /// Function calls.
-    pub calls: u64,
+    pub calls: u32,
     /// Function returns.
-    pub returns: u64,
+    pub returns: u32,
     /// System calls.
-    pub syscalls: u64,
+    pub syscalls: u32,
 }
 
 /// Number of scalar event channels exported to the Architectural feature.
@@ -68,7 +77,7 @@ pub const COUNTER_NAMES: [&str; COUNTER_DIMS] = [
 
 impl CounterSet {
     /// Exports the counters as a fixed-order array (see [`COUNTER_NAMES`]).
-    pub fn to_array(&self) -> [u64; COUNTER_DIMS] {
+    pub fn to_array(&self) -> [u32; COUNTER_DIMS] {
         [
             self.instructions,
             self.loads,
@@ -91,7 +100,7 @@ impl CounterSet {
 
     /// Rebuilds a counter set from a fixed-order array (inverse of
     /// [`CounterSet::to_array`]).
-    pub fn from_array(a: [u64; COUNTER_DIMS]) -> CounterSet {
+    pub fn from_array(a: [u32; COUNTER_DIMS]) -> CounterSet {
         CounterSet {
             instructions: a[0],
             loads: a[1],
@@ -111,52 +120,61 @@ impl CounterSet {
             syscalls: a[15],
         }
     }
+}
 
-    /// Normalizes every channel by the committed-instruction count, yielding
-    /// per-instruction rates suitable as detector features.
-    pub fn to_rates(&self) -> [f64; COUNTER_DIMS] {
-        let denom = self.instructions.max(1) as f64;
-        let raw = self.to_array();
-        let mut rates = [0.0; COUNTER_DIMS];
-        for (r, &v) in rates.iter_mut().zip(&raw) {
-            *r = v as f64 / denom;
+/// Normalizes a fixed-order reading (see [`COUNTER_NAMES`]), at any width
+/// up to `u64`, by its committed-instruction count in channel 0: the
+/// Architectural feature's per-instruction rates.
+pub fn rates(counts: &[u64; COUNTER_DIMS]) -> [f64; COUNTER_DIMS] {
+    let denom = counts[0].max(1) as f64;
+    let mut rates = [0.0; COUNTER_DIMS];
+    for (r, &v) in rates.iter_mut().zip(counts) {
+        *r = v as f64 / denom;
+    }
+    // Channel 0 would always be 1.0; expose it as window fill instead
+    // (useful for truncated final windows).
+    rates[0] = 1.0;
+    rates
+}
+
+impl CounterSet {
+    /// Channel-wise sum of two readings, or [`CountOverflow`] naming the
+    /// first channel (in [`COUNTER_NAMES`] order) whose sum does not fit a
+    /// `u32`. Never wraps.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CountOverflow`] when any channel's sum exceeds `u32::MAX`.
+    pub fn checked_add(&self, rhs: &CounterSet) -> Result<CounterSet, CountOverflow> {
+        let (a, b) = (self.to_array(), rhs.to_array());
+        let mut sum = [0u32; COUNTER_DIMS];
+        for (i, s) in sum.iter_mut().enumerate() {
+            *s = a[i].checked_add(b[i]).ok_or(CountOverflow {
+                channel: COUNTER_NAMES[i],
+            })?;
         }
-        // Channel 0 would always be 1.0; expose it as window fill instead
-        // (useful for truncated final windows).
-        rates[0] = 1.0;
-        rates
+        Ok(CounterSet::from_array(sum))
     }
 }
 
-impl Add for CounterSet {
-    type Output = CounterSet;
+/// A sum of counts that does not fit the `u32` width of a [`CounterSet`]
+/// (or of a subwindow's other channels): the typed failure of every
+/// checked window sum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CountOverflow {
+    /// The channel whose sum overflowed: a [`COUNTER_NAMES`] entry, or
+    /// `"instructions"`, `"opcode_counts"` or `"mem_delta_hist"` for a
+    /// subwindow's own channels.
+    pub channel: &'static str,
+}
 
-    fn add(mut self, rhs: CounterSet) -> CounterSet {
-        self += rhs;
-        self
+impl fmt::Display for CountOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "count sum overflows u32 in channel `{}`", self.channel)
     }
 }
 
-impl AddAssign for CounterSet {
-    fn add_assign(&mut self, rhs: CounterSet) {
-        self.instructions += rhs.instructions;
-        self.loads += rhs.loads;
-        self.stores += rhs.stores;
-        self.unaligned += rhs.unaligned;
-        self.cond_branches += rhs.cond_branches;
-        self.taken_branches += rhs.taken_branches;
-        self.mispredicts += rhs.mispredicts;
-        self.btb_misses += rhs.btb_misses;
-        self.icache_misses += rhs.icache_misses;
-        self.dcache_misses += rhs.dcache_misses;
-        self.l2_misses += rhs.l2_misses;
-        self.itlb_misses += rhs.itlb_misses;
-        self.dtlb_misses += rhs.dtlb_misses;
-        self.calls += rhs.calls;
-        self.returns += rhs.returns;
-        self.syscalls += rhs.syscalls;
-    }
-}
+impl std::error::Error for CountOverflow {}
 
 impl Sub for CounterSet {
     type Output = CounterSet;
@@ -208,14 +226,14 @@ mod tests {
             loads: 50,
             ..CounterSet::default()
         };
-        let r = c.to_rates();
+        let r = rates(&c.to_array().map(u64::from));
         assert_eq!(r[0], 1.0);
         assert!((r[1] - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn rates_survive_zero_instructions() {
-        let r = CounterSet::default().to_rates();
+        let r = rates(&CounterSet::default().to_array().map(u64::from));
         assert!(r.iter().all(|v| v.is_finite()));
     }
 
@@ -232,7 +250,26 @@ mod tests {
             mispredicts: 2,
             ..CounterSet::default()
         };
-        assert_eq!((a + b) - b, a);
+        assert_eq!(a.checked_add(&b).unwrap() - b, a);
+    }
+
+    #[test]
+    fn checked_add_names_the_overflowing_channel() {
+        let full = CounterSet {
+            instructions: 1,
+            dcache_misses: u32::MAX,
+            ..CounterSet::default()
+        };
+        let one = CounterSet {
+            instructions: 1,
+            dcache_misses: 1,
+            ..CounterSet::default()
+        };
+        let err = full.checked_add(&one).unwrap_err();
+        assert_eq!(err.channel, "dcache_misses");
+        assert!(err.to_string().contains("dcache_misses"));
+        let exact = full.checked_add(&CounterSet::default()).unwrap();
+        assert_eq!(exact.dcache_misses, u32::MAX);
     }
 
     #[test]

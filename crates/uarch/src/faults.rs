@@ -23,12 +23,12 @@
 //! let model = FaultModel::new(FaultConfig::noise(0.1), 7);
 //! let clean = CounterSet { instructions: 1_000, loads: 240, ..CounterSet::default() };
 //! let mut stream = vec![clean; 4];
-//! model.corrupt_stream(&mut stream);
+//! model.corrupt_stream(&mut stream).expect("four reads sum within u32");
 //! assert_eq!(stream.len(), 4); // noise never drops windows
 //! ```
 
 use crate::core::CoreModel;
-use crate::events::{CounterSet, COUNTER_DIMS};
+use crate::events::{CountOverflow, CounterSet, COUNTER_DIMS};
 use rhmd_trace::exec::{ExecEvent, Observer};
 use serde::{Deserialize, Serialize};
 
@@ -316,6 +316,16 @@ impl FaultModel {
         v
     }
 
+    /// [`FaultModel::corrupt_value`] on a 32-bit read register, the width
+    /// of every [`CounterSet`] and subwindow channel. A corrupt value past
+    /// `u32::MAX` reads as `u32::MAX`; only burst garbage of a counter wider
+    /// than 32 bits, or noise on a count near the top of the range, gets
+    /// there.
+    pub fn corrupt_read(&self, window: u64, channel: u64, value: u32, prev: Option<u32>) -> u32 {
+        let v = self.corrupt_value(window, channel, u64::from(value), prev.map(u64::from));
+        u32::try_from(v).unwrap_or(u32::MAX)
+    }
+
     /// Corrupts one [`CounterSet`] in place. `window` is the read's index in
     /// the committed stream; `prev` is the previously *observed* (possibly
     /// corrupted) set, used for stale multiplexed reads.
@@ -325,9 +335,9 @@ impl FaultModel {
         }
         let raw = counters.to_array();
         let stale = prev.map(CounterSet::to_array);
-        let mut out = [0u64; COUNTER_DIMS];
+        let mut out = [0u32; COUNTER_DIMS];
         for (ch, (o, &v)) in out.iter_mut().zip(&raw).enumerate() {
-            *o = self.corrupt_value(window, ch as u64, v, stale.map(|s| s[ch]));
+            *o = self.corrupt_read(window, ch as u64, v, stale.map(|s| s[ch]));
         }
         *counters = CounterSet::from_array(out);
     }
@@ -339,16 +349,21 @@ impl FaultModel {
     /// Window indices are positions in the *original* stream, so per-window
     /// decisions match [`FaultModel::drops_window`] /
     /// [`FaultModel::corrupt_counters`] applied individually.
-    pub fn corrupt_stream(&self, stream: &mut Vec<CounterSet>) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CountOverflow`] when a run of coalesced reads sums past
+    /// `u32::MAX` in some channel; `stream` is then left as it was.
+    pub fn corrupt_stream(&self, stream: &mut Vec<CounterSet>) -> Result<(), CountOverflow> {
         if self.is_identity() {
-            return;
+            return Ok(());
         }
         let mut out: Vec<CounterSet> = Vec::with_capacity(stream.len());
         let mut pending = CounterSet::default();
         let mut prev: Option<CounterSet> = None;
         let mut dropped = 0u64;
-        for (window, &clean) in stream.iter().enumerate() {
-            let merged = pending + clean;
+        for (window, clean) in stream.iter().enumerate() {
+            let merged = pending.checked_add(clean)?;
             if self.drops_window(window as u64) {
                 pending = merged;
                 dropped += 1;
@@ -363,6 +378,7 @@ impl FaultModel {
         rhmd_obs::add("uarch.windows_dropped", dropped);
         rhmd_obs::add("uarch.windows_corrupted", out.len() as u64);
         *stream = out;
+        Ok(())
     }
 }
 
@@ -384,7 +400,10 @@ impl FaultModel {
 ///     FaultModel::new(FaultConfig::noise(0.05), 3),
 /// );
 /// program.execute(ExecLimits::instructions(10_000), &mut core);
-/// let read = core.drain_counters().expect("noise never drops reads");
+/// let read = core
+///     .drain_counters()
+///     .expect("10k instructions of reads sum within u32")
+///     .expect("noise never drops reads");
 /// assert!(read.instructions > 0);
 /// ```
 #[derive(Debug, Clone)]
@@ -425,23 +444,28 @@ impl FaultedCore {
 
     /// Reads and resets the accumulated counters through the fault model.
     ///
-    /// Returns `None` when the read was lost to interrupt coalescing; the
-    /// lost counts are merged into the next successful read, as on hardware
-    /// where the accumulation continues even if the sampling interrupt is
-    /// missed.
-    pub fn drain_counters(&mut self) -> Option<CounterSet> {
+    /// Returns `Ok(None)` when the read was lost to interrupt coalescing;
+    /// the lost counts are merged into the next successful read, as on
+    /// hardware where the accumulation continues even if the sampling
+    /// interrupt is missed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CountOverflow`] when the coalesced counts no longer fit a
+    /// `u32` in some channel.
+    pub fn drain_counters(&mut self) -> Result<Option<CounterSet>, CountOverflow> {
         let window = self.window;
         self.window += 1;
-        let merged = self.pending + self.core.drain_counters();
+        let merged = self.pending.checked_add(&self.core.drain_counters())?;
         if self.model.drops_window(window) {
             self.pending = merged;
-            return None;
+            return Ok(None);
         }
         self.pending = CounterSet::default();
         let mut read = merged;
         self.model.corrupt_counters(window, &mut read, self.prev.as_ref());
         self.prev = Some(read);
-        Some(read)
+        Ok(Some(read))
     }
 }
 
@@ -460,11 +484,11 @@ mod tests {
         (0..n)
             .map(|i| CounterSet {
                 instructions: 1_000,
-                loads: 200 + i as u64,
+                loads: 200 + i as u32,
                 stores: 90,
                 mispredicts: 12,
-                dcache_misses: 40 + (i as u64 % 7),
-                syscalls: i as u64 % 3,
+                dcache_misses: 40 + (i as u32 % 7),
+                syscalls: i as u32 % 3,
                 ..CounterSet::default()
             })
             .collect()
@@ -498,7 +522,7 @@ mod tests {
         assert!(model.is_identity());
         let clean = sample_stream(16);
         let mut faulted = clean.clone();
-        model.corrupt_stream(&mut faulted);
+        model.corrupt_stream(&mut faulted).unwrap();
         assert_eq!(clean, faulted);
         assert_eq!(model.corrupt_value(3, 5, 123_456, Some(7)), 123_456);
     }
@@ -509,7 +533,7 @@ mod tests {
         let clean = sample_stream(8);
         // Whole-stream corruption equals window-at-a-time corruption.
         let mut streamed = clean.clone();
-        model.corrupt_stream(&mut streamed);
+        model.corrupt_stream(&mut streamed).unwrap();
         let mut individual = Vec::new();
         let mut prev = None;
         for (i, &w) in clean.iter().enumerate() {
@@ -525,7 +549,7 @@ mod tests {
     fn noise_perturbs_but_preserves_scale() {
         let model = FaultModel::new(FaultConfig::noise(0.1), 11);
         let mut stream = sample_stream(32);
-        model.corrupt_stream(&mut stream);
+        model.corrupt_stream(&mut stream).unwrap();
         let clean = sample_stream(32);
         assert_ne!(stream, clean);
         for (f, c) in stream.iter().zip(&clean) {
@@ -554,11 +578,11 @@ mod tests {
     fn drops_coalesce_into_next_read() {
         let model = FaultModel::new(FaultConfig::dropping(0.5), 21);
         let clean = sample_stream(64);
-        let total: u64 = clean.iter().map(|c| c.instructions).sum();
+        let total: u32 = clean.iter().map(|c| c.instructions).sum();
         let mut stream = clean;
-        model.corrupt_stream(&mut stream);
+        model.corrupt_stream(&mut stream).unwrap();
         assert!(stream.len() < 64, "a 50% drop rate must lose some reads");
-        let observed: u64 = stream.iter().map(|c| c.instructions).sum();
+        let observed: u32 = stream.iter().map(|c| c.instructions).sum();
         // Coalescing preserves all counts except a trailing dropped run.
         assert!(observed <= total);
         assert!(observed >= total - 64 * 1_000 / 2);
@@ -570,7 +594,7 @@ mod tests {
         let model = FaultModel::new(FaultConfig::multiplexed(0.5), 4);
         let clean = sample_stream(40);
         let mut stream = clean.clone();
-        model.corrupt_stream(&mut stream);
+        model.corrupt_stream(&mut stream).unwrap();
         assert_eq!(stream.len(), 40);
         // Some loads reads must repeat the previous observation.
         let stale_hits = stream
@@ -606,7 +630,7 @@ mod tests {
             FaultModel::new(FaultConfig::none(), 1),
         );
         p.execute(ExecLimits::instructions(8_000), &mut faulted);
-        assert_eq!(faulted.drain_counters(), Some(plain.drain_counters()));
+        assert_eq!(faulted.drain_counters(), Ok(Some(plain.drain_counters())));
     }
 
     #[test]

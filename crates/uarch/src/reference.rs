@@ -193,7 +193,7 @@ impl Observer for ReferenceCore {
             c.itlb_misses += 1;
         }
         let ic_misses = self.icache.access_range(ev.pc, 4);
-        c.icache_misses += u64::from(ic_misses);
+        c.icache_misses += ic_misses;
         if ic_misses > 0 && !self.l2.access(ev.pc) {
             c.l2_misses += 1;
         }
@@ -204,7 +204,7 @@ impl Observer for ReferenceCore {
                 c.dtlb_misses += 1;
             }
             let misses = self.dcache.access_range(mem.addr, mem.size);
-            c.dcache_misses += u64::from(misses);
+            c.dcache_misses += misses;
             if misses > 0 && !self.l2.access(mem.addr) {
                 c.l2_misses += 1;
             }

@@ -46,13 +46,14 @@ impl TimingModel {
     pub fn cycles(&self, counters: &CounterSet) -> f64 {
         // L1 misses that also missed L2 are charged both penalties, like a
         // real hierarchy; l2_misses is a subset of (icache+dcache) misses.
-        counters.instructions as f64
-            + (counters.icache_misses + counters.dcache_misses) as f64 * self.l1_miss_penalty
-            + counters.l2_misses as f64 * self.l2_miss_penalty
-            + (counters.itlb_misses + counters.dtlb_misses) as f64 * self.tlb_miss_penalty
-            + counters.mispredicts as f64 * self.mispredict_penalty
-            + counters.btb_misses as f64 * self.btb_miss_penalty
-            + counters.syscalls as f64 * self.syscall_penalty
+        let sum = |a: u32, b: u32| (u64::from(a) + u64::from(b)) as f64;
+        f64::from(counters.instructions)
+            + sum(counters.icache_misses, counters.dcache_misses) * self.l1_miss_penalty
+            + f64::from(counters.l2_misses) * self.l2_miss_penalty
+            + sum(counters.itlb_misses, counters.dtlb_misses) * self.tlb_miss_penalty
+            + f64::from(counters.mispredicts) * self.mispredict_penalty
+            + f64::from(counters.btb_misses) * self.btb_miss_penalty
+            + f64::from(counters.syscalls) * self.syscall_penalty
     }
 
     /// Instructions per cycle implied by the counters.
@@ -61,7 +62,7 @@ impl TimingModel {
         if cycles == 0.0 {
             0.0
         } else {
-            counters.instructions as f64 / cycles
+            f64::from(counters.instructions) / cycles
         }
     }
 
@@ -82,7 +83,7 @@ impl TimingModel {
 mod tests {
     use super::*;
 
-    fn counters(instructions: u64) -> CounterSet {
+    fn counters(instructions: u32) -> CounterSet {
         CounterSet {
             instructions,
             ..CounterSet::default()

@@ -5,7 +5,7 @@ use rhmd_uarch::events::CounterSet;
 use rhmd_uarch::faults::{FaultConfig, FaultModel};
 
 fn any_counters() -> impl Strategy<Value = CounterSet> {
-    (0u64..5_000, 0u64..2_000, 0u64..2_000, 0u64..500).prop_map(|(i, l, s, m)| CounterSet {
+    (0u32..5_000, 0u32..2_000, 0u32..2_000, 0u32..500).prop_map(|(i, l, s, m)| CounterSet {
         instructions: i,
         loads: l,
         stores: s,
@@ -27,7 +27,7 @@ proptest! {
         let model = FaultModel::new(FaultConfig::none(), seed);
         prop_assert!(model.is_identity());
         let mut faulted = stream.clone();
-        model.corrupt_stream(&mut faulted);
+        model.corrupt_stream(&mut faulted).unwrap();
         prop_assert_eq!(faulted, stream);
     }
 

@@ -67,15 +67,8 @@ pub fn select_victim_opcodes(
     k: usize,
 ) -> Vec<rhmd_trace::Opcode> {
     let labels = traced.corpus().labels();
-    let malware: Vec<_> = victim_train
-        .iter()
-        .filter(|&&i| labels[i])
-        .flat_map(|&i| traced.subwindows(i).to_vec())
-        .collect();
-    let benign: Vec<_> = victim_train
-        .iter()
-        .filter(|&&i| !labels[i])
-        .flat_map(|&i| traced.subwindows(i).to_vec())
-        .collect();
-    rhmd_features::select_top_delta_opcodes(&malware, &benign, k)
+    rhmd_features::select::select_labelled_opcodes(
+        victim_train.iter().map(|&i| (labels[i], traced.subwindows(i))),
+        k,
+    )
 }

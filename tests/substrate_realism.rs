@@ -19,7 +19,9 @@ fn mean_counters(
     for p in programs {
         let mut core = CoreModel::new(CoreConfig::default());
         p.execute(ExecLimits::instructions(budget), &mut core);
-        total += core.drain_counters();
+        total = total
+            .checked_add(&core.drain_counters())
+            .expect("a few programs' counters fit u32");
     }
     total
 }
