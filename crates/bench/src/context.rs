@@ -1,7 +1,6 @@
 //! Shared experiment setup: corpus, traces, splits, feature selection.
 
 use rhmd_data::{Corpus, CorpusConfig, Splits, TracedCorpus};
-use rhmd_features::select::select_labelled_opcodes;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
 use rhmd_ml::trainer::TrainerConfig;
 use rhmd_trace::isa::Opcode;
@@ -40,11 +39,7 @@ impl Experiment {
         let corpus = Corpus::build(&config);
         let splits = Splits::new(&corpus, config.seed);
         let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
-        let labels = traced.corpus().labels();
-        let opcodes = select_labelled_opcodes(
-            splits.victim_train.iter().map(|&i| (labels[i], traced.subwindows(i))),
-            16,
-        );
+        let opcodes = traced.select_opcodes(&splits.victim_train, 16);
         eprintln!("[setup] traced + selected features in {:?}", start.elapsed());
         Experiment {
             config,

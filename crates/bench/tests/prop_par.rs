@@ -121,11 +121,12 @@ proptest! {
 /// once over a grid instead of inside proptest's case loop.
 #[test]
 fn cache_serves_exactly_the_uncached_projection() {
-    use rhmd_data::{Corpus, CorpusConfig, TracedCorpus};
+    use rhmd_data::{Corpus, CorpusConfig, EvalSource, TracedCorpus};
     use rhmd_uarch::CoreConfig;
 
     let config = CorpusConfig::tiny();
     let traced = TracedCorpus::trace(Corpus::build(&config), config.limits(), CoreConfig::default());
+    let source = EvalSource::Traced(&traced);
     let cache = FeatureCache::new();
     for kind in FeatureKind::ALL {
         for period in [5_000u32, 10_000] {
@@ -134,7 +135,7 @@ fn cache_serves_exactly_the_uncached_projection() {
                 // Ask twice: a miss then a hit; both must equal the direct path.
                 let direct = project_windows(traced.subwindows(program), &spec);
                 for _ in 0..2 {
-                    let cached = cache.vectors(&traced, program, &spec);
+                    let cached = cache.vectors(&source, program, &spec);
                     assert_eq!(cached.len(), direct.len(), "{kind} @{period} program {program}");
                     assert!(
                         cached.iter().eq(direct.iter().map(|v| v.as_slice())),

@@ -11,7 +11,9 @@ use rhmd_core::reveng;
 use rhmd_core::rhmd::{build_pool, pool_specs};
 use rhmd_core::verdict::VerdictPolicy;
 use rhmd_core::RhmdError;
-use rhmd_data::{Corpus, CorpusConfig, CorpusStore, Splits, StoreBuilder, TracedCorpus};
+use rhmd_data::{
+    Corpus, CorpusConfig, CorpusStore, EvalSource, Splits, StoreBuilder, TracedCorpus,
+};
 use rhmd_features::pipeline::trace_subwindows;
 use rhmd_features::select::select_labelled_opcodes;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
@@ -278,11 +280,22 @@ fn finish_metrics(metrics: &MetricsOptions, engine: &Evaluator<'_>) -> Result<()
     Ok(())
 }
 
-/// Where the evaluation engine's feature rows come from: a live in-RAM
+/// Owns what the evaluation engine reads feature rows from: a live in-RAM
 /// trace, or an opened on-disk corpus store (`--corpus-store`).
 enum Backing {
     Live(TracedCorpus),
     Store(CorpusStore),
+}
+
+impl Backing {
+    /// The borrowed source: engine input, and the `traced()` /
+    /// `require_spec` guards that refuse what a store cannot serve.
+    fn source(&self) -> EvalSource<'_> {
+        match self {
+            Backing::Live(traced) => EvalSource::Traced(traced),
+            Backing::Store(store) => EvalSource::Store(store),
+        }
+    }
 }
 
 struct Workbench {
@@ -299,59 +312,7 @@ impl Workbench {
     /// source; commands add a recorder / watchdog / checkpoint journal as
     /// their flags demand, then `.build()`.
     fn evaluator(&self) -> EvaluatorBuilder<'_> {
-        match &self.backing {
-            Backing::Live(traced) => Evaluator::builder(traced, self.seed),
-            Backing::Store(store) => Evaluator::builder_from_store(store, self.seed),
-        }
-        .pool(self.pool)
-    }
-
-    /// The live traced corpus, for paths that need raw subwindows (attack,
-    /// defend, fault injection); a typed error in store mode.
-    fn traced(&self) -> Result<&TracedCorpus, RhmdError> {
-        match &self.backing {
-            Backing::Live(traced) => Ok(traced),
-            Backing::Store(store) => Err(RhmdError::config(format!(
-                "this command needs raw traces, which the corpus store at {} \
-                 does not retain; rerun without --corpus-store",
-                store.dir().display()
-            ))),
-        }
-    }
-
-    /// In store mode, insists `spec` was built into the store so a missing
-    /// shard fails with a typed error before any evaluation; live mode can
-    /// project any spec.
-    fn require_spec(&self, spec: &FeatureSpec) -> Result<(), RhmdError> {
-        match &self.backing {
-            Backing::Live(_) => Ok(()),
-            Backing::Store(store) => {
-                if store.has_spec(spec) {
-                    return Ok(());
-                }
-                let stored: Vec<String> = store.specs().map(FeatureSpec::label).collect();
-                Err(RhmdError::config(format!(
-                    "the corpus store at {} was not built with feature {} \
-                     (stored: {}); rebuild with: rhmd corpus build --store {} \
-                     --features ... --periods ...",
-                    store.dir().display(),
-                    spec.label(),
-                    stored.join(", "),
-                    store.dir().display(),
-                )))
-            }
-        }
-    }
-
-    /// Checkpoint-summary tag for the data source: `None` for live
-    /// generation (summaries stay byte-compatible with older journals),
-    /// the store identity otherwise, so a sweep journal written from one
-    /// store is never resumed against another.
-    fn source_tag(&self) -> Option<String> {
-        match &self.backing {
-            Backing::Live(_) => None,
-            Backing::Store(store) => Some(format!("store:{:016x}", store.identity())),
-        }
+        Evaluator::builder_from_source(self.backing.source(), self.seed).pool(self.pool)
     }
 }
 
@@ -393,11 +354,7 @@ fn workbench(args: &Args) -> Result<Workbench, RhmdError> {
         CoreConfig::default(),
         pool.threads(),
     );
-    let labels = traced.corpus().labels();
-    let opcodes = select_labelled_opcodes(
-        splits.victim_train.iter().map(|&i| (labels[i], traced.subwindows(i))),
-        16,
-    );
+    let opcodes = traced.select_opcodes(&splits.victim_train, 16);
     let trainer = TrainerConfig {
         quant: parse_quant(args)?,
         ..TrainerConfig::with_seed(config.seed)
@@ -598,7 +555,7 @@ pub fn train(args: &Args) -> Result<(), RhmdError> {
     metrics.install();
     let bench = workbench(args)?;
     let spec = FeatureSpec::new(kind, period, bench.opcodes.clone());
-    bench.require_spec(&spec)?;
+    bench.backing.source().require_spec(&spec)?;
     let engine = bench.evaluator().recorder(metrics.recorder()?).build();
     // Dataset assembly fans out over the pool; rows are bit-identical to
     // the serial path, so the trained model is too.
@@ -640,11 +597,11 @@ pub fn evaluate(args: &Args) -> Result<(), RhmdError> {
     metrics.install();
     let hmd = load_hmd(&PathBuf::from(&path))?;
     let bench = workbench(args)?;
-    bench.require_spec(hmd.spec())?;
+    bench.backing.source().require_spec(hmd.spec())?;
     if fault.is_some() {
         // Fault injection replays raw subwindows through a degraded
         // counter model, which the store does not retain.
-        bench.traced()?;
+        bench.backing.source().traced()?;
     }
     let engine = bench.evaluator().recorder(metrics.recorder()?).build();
     let quality = engine.quality_hmd(&hmd, &bench.splits.attacker_test);
@@ -729,8 +686,9 @@ pub fn sweep(args: &Args) -> Result<(), RhmdError> {
         quant_label(quant),
         store_bench
             .as_ref()
-            .and_then(Workbench::source_tag)
-            .map(|tag| format!(";source={tag}"))
+            .map(|bench| bench.backing.source().identity())
+            .filter(|&identity| identity != 0)
+            .map(|identity| format!(";source=store:{identity:016x}"))
             .unwrap_or_default(),
     );
     let journal = match &ckpt {
@@ -759,9 +717,10 @@ pub fn sweep(args: &Args) -> Result<(), RhmdError> {
     };
     // In store mode every grid spec must have a shard; fail with a typed
     // error naming the stored specs before any training starts.
+    let source = bench.backing.source();
     for &period in &periods {
         for &kind in &kinds {
-            bench.require_spec(&FeatureSpec::new(kind, period, bench.opcodes.clone()))?;
+            source.require_spec(&FeatureSpec::new(kind, period, bench.opcodes.clone()))?;
         }
     }
     let mut builder = bench.evaluator().recorder(metrics.recorder()?);
@@ -910,7 +869,7 @@ pub fn attack(args: &Args) -> Result<(), RhmdError> {
         }
     };
     let bench = workbench(args)?;
-    let traced = bench.traced()?;
+    let traced = bench.backing.source().traced()?;
     let spec = FeatureSpec::new(kind, 10_000, bench.opcodes.clone());
     let mut victim = Hmd::train(
         victim_algo,
@@ -973,7 +932,7 @@ pub fn defend(args: &Args) -> Result<(), RhmdError> {
     let periods = parse_period_list(args)?;
     let count: usize = args.parse_or("count", 2)?;
     let bench = workbench(args)?;
-    let traced = bench.traced()?;
+    let traced = bench.backing.source().traced()?;
     let mut rhmd = build_pool(
         Algorithm::Lr,
         pool_specs(&FeatureKind::ALL, &periods, &bench.opcodes),

@@ -6,7 +6,9 @@
 //! full path: argument parsing, flag validation order, error rendering,
 //! and the process exit code.
 
+use std::path::Path;
 use std::process::{Command, Output, Stdio};
+use std::sync::OnceLock;
 
 fn rhmd(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rhmd"))
@@ -172,6 +174,74 @@ fn unknown_scale_exits_2() {
 fn unknown_feature_exits_2_and_lists_the_valid_ones() {
     let stderr = expect_failure(&["train", "--feature", "thermal"]);
     assert!(stderr.contains("thermal"), "{stderr}");
+}
+
+// Store mode refuses what a corpus store cannot serve, naming the store.
+
+/// One tiny corpus store and an Architectural@10k model trained from it,
+/// built once for the store-mode cases: `(store dir, model path)`.
+fn store_fixture() -> &'static (String, String) {
+    static FIXTURE: OnceLock<(String, String)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let root = Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("cli-errors-store-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let (store, model) = (root.join("store"), root.join("model.json"));
+        let (store, model) = (store.to_str().unwrap(), model.to_str().unwrap());
+        for args in [
+            &["corpus", "build", "--store", store, "--scale", "tiny"][..],
+            &["train", "--corpus-store", store, "--feature", "architectural", "--out", model],
+        ] {
+            let out = rhmd(args);
+            assert!(
+                out.status.success(),
+                "`rhmd {}`; stderr:\n{}",
+                args.join(" "),
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+        (store.to_owned(), model.to_owned())
+    })
+}
+
+/// Runs `args` against the fixture store and returns stderr, which must
+/// name the store directory.
+fn expect_store_failure(args: &[&str]) -> String {
+    let (store, _) = store_fixture();
+    let stderr = expect_failure(&[args, &["--corpus-store", store.as_str()]].concat());
+    assert!(stderr.contains(store.as_str()), "stderr should name {store}:\n{stderr}");
+    stderr
+}
+
+#[test]
+fn attack_and_defend_from_a_store_exit_2_needing_raw_traces() {
+    for command in ["attack", "defend"] {
+        let stderr = expect_store_failure(&[command]);
+        assert!(stderr.contains("needs raw traces"), "{command}: {stderr}");
+    }
+}
+
+#[test]
+fn fault_injected_evaluate_from_a_store_exits_2_needing_raw_traces() {
+    let (_, model) = store_fixture();
+    let stderr = expect_store_failure(&["evaluate", "--model", model, "--fault", "drop:0.2"]);
+    assert!(stderr.contains("needs raw traces"), "{stderr}");
+}
+
+#[test]
+fn training_an_unstored_spec_exits_2_listing_the_stored_specs() {
+    let stderr = expect_store_failure(&["train", "--feature", "memory", "--period", "5000"]);
+    assert!(stderr.contains("not built with feature Memory@5k"), "{stderr}");
+    assert!(
+        stderr.contains("stored: Instructions@10k, Memory@10k, Architectural@10k"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn a_scale_other_than_the_stores_exits_2() {
+    let stderr = expect_store_failure(&["train", "--scale", "small"]);
+    assert!(stderr.contains("--scale small does not match the corpus store"), "{stderr}");
 }
 
 /// The success path really does exit 0 (anchors the code-2 assertions).

@@ -23,7 +23,7 @@ use crate::rhmd::ResilientHmd;
 use crate::verdict::{DegradedVerdict, VerdictPolicy};
 use crate::RhmdError;
 use rhmd_data::store::CorpusStore;
-use rhmd_data::{CorpusSource, TracedCorpus};
+use rhmd_data::{EvalSource, TracedCorpus};
 use rhmd_features::vector::FeatureSpec;
 use rhmd_features::window::{apply_faults, RawWindow};
 use rhmd_ml::matrix::FeatureMatrix;
@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex};
 /// source, the program, the collection period, and the feature definition
 /// (hashed stably, so keys survive process boundaries).
 ///
-/// `source` is the [`CorpusSource::identity`] of the backing data — `0` for
+/// `source` is the [`EvalSource::identity`] of the backing data — `0` for
 /// live generation, the store's path/config hash otherwise — so mixing a
 /// corpus store and a generated corpus in one process can never alias
 /// entries even when program indices and specs coincide.
@@ -59,71 +59,6 @@ struct CacheKey {
 }
 
 const SHARDS: usize = 16;
-
-/// Where an [`Evaluator`] reads feature rows from: a live traced corpus or
-/// an opened on-disk [`CorpusStore`].
-///
-/// Both sides satisfy the same contract ([`CorpusSource`]): for the same
-/// underlying corpus, feature rows are bit-identical — which is what makes
-/// `rhmd sweep --corpus-store` byte-identical to live generation.
-#[derive(Debug, Clone, Copy)]
-pub enum EvalSource<'a> {
-    /// Programs traced in RAM this run.
-    Traced(&'a TracedCorpus),
-    /// Feature rows mmap'd from a prebuilt corpus store.
-    Store(&'a CorpusStore),
-}
-
-impl EvalSource<'_> {
-    /// Number of programs.
-    pub fn len(&self) -> usize {
-        match self {
-            EvalSource::Traced(t) => CorpusSource::len(*t),
-            EvalSource::Store(s) => CorpusSource::len(*s),
-        }
-    }
-
-    /// Whether the source holds no programs.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Ground-truth labels, one per program.
-    pub fn labels(&self) -> Vec<bool> {
-        match self {
-            EvalSource::Traced(t) => CorpusSource::labels(*t),
-            EvalSource::Store(s) => CorpusSource::labels(*s),
-        }
-    }
-
-    /// Stratum ids, one per program.
-    pub fn strata(&self) -> Vec<u32> {
-        match self {
-            EvalSource::Traced(t) => CorpusSource::strata(*t),
-            EvalSource::Store(s) => CorpusSource::strata(*s),
-        }
-    }
-
-    /// The cache-key identity of the backing data (0 = live generation).
-    pub fn identity(&self) -> u64 {
-        match self {
-            EvalSource::Traced(t) => CorpusSource::identity(*t),
-            EvalSource::Store(s) => CorpusSource::identity(*s),
-        }
-    }
-
-    /// Feature rows of one program. Panics on a source mismatch (spec not
-    /// stored, index out of range) — evaluation loops are pure and such a
-    /// mismatch is a caller bug, validated at CLI level before any loop
-    /// runs.
-    fn features_of(&self, program: usize, spec: &FeatureSpec) -> FeatureMatrix {
-        let result = match self {
-            EvalSource::Traced(t) => CorpusSource::features_of(*t, program, spec),
-            EvalSource::Store(s) => CorpusSource::features_of(*s, program, spec),
-        };
-        result.unwrap_or_else(|e| panic!("{e}"))
-    }
-}
 
 /// Statistics of a [`FeatureCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -158,12 +93,12 @@ impl CacheStats {
 /// out `Arc`s to the immutable result.
 ///
 /// Correctness: a hit returns exactly the matrix a miss would compute (both
-/// come from [`CorpusSource::features_of`] on the same inputs), so caching
+/// come from [`EvalSource::features_of`] on the same inputs), so caching
 /// can never change a result — only skip recomputation. The equivalence
 /// suite asserts this against the uncached path.
 #[derive(Debug)]
 pub struct FeatureCache {
-    shards: Vec<Shard>,
+    shards: [Shard; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -178,44 +113,34 @@ impl Default for FeatureCache {
 }
 
 impl FeatureCache {
-    /// An empty cache with the default shard count.
+    /// An empty cache, lock-striped into 16 slices. Sharding never changes
+    /// results, only which mutex a key lands on.
     pub fn new() -> FeatureCache {
-        FeatureCache::with_shards(SHARDS)
-    }
-
-    /// An empty cache lock-striped into `shards` slices (clamped to at
-    /// least 1). More shards reduce contention under wide pools; sharding
-    /// never changes results, only which mutex a key lands on.
-    pub fn with_shards(shards: usize) -> FeatureCache {
         FeatureCache {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
     fn shard(&self, key: &CacheKey) -> &Shard {
-        // Program index spreads entries across however many shards exist.
-        &self.shards[(key.program ^ key.spec_hash as usize) % self.shards.len()]
+        // Program index spreads entries across the shards.
+        &self.shards[(key.program ^ key.spec_hash as usize) % SHARDS]
     }
 
     /// Projected feature matrix of program `program` under `spec` (one row
     /// per window) — computed on first use, served from the cache
-    /// afterwards.
+    /// afterwards. Store-backed hits and misses both return zero-copy views
+    /// over the mapped shard; the source identity is part of the key, so a
+    /// store and a generated corpus sharing one process never alias
+    /// entries.
+    ///
+    /// # Panics
+    ///
+    /// When `source` cannot serve the row (spec not stored, index out of
+    /// range): evaluation loops are pure and such a mismatch is a caller
+    /// bug, checked by [`EvalSource::require_spec`] before any loop runs.
     pub fn vectors(
-        &self,
-        traced: &TracedCorpus,
-        program: usize,
-        spec: &FeatureSpec,
-    ) -> Arc<FeatureMatrix> {
-        self.vectors_source(&EvalSource::Traced(traced), program, spec)
-    }
-
-    /// [`FeatureCache::vectors`] over any [`EvalSource`]. Store-backed hits
-    /// and misses both return zero-copy views over the mapped shard; the
-    /// source identity is part of the key, so a store and a generated
-    /// corpus sharing one process never alias entries.
-    pub fn vectors_source(
         &self,
         source: &EvalSource<'_>,
         program: usize,
@@ -239,7 +164,8 @@ impl FeatureCache {
         obs::incr("cache.misses");
         // Both sources produce bit-identical rows (a store-backed matrix
         // is a zero-copy view into the shard).
-        let value = Arc::new(source.features_of(program, spec));
+        let rows = source.features_of(program, spec).unwrap_or_else(|e| panic!("{e}"));
+        let value = Arc::new(rows);
         let mut shard = self.shard(&key).lock().expect("cache mutex poisoned");
         Arc::clone(shard.entry(key).or_insert(value))
     }
@@ -254,13 +180,6 @@ impl FeatureCache {
                 .iter()
                 .map(|s| s.lock().expect("cache mutex poisoned").len())
                 .sum(),
-        }
-    }
-
-    /// Drops every entry (statistics keep accumulating).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache mutex poisoned").clear();
         }
     }
 }
@@ -284,8 +203,8 @@ pub struct DegradedQuality {
 /// Configures and builds an [`Evaluator`].
 ///
 /// Obtained from [`Evaluator::builder`]; every knob has a sensible default
-/// (single-threaded pool, 16 cache shards, no watchdog, no checkpoint,
-/// metrics off), so callers name only what they deviate on:
+/// (single-threaded pool, no watchdog, no checkpoint, metrics off), so
+/// callers name only what they deviate on:
 ///
 /// ```
 /// use rhmd_core::engine::Evaluator;
@@ -297,7 +216,6 @@ pub struct EvaluatorBuilder<'a> {
     source: EvalSource<'a>,
     run_seed: u64,
     pool: Pool,
-    cache_shards: usize,
     watchdog: Option<WatchdogConfig>,
     recorder: Arc<dyn Recorder>,
     checkpoint: Option<Journal>,
@@ -326,13 +244,6 @@ impl<'a> EvaluatorBuilder<'a> {
     #[must_use]
     pub fn pool(mut self, pool: Pool) -> Self {
         self.pool = pool;
-        self
-    }
-
-    /// Lock-stripes the feature cache into `shards` slices (default 16).
-    #[must_use]
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards.max(1);
         self
     }
 
@@ -375,7 +286,7 @@ impl<'a> EvaluatorBuilder<'a> {
         Evaluator {
             source: self.source,
             pool: self.pool,
-            cache: FeatureCache::with_shards(self.cache_shards),
+            cache: FeatureCache::new(),
             run_seed: self.run_seed,
             watchdog: self.watchdog,
             recorder: self.recorder,
@@ -443,7 +354,6 @@ impl<'a> Evaluator<'a> {
             source,
             run_seed,
             pool: Pool::new(1),
-            cache_shards: SHARDS,
             watchdog: None,
             recorder: Arc::new(NoopRecorder),
             checkpoint: None,
@@ -562,18 +472,11 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Panics
     ///
-    /// In store-backed mode (see [`Evaluator::builder_from_store`]): raw
-    /// traces are not retained on disk. Callers that need subwindows must
-    /// run from a traced corpus.
-    pub fn traced(&self) -> &TracedCorpus {
-        match self.source {
-            EvalSource::Traced(t) => t,
-            EvalSource::Store(s) => panic!(
-                "this evaluation needs raw subwindows, which the corpus store at {} \
-                 does not retain; rerun from live generation",
-                s.dir().display()
-            ),
-        }
+    /// In store-backed mode (see [`Evaluator::builder_from_store`]), with
+    /// [`EvalSource::traced`]'s error: raw traces are not retained on disk.
+    /// Callers that need subwindows must run from a traced corpus.
+    pub fn traced(&self) -> &'a TracedCorpus {
+        self.source.traced().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The worker pool.
@@ -600,7 +503,7 @@ impl<'a> Evaluator<'a> {
     /// Cached projected feature matrix of one program (clean stream) —
     /// from the traced corpus or, in store mode, a zero-copy shard view.
     pub fn vectors(&self, program: usize, spec: &FeatureSpec) -> Arc<FeatureMatrix> {
-        self.cache.vectors_source(&self.source, program, spec)
+        self.cache.vectors(&self.source, program, spec)
     }
 
     /// Window-level dataset over `indices` — the parallel, cached
@@ -762,8 +665,9 @@ mod tests {
         let t = traced();
         let cache = FeatureCache::new();
         let spec = FeatureSpec::new(FeatureKind::Architectural, 5_000, vec![]);
-        let first = cache.vectors(&t, 0, &spec);
-        let again = cache.vectors(&t, 0, &spec);
+        let source = EvalSource::Traced(&t);
+        let first = cache.vectors(&source, 0, &spec);
+        let again = cache.vectors(&source, 0, &spec);
         assert!(Arc::ptr_eq(&first, &again), "second lookup must hit");
         let direct = rhmd_features::pipeline::project_windows(t.subwindows(0), &spec);
         assert_eq!(first.len(), direct.len());

@@ -422,11 +422,7 @@ mod tests {
         let corpus = Corpus::build(&config);
         let splits = Splits::new(&corpus, config.seed);
         let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
-        let labels = traced.corpus().labels();
-        let opcodes = rhmd_features::select::select_labelled_opcodes(
-            splits.victim_train.iter().map(|&i| (labels[i], traced.subwindows(i))),
-            12,
-        );
+        let opcodes = traced.select_opcodes(&splits.victim_train, 12);
         (traced, splits, opcodes)
     }
 

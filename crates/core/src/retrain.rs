@@ -486,7 +486,6 @@ mod tests {
     use super::*;
     use rhmd_data::{Corpus, CorpusConfig, Splits};
     use rhmd_features::vector::FeatureKind;
-    use rhmd_features::select::select_labelled_opcodes;
     use rhmd_uarch::CoreConfig;
 
     fn fixture() -> (TracedCorpus, Splits, FeatureSpec) {
@@ -494,11 +493,7 @@ mod tests {
         let corpus = Corpus::build(&config);
         let splits = Splits::new(&corpus, config.seed);
         let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
-        let labels = traced.corpus().labels();
-        let opcodes = select_labelled_opcodes(
-            splits.victim_train.iter().map(|&i| (labels[i], traced.subwindows(i))),
-            12,
-        );
+        let opcodes = traced.select_opcodes(&splits.victim_train, 12);
         let spec = FeatureSpec::new(FeatureKind::Instructions, 5_000, opcodes);
         (traced, splits, spec)
     }

@@ -25,7 +25,8 @@ pub struct CorpusConfig {
 }
 
 impl CorpusConfig {
-    /// Minimal corpus for unit tests (~70 programs, 30K instructions each).
+    /// Minimal corpus for unit tests: 88 programs (8 per malware family × 6,
+    /// 5 per benign class × 8), each traced for 60K instructions.
     pub fn tiny() -> CorpusConfig {
         CorpusConfig {
             malware_per_family: 8,

@@ -16,9 +16,9 @@
 //!   traces once into mmap-able feature shards (content-addressed dedup,
 //!   checkpointed builds), and evaluation reads zero-copy
 //!   [`rhmd_ml::FeatureMatrix`] views back with bounded RSS;
-//! * [`source::CorpusSource`] — the streaming trait that makes the traced
-//!   corpus and the store interchangeable (and bit-identical) to every
-//!   consumer.
+//! * [`source::EvalSource`] — the one live-vs-store choice: a traced
+//!   corpus or a store, interchangeable (and bit-identical) to every
+//!   consumer of feature rows.
 //!
 //! # Examples
 //!
@@ -48,7 +48,7 @@ pub mod traced;
 
 pub use config::CorpusConfig;
 pub use corpus::Corpus;
-pub use source::{CorpusSource, SourceChunk};
+pub use source::EvalSource;
 pub use splits::Splits;
 pub use store::{CorpusStore, StoreBuilder, StoreManifest, StoreSummary};
 pub use traced::{parallel_map_threads, TracedCorpus};

@@ -1,13 +1,11 @@
-//! [`CorpusSource`]: one streaming API over "where do feature rows come
-//! from" — the in-RAM generated corpus or the mmap'd on-disk store.
+//! [`EvalSource`]: where feature rows come from — the corpus traced in RAM
+//! this run, or the mmap'd on-disk store.
 //!
 //! The evaluator, the CLI verbs, and the bench figure binaries all consume
-//! per-program feature matrices plus labels. Before the corpus store, that
-//! contract was implicit in [`TracedCorpus`]'s inherent methods; the trait
-//! makes it explicit so a store-backed run ([`crate::store::CorpusStore`])
-//! and a live-generation run are interchangeable — and byte-identical,
-//! which the `store-smoke` CI job asserts by diffing sweep cells from both
-//! paths.
+//! per-program feature matrices plus labels. Both backings answer the same
+//! questions with bit-identical rows, which the `store-smoke` CI job
+//! asserts by diffing sweep cells, model files and evaluation output from
+//! both paths. This enum is the one place that tells the two apart.
 
 use crate::store::CorpusStore;
 use crate::traced::TracedCorpus;
@@ -16,110 +14,87 @@ use rhmd_features::vector::FeatureSpec;
 use rhmd_ml::matrix::FeatureMatrix;
 use rhmd_runtime::RhmdError;
 
-/// A contiguous run of programs yielded by [`CorpusSource::iter_chunks`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SourceChunk {
-    /// Index of the first program in this chunk.
-    pub start: usize,
-    /// One feature matrix per program, in index order (`start`,
-    /// `start + 1`, ...). Store-backed chunks hold zero-copy views.
-    pub matrices: Vec<FeatureMatrix>,
+/// A corpus of labelled programs whose feature rows can be read one program
+/// at a time: live from a [`TracedCorpus`] or from an opened
+/// [`CorpusStore`].
+///
+/// For the same underlying corpus, [`EvalSource::features_of`] returns
+/// identical rows whether they were just projected or read back from a
+/// shard.
+#[derive(Debug, Clone, Copy)]
+pub enum EvalSource<'a> {
+    /// Programs traced in RAM this run.
+    Traced(&'a TracedCorpus),
+    /// Feature rows mmap'd from a prebuilt corpus store.
+    Store(&'a CorpusStore),
 }
 
-/// A corpus of labelled programs whose feature rows can be read one program
-/// (or one bounded chunk) at a time.
-///
-/// Implementations must agree bit-for-bit: for the same underlying corpus,
-/// [`CorpusSource::features_of`] returns identical rows whether they were
-/// just generated or read back from a shard.
-pub trait CorpusSource {
+impl<'a> EvalSource<'a> {
     /// Number of programs.
-    fn len(&self) -> usize;
+    pub fn len(&self) -> usize {
+        match self {
+            EvalSource::Traced(t) => t.corpus().len(),
+            EvalSource::Store(s) => s.len(),
+        }
+    }
 
     /// Whether the source holds no programs.
-    fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Ground-truth label per program (`true` = malware).
-    fn labels(&self) -> Vec<bool>;
+    pub fn labels(&self) -> Vec<bool> {
+        match self {
+            EvalSource::Traced(t) => t.corpus().labels(),
+            EvalSource::Store(s) => s.labels().to_vec(),
+        }
+    }
 
     /// Stratum id per program, for stratified splitting.
-    fn strata(&self) -> Vec<u32>;
+    pub fn strata(&self) -> Vec<u32> {
+        match self {
+            EvalSource::Traced(t) => t.corpus().strata(),
+            EvalSource::Store(s) => s.strata().to_vec(),
+        }
+    }
 
     /// A stable identity for the backing data, folded into feature-cache
-    /// keys: `0` for live generation, the store's path/config hash
-    /// otherwise. Two sources with different identities never share cache
-    /// entries.
-    fn identity(&self) -> u64;
+    /// keys and checkpoint summaries: `0` for live generation, the store's
+    /// path/config hash otherwise. Two sources with different identities
+    /// never share cache entries.
+    pub fn identity(&self) -> u64 {
+        match self {
+            EvalSource::Traced(_) => 0,
+            EvalSource::Store(s) => s.identity(),
+        }
+    }
 
     /// All feature rows of program `index` under `spec` (one row per
-    /// collection window).
+    /// collection window). Store-backed matrices are zero-copy views over
+    /// the mapped shard.
     ///
     /// # Errors
     ///
     /// [`RhmdError::Config`] when `index` is out of range or the source
-    /// cannot produce `spec` (e.g. a store built without it).
-    fn features_of(&self, index: usize, spec: &FeatureSpec) -> Result<FeatureMatrix, RhmdError>;
-
-    /// Streams the whole source as chunks of at most `chunk` programs, in
-    /// index order — the bounded-RSS bulk path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CorpusSource::features_of`] failure.
-    fn iter_chunks(
+    /// cannot produce `spec` (a store built without it).
+    pub fn features_of(
         &self,
+        index: usize,
         spec: &FeatureSpec,
-        chunk: usize,
-    ) -> Box<dyn Iterator<Item = Result<SourceChunk, RhmdError>> + '_>;
-}
-
-/// Shared [`CorpusSource::iter_chunks`] implementation over `features_of`.
-fn chunked<'a, S: CorpusSource + ?Sized>(
-    source: &'a S,
-    spec: &FeatureSpec,
-    chunk: usize,
-) -> Box<dyn Iterator<Item = Result<SourceChunk, RhmdError>> + 'a> {
-    let chunk = chunk.max(1);
-    let len = source.len();
-    let spec = spec.clone();
-    Box::new((0..len).step_by(chunk).map(move |start| {
-        let end = (start + chunk).min(len);
-        let matrices = (start..end)
-            .map(|i| source.features_of(i, &spec))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SourceChunk { start, matrices })
-    }))
-}
-
-impl CorpusSource for TracedCorpus {
-    fn len(&self) -> usize {
-        self.corpus().len()
-    }
-
-    fn labels(&self) -> Vec<bool> {
-        self.corpus().labels()
-    }
-
-    fn strata(&self) -> Vec<u32> {
-        self.corpus().strata()
-    }
-
-    /// Live generation: identity `0` by definition.
-    fn identity(&self) -> u64 {
-        0
-    }
-
-    fn features_of(&self, index: usize, spec: &FeatureSpec) -> Result<FeatureMatrix, RhmdError> {
-        if index >= self.corpus().len() {
+    ) -> Result<FeatureMatrix, RhmdError> {
+        let traced = match self {
+            EvalSource::Traced(t) => t,
+            EvalSource::Store(s) => return s.features_of(index, spec),
+        };
+        if index >= traced.corpus().len() {
             return Err(RhmdError::config(format!(
                 "program index {index} out of range ({} programs)",
-                self.corpus().len()
+                traced.corpus().len()
             )));
         }
         let mut buf = Vec::new();
-        let rows = project_windows_into(self.subwindows(index), spec, &mut buf);
+        let rows = project_windows_into(traced.subwindows(index), spec, &mut buf);
         if spec.dims() == 0 {
             // Degenerate specs still count windows; preserve the row count
             // the store path records.
@@ -132,42 +107,47 @@ impl CorpusSource for TracedCorpus {
         Ok(FeatureMatrix::from_flat(spec.dims(), buf))
     }
 
-    fn iter_chunks(
-        &self,
-        spec: &FeatureSpec,
-        chunk: usize,
-    ) -> Box<dyn Iterator<Item = Result<SourceChunk, RhmdError>> + '_> {
-        chunked(self, spec, chunk)
-    }
-}
-
-impl CorpusSource for CorpusStore {
-    fn len(&self) -> usize {
-        CorpusStore::len(self)
-    }
-
-    fn labels(&self) -> Vec<bool> {
-        CorpusStore::labels(self).to_vec()
-    }
-
-    fn strata(&self) -> Vec<u32> {
-        CorpusStore::strata(self).to_vec()
+    /// The live traced corpus, for paths that need raw subwindows (attack,
+    /// defend, fault injection, RHMD switching).
+    ///
+    /// # Errors
+    ///
+    /// [`RhmdError::Config`] naming the store directory in store mode: a
+    /// store keeps projected rows, not traces.
+    pub fn traced(&self) -> Result<&'a TracedCorpus, RhmdError> {
+        match self {
+            EvalSource::Traced(t) => Ok(t),
+            EvalSource::Store(s) => Err(RhmdError::config(format!(
+                "this command needs raw traces, which the corpus store at {} \
+                 does not retain; rerun without --corpus-store",
+                s.dir().display()
+            ))),
+        }
     }
 
-    fn identity(&self) -> u64 {
-        CorpusStore::identity(self)
-    }
-
-    fn features_of(&self, index: usize, spec: &FeatureSpec) -> Result<FeatureMatrix, RhmdError> {
-        CorpusStore::features_of(self, index, spec)
-    }
-
-    fn iter_chunks(
-        &self,
-        spec: &FeatureSpec,
-        chunk: usize,
-    ) -> Box<dyn Iterator<Item = Result<SourceChunk, RhmdError>> + '_> {
-        chunked(self, spec, chunk)
+    /// Insists `spec` can be served, so a missing shard fails with a typed
+    /// error before any evaluation. A traced corpus projects any spec.
+    ///
+    /// # Errors
+    ///
+    /// [`RhmdError::Config`] in store mode when the store was not built with
+    /// `spec`; the message lists the stored specs.
+    pub fn require_spec(&self, spec: &FeatureSpec) -> Result<(), RhmdError> {
+        match self {
+            EvalSource::Store(s) if !s.has_spec(spec) => {
+                let stored: Vec<String> = s.specs().map(FeatureSpec::label).collect();
+                Err(RhmdError::config(format!(
+                    "the corpus store at {} was not built with feature {} \
+                     (stored: {}); rebuild with: rhmd corpus build --store {} \
+                     --features ... --periods ...",
+                    s.dir().display(),
+                    spec.label(),
+                    stored.join(", "),
+                    s.dir().display(),
+                )))
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -188,7 +168,7 @@ mod tests {
     fn traced_source_matches_inherent_vectors() {
         let t = traced();
         let spec = FeatureSpec::new(FeatureKind::Memory, 5_000, vec![]);
-        let m = CorpusSource::features_of(&t, 0, &spec).unwrap();
+        let m = EvalSource::Traced(&t).features_of(0, &spec).unwrap();
         let direct = t.program_vectors(0, &spec);
         assert_eq!(m.len(), direct.len());
         for (row, want) in (0..m.len()).zip(&direct) {
@@ -197,23 +177,12 @@ mod tests {
     }
 
     #[test]
-    fn chunks_cover_everything_in_order() {
-        let t = traced();
-        let spec = FeatureSpec::new(FeatureKind::Memory, 5_000, vec![]);
-        let mut seen = 0usize;
-        for chunk in t.iter_chunks(&spec, 7) {
-            let chunk = chunk.unwrap();
-            assert_eq!(chunk.start, seen);
-            seen += chunk.matrices.len();
-        }
-        assert_eq!(seen, CorpusSource::len(&t));
-    }
-
-    #[test]
     fn out_of_range_is_a_config_error() {
         let t = traced();
         let spec = FeatureSpec::new(FeatureKind::Memory, 5_000, vec![]);
-        let err = CorpusSource::features_of(&t, 100_000, &spec).unwrap_err();
+        let err = EvalSource::Traced(&t)
+            .features_of(100_000, &spec)
+            .unwrap_err();
         assert!(matches!(err, RhmdError::Config(_)));
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::corpus::Corpus;
 use rhmd_features::pipeline::{project_windows_into, trace_subwindows};
+use rhmd_features::select::select_labelled_opcodes;
 use rhmd_features::stream::collect_subwindows;
 use rhmd_features::vector::FeatureSpec;
 use rhmd_features::window::RawWindow;
@@ -15,7 +16,7 @@ use rhmd_ml::model::Dataset;
 use rhmd_runtime::pool::Pool;
 use rhmd_trace::exec::{ExecLimits, ExecSummary};
 use rhmd_trace::inject::{apply, InjectionPlan, StaticOverhead};
-use rhmd_trace::Program;
+use rhmd_trace::{Opcode, Program};
 use rhmd_uarch::CoreConfig;
 use std::fmt;
 
@@ -122,25 +123,23 @@ impl TracedCorpus {
         data
     }
 
-    /// Like [`TracedCorpus::window_dataset`] but also returns, for each row,
-    /// the index of the program it came from — needed for program-level
-    /// (vote-averaged) decisions.
-    pub fn window_dataset_with_owners(
-        &self,
-        indices: &[usize],
-        spec: &FeatureSpec,
-    ) -> (Dataset, Vec<usize>) {
-        let mut data = Dataset::new(spec.dims());
-        let mut owners = Vec::new();
-        let mut buf = Vec::new();
-        for &i in indices {
-            let label = self.corpus.program(i).class.label();
-            buf.clear();
-            let windows = project_windows_into(&self.subwindows[i], spec, &mut buf);
-            data.extend_from_flat(&buf, label);
-            owners.extend(std::iter::repeat_n(i, windows));
-        }
-        (data, owners)
+    /// The `k` top-delta opcodes over the programs at `indices` (paper
+    /// §3): malware versus benign mean opcode frequencies, summed over each
+    /// program's subwindows in `indices` order without copying a window.
+    /// Every experiment selects its instruction features this way on the
+    /// victim-train split.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero or exceeds the opcode count, or if an index is
+    /// out of range.
+    pub fn select_opcodes(&self, indices: &[usize], k: usize) -> Vec<Opcode> {
+        select_labelled_opcodes(
+            indices
+                .iter()
+                .map(|&i| (self.corpus.program(i).class.label(), self.subwindows(i))),
+            k,
+        )
     }
 
     /// Traces a standalone program (e.g. an injected variant) with this
@@ -219,13 +218,19 @@ mod tests {
     }
 
     #[test]
-    fn owners_align_with_rows() {
+    fn opcode_selection_matches_selecting_over_copied_windows() {
         let t = traced();
-        let spec = FeatureSpec::new(FeatureKind::Memory, 5_000, vec![]);
-        let idx = vec![0usize, 1];
-        let (data, owners) = t.window_dataset_with_owners(&idx, &spec);
-        assert_eq!(data.len(), owners.len());
-        assert!(owners.iter().all(|o| idx.contains(o)));
+        let indices: Vec<usize> = (0..t.corpus().len()).step_by(2).collect();
+        let collect = |malware: bool| -> Vec<&RawWindow> {
+            indices
+                .iter()
+                .filter(|&&i| t.corpus().program(i).class.label() == malware)
+                .flat_map(|&i| t.subwindows(i))
+                .collect()
+        };
+        let copied =
+            rhmd_features::select::select_top_delta_opcodes(collect(true), collect(false), 12);
+        assert_eq!(t.select_opcodes(&indices, 12), copied);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use rhmd_data::config::CorpusConfig;
 use rhmd_data::corpus::Corpus;
-use rhmd_data::source::CorpusSource;
+use rhmd_data::source::EvalSource;
 use rhmd_data::store::{CorpusStore, StoreBuilder, SHARD_HEADER_LEN};
 use rhmd_data::traced::TracedCorpus;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
@@ -82,13 +82,14 @@ fn shard_round_trip_is_bit_identical_at_any_thread_count() {
         config.limits(),
         CoreConfig::default(),
     );
-    assert_eq!(CorpusSource::len(&store), CorpusSource::len(&traced));
-    assert_eq!(CorpusSource::labels(&store), CorpusSource::labels(&traced));
-    assert_eq!(CorpusSource::strata(&store), CorpusSource::strata(&traced));
+    let (stored, live_source) = (EvalSource::Store(&store), EvalSource::Traced(&traced));
+    assert_eq!(stored.len(), live_source.len());
+    assert_eq!(stored.labels(), live_source.labels());
+    assert_eq!(stored.strata(), live_source.strata());
     for spec in specs() {
-        for i in 0..CorpusSource::len(&store) {
+        for i in 0..stored.len() {
             let from_store = store.features_of(i, &spec).unwrap();
-            let live = CorpusSource::features_of(&traced, i, &spec).unwrap();
+            let live = live_source.features_of(i, &spec).unwrap();
             assert_eq!(from_store, live, "program {i} spec {}", spec.label());
         }
     }
@@ -111,8 +112,38 @@ fn store_and_live_sources_have_distinct_identities() {
         config.limits(),
         CoreConfig::default(),
     );
-    assert_eq!(CorpusSource::identity(&traced), 0);
-    assert_ne!(CorpusSource::identity(&store), 0);
+    assert_eq!(EvalSource::Traced(&traced).identity(), 0);
+    assert_ne!(EvalSource::Store(&store).identity(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A store serves only its stored specs and no raw traces; both refusals
+/// are typed config errors that name the store directory.
+#[test]
+fn store_guards_refuse_traces_and_unstored_specs_by_name() {
+    let config = small_config();
+    let dir = temp_dir("guards");
+    StoreBuilder::new(&dir, config)
+        .specs(specs())
+        .build()
+        .unwrap();
+    let store = CorpusStore::open(&dir).unwrap();
+    let source = EvalSource::Store(&store);
+    let shown = dir.display().to_string();
+
+    let err = source.traced().unwrap_err();
+    assert!(matches!(err, RhmdError::Config(_)), "{err}");
+    assert!(err.to_string().contains(&shown), "{err}");
+
+    for spec in specs() {
+        source.require_spec(&spec).unwrap();
+    }
+    let missing = FeatureSpec::new(FeatureKind::Instructions, 5_000, vec![]);
+    let err = source.require_spec(&missing).unwrap_err();
+    assert!(matches!(err, RhmdError::Config(_)), "{err}");
+    let text = err.to_string();
+    assert!(text.contains(&shown), "{text}");
+    assert!(text.contains("stored: Memory@5k, Architectural@10k"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -268,7 +299,7 @@ fn dedup_is_invisible_and_canonical_rows_always_win() {
     for i in 0..n {
         assert_eq!(
             store.features_of(i, &spec).unwrap(),
-            CorpusSource::features_of(&traced, i, &spec).unwrap(),
+            EvalSource::Traced(&traced).features_of(i, &spec).unwrap(),
             "program {i}"
         );
     }

@@ -13,14 +13,13 @@
 //! ```
 
 use rhmd::prelude::*;
-use rhmd::select_victim_opcodes;
 
 fn main() {
     let config = CorpusConfig::small();
     let corpus = Corpus::build(&config);
     let splits = Splits::new(&corpus, config.seed);
     let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
-    let opcodes = select_victim_opcodes(&traced, &splits.victim_train, 16);
+    let opcodes = traced.select_opcodes(&splits.victim_train, 16);
 
     // Defender: an LR detector over the Instructions feature at 10K.
     let spec = FeatureSpec::new(FeatureKind::Instructions, 10_000, opcodes);

@@ -10,7 +10,6 @@
 //! ```
 
 use rhmd::prelude::*;
-use rhmd::select_victim_opcodes;
 use rhmd_core::ensemble::{Combiner, EnsembleHmd};
 use rhmd_core::retrain::detection_quality;
 use rhmd_core::rhmd::NonStationaryRhmd;
@@ -20,7 +19,7 @@ fn main() {
     let corpus = Corpus::build(&config);
     let splits = Splits::new(&corpus, config.seed);
     let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
-    let opcodes = select_victim_opcodes(&traced, &splits.victim_train, 16);
+    let opcodes = traced.select_opcodes(&splits.victim_train, 16);
     let trainer = TrainerConfig::default();
 
     // One shared pool of base detectors: 3 features x 2 periods.

@@ -8,7 +8,6 @@
 //! ```
 
 use rhmd::prelude::*;
-use rhmd::select_victim_opcodes;
 use rhmd_ml::{auc, score_all};
 
 fn main() {
@@ -25,7 +24,7 @@ fn main() {
     println!("traced in {:?}", start.elapsed());
 
     // 3. Feature selection on the victim training set (paper §3).
-    let opcodes = select_victim_opcodes(&traced, &splits.victim_train, 16);
+    let opcodes = traced.select_opcodes(&splits.victim_train, 16);
     println!(
         "top-delta opcodes: {}",
         opcodes

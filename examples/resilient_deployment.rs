@@ -13,7 +13,6 @@
 //! ```
 
 use rhmd::prelude::*;
-use rhmd::select_victim_opcodes;
 use rhmd_core::hw;
 use rhmd_core::pac;
 use rhmd_core::retrain::detection_quality;
@@ -23,7 +22,7 @@ fn main() {
     let corpus = Corpus::build(&config);
     let splits = Splits::new(&corpus, config.seed);
     let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
-    let opcodes = select_victim_opcodes(&traced, &splits.victim_train, 16);
+    let opcodes = traced.select_opcodes(&splits.victim_train, 16);
     let trainer = TrainerConfig::default();
 
     let pools: Vec<(&str, Vec<FeatureSpec>)> = vec![

@@ -9,14 +9,13 @@
 //! ```
 
 use rhmd::prelude::*;
-use rhmd::select_victim_opcodes;
 
 fn main() {
     let config = CorpusConfig::small();
     let corpus = Corpus::build(&config);
     let splits = Splits::new(&corpus, config.seed);
     let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
-    let opcodes = select_victim_opcodes(&traced, &splits.victim_train, 16);
+    let opcodes = traced.select_opcodes(&splits.victim_train, 16);
 
     let game = GameConfig {
         algorithm: Algorithm::Nn,

@@ -58,17 +58,3 @@ pub mod prelude {
     pub use rhmd_trace::{ExecLimits, Opcode, Program, ProgramClass};
     pub use rhmd_uarch::{CoreConfig, CoreModel};
 }
-
-/// Selects the top-delta opcodes on the victim training split — the shared
-/// first step of nearly every experiment (paper §3).
-pub fn select_victim_opcodes(
-    traced: &rhmd_data::TracedCorpus,
-    victim_train: &[usize],
-    k: usize,
-) -> Vec<rhmd_trace::Opcode> {
-    let labels = traced.corpus().labels();
-    rhmd_features::select::select_labelled_opcodes(
-        victim_train.iter().map(|&i| (labels[i], traced.subwindows(i))),
-        k,
-    )
-}

@@ -2,14 +2,13 @@
 //! the paper, exercised through the public facade API on the tiny corpus.
 
 use rhmd::prelude::*;
-use rhmd::select_victim_opcodes;
 
 fn fixture() -> (TracedCorpus, Splits, Vec<Opcode>) {
     let config = CorpusConfig::tiny();
     let corpus = Corpus::build(&config);
     let splits = Splits::new(&corpus, config.seed);
     let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
-    let opcodes = select_victim_opcodes(&traced, &splits.victim_train, 16);
+    let opcodes = traced.select_opcodes(&splits.victim_train, 16);
     (traced, splits, opcodes)
 }
 

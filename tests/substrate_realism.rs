@@ -5,7 +5,6 @@
 //! separable.
 
 use rhmd::prelude::*;
-use rhmd::select_victim_opcodes;
 use rhmd_ml::{auc, score_all};
 use rhmd_trace::generate::{benign_profile, malware_profile, BenignClass, MalwareFamily,
                            ProgramGenerator};
@@ -97,7 +96,7 @@ fn no_single_family_is_the_whole_signal() {
     let corpus = Corpus::build(&config);
     let splits = Splits::new(&corpus, config.seed);
     let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
-    let opcodes = select_victim_opcodes(&traced, &splits.victim_train, 16);
+    let opcodes = traced.select_opcodes(&splits.victim_train, 16);
     let spec = FeatureSpec::new(FeatureKind::Instructions, 5_000, opcodes);
     let strata = traced.corpus().strata();
 
@@ -128,7 +127,7 @@ fn classes_overlap_enough_to_be_nontrivial() {
     let corpus = Corpus::build(&config);
     let splits = Splits::new(&corpus, config.seed);
     let traced = TracedCorpus::trace(corpus, config.limits(), CoreConfig::default());
-    let opcodes = select_victim_opcodes(&traced, &splits.victim_train, 16);
+    let opcodes = traced.select_opcodes(&splits.victim_train, 16);
     for kind in FeatureKind::ALL {
         let spec = FeatureSpec::new(kind, 5_000, opcodes.clone());
         let hmd = Hmd::train(
