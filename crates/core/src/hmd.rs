@@ -151,7 +151,14 @@ impl QuorumVerdict {
         }
     }
 
-    /// Majority vote over the voting windows only.
+    /// The coverage gate every program verdict applies before it decides:
+    /// `true` when no window voted or coverage falls below `min_coverage`.
+    /// The floor is inclusive, so a quorum exactly at it decides.
+    pub fn lacks_coverage(&self, min_coverage: f64) -> bool {
+        self.voted == 0 || self.coverage() < min_coverage
+    }
+
+    /// Majority vote over the voting windows only; an exact tie convicts.
     pub fn is_malware(&self) -> bool {
         2 * self.flagged >= self.voted.max(1)
     }
@@ -163,6 +170,20 @@ impl QuorumVerdict {
             total: self.voted,
         }
     }
+}
+
+/// How [`Hmd::check_window`] lets one collection window into the vote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowCheck {
+    /// The window holds no instructions: it abstains.
+    Empty,
+    /// A projected component is non-finite or beyond [`ABSTAIN_BOUND`]:
+    /// it abstains.
+    Corrupt,
+    /// The projection is in the caller's row buffer, ready to score.
+    Row,
+    /// A zero-dimension spec's vote, decided without a row.
+    Vote(bool),
 }
 
 /// A trained baseline HMD: one feature spec + one classifier.
@@ -240,11 +261,7 @@ impl Hmd {
     /// persistence and by custom detector constructions). Nothing checks
     /// that the model matches the spec — callers are trusted; prefer
     /// [`Hmd::train`] where possible.
-    pub fn from_parts(
-        spec: FeatureSpec,
-        algorithm: Algorithm,
-        model: Box<dyn Classifier>,
-    ) -> Hmd {
+    pub fn from_parts(spec: FeatureSpec, algorithm: Algorithm, model: Box<dyn Classifier>) -> Hmd {
         Hmd {
             spec,
             algorithm,
@@ -267,19 +284,41 @@ impl Hmd {
         self.model.as_ref()
     }
 
-    /// Decision with abstention: `None` when the window is empty or its
-    /// projection carries a component beyond [`ABSTAIN_BOUND`] — the
-    /// signature of corrupted counters — so callers can skip this detector's
-    /// vote instead of recording a meaningless one.
-    pub fn classify_window_checked(&self, window: &CollectionWindow) -> Option<bool> {
+    /// The one rule for whether a window votes, shared by every checked
+    /// path (this crate's and `rhmd serve`'s). An empty window abstains; so
+    /// does one whose projection carries a non-finite component or one
+    /// beyond [`ABSTAIN_BOUND`], the signature of corrupted counters. A
+    /// window that votes leaves its projection in `row` (cleared first),
+    /// ready to score, except under a zero-dimension spec: no batch can
+    /// carry zero-width rows, so the model's vote is decided here.
+    pub fn check_window(&self, window: &CollectionWindow, row: &mut Vec<f64>) -> WindowCheck {
         if window.instructions == 0 {
-            return None;
+            return WindowCheck::Empty;
         }
-        let v = self.spec.project(window);
-        if v.iter().any(|x| !x.is_finite() || x.abs() > ABSTAIN_BOUND) {
-            return None;
+        row.clear();
+        self.spec.project_into(window, row);
+        if row
+            .iter()
+            .any(|x| !x.is_finite() || x.abs() > ABSTAIN_BOUND)
+        {
+            return WindowCheck::Corrupt;
         }
-        Some(self.model.predict(&v))
+        if row.is_empty() {
+            return WindowCheck::Vote(self.model.predict(row));
+        }
+        WindowCheck::Row
+    }
+
+    /// Decision with abstention: `None` when [`Hmd::check_window`] keeps
+    /// the window from the vote, so callers can skip this detector's vote
+    /// instead of recording a meaningless one.
+    pub fn classify_window_checked(&self, window: &CollectionWindow) -> Option<bool> {
+        let mut row = Vec::with_capacity(self.spec.dims());
+        match self.check_window(window, &mut row) {
+            WindowCheck::Row => Some(self.model.predict(&row)),
+            WindowCheck::Vote(vote) => Some(vote),
+            WindowCheck::Empty | WindowCheck::Corrupt => None,
+        }
     }
 
     /// Batch counterpart of [`Hmd::classify_window_checked`]: abstaining
@@ -288,26 +327,18 @@ impl Hmd {
     pub fn classify_windows_checked(&self, windows: &[CollectionWindow]) -> Vec<Option<bool>> {
         let dims = self.spec.dims();
         let mut votes: Vec<Option<bool>> = vec![None; windows.len()];
-        if dims == 0 {
-            for (vote, w) in votes.iter_mut().zip(windows) {
-                *vote = self.classify_window_checked(w);
-            }
-            return votes;
-        }
         let mut flat = Vec::with_capacity(windows.len() * dims);
         let mut voters = Vec::with_capacity(windows.len());
         let mut row = Vec::with_capacity(dims);
         for (i, w) in windows.iter().enumerate() {
-            if w.instructions == 0 {
-                continue;
+            match self.check_window(w, &mut row) {
+                WindowCheck::Row => {
+                    flat.extend_from_slice(&row);
+                    voters.push(i);
+                }
+                WindowCheck::Vote(vote) => votes[i] = Some(vote),
+                WindowCheck::Empty | WindowCheck::Corrupt => {}
             }
-            row.clear();
-            self.spec.project_into(w, &mut row);
-            if row.iter().any(|x| !x.is_finite() || x.abs() > ABSTAIN_BOUND) {
-                continue;
-            }
-            flat.extend_from_slice(&row);
-            voters.push(i);
         }
         let xs = FeatureMatrix::from_flat(dims, flat);
         let mut scores = vec![0.0; xs.len()];
@@ -502,7 +533,10 @@ mod tests {
             assert_eq!(hmd.classify_window_checked(w), Some(unchecked));
         }
         // An empty window abstains.
-        assert_eq!(hmd.classify_window_checked(&CollectionWindow::default()), None);
+        assert_eq!(
+            hmd.classify_window_checked(&CollectionWindow::default()),
+            None
+        );
         // A wildly out-of-range rate abstains.
         let mut corrupt = windows[0].clone();
         corrupt.counters[0] = 1; // instructions
@@ -513,9 +547,73 @@ mod tests {
     /// The collection periods the figures, the sweep and the ablations
     /// use, bracketed by the finest and a coarse one.
     const PERIODS: [u32; 12] = [
-        1_000, 2_000, 5_000, 8_000, 9_000, 10_000, 11_000, 12_000, 15_000, 19_000, 20_000,
-        50_000,
+        1_000, 2_000, 5_000, 8_000, 9_000, 10_000, 11_000, 12_000, 15_000, 19_000, 20_000, 50_000,
     ];
+
+    /// A model that scores every vector alike, whatever its width.
+    #[derive(Debug, Clone)]
+    struct Constant(f64);
+
+    impl Classifier for Constant {
+        fn score(&self, _: &[f64]) -> f64 {
+            self.0
+        }
+        fn threshold(&self) -> f64 {
+            0.5
+        }
+        fn algorithm(&self) -> &'static str {
+            "const"
+        }
+        fn clone_box(&self) -> Box<dyn Classifier> {
+            Box::new(self.clone())
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn check_window_sorts_every_window() {
+        let (traced, splits) = fixture();
+        let hmd = Hmd::train(
+            Algorithm::Lr,
+            arch_spec(),
+            &TrainerConfig::default(),
+            &traced,
+            &splits.victim_train,
+        );
+        let windows = aggregate_with_gaps(traced.subwindows(0), 5_000, 1.0);
+        let mut row = vec![f64::NAN; 3];
+        assert_eq!(hmd.check_window(&windows[0], &mut row), WindowCheck::Row);
+        assert_eq!(
+            row,
+            hmd.spec().project(&windows[0]),
+            "row is the projection alone"
+        );
+        let empty = CollectionWindow::default();
+        assert_eq!(hmd.check_window(&empty, &mut row), WindowCheck::Empty);
+        let mut corrupt = windows[0].clone();
+        corrupt.counters[10] = u64::MAX / 2; // l2_misses
+        assert_eq!(hmd.check_window(&corrupt, &mut row), WindowCheck::Corrupt);
+        // A zero-dimension spec has no row to batch: the vote is decided
+        // in the check, and the batch path agrees window by window.
+        let zero = FeatureSpec::new(FeatureKind::Instructions, 5_000, vec![]);
+        let hmd = Hmd::from_parts(zero, Algorithm::Lr, Box::new(Constant(0.75)));
+        let vote = hmd.model().predict(&[]);
+        assert_eq!(
+            hmd.check_window(&windows[0], &mut row),
+            WindowCheck::Vote(vote)
+        );
+        assert_eq!(hmd.check_window(&empty, &mut row), WindowCheck::Empty);
+        let mut with_empty = windows.clone();
+        with_empty.push(empty);
+        let each: Vec<Option<bool>> = with_empty
+            .iter()
+            .map(|w| hmd.classify_window_checked(w))
+            .collect();
+        assert_eq!(hmd.classify_windows_checked(&with_empty), each);
+        assert_eq!(each.last(), Some(&None));
+    }
 
     /// The clean verdict paths score through `classify_windows_checked`,
     /// which is only sound if no clean window abstains: every projected
@@ -552,7 +650,10 @@ mod tests {
         );
         for i in 0..traced.corpus().len() {
             let windows = aggregate_with_gaps(traced.subwindows(i), 5_000, 1.0);
-            assert!(hmd.classify_windows_checked(&windows).iter().all(Option::is_some));
+            assert!(hmd
+                .classify_windows_checked(&windows)
+                .iter()
+                .all(Option::is_some));
         }
     }
 

@@ -156,7 +156,7 @@ impl VerdictPolicy {
     ///   `2 * flagged >= voted` convicts ties — callers mixing the two
     ///   paths must not assume they agree on knife-edge programs.
     pub fn judge_quorum(&self, quorum: &QuorumVerdict, min_coverage: f64) -> DegradedVerdict {
-        if quorum.voted == 0 || quorum.coverage() < min_coverage {
+        if quorum.lacks_coverage(min_coverage) {
             rhmd_obs::incr("core.verdict.abstained");
             return DegradedVerdict::Abstained;
         }
@@ -250,8 +250,7 @@ mod tests {
             .filter(|&i| !labels[i])
             .collect();
         let mut detector = hmd.clone();
-        let policy =
-            VerdictPolicy::calibrated(&mut detector, &traced, &benign_train, 0.1).unwrap();
+        let policy = VerdictPolicy::calibrated(&mut detector, &traced, &benign_train, 0.1).unwrap();
         // A 40%-flagged program is missed by majority but can be convicted
         // by a calibrated threshold below 0.4.
         let v = ProgramVerdict {
@@ -314,7 +313,10 @@ mod tests {
             DegradedVerdict::Decided(true)
         );
         // One epsilon above the floor, it abstains.
-        assert_eq!(policy.judge_quorum(&edge, 0.5 + 1e-9), DegradedVerdict::Abstained);
+        assert_eq!(
+            policy.judge_quorum(&edge, 0.5 + 1e-9),
+            DegradedVerdict::Abstained
+        );
         // A zero floor only abstains on zero-voter quorums.
         assert_eq!(
             policy.judge_quorum(&edge, 0.0),
@@ -329,12 +331,18 @@ mod tests {
         let tie = QuorumVerdict::from_votes(&[Some(true), Some(false)]);
         assert!((tie.flag_rate() - 0.5).abs() < 1e-12);
         // judge_quorum is strict `>`: the tie acquits ...
-        assert_eq!(policy.judge_quorum(&tie, 0.0), DegradedVerdict::Decided(false));
+        assert_eq!(
+            policy.judge_quorum(&tie, 0.0),
+            DegradedVerdict::Decided(false)
+        );
         // ... while the quorum's own majority rule (`2 * flagged >= voted`)
         // convicts the same tie. The divergence is intentional and pinned.
         assert!(tie.is_malware());
         // One extra flag tips judge_quorum over the strict threshold too.
         let over = QuorumVerdict::from_votes(&[Some(true), Some(true), Some(false)]);
-        assert_eq!(policy.judge_quorum(&over, 0.0), DegradedVerdict::Decided(true));
+        assert_eq!(
+            policy.judge_quorum(&over, 0.0),
+            DegradedVerdict::Decided(true)
+        );
     }
 }

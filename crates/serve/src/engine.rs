@@ -11,6 +11,17 @@
 //! as an explicit `abstain`/`shed` verdict — overload degrades loudly,
 //! never silently.
 //!
+//! The engine, its supervisor and every worker hold one `Arc` of shared
+//! state: the serving model, the output queue, the accounting counters,
+//! the configuration, the fault plane and the shard handles. Every session
+//! verdict leaves through one function on it, which bumps exactly one of
+//! the four accounting terms and emits exactly one verdict line, so
+//! `offered == decided + abstained + shed + quarantined` holds by
+//! construction. The verdict rules themselves are `rhmd_core`'s:
+//! [`Hmd::check_window`] decides whether a window votes, and
+//! [`QuorumVerdict::lacks_coverage`] gates a session's verdict before its
+//! majority (ties convict, [`QuorumVerdict::is_malware`]) decides it.
+//!
 //! Verdicts leave through a bounded output queue with *blocking* pushes:
 //! a slow verdict consumer stalls the workers, the ingest queues fill, and
 //! the admission path starts shedding — backpressure propagates end to end
@@ -40,9 +51,9 @@ use crate::batch::MicroBatcher;
 use crate::chaos::EngineFaults;
 use crate::proto::{Request, Response, StatsMsg, VerdictMsg};
 use crate::queue::BoundedQueue;
-use crate::session::{SessionKey, SessionSnapshot, SessionState, Slot};
+use crate::session::{SessionKey, SessionState, Slot};
 use crate::ServeConfig;
-use rhmd_core::hmd::{Hmd, QuorumVerdict, ABSTAIN_BOUND};
+use rhmd_core::hmd::{Hmd, QuorumVerdict, WindowCheck};
 use rhmd_core::RhmdError;
 use rhmd_features::window::{CollectionWindow, RawWindow, Sealed};
 use rhmd_ml::matrix::FeatureMatrix;
@@ -156,10 +167,8 @@ enum ShardMsg {
     Drain,
 }
 
-type SnapshotStore = Mutex<HashMap<SessionKey, SessionSnapshot>>;
-
 struct ShardHandle {
-    queue: Arc<BoundedQueue<ShardMsg>>,
+    queue: BoundedQueue<ShardMsg>,
     /// Sessions currently refused at admission; their later events drop at
     /// the door (counted) without touching the queue. Lives on the engine
     /// side, so it survives worker death.
@@ -168,31 +177,153 @@ struct ShardHandle {
     /// at session creation and re-sync dirty sessions periodically; every
     /// finalize path removes its key, so leftovers after worker death are
     /// exactly the sessions that still need a verdict.
-    store: Arc<SnapshotStore>,
+    store: Mutex<HashMap<SessionKey, SessionState>>,
+}
+
+/// How a session ends: with its quorum, everything [`Shared::finalize`]
+/// needs to pick the verdict line and the one accounting term it bumps.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    /// The stream ended: `abstain`/`coverage` below the coverage floor,
+    /// otherwise `malware` or `benign` by majority (ties convict).
+    Judged,
+    /// A lifecycle abstention: `drain`, `deadline` or `tenant-deadline`.
+    Abstain(&'static str),
+    /// The shard died for good (`abstain`/`shard-down`).
+    ShardDown,
+    /// Refused at admission (`abstain`/`shed`).
+    Shed,
+    /// Its scoring panicked or went non-finite (`abstain`/`quarantine`).
+    Quarantine,
+}
+
+/// The state the engine, its supervisor and every shard worker share.
+struct Shared {
+    model: RwLock<Arc<ModelSnapshot>>,
+    out: Arc<BoundedQueue<OutEvent>>,
+    counts: Counts,
+    config: ServeConfig,
+    faults: EngineFaults,
+    shards: Vec<ShardHandle>,
+    draining: AtomicBool,
+    failed: AtomicBool,
+    last_error: Mutex<Option<String>>,
+    recovery_ns: Mutex<Vec<u64>>,
+}
+
+type Workers = Arc<Mutex<Vec<Option<JoinHandle<()>>>>>;
+
+impl Shared {
+    fn current_model(&self) -> Arc<ModelSnapshot> {
+        match self.model.read() {
+            Ok(g) => Arc::clone(&g),
+            Err(p) => Arc::clone(&p.into_inner()),
+        }
+    }
+
+    fn offer_session(&self) {
+        self.counts.offered_sessions.fetch_add(1, Ordering::Relaxed);
+        rhmd_obs::incr("serve.sessions.offered");
+    }
+
+    /// The one place a session verdict leaves the engine: bumps exactly
+    /// one of the four accounting terms for `outcome` and emits exactly
+    /// one verdict line, so `offered == decided + abstained + shed +
+    /// quarantined` holds wherever a session ends.
+    fn finalize(
+        &self,
+        conn: u64,
+        key: &SessionKey,
+        quorum: &QuorumVerdict,
+        outcome: Outcome,
+        since: Instant,
+    ) {
+        let c = &self.counts;
+        let (verdict, reason, term, metric) = match outcome {
+            Outcome::Judged if quorum.lacks_coverage(self.config.min_coverage) => {
+                ("abstain", Some("coverage"), &c.abstained, None)
+            }
+            Outcome::Judged if quorum.is_malware() => ("malware", None, &c.decided, None),
+            Outcome::Judged => ("benign", None, &c.decided, None),
+            Outcome::Abstain(reason) => ("abstain", Some(reason), &c.abstained, None),
+            Outcome::ShardDown => (
+                "abstain",
+                Some("shard-down"),
+                &c.abstained,
+                Some("serve.sessions.shard_down"),
+            ),
+            Outcome::Shed => (
+                "abstain",
+                Some("shed"),
+                &c.shed_sessions,
+                Some("serve.sessions.shed"),
+            ),
+            Outcome::Quarantine => (
+                "abstain",
+                Some("quarantine"),
+                &c.quarantined,
+                Some("serve.sessions.quarantined"),
+            ),
+        };
+        term.fetch_add(1, Ordering::Relaxed);
+        if let Some(metric) = metric {
+            rhmd_obs::incr(metric);
+        }
+        rhmd_obs::observe_ns(
+            "serve.verdict_latency",
+            since.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+        );
+        if rhmd_obs::enabled() {
+            let base = rhmd_obs::labeled("serve.tenant", &key.tenant);
+            let tally = if reason.is_some() {
+                "abstained"
+            } else {
+                "decided"
+            };
+            rhmd_obs::incr(&format!("{base}.{tally}"));
+        }
+        let msg = VerdictMsg {
+            tenant: key.tenant.to_string(),
+            session: key.session.to_string(),
+            verdict: verdict.to_string(),
+            reason: reason.map(str::to_string),
+            voted: quorum.voted,
+            abstained: quorum.abstained,
+            flag_rate: quorum.flag_rate(),
+        };
+        // Blocking push: verdicts are never dropped; a slow consumer stalls
+        // this worker, which is exactly how backpressure reaches admission.
+        let _ = self.out.push(OutEvent::Response {
+            conn,
+            response: Response::Verdict(msg),
+        });
+    }
+
+    /// Finalizes every session left in shard `idx`'s snapshot store as
+    /// `abstain`/`shard-down` — the fail-fast and drain catch-all for a
+    /// shard that is never coming back.
+    fn finalize_store(&self, idx: usize) {
+        let orphans: Vec<(SessionKey, SessionState)> =
+            lock(&self.shards[idx].store).drain().collect();
+        for (key, state) in orphans {
+            let quorum = QuorumVerdict::from_votes(&state.votes_lossy());
+            self.finalize(
+                state.conn,
+                &key,
+                &quorum,
+                Outcome::ShardDown,
+                Instant::now(),
+            );
+        }
+    }
 }
 
 /// The resident serving engine. One per `rhmd serve` process (or embedded
 /// in-process by the serve test suites and the performance ledger).
 pub struct Engine {
-    shards: Arc<Vec<ShardHandle>>,
-    workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
+    shared: Arc<Shared>,
+    workers: Workers,
     supervisor: Mutex<Option<JoinHandle<()>>>,
-    model: Arc<RwLock<Arc<ModelSnapshot>>>,
-    out: Arc<BoundedQueue<OutEvent>>,
-    counts: Arc<Counts>,
-    config: ServeConfig,
-    faults: EngineFaults,
-    draining: Arc<AtomicBool>,
-    failed: Arc<AtomicBool>,
-    last_error: Arc<Mutex<Option<String>>>,
-    recovery_ns: Arc<Mutex<Vec<u64>>>,
-}
-
-fn read_snapshot(model: &RwLock<Arc<ModelSnapshot>>) -> Arc<ModelSnapshot> {
-    match model.read() {
-        Ok(g) => Arc::clone(&g),
-        Err(p) => Arc::clone(&p.into_inner()),
-    }
 }
 
 /// Contained panics inside shard workers (injected scorer faults, chaos
@@ -246,67 +377,42 @@ impl Engine {
     ) -> Result<Engine, RhmdError> {
         config.validate()?;
         silence_worker_panics();
-        let model = Arc::new(RwLock::new(Arc::new(ModelSnapshot::new(hmd))));
-        let out = Arc::new(BoundedQueue::try_new(config.output)?);
-        let counts = Arc::new(Counts::default());
-        let draining = Arc::new(AtomicBool::new(false));
-        let failed = Arc::new(AtomicBool::new(false));
-        let last_error = Arc::new(Mutex::new(None));
-        let recovery_ns = Arc::new(Mutex::new(Vec::new()));
         let mut shards = Vec::with_capacity(config.shards);
-        let mut workers = Vec::with_capacity(config.shards);
-        for idx in 0..config.shards {
-            let queue = Arc::new(BoundedQueue::try_new(config.queue)?);
-            let store: Arc<SnapshotStore> = Arc::new(Mutex::new(HashMap::new()));
-            workers.push(Some(spawn_worker(
-                idx,
-                Arc::clone(&queue),
-                Arc::clone(&store),
-                Arc::clone(&model),
-                Arc::clone(&out),
-                Arc::clone(&counts),
-                config.clone(),
-                faults.clone(),
-                false,
-            )?));
+        for _ in 0..config.shards {
             shards.push(ShardHandle {
-                queue,
-                shed: Mutex::new(HashSet::new()),
-                store,
+                queue: BoundedQueue::try_new(config.queue)?,
+                shed: Mutex::default(),
+                store: Mutex::default(),
             });
         }
-        let shards = Arc::new(shards);
+        let shared = Arc::new(Shared {
+            model: RwLock::new(Arc::new(ModelSnapshot::new(hmd))),
+            out: Arc::new(BoundedQueue::try_new(config.output)?),
+            counts: Counts::default(),
+            config,
+            faults,
+            shards,
+            draining: AtomicBool::new(false),
+            failed: AtomicBool::new(false),
+            last_error: Mutex::new(None),
+            recovery_ns: Mutex::default(),
+        });
+        let workers = (0..shared.shards.len())
+            .map(|idx| Worker::spawn(&shared, idx, false).map(Some))
+            .collect::<Result<Vec<_>, _>>()?;
         let workers = Arc::new(Mutex::new(workers));
         let supervisor = Supervisor {
-            shards: Arc::clone(&shards),
+            shared: Arc::clone(&shared),
             workers: Arc::clone(&workers),
-            model: Arc::clone(&model),
-            out: Arc::clone(&out),
-            counts: Arc::clone(&counts),
-            config: config.clone(),
-            faults: faults.clone(),
-            draining: Arc::clone(&draining),
-            failed: Arc::clone(&failed),
-            last_error: Arc::clone(&last_error),
-            recovery_ns: Arc::clone(&recovery_ns),
         };
         let supervisor = std::thread::Builder::new()
             .name("rhmd-supervise".to_string())
             .spawn(move || supervisor.run())
             .map_err(|e| RhmdError::config(format!("serve: spawn supervisor: {e}")))?;
         Ok(Engine {
-            shards,
+            shared,
             workers,
             supervisor: Mutex::new(Some(supervisor)),
-            model,
-            out,
-            counts,
-            config,
-            faults,
-            draining,
-            failed,
-            last_error,
-            recovery_ns,
         })
     }
 
@@ -314,58 +420,56 @@ impl Engine {
     /// from a dedicated thread; slow consumption propagates backpressure
     /// into load-shedding by design.
     pub fn output(&self) -> Arc<BoundedQueue<OutEvent>> {
-        Arc::clone(&self.out)
+        Arc::clone(&self.shared.out)
     }
 
     /// Current accounting snapshot.
     pub fn stats(&self) -> StatsMsg {
-        self.counts.snapshot()
+        self.shared.counts.snapshot()
     }
 
     /// The serving feature-spec config hash.
     pub fn config_hash(&self) -> u64 {
-        read_snapshot(&self.model).config_hash()
+        self.shared.current_model().config_hash()
     }
 
     /// Whether any shard is currently refusing admissions.
     pub fn is_shedding(&self) -> bool {
-        self.shards.iter().any(|s| s.queue.is_shedding())
+        self.shared.shards.iter().any(|s| s.queue.is_shedding())
     }
 
     /// Whether the engine has failed fast (a shard exhausted its restart
     /// budget or could not be respawned). Front-ends poll this and initiate
     /// a drain: a failed engine refuses to limp along silently.
     pub fn failed(&self) -> bool {
-        self.failed.load(Ordering::SeqCst)
+        self.shared.failed.load(Ordering::SeqCst)
     }
 
     /// The most recent supervision error (shard death or fail-fast cause).
     pub fn last_error(&self) -> Option<String> {
-        lock(&self.last_error).clone()
+        lock(&self.shared.last_error).clone()
     }
 
     /// Wall-clock nanoseconds of each completed shard recovery
     /// (death detection through restored worker running, backoff
     /// included) — the samples behind the chaos suite's recovery p99.
     pub fn recoveries_ns(&self) -> Vec<u64> {
-        lock(&self.recovery_ns).clone()
-    }
-
-    /// The engine-side fault plane in effect.
-    pub fn faults(&self) -> &EngineFaults {
-        &self.faults
+        lock(&self.shared.recovery_ns).clone()
     }
 
     /// The active configuration.
     pub fn config(&self) -> &ServeConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// Chaos hook: asks shard `idx` to flush, sync its snapshot store, and
     /// die — the supervisor then restarts it from the store. Returns
     /// whether the kill was delivered (in-range shard, queue open).
     pub fn kill_shard(&self, idx: usize) -> bool {
-        idx < self.shards.len() && self.shards[idx].queue.push_control(ShardMsg::Kill).is_ok()
+        self.shared
+            .shards
+            .get(idx)
+            .is_some_and(|s| s.queue.push_control(ShardMsg::Kill).is_ok())
     }
 
     /// Routes one subwindow event. Never blocks: under overload the event
@@ -380,16 +484,17 @@ impl Engine {
         window: Box<RawWindow>,
         deadline_ms: Option<u64>,
     ) {
-        if self.draining.load(Ordering::Relaxed) {
+        let shared = &self.shared;
+        if shared.draining.load(Ordering::Relaxed) {
             return; // post-drain stragglers are refused before being offered
         }
         let key = SessionKey::new(tenant, session);
-        let shard = &self.shards[key.shard(self.shards.len())];
+        let shard = &shared.shards[key.shard(shared.shards.len())];
         {
             let shed = lock(&shard.shed);
             if shed.contains(&key) {
                 drop(shed);
-                self.counts.shed_events.fetch_add(1, Ordering::Relaxed);
+                shared.counts.shed_events.fetch_add(1, Ordering::Relaxed);
                 return;
             }
         }
@@ -401,10 +506,10 @@ impl Engine {
             deadline_ms,
         }) {
             Ok(()) => {
-                self.counts.offered_events.fetch_add(1, Ordering::Relaxed);
+                shared.counts.offered_events.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
-                self.counts.shed_events.fetch_add(1, Ordering::Relaxed);
+                shared.counts.shed_events.fetch_add(1, Ordering::Relaxed);
                 rhmd_obs::incr("serve.shed.events");
                 lock(&shard.shed).insert(key.clone());
                 // Capacity-exempt: the shed notice must reach the worker or
@@ -417,11 +522,11 @@ impl Engine {
     /// Marks a session's stream complete; its verdict will be emitted once
     /// in-flight windows score.
     pub fn submit_end(&self, conn: u64, tenant: &str, session: &str) {
-        if self.draining.load(Ordering::Relaxed) {
+        if self.shared.draining.load(Ordering::Relaxed) {
             return;
         }
         let key = SessionKey::new(tenant, session);
-        let shard = &self.shards[key.shard(self.shards.len())];
+        let shard = &self.shared.shards[key.shard(self.shared.shards.len())];
         lock(&shard.shed).remove(&key);
         let _ = shard.queue.push_control(ShardMsg::End {
             key,
@@ -440,8 +545,9 @@ impl Engine {
     pub fn reload(&self, hmd: Hmd) -> Result<u64, RhmdError> {
         let next = ModelSnapshot::new(hmd);
         let current = self.config_hash();
+        let counts = &self.shared.counts;
         if next.config_hash() != current {
-            self.counts.reloads_rejected.fetch_add(1, Ordering::Relaxed);
+            counts.reloads_rejected.fetch_add(1, Ordering::Relaxed);
             rhmd_obs::incr("serve.reload.rejected");
             return Err(RhmdError::config(format!(
                 "reload rejected: feature-spec config hash {} does not match serving hash {current}; \
@@ -450,11 +556,11 @@ impl Engine {
             )));
         }
         let hash = next.config_hash();
-        match self.model.write() {
+        match self.shared.model.write() {
             Ok(mut g) => *g = Arc::new(next),
             Err(p) => *p.into_inner() = Arc::new(next),
         }
-        self.counts.reloads_ok.fetch_add(1, Ordering::Relaxed);
+        counts.reloads_ok.fetch_add(1, Ordering::Relaxed);
         rhmd_obs::incr("serve.reload.ok");
         Ok(hash)
     }
@@ -468,7 +574,10 @@ impl Engine {
     /// [`Engine::reload`]; all of them leave the old model serving.
     pub fn reload_path(&self, path: &Path) -> Result<u64, RhmdError> {
         let hmd = rhmd_core::persist::load_hmd(path).inspect_err(|_| {
-            self.counts.reloads_rejected.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .counts
+                .reloads_rejected
+                .fetch_add(1, Ordering::Relaxed);
             rhmd_obs::incr("serve.reload.rejected");
         })?;
         self.reload(hmd)
@@ -493,14 +602,9 @@ impl Engine {
                         message: e.to_string(),
                     },
                 };
-                let _ = self.out.push(OutEvent::Response { conn, response });
+                self.respond(conn, response);
             }
-            Request::Stats {} => {
-                let _ = self.out.push(OutEvent::Response {
-                    conn,
-                    response: Response::Stats(self.stats()),
-                });
-            }
+            Request::Stats {} => self.respond(conn, Response::Stats(self.stats())),
             Request::Drain {} => return true,
         }
         false
@@ -510,7 +614,7 @@ impl Engine {
     /// request-level errors the engine itself never sees, e.g. unparseable
     /// lines).
     pub fn respond(&self, conn: u64, response: Response) {
-        let _ = self.out.push(OutEvent::Response { conn, response });
+        let _ = self.shared.out.push(OutEvent::Response { conn, response });
     }
 
     /// Graceful drain: stops admissions, lets workers finish in-flight
@@ -520,38 +624,38 @@ impl Engine {
     /// [`OutEvent::Closed`], and returns the final accounting. Idempotent:
     /// later calls just return the final stats.
     pub fn drain(&self) -> StatsMsg {
-        if self.draining.swap(true, Ordering::SeqCst) {
-            return self.counts.snapshot();
+        let shared = &self.shared;
+        if shared.draining.swap(true, Ordering::SeqCst) {
+            return self.stats();
         }
         // Supervision stops first so a worker exiting on Drain is never
         // mistaken for a death (and never restarted mid-drain).
         if let Some(sup) = lock(&self.supervisor).take() {
             let _ = sup.join();
         }
-        for shard in self.shards.iter() {
+        for shard in &shared.shards {
             let _ = shard.queue.push_control(ShardMsg::Drain);
         }
-        let handles: Vec<JoinHandle<()>> =
-            lock(&self.workers).iter_mut().filter_map(Option::take).collect();
+        let handles: Vec<JoinHandle<()>> = lock(&self.workers)
+            .iter_mut()
+            .filter_map(Option::take)
+            .collect();
         for worker in handles {
             let _ = worker.join();
         }
-        for shard in self.shards.iter() {
+        for shard in &shared.shards {
             shard.queue.close();
         }
         // A worker that drained cleanly emptied its store; leftovers mean
         // the shard died undrained — finalize them so the identity holds.
-        for shard in self.shards.iter() {
-            finalize_store_as(&shard.store, &self.out, &self.counts, "shard-down");
+        for idx in 0..shared.shards.len() {
+            shared.finalize_store(idx);
         }
-        let stats = self.counts.snapshot();
+        let stats = self.stats();
         debug_assert!(stats.accounted(), "drain accounting violated: {stats:?}");
-        let _ = self.out.push(OutEvent::Response {
-            conn: BROADCAST_CONN,
-            response: Response::Drained(stats),
-        });
-        let _ = self.out.push(OutEvent::Closed);
-        self.out.close();
+        self.respond(BROADCAST_CONN, Response::Drained(stats));
+        let _ = shared.out.push(OutEvent::Closed);
+        shared.out.close();
         stats
     }
 }
@@ -559,14 +663,14 @@ impl Engine {
 impl Drop for Engine {
     fn drop(&mut self) {
         // A dropped (not drained) engine must not leave workers spinning.
-        if !self.draining.swap(true, Ordering::SeqCst) {
+        if !self.shared.draining.swap(true, Ordering::SeqCst) {
             if let Some(sup) = lock(&self.supervisor).take() {
                 let _ = sup.join();
             }
-            for shard in self.shards.iter() {
+            for shard in &self.shared.shards {
                 shard.queue.close();
             }
-            self.out.close();
+            self.shared.out.close();
             for worker in lock(&self.workers).iter_mut().filter_map(Option::take) {
                 let _ = worker.join();
             }
@@ -581,90 +685,21 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-/// Finalizes every session left in a dead shard's snapshot store as an
-/// abstention with `reason` — the fail-fast and drain catch-all that keeps
-/// `offered == decided + abstained + shed + quarantined` exact even when a
-/// shard is never coming back.
-fn finalize_store_as(
-    store: &SnapshotStore,
-    out: &BoundedQueue<OutEvent>,
-    counts: &Counts,
-    reason: &str,
-) {
-    let orphans: Vec<(SessionKey, SessionSnapshot)> = lock(store).drain().collect();
-    for (key, snap) in orphans {
-        let votes: Vec<Option<bool>> = snap
-            .slots
-            .iter()
-            .map(|s| match s {
-                Slot::Done(v) => *v,
-                Slot::Pending => None,
-            })
-            .collect();
-        let quorum = QuorumVerdict::from_votes(&votes);
-        counts.abstained.fetch_add(1, Ordering::Relaxed);
-        rhmd_obs::incr("serve.sessions.shard_down");
-        let msg = VerdictMsg {
-            tenant: key.tenant.to_string(),
-            session: key.session.to_string(),
-            verdict: "abstain".to_string(),
-            reason: Some(reason.to_string()),
-            voted: quorum.voted,
-            abstained: quorum.abstained,
-            flag_rate: quorum.flag_rate(),
-        };
-        let _ = out.push(OutEvent::Response {
-            conn: snap.conn,
-            response: Response::Verdict(msg),
-        });
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_worker(
-    idx: usize,
-    queue: Arc<BoundedQueue<ShardMsg>>,
-    store: Arc<SnapshotStore>,
-    model: Arc<RwLock<Arc<ModelSnapshot>>>,
-    out: Arc<BoundedQueue<OutEvent>>,
-    counts: Arc<Counts>,
-    config: ServeConfig,
-    faults: EngineFaults,
-    restore: bool,
-) -> Result<JoinHandle<()>, RhmdError> {
-    let mut worker = Worker::new(idx, queue, store, model, out, counts, config, faults);
-    if restore {
-        worker.restore_sessions();
-    }
-    std::thread::Builder::new()
-        .name(format!("rhmd-serve-{idx}"))
-        .spawn(move || worker.run())
-        .map_err(|e| RhmdError::config(format!("serve: spawn worker {idx}: {e}")))
-}
-
 /// The supervision loop: detect dead shard workers, restart them from the
 /// snapshot store under the restart budget with deterministic exponential
 /// backoff, fail fast when the budget runs out. Exits as soon as the
 /// engine begins draining.
 struct Supervisor {
-    shards: Arc<Vec<ShardHandle>>,
-    workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
-    model: Arc<RwLock<Arc<ModelSnapshot>>>,
-    out: Arc<BoundedQueue<OutEvent>>,
-    counts: Arc<Counts>,
-    config: ServeConfig,
-    faults: EngineFaults,
-    draining: Arc<AtomicBool>,
-    failed: Arc<AtomicBool>,
-    last_error: Arc<Mutex<Option<String>>>,
-    recovery_ns: Arc<Mutex<Vec<u64>>>,
+    shared: Arc<Shared>,
+    workers: Workers,
 }
 
 impl Supervisor {
     fn run(self) {
-        let mut restarts = vec![0u32; self.shards.len()];
+        let shared = &self.shared;
+        let mut restarts = vec![0u32; shared.shards.len()];
         loop {
-            if self.draining.load(Ordering::SeqCst) {
+            if shared.draining.load(Ordering::SeqCst) {
                 return;
             }
             for (idx, spent) in restarts.iter_mut().enumerate() {
@@ -674,7 +709,7 @@ impl Supervisor {
                 if !finished {
                     continue;
                 }
-                if self.draining.load(Ordering::SeqCst) {
+                if shared.draining.load(Ordering::SeqCst) {
                     return;
                 }
                 let began = Instant::now();
@@ -685,46 +720,34 @@ impl Supervisor {
                 };
                 let Some(cause) = cause else { continue };
                 rhmd_obs::incr("serve.shard.deaths");
-                if *spent >= self.config.restart_budget {
+                let budget = shared.config.restart_budget;
+                if *spent >= budget {
                     self.fail_shard(
                         idx,
-                        &format!(
-                            "died ({cause}) with restart budget {} exhausted",
-                            self.config.restart_budget
-                        ),
+                        &format!("died ({cause}) with restart budget {budget} exhausted"),
                     );
                     continue;
                 }
                 // Deterministic exponential backoff: restart n waits
                 // base * 2^n, capped so a misconfigured base cannot stall
                 // supervision for minutes.
-                let backoff = self
+                let backoff = shared
                     .config
                     .restart_backoff
                     .saturating_mul(1u32 << (*spent).min(16))
                     .min(Duration::from_secs(2));
                 std::thread::sleep(backoff);
                 *spent += 1;
-                *lock(&self.last_error) =
+                *lock(&shared.last_error) =
                     Some(format!("shard {idx} died ({cause}); restart {spent}"));
-                match spawn_worker(
-                    idx,
-                    Arc::clone(&self.shards[idx].queue),
-                    Arc::clone(&self.shards[idx].store),
-                    Arc::clone(&self.model),
-                    Arc::clone(&self.out),
-                    Arc::clone(&self.counts),
-                    self.config.clone(),
-                    self.faults.clone(),
-                    true,
-                ) {
+                match Worker::spawn(shared, idx, true) {
                     Ok(h) => {
                         lock(&self.workers)[idx] = Some(h);
-                        self.counts.shard_restarts.fetch_add(1, Ordering::Relaxed);
+                        shared.counts.shard_restarts.fetch_add(1, Ordering::Relaxed);
                         let ns = began.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
                         rhmd_obs::incr("serve.shard.restarts");
                         rhmd_obs::observe_ns("serve.shard.recovery", ns);
-                        lock(&self.recovery_ns).push(ns);
+                        lock(&shared.recovery_ns).push(ns);
                     }
                     Err(e) => self.fail_shard(idx, &format!("respawn failed: {e}")),
                 }
@@ -738,11 +761,12 @@ impl Supervisor {
     /// `abstain`/`shard-down` verdict, and flag the engine failed so
     /// front-ends drain instead of limping.
     fn fail_shard(&self, idx: usize, why: &str) {
-        self.shards[idx].queue.close();
-        *lock(&self.last_error) = Some(format!("shard {idx}: {why}"));
+        let shared = &self.shared;
+        shared.shards[idx].queue.close();
+        *lock(&shared.last_error) = Some(format!("shard {idx}: {why}"));
         rhmd_obs::incr("serve.shard.failed");
-        finalize_store_as(&self.shards[idx].store, &self.out, &self.counts, "shard-down");
-        self.failed.store(true, Ordering::SeqCst);
+        shared.finalize_store(idx);
+        shared.failed.store(true, Ordering::SeqCst);
     }
 }
 
@@ -769,58 +793,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Scores `keys[lo..hi]`'s rows inside a `catch_unwind` fence, bisecting on
-/// panic to isolate poison rows. `scores[i]` becomes `Some(score)` for
-/// healthy rows, `None` for poisoned ones (panicked or non-finite).
-/// Scoring is row-independent, so healthy rows score identically whether
-/// or not the batch was bisected around them — quarantine cannot perturb
-/// innocent sessions' verdicts.
-#[allow(clippy::too_many_arguments)]
-fn score_guarded(
-    hmd: &Hmd,
-    dims: usize,
-    flat: &[f64],
-    keys: &[SessionKey],
-    lo: usize,
-    hi: usize,
-    faults: &EngineFaults,
-    scores: &mut [Option<f64>],
-) {
-    if lo >= hi {
-        return;
-    }
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let xs = FeatureMatrix::from_flat(dims, flat[lo * dims..hi * dims].to_vec());
-        let mut s = vec![0.0; hi - lo];
-        hmd.model().score_batch(&xs, &mut s);
-        for (i, key) in keys[lo..hi].iter().enumerate() {
-            if faults.panics(&key.tenant, &key.session) {
-                panic!("injected scorer panic for {}/{}", key.tenant, key.session);
-            }
-            if faults.nans(&key.tenant, &key.session) {
-                s[i] = f64::NAN;
-            }
-        }
-        s
-    }));
-    match attempt {
-        Ok(s) => {
-            for (i, v) in s.into_iter().enumerate() {
-                scores[lo + i] = v.is_finite().then_some(v);
-            }
-        }
-        Err(_) if hi - lo == 1 => {
-            scores[lo] = None;
-        }
-        Err(_) => {
-            rhmd_obs::incr("serve.batch.bisects");
-            let mid = lo + (hi - lo) / 2;
-            score_guarded(hmd, dims, flat, keys, lo, mid, faults, scores);
-            score_guarded(hmd, dims, flat, keys, mid, hi, faults, scores);
-        }
-    }
-}
-
 enum Entry {
     Live(Box<SessionState>),
     /// The session already got its (shed/quarantine) verdict; later events
@@ -830,13 +802,7 @@ enum Entry {
 
 struct Worker {
     idx: usize,
-    queue: Arc<BoundedQueue<ShardMsg>>,
-    model: Arc<RwLock<Arc<ModelSnapshot>>>,
-    out: Arc<BoundedQueue<OutEvent>>,
-    counts: Arc<Counts>,
-    config: ServeConfig,
-    faults: EngineFaults,
-    store: Arc<SnapshotStore>,
+    shared: Arc<Shared>,
     /// Sessions mutated since the last snapshot sync.
     dirty: HashSet<SessionKey>,
     sessions: HashMap<SessionKey, Entry>,
@@ -851,60 +817,57 @@ struct Worker {
 }
 
 impl Worker {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        idx: usize,
-        queue: Arc<BoundedQueue<ShardMsg>>,
-        store: Arc<SnapshotStore>,
-        model: Arc<RwLock<Arc<ModelSnapshot>>>,
-        out: Arc<BoundedQueue<OutEvent>>,
-        counts: Arc<Counts>,
-        config: ServeConfig,
-        faults: EngineFaults,
-    ) -> Worker {
+    /// Spawns shard `idx`'s worker thread, first rebuilding its sessions
+    /// from the snapshot store when `restore` (a supervisor restart).
+    fn spawn(shared: &Arc<Shared>, idx: usize, restore: bool) -> Result<JoinHandle<()>, RhmdError> {
+        let config = &shared.config;
         let shortest = config
             .session_deadline
             .into_iter()
             .chain(config.tenant_deadline)
             .min()
             .unwrap_or(Duration::from_secs(4));
-        let sweep_every = (shortest / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
-        Worker {
+        let mut worker = Worker {
             idx,
-            queue,
-            model,
-            out,
-            counts,
-            config,
-            faults,
-            store,
+            shared: Arc::clone(shared),
             dirty: HashSet::new(),
             sessions: HashMap::new(),
             batchers: HashMap::new(),
             tenant_activity: HashMap::new(),
             row: Vec::new(),
             last_sweep: Instant::now(),
-            sweep_every,
+            sweep_every: (shortest / 4).clamp(Duration::from_millis(10), Duration::from_secs(1)),
             last_sync: Instant::now(),
             nearest_deadline: None,
+        };
+        if restore {
+            worker.restore_sessions();
         }
+        std::thread::Builder::new()
+            .name(format!("rhmd-serve-{idx}"))
+            .spawn(move || worker.run())
+            .map_err(|e| RhmdError::config(format!("serve: spawn worker {idx}: {e}")))
+    }
+
+    fn shard(&self) -> &ShardHandle {
+        &self.shared.shards[self.idx]
     }
 
     /// Rebuilds sessions from the snapshot store after a shard restart.
     /// Counts are untouched — these sessions were already offered.
     fn restore_sessions(&mut self) {
-        let snaps: Vec<(SessionKey, SessionSnapshot)> = lock(&self.store)
+        let saved: Vec<(SessionKey, SessionState)> = lock(&self.shard().store)
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
-        if snaps.is_empty() {
+        if saved.is_empty() {
             return;
         }
         let now = Instant::now();
-        rhmd_obs::add("serve.shard.sessions_restored", snaps.len() as u64);
-        for (key, snap) in snaps {
+        rhmd_obs::add("serve.shard.sessions_restored", saved.len() as u64);
+        for (key, state) in saved {
             self.tenant_activity.insert(key.tenant.clone(), now);
-            let state = SessionState::restore(snap, now);
+            let state = state.restore(now);
             if let Some(at) = state.deadline_at {
                 self.nearest_deadline = Some(self.nearest_deadline.map_or(at, |n| n.min(at)));
             }
@@ -915,7 +878,7 @@ impl Worker {
     fn run(mut self) {
         loop {
             let timeout = self.next_timeout();
-            match self.queue.pop_timeout(timeout) {
+            match self.shard().queue.pop_timeout(timeout) {
                 Some(ShardMsg::Drain) => {
                     self.drain();
                     return;
@@ -923,7 +886,7 @@ impl Worker {
                 Some(ShardMsg::Kill) => self.die(),
                 Some(msg) => self.handle(msg),
                 None => {
-                    if self.queue.is_closed() {
+                    if self.shard().queue.is_closed() {
                         return; // engine dropped without drain
                     }
                 }
@@ -937,10 +900,7 @@ impl Worker {
     /// complete at the instant of death, the supervisor's restart is
     /// lossless and the recovered shard's verdicts are bit-identical.
     fn die(&mut self) -> ! {
-        let tenants: Vec<Arc<str>> = self.batchers.keys().cloned().collect();
-        for tenant in tenants {
-            self.flush_tenant(&tenant);
-        }
+        self.flush_all();
         self.sync_all();
         rhmd_obs::incr("serve.shard.killed");
         panic!("shard {} killed by kill_shard (chaos)", self.idx);
@@ -989,18 +949,21 @@ impl Worker {
     ) {
         let now = Instant::now();
         self.tenant_activity.insert(key.tenant.clone(), now);
-        let snap = read_snapshot(&self.model);
-        let period = snap.hmd().spec().period;
-        let min_fill = self.config.min_fill;
+        let snap = self.shared.current_model();
         if !self.sessions.contains_key(&key) {
-            self.counts.offered_sessions.fetch_add(1, Ordering::Relaxed);
-            rhmd_obs::incr("serve.sessions.offered");
-            let state = SessionState::new(period, min_fill, conn, now);
+            self.shared.offer_session();
+            let state = SessionState::new(
+                snap.hmd().spec().period,
+                self.shared.config.min_fill,
+                conn,
+                now,
+            );
             // Synced at creation: a session's *existence* must survive
             // worker death, or its verdict could be lost and the
             // accounting identity broken.
-            lock(&self.store).insert(key.clone(), state.snapshot());
-            self.sessions.insert(key.clone(), Entry::Live(Box::new(state)));
+            lock(&self.shard().store).insert(key.clone(), state.clone());
+            self.sessions
+                .insert(key.clone(), Entry::Live(Box::new(state)));
         }
         let state = match self.sessions.get_mut(&key) {
             Some(Entry::Live(s)) => s,
@@ -1017,7 +980,10 @@ impl Worker {
             // Stale or duplicate re-delivery: repaired by dropping, which
             // is exactly what makes a redelivered stream assemble
             // bit-identically to a clean one.
-            self.counts.stale_frames.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .counts
+                .stale_frames
+                .fetch_add(1, Ordering::Relaxed);
             rhmd_obs::incr("serve.frames.stale_dropped");
             return;
         };
@@ -1026,53 +992,52 @@ impl Worker {
         }
         self.dirty.insert(key.clone());
         if let Some(w) = kept_window(state.assembler.push(window)) {
-            if self.enqueue_vote(&key, &snap, &w, now) {
+            if self.enqueue_vote(&key, snap.hmd(), &w, now) {
                 rhmd_obs::incr("serve.batch.flush_full");
                 self.flush_tenant(&key.tenant.clone());
             }
         }
     }
 
-    /// Projects one sealed window into its tenant's micro-batch (or
-    /// resolves the vote immediately when the window abstains). Returns
+    /// Reserves one sealed window's vote slot: a window `hmd` lets vote
+    /// joins its tenant's micro-batch, any other resolves now. Returns
     /// `true` when the batch hit its size trigger.
     fn enqueue_vote(
         &mut self,
         key: &SessionKey,
-        snap: &ModelSnapshot,
+        hmd: &Hmd,
         window: &CollectionWindow,
         now: Instant,
     ) -> bool {
-        let dims = snap.hmd().spec().dims();
         let Some(Entry::Live(state)) = self.sessions.get_mut(key) else {
             return false;
         };
         let slot = state.slots.len();
-        if window.instructions == 0 {
-            state.slots.push(Slot::Done(None));
-            return false;
+        let vote = match hmd.check_window(window, &mut self.row) {
+            WindowCheck::Row => {
+                state.slots.push(Slot::Pending);
+                let (dims, config) = (self.row.len(), &self.shared.config);
+                let batcher = self.batchers.entry(key.tenant.clone()).or_insert_with(|| {
+                    MicroBatcher::new(dims, config.batch_max, config.batch_deadline)
+                });
+                return batcher.push(key.clone(), slot, &self.row, now);
+            }
+            WindowCheck::Vote(vote) => Some(vote),
+            WindowCheck::Corrupt => {
+                rhmd_obs::incr("serve.windows.abstained_corrupt");
+                None
+            }
+            WindowCheck::Empty => None,
+        };
+        state.slots.push(Slot::Done(vote));
+        false
+    }
+
+    fn flush_all(&mut self) {
+        let tenants: Vec<Arc<str>> = self.batchers.keys().cloned().collect();
+        for tenant in tenants {
+            self.flush_tenant(&tenant);
         }
-        if dims == 0 {
-            // Degenerate spec: no batch path, mirror the per-window fallback
-            // the batch evaluator uses.
-            state.slots.push(Slot::Done(snap.hmd().classify_window_checked(window)));
-            return false;
-        }
-        self.row.clear();
-        snap.hmd().spec().project_into(window, &mut self.row);
-        if self.row.iter().any(|x| !x.is_finite() || x.abs() > ABSTAIN_BOUND) {
-            rhmd_obs::incr("serve.windows.abstained_corrupt");
-            state.slots.push(Slot::Done(None));
-            return false;
-        }
-        state.slots.push(Slot::Pending);
-        let batch_max = self.config.batch_max;
-        let batch_deadline = self.config.batch_deadline;
-        let batcher = self
-            .batchers
-            .entry(key.tenant.clone())
-            .or_insert_with(|| MicroBatcher::new(dims, batch_max, batch_deadline));
-        batcher.push(key.clone(), slot, &self.row, now)
     }
 
     /// Scores a tenant's buffered batch inside the poison-pill fence and
@@ -1088,26 +1053,20 @@ impl Worker {
         }
         let dims = batcher.dims();
         let taken = batcher.take();
-        let snap = read_snapshot(&self.model);
+        let snap = self.shared.current_model();
         let rows = taken.entries.len();
         let keys: Vec<SessionKey> = taken.entries.iter().map(|(k, _)| k.clone()).collect();
         let mut scores: Vec<Option<f64>> = vec![None; rows];
-        score_guarded(
-            snap.hmd(),
-            dims,
-            &taken.flat,
-            &keys,
-            0,
-            rows,
-            &self.faults,
-            &mut scores,
-        );
+        self.score_guarded(snap.hmd(), dims, &taken.flat, &keys, &mut scores);
         let threshold = snap.hmd().model().threshold();
         rhmd_obs::incr("serve.batch.flushes");
         rhmd_obs::add("serve.windows.scored", rows as u64);
         if rhmd_obs::enabled() {
             rhmd_obs::add(
-                &format!("{}.windows_scored", rhmd_obs::labeled("serve.tenant", tenant)),
+                &format!(
+                    "{}.windows_scored",
+                    rhmd_obs::labeled("serve.tenant", tenant)
+                ),
                 rows as u64,
             );
         }
@@ -1115,10 +1074,7 @@ impl Worker {
         for ((key, slot), score) in taken.entries.into_iter().zip(scores) {
             if let Some(Entry::Live(state)) = self.sessions.get_mut(&key) {
                 if let Some(s) = state.slots.get_mut(slot) {
-                    *s = match score {
-                        Some(v) => Slot::Done(Some(v >= threshold)),
-                        None => Slot::Done(None),
-                    };
+                    *s = Slot::Done(score.map(|v| v >= threshold));
                 }
             }
             if score.is_none() && !poisoned.contains(&key) {
@@ -1126,33 +1082,87 @@ impl Worker {
             }
         }
         for key in poisoned {
-            self.quarantine(&key);
+            self.end(&key, Outcome::Quarantine, Instant::now());
         }
     }
 
-    /// Poison-pill isolation: the session's scoring panicked or produced
-    /// non-finite values. It gets an explicit `abstain`/`quarantine`
-    /// verdict built from whatever votes resolved cleanly, is counted in
-    /// the `quarantined` accounting term, and is tombstoned so the rest of
-    /// its stream drops at the door.
-    fn quarantine(&mut self, key: &SessionKey) {
+    /// Scores `keys`' rows (`flat`, `dims` wide) inside a `catch_unwind`
+    /// fence, bisecting on panic to isolate poison rows. `scores[i]`
+    /// becomes `Some(score)` for healthy rows, `None` for poisoned ones
+    /// (panicked or non-finite). Scoring is row-independent, so healthy
+    /// rows score identically whether or not the batch was bisected around
+    /// them — quarantine cannot perturb innocent sessions' verdicts.
+    fn score_guarded(
+        &self,
+        hmd: &Hmd,
+        dims: usize,
+        flat: &[f64],
+        keys: &[SessionKey],
+        scores: &mut [Option<f64>],
+    ) {
+        if keys.is_empty() {
+            return;
+        }
+        let faults = &self.shared.faults;
+        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let xs = FeatureMatrix::from_flat(dims, flat.to_vec());
+            let mut s = vec![0.0; keys.len()];
+            hmd.model().score_batch(&xs, &mut s);
+            for (i, key) in keys.iter().enumerate() {
+                if faults.panics(&key.tenant, &key.session) {
+                    panic!("injected scorer panic for {}/{}", key.tenant, key.session);
+                }
+                if faults.nans(&key.tenant, &key.session) {
+                    s[i] = f64::NAN;
+                }
+            }
+            s
+        }));
+        match attempt {
+            Ok(s) => {
+                for (score, v) in scores.iter_mut().zip(s) {
+                    *score = v.is_finite().then_some(v);
+                }
+            }
+            Err(_) if keys.len() == 1 => scores[0] = None,
+            Err(_) => {
+                rhmd_obs::incr("serve.batch.bisects");
+                let mid = keys.len() / 2;
+                let (flat_lo, flat_hi) = flat.split_at(mid * dims);
+                let (keys_lo, keys_hi) = keys.split_at(mid);
+                let (scores_lo, scores_hi) = scores.split_at_mut(mid);
+                self.score_guarded(hmd, dims, flat_lo, keys_lo, scores_lo);
+                self.score_guarded(hmd, dims, flat_hi, keys_hi, scores_hi);
+            }
+        }
+    }
+
+    /// Ends a live session with `outcome` (a no-op once it has its
+    /// verdict): removes it from the live map, the dirty set and the
+    /// snapshot store, tombstones a shed or quarantined session so the
+    /// rest of its stream drops at the door, and finalizes it from its
+    /// votes. Callers flush the session's tenant first.
+    fn end(&mut self, key: &SessionKey, outcome: Outcome, since: Instant) {
+        if !matches!(self.sessions.get(key), Some(Entry::Live(_))) {
+            return;
+        }
         let Some(Entry::Live(state)) = self.forget(key) else {
             return;
         };
-        let now = Instant::now();
-        let quorum = QuorumVerdict::from_votes(&state.votes_lossy());
-        self.counts.quarantined.fetch_add(1, Ordering::Relaxed);
-        rhmd_obs::incr("serve.sessions.quarantined");
-        self.sessions.insert(key.clone(), Entry::Tombstone(now));
-        self.emit_verdict(state.conn, key, &quorum, "abstain", Some("quarantine"), now);
+        if matches!(outcome, Outcome::Shed | Outcome::Quarantine) {
+            self.sessions.insert(key.clone(), Entry::Tombstone(since));
+        }
+        let quorum = QuorumVerdict::from_votes(&state.votes());
+        self.shared
+            .finalize(state.conn, key, &quorum, outcome, since);
     }
 
-    /// Removes a session from the live map, the dirty set, and the
-    /// snapshot store — the single exit point every finalize path goes
-    /// through, so the store never resurrects a verdicted session.
+    /// Removes a session (live or tombstoned) from the live map, the dirty
+    /// set, and the snapshot store, so the store never resurrects a
+    /// verdicted session.
     fn forget(&mut self, key: &SessionKey) -> Option<Entry> {
         self.dirty.remove(key);
-        lock(&self.store).remove(key);
+        lock(&self.shard().store).remove(key);
         self.sessions.remove(key)
     }
 
@@ -1161,10 +1171,10 @@ impl Worker {
         if self.dirty.is_empty() {
             return;
         }
-        let mut store = lock(&self.store);
+        let mut store = lock(&self.shared.shards[self.idx].store);
         for key in self.dirty.drain() {
             if let Some(Entry::Live(state)) = self.sessions.get(&key) {
-                store.insert(key, state.snapshot());
+                store.insert(key, (**state).clone());
             }
         }
     }
@@ -1172,10 +1182,10 @@ impl Worker {
     /// Syncs every live session (the kill path's lossless handoff).
     fn sync_all(&mut self) {
         self.dirty.clear();
-        let mut store = lock(&self.store);
+        let mut store = lock(&self.shard().store);
         for (key, entry) in &self.sessions {
             if let Entry::Live(state) = entry {
-                store.insert(key.clone(), state.snapshot());
+                store.insert(key.clone(), (**state).clone());
             }
         }
     }
@@ -1184,132 +1194,58 @@ impl Worker {
         self.tenant_activity.insert(key.tenant.clone(), at);
         match self.sessions.get(key) {
             None => {
-                // A session whose stream was empty: offered and abstained in
-                // one step (no evidence at all).
-                self.counts.offered_sessions.fetch_add(1, Ordering::Relaxed);
-                rhmd_obs::incr("serve.sessions.offered");
-                self.counts.abstained.fetch_add(1, Ordering::Relaxed);
-                self.emit_verdict(conn, key, &QuorumVerdict::from_votes(&[]), "abstain", Some("coverage"), at);
-            }
-            Some(Entry::Tombstone(_)) => {
-                // Shed or quarantined earlier; its verdict is already out.
-                self.forget(key);
+                // A session whose stream was empty: offered and judged on
+                // no evidence at all (`abstain`/`coverage`) in one step.
+                self.shared.offer_session();
+                let empty = QuorumVerdict::from_votes(&[]);
+                self.shared.finalize(conn, key, &empty, Outcome::Judged, at);
             }
             Some(Entry::Live(_)) => {
-                let snap = read_snapshot(&self.model);
-                let now = Instant::now();
+                let snap = self.shared.current_model();
                 let tail = match self.sessions.get_mut(key) {
                     Some(Entry::Live(state)) => state.assembler.finish(),
                     _ => None,
                 };
                 if let Some(w) = kept_window(tail) {
-                    self.enqueue_vote(key, &snap, &w, now);
+                    self.enqueue_vote(key, snap.hmd(), &w, Instant::now());
                 }
                 // Resolve every pending slot before judging. This can
-                // quarantine `key` itself, in which case finalize_end
-                // finds nothing live and the quarantine verdict stands.
+                // quarantine `key` itself, in which case its quarantine
+                // verdict stands and `end` does nothing.
                 self.flush_tenant(&key.tenant.clone());
-                self.finalize_end(key, at);
+                self.end(key, Outcome::Judged, at);
             }
+            Some(Entry::Tombstone(_)) => {} // shed or quarantined: verdict already out
         }
-    }
-
-    fn finalize_end(&mut self, key: &SessionKey, at: Instant) {
-        let Some(Entry::Live(state)) = self.forget(key) else {
-            return;
-        };
-        let votes = state.votes();
-        let quorum = QuorumVerdict::from_votes(&votes);
-        let (verdict, reason) = if quorum.voted == 0 || quorum.coverage() < self.config.min_coverage
-        {
-            ("abstain", Some("coverage"))
-        } else if quorum.is_malware() {
-            ("malware", None)
-        } else {
-            ("benign", None)
-        };
-        if reason.is_none() {
-            self.counts.decided.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counts.abstained.fetch_add(1, Ordering::Relaxed);
-        }
-        self.emit_verdict(state.conn, key, &quorum, verdict, reason, at);
+        // The stream is over, so a tombstone's door closes with it.
+        self.forget(key);
     }
 
     fn on_shed(&mut self, key: SessionKey, conn: u64) {
         let now = Instant::now();
         self.tenant_activity.insert(key.tenant.clone(), now);
-        let live = matches!(self.sessions.get(&key), Some(Entry::Live(_)));
-        if live {
-            // Mid-stream shed: resolve what already scored so the verdict
-            // line reports how far the session got. The flush can
-            // quarantine the session, in which case the shed downgrade
-            // below finds a tombstone and becomes a no-op.
-            self.flush_tenant(&key.tenant.clone());
-        }
-        if matches!(self.sessions.get(&key), Some(Entry::Tombstone(_))) {
-            return; // duplicate shed notice, or quarantined during flush
-        }
-        let quorum = match self.forget(&key) {
-            Some(Entry::Live(state)) => QuorumVerdict::from_votes(&state.votes_lossy()),
-            _ => {
+        match self.sessions.get(&key) {
+            Some(Entry::Live(_)) => {
+                // Mid-stream shed: resolve what already scored so the
+                // verdict line reports how far the session got. The flush
+                // can quarantine the session, which then keeps that
+                // verdict instead.
+                self.flush_tenant(&key.tenant.clone());
+                if let Some(Entry::Live(state)) = self.sessions.get_mut(&key) {
+                    state.conn = conn; // the refused connection hears it
+                }
+                self.end(&key, Outcome::Shed, now);
+            }
+            Some(Entry::Tombstone(_)) => {} // duplicate shed notice
+            None => {
                 // First contact under overload: the session is offered and
                 // shed in one step.
-                self.counts.offered_sessions.fetch_add(1, Ordering::Relaxed);
-                rhmd_obs::incr("serve.sessions.offered");
-                QuorumVerdict::from_votes(&[])
+                self.shared.offer_session();
+                self.sessions.insert(key.clone(), Entry::Tombstone(now));
+                let empty = QuorumVerdict::from_votes(&[]);
+                self.shared.finalize(conn, &key, &empty, Outcome::Shed, now);
             }
-        };
-        self.counts.shed_sessions.fetch_add(1, Ordering::Relaxed);
-        rhmd_obs::incr("serve.sessions.shed");
-        self.sessions.insert(key.clone(), Entry::Tombstone(now));
-        self.emit_verdict(conn, &key, &quorum, "abstain", Some("shed"), now);
-    }
-
-    /// Finalizes a live session as an abstention (`drain`, `deadline`,
-    /// `tenant-deadline`). The tenant's batch must already be flushed.
-    fn finalize_abstain(&mut self, key: &SessionKey, reason: &str) {
-        let Some(Entry::Live(state)) = self.forget(key) else {
-            return;
-        };
-        let quorum = QuorumVerdict::from_votes(&state.votes());
-        self.counts.abstained.fetch_add(1, Ordering::Relaxed);
-        self.emit_verdict(state.conn, key, &quorum, "abstain", Some(reason), Instant::now());
-    }
-
-    fn emit_verdict(
-        &self,
-        conn: u64,
-        key: &SessionKey,
-        quorum: &QuorumVerdict,
-        verdict: &str,
-        reason: Option<&str>,
-        since: Instant,
-    ) {
-        rhmd_obs::observe_ns(
-            "serve.verdict_latency",
-            since.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-        );
-        if rhmd_obs::enabled() {
-            let base = rhmd_obs::labeled("serve.tenant", &key.tenant);
-            let outcome = if reason.is_some() { "abstained" } else { "decided" };
-            rhmd_obs::incr(&format!("{base}.{outcome}"));
         }
-        let msg = VerdictMsg {
-            tenant: key.tenant.to_string(),
-            session: key.session.to_string(),
-            verdict: verdict.to_string(),
-            reason: reason.map(str::to_string),
-            voted: quorum.voted,
-            abstained: quorum.abstained,
-            flag_rate: quorum.flag_rate(),
-        };
-        // Blocking push: verdicts are never dropped; a slow consumer stalls
-        // this worker, which is exactly how backpressure reaches admission.
-        let _ = self.out.push(OutEvent::Response {
-            conn,
-            response: Response::Verdict(msg),
-        });
     }
 
     /// Deadline batch flushes, client-deadline enforcement, snapshot
@@ -1326,7 +1262,7 @@ impl Worker {
             self.flush_tenant(&tenant);
         }
         self.enforce_request_deadlines(now);
-        if now.saturating_duration_since(self.last_sync) >= self.config.snapshot_every {
+        if now.saturating_duration_since(self.last_sync) >= self.shared.config.snapshot_every {
             self.last_sync = now;
             self.sync_dirty();
         }
@@ -1334,6 +1270,23 @@ impl Worker {
             self.last_sweep = now;
             self.sweep(now);
         }
+    }
+
+    /// Live sessions matching `pred`.
+    fn live_keys(&self, pred: impl Fn(&SessionKey, &SessionState) -> bool) -> Vec<SessionKey> {
+        self.sessions
+            .iter()
+            .filter_map(|(k, e)| match e {
+                Entry::Live(s) if pred(k, s) => Some(k.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Flushes `key`'s tenant, then ends the session as an abstention.
+    fn abstain(&mut self, key: &SessionKey, reason: &'static str) {
+        self.flush_tenant(&key.tenant.clone());
+        self.end(key, Outcome::Abstain(reason), Instant::now());
     }
 
     /// Per-request deadline propagation: a session whose client-requested
@@ -1346,18 +1299,9 @@ impl Worker {
         if now < at {
             return;
         }
-        let overdue: Vec<SessionKey> = self
-            .sessions
-            .iter()
-            .filter_map(|(k, e)| match e {
-                Entry::Live(s) if s.past_deadline(now) => Some(k.clone()),
-                _ => None,
-            })
-            .collect();
-        for key in overdue {
+        for key in self.live_keys(|_, s| s.past_deadline(now)) {
             rhmd_obs::incr("serve.watchdog.request_deadline");
-            self.flush_tenant(&key.tenant.clone());
-            self.finalize_abstain(&key, "deadline");
+            self.abstain(&key, "deadline");
         }
         self.nearest_deadline = self
             .sessions
@@ -1372,31 +1316,25 @@ impl Worker {
     fn sweep(&mut self, now: Instant) {
         // Tombstones always expire, even with the idle watchdog disabled —
         // they are door markers, not sessions, and must not accumulate.
-        let ttl = self.config.session_deadline.unwrap_or(Duration::from_secs(60));
+        let ttl = self
+            .shared
+            .config
+            .session_deadline
+            .unwrap_or(Duration::from_secs(60));
         self.sessions.retain(|_, e| match e {
             Entry::Tombstone(at) => now.saturating_duration_since(*at) < ttl,
             Entry::Live(_) => true,
         });
-        if let Some(deadline) = self.config.session_deadline {
-            let stale: Vec<SessionKey> = self
-                .sessions
-                .iter()
-                .filter_map(|(k, e)| match e {
-                    Entry::Live(s)
-                        if now.saturating_duration_since(s.last_activity) >= deadline =>
-                    {
-                        Some(k.clone())
-                    }
-                    _ => None,
-                })
-                .collect();
-            for key in stale {
+        if let Some(deadline) = self.shared.config.session_deadline {
+            let idle = |_: &SessionKey, s: &SessionState| {
+                now.saturating_duration_since(s.last_activity) >= deadline
+            };
+            for key in self.live_keys(idle) {
                 rhmd_obs::incr("serve.watchdog.session_expired");
-                self.flush_tenant(&key.tenant.clone());
-                self.finalize_abstain(&key, "deadline");
+                self.abstain(&key, "deadline");
             }
         }
-        if let Some(deadline) = self.config.tenant_deadline {
+        if let Some(deadline) = self.shared.config.tenant_deadline {
             let stale_tenants: Vec<Arc<str>> = self
                 .tenant_activity
                 .iter()
@@ -1405,17 +1343,8 @@ impl Worker {
                 .collect();
             for tenant in stale_tenants {
                 rhmd_obs::incr("serve.watchdog.tenant_expired");
-                self.flush_tenant(&tenant);
-                let keys: Vec<SessionKey> = self
-                    .sessions
-                    .iter()
-                    .filter_map(|(k, e)| match e {
-                        Entry::Live(_) if k.tenant == tenant => Some(k.clone()),
-                        _ => None,
-                    })
-                    .collect();
-                for key in keys {
-                    self.finalize_abstain(&key, "tenant-deadline");
+                for key in self.live_keys(|k, _| k.tenant == tenant) {
+                    self.abstain(&key, "tenant-deadline");
                 }
                 self.tenant_activity.remove(&tenant);
             }
@@ -1425,32 +1354,18 @@ impl Worker {
     /// Drain: absorb already-queued stragglers, flush every batch, and
     /// finalize whatever is still live as `abstain`/`drain`.
     fn drain(&mut self) {
-        while let Some(msg) = self.queue.pop_timeout(Duration::from_millis(10)) {
-            match msg {
-                ShardMsg::Drain | ShardMsg::Kill => {}
-                other => self.handle(other),
-            }
+        while let Some(msg) = self.shard().queue.pop_timeout(Duration::from_millis(10)) {
+            self.handle(msg);
         }
-        let tenants: Vec<Arc<str>> = self.batchers.keys().cloned().collect();
-        for tenant in tenants {
-            self.flush_tenant(&tenant);
-        }
-        let live: Vec<SessionKey> = self
-            .sessions
-            .iter()
-            .filter_map(|(k, e)| match e {
-                Entry::Live(_) => Some(k.clone()),
-                Entry::Tombstone(_) => None,
-            })
-            .collect();
-        for key in live {
+        self.flush_all();
+        for key in self.live_keys(|_, _| true) {
             rhmd_obs::incr("serve.sessions.drained");
-            self.finalize_abstain(&key, "drain");
+            self.abstain(&key, "drain");
         }
         // Anything left in the store is a tombstoned leftover already
         // verdicted; clear it so the engine's drain catch-all does not
         // double-finalize.
-        lock(&self.store).clear();
+        lock(&self.shard().store).clear();
     }
 }
 
@@ -1459,6 +1374,7 @@ mod tests {
     use super::*;
     use rhmd_data::{Corpus, CorpusConfig, Splits, TracedCorpus};
     use rhmd_features::vector::{FeatureKind, FeatureSpec};
+    use rhmd_features::window::{aggregate_with_gaps, SUBWINDOW};
     use rhmd_ml::trainer::{Algorithm, TrainerConfig};
     use rhmd_uarch::CoreConfig;
     use std::sync::atomic::AtomicUsize;
@@ -1506,6 +1422,36 @@ mod tests {
         Ok(verdicts)
     }
 
+    /// Tallies the emitted verdict lines by (verdict, reason) and checks
+    /// each accounting term against them: `decided` counts the
+    /// non-abstain lines, `shed_sessions` and `quarantined` the lines with
+    /// their reasons, and `abstained` every other abstention.
+    fn assert_terms_match_verdicts<'a>(
+        verdicts: impl IntoIterator<Item = &'a VerdictMsg>,
+        stats: &StatsMsg,
+    ) {
+        let mut tally = [0u64; 4]; // decided, abstained, shed, quarantined
+        for v in verdicts {
+            let term = match (v.verdict.as_str(), v.reason.as_deref()) {
+                ("abstain", Some("shed")) => 2,
+                ("abstain", Some("quarantine")) => 3,
+                ("abstain", _) => 1,
+                _ => 0,
+            };
+            tally[term] += 1;
+        }
+        let terms = [
+            stats.decided,
+            stats.abstained,
+            stats.shed_sessions,
+            stats.quarantined,
+        ];
+        assert_eq!(
+            terms, tally,
+            "accounting terms vs emitted verdicts: {stats:?}"
+        );
+    }
+
     #[test]
     fn overload_sheds_loudly_and_accounts_everything() {
         let (traced, _, hmd) = fixture();
@@ -1545,7 +1491,14 @@ mod tests {
         // Flood distinct sessions: the tiny ingest queue saturates and most
         // of these are refused at admission.
         for i in 0..40 {
-            engine.submit_event(0, "t0", &format!("flood{i}"), 0, Box::new(subs[0].clone()), None);
+            engine.submit_event(
+                0,
+                "t0",
+                &format!("flood{i}"),
+                0,
+                Box::new(subs[0].clone()),
+                None,
+            );
         }
         assert!(engine.stats().shed_events > 0, "flood did not shed");
         // Now consume the output so the pipeline unwedges, then drain.
@@ -1569,6 +1522,7 @@ mod tests {
         let stats = engine.drain();
         let verdicts = collector.join().unwrap();
         assert!(stats.accounted(), "{stats:?}");
+        assert_terms_match_verdicts(&verdicts, &stats);
         assert!(stats.shed_sessions > 0, "{stats:?}");
         assert_eq!(
             verdicts.len() as u64,
@@ -1672,7 +1626,11 @@ mod tests {
         });
         assert!(stats.accounted(), "{stats:?}");
         assert_eq!(stats.offered_sessions, sessions as u64, "{stats:?}");
-        assert_eq!(verdicts.len(), sessions, "exactly one verdict per offered session: {stats:?}");
+        assert_eq!(
+            verdicts.len(),
+            sessions,
+            "exactly one verdict per offered session: {stats:?}"
+        );
         let mut ids: Vec<&str> = verdicts.iter().map(|v| v.session.as_str()).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -1686,12 +1644,9 @@ mod tests {
     #[test]
     fn reload_validates_config_hash_and_keeps_serving() {
         let (traced, splits, hmd) = fixture();
-        let engine = Engine::start_with_faults(
-            hmd.clone(),
-            ServeConfig::default(),
-            EngineFaults::default(),
-        )
-        .unwrap();
+        let engine =
+            Engine::start_with_faults(hmd.clone(), ServeConfig::default(), EngineFaults::default())
+                .unwrap();
         let before = engine.config_hash();
         // Same spec, retrained: accepted.
         let same = Hmd::train(
@@ -1735,13 +1690,21 @@ mod tests {
         .unwrap();
         let out = engine.output();
         // One event, never an End: the watchdog must finalize it.
-        engine.submit_event(0, "t0", "stalled", 0, Box::new(traced.subwindows(0)[0].clone()), None);
+        engine.submit_event(
+            0,
+            "t0",
+            "stalled",
+            0,
+            Box::new(traced.subwindows(0)[0].clone()),
+            None,
+        );
         let verdicts = collect_verdicts(&out, 1).unwrap();
         let v = &verdicts[&("t0".to_string(), "stalled".to_string())];
         assert_eq!(v.verdict, "abstain");
         assert_eq!(v.reason.as_deref(), Some("deadline"));
         let stats = engine.drain();
         assert!(stats.accounted());
+        assert_terms_match_verdicts(verdicts.values(), &stats);
         assert_eq!(stats.abstained, 1);
     }
 
@@ -1777,6 +1740,53 @@ mod tests {
         assert!(stats.accounted(), "{stats:?}");
     }
 
+    /// The flush before a deadline abstention can quarantine the session
+    /// itself; it then keeps its tombstone, so its later frames drop at the
+    /// door instead of opening a second session with a second verdict.
+    #[test]
+    fn quarantine_on_a_deadline_flush_keeps_the_door_shut() {
+        let (traced, _, hmd) = fixture();
+        let per = (hmd.spec().period / SUBWINDOW) as usize;
+        let engine = Engine::start_with_faults(
+            hmd,
+            ServeConfig {
+                shards: 1,
+                batch_deadline: Duration::from_secs(60),
+                session_deadline: None,
+                tenant_deadline: None,
+                ..ServeConfig::default()
+            },
+            EngineFaults {
+                score_nan: 1.0,
+                ..EngineFaults::default()
+            },
+        )
+        .unwrap();
+        let out = engine.output();
+        // One sealed window waits in its batch when the 30 ms verdict
+        // deadline fires.
+        let subs = traced.subwindows(0);
+        for (seq, sub) in subs.iter().take(per).enumerate() {
+            engine.submit_event(0, "t0", "s", seq as u64, Box::new(sub.clone()), Some(30));
+        }
+        let first = collect_verdicts(&out, 1).unwrap();
+        let v = &first[&("t0".to_string(), "s".to_string())];
+        assert_eq!(v.reason.as_deref(), Some("quarantine"));
+        engine.submit_event(0, "t0", "s", per as u64, Box::new(subs[per].clone()), None);
+        engine.submit_end(0, "t0", "s");
+        let stats = engine.drain();
+        let mut later = 0;
+        while let Some(OutEvent::Response { response, .. }) = out.pop() {
+            later += usize::from(matches!(response, Response::Verdict(_)));
+        }
+        assert_eq!(later, 0, "a quarantined session got a second verdict");
+        assert_eq!(
+            (stats.offered_sessions, stats.quarantined),
+            (1, 1),
+            "{stats:?}"
+        );
+    }
+
     #[test]
     fn stale_and_duplicate_frames_are_repaired_not_fatal() {
         let (traced, splits, hmd) = fixture();
@@ -1807,7 +1817,10 @@ mod tests {
             engine.submit_end(0, "t0", "s");
             let verdicts = collect_verdicts(&out, 1).unwrap();
             let stats = engine.drain();
-            (verdicts[&("t0".to_string(), "s".to_string())].clone(), stats)
+            (
+                verdicts[&("t0".to_string(), "s".to_string())].clone(),
+                stats,
+            )
         };
         let (clean, _) = run(false);
         let (faulted, stats) = run(true);
@@ -1852,6 +1865,7 @@ mod tests {
         let (clean, _) = run(EngineFaults::default());
         let (chaotic, stats) = run(faults.clone());
         assert!(stats.accounted(), "{stats:?}");
+        assert_terms_match_verdicts(chaotic.values(), &stats);
         let mut quarantined = 0u64;
         for &i in &programs {
             let id = ("t0".to_string(), format!("p{i}"));
@@ -1863,9 +1877,15 @@ mod tests {
                 assert_eq!(chaotic[&id], clean[&id], "untargeted p{i} perturbed");
             }
         }
-        assert!(quarantined > 0, "fault rates too low to exercise quarantine");
+        assert!(
+            quarantined > 0,
+            "fault rates too low to exercise quarantine"
+        );
         assert_eq!(stats.quarantined, quarantined, "{stats:?}");
-        assert_eq!(stats.decided + stats.abstained, programs.len() as u64 - quarantined);
+        assert_eq!(
+            stats.decided + stats.abstained,
+            programs.len() as u64 - quarantined
+        );
     }
 
     #[test]
@@ -1921,7 +1941,10 @@ mod tests {
         assert!(stats.accounted(), "{stats:?}");
         assert_eq!(stats.shard_restarts, 1, "{stats:?}");
         for (id, v) in &clean {
-            assert_eq!(recovered[id], *v, "verdict changed across kill/restore: {id:?}");
+            assert_eq!(
+                recovered[id], *v,
+                "verdict changed across kill/restore: {id:?}"
+            );
         }
         assert!(!recovered.is_empty());
     }
@@ -1949,7 +1972,10 @@ mod tests {
         assert!(engine.kill_shard(0));
         let began = Instant::now();
         while !engine.failed() {
-            assert!(began.elapsed() < Duration::from_secs(10), "engine never failed fast");
+            assert!(
+                began.elapsed() < Duration::from_secs(10),
+                "engine never failed fast"
+            );
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(engine.last_error().unwrap().contains("budget"));
@@ -1960,6 +1986,79 @@ mod tests {
         assert_eq!(v.reason.as_deref(), Some("shard-down"));
         let stats = engine.drain();
         assert!(stats.accounted(), "{stats:?}");
+        assert_terms_match_verdicts(verdicts.values(), &stats);
         assert_eq!(stats.shard_restarts, 0);
+    }
+
+    /// Serve's verdict rule, pinned: the coverage floor is inclusive, as
+    /// in `VerdictPolicy::judge_quorum`, but an exact tie convicts
+    /// (`QuorumVerdict::is_malware`), where `judge_quorum` acquits it.
+    #[test]
+    fn ties_convict_and_the_coverage_floor_is_inclusive() {
+        let (traced, _, hmd) = fixture();
+        let per = (hmd.spec().period / SUBWINDOW) as usize;
+        // One full window of each vote, taken from the traced corpus.
+        let mut chunks: [Option<Vec<RawWindow>>; 2] = [None, None];
+        for program in 0..traced.corpus().labels().len() {
+            for chunk in traced.subwindows(program).chunks_exact(per) {
+                let window = aggregate_with_gaps(chunk, hmd.spec().period, 1.0);
+                if let [w] = window.as_slice() {
+                    if let Some(flagged) = hmd.classify_window_checked(w) {
+                        chunks[usize::from(flagged)].get_or_insert_with(|| chunk.to_vec());
+                    }
+                }
+            }
+        }
+        let [Some(benign), Some(flagged)] = chunks else {
+            panic!("the fixture model never votes both ways");
+        };
+        // A load count no healthy window reaches: the core's window check
+        // finds the projection corrupt, so this window abstains.
+        let mut corrupt = benign.clone();
+        corrupt[0].counters.loads = u32::MAX;
+        let engine = Engine::start_with_faults(
+            hmd,
+            ServeConfig {
+                shards: 1,
+                min_coverage: 0.5,
+                session_deadline: None,
+                tenant_deadline: None,
+                ..ServeConfig::default()
+            },
+            EngineFaults::default(),
+        )
+        .unwrap();
+        let out = engine.output();
+        let sessions: [(&str, Vec<&[RawWindow]>); 3] = [
+            ("tie", vec![&flagged, &benign]),
+            ("at-floor", vec![&flagged, &corrupt]),
+            ("below-floor", vec![&flagged, &corrupt, &corrupt]),
+        ];
+        for (session, windows) in &sessions {
+            let subs = windows.iter().flat_map(|w| w.iter());
+            for (seq, sub) in subs.enumerate() {
+                engine.submit_event(0, "t0", session, seq as u64, Box::new(sub.clone()), None);
+            }
+            engine.submit_end(0, "t0", session);
+        }
+        let verdicts = collect_verdicts(&out, sessions.len()).unwrap();
+        let line = |s: &str| {
+            let v = &verdicts[&("t0".to_string(), s.to_string())];
+            (
+                v.verdict.as_str(),
+                v.reason.as_deref(),
+                v.voted,
+                v.abstained,
+            )
+        };
+        assert_eq!(line("tie"), ("malware", None, 2, 0), "a tie convicts");
+        assert_eq!(
+            line("at-floor"),
+            ("malware", None, 1, 1),
+            "coverage 0.5 decides"
+        );
+        assert_eq!(line("below-floor"), ("abstain", Some("coverage"), 1, 2));
+        let stats = engine.drain();
+        assert_terms_match_verdicts(verdicts.values(), &stats);
     }
 }

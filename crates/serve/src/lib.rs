@@ -78,7 +78,10 @@ pub struct ServeConfig {
     /// bit-identical-replay setting).
     pub min_fill: f64,
     /// Coverage floor below which a session's verdict abstains with reason
-    /// `"coverage"` (matches `VerdictPolicy::judge_quorum` semantics).
+    /// `"coverage"`. The floor is inclusive, as in
+    /// `VerdictPolicy::judge_quorum`, but the majority past it is
+    /// `QuorumVerdict::is_malware`'s: an exact tie convicts, where
+    /// `judge_quorum` acquits it.
     pub min_coverage: f64,
     /// How often each shard worker syncs dirty sessions into its in-memory
     /// snapshot store (the recovery substrate for shard restarts).

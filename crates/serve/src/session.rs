@@ -5,9 +5,9 @@
 //! Sessions assemble windows through [`rhmd_features::window`]'s
 //! assembler, the same one [`rhmd_features::window::aggregate_with_gaps`]
 //! folds over on the batch `rhmd evaluate` path, which is what makes
-//! `rhmd serve` replay verdicts bit-identical to it. A snapshot holds a
-//! clone of the assembler, so a restored session continues assembly
-//! exactly where it left off.
+//! `rhmd serve` replay verdicts bit-identical to it. A snapshot is a
+//! clone of the whole [`SessionState`], assembler included, so a restored
+//! session continues assembly exactly where it left off.
 
 use rhmd_features::window::WindowAssembler;
 use std::sync::Arc;
@@ -60,8 +60,10 @@ pub enum Slot {
     Done(Option<bool>),
 }
 
-/// Live state of one session on its owning shard worker.
-#[derive(Debug)]
+/// Live state of one session on its owning shard worker. The engine's
+/// snapshot store holds clones of it; [`SessionState::restore`] turns one
+/// back into a live session on a restarted shard.
+#[derive(Debug, Clone)]
 pub struct SessionState {
     /// Streaming window assembly.
     pub assembler: WindowAssembler,
@@ -69,10 +71,6 @@ pub struct SessionState {
     pub slots: Vec<Slot>,
     /// Next expected subwindow sequence number.
     pub next_seq: u64,
-    /// Subwindow sequence gaps observed (missed deadlines upstream).
-    pub gap_events: u64,
-    /// Stale or duplicate frames dropped by the sequence filter.
-    pub stale_frames: u64,
     /// Last time any message touched this session (watchdog input).
     pub last_activity: Instant,
     /// Earliest client-requested verdict deadline, if any frame carried
@@ -89,8 +87,6 @@ impl SessionState {
             assembler: WindowAssembler::new(period, min_fill),
             slots: Vec::new(),
             next_seq: 0,
-            gap_events: 0,
-            stale_frames: 0,
             last_activity: now,
             deadline_at: None,
             conn,
@@ -104,11 +100,9 @@ impl SessionState {
     /// the batch aggregator only ever sees each subwindow once.
     pub fn admit_seq(&mut self, seq: u64) -> Option<u64> {
         if seq < self.next_seq {
-            self.stale_frames += 1;
             return None;
         }
         let gap = seq - self.next_seq;
-        self.gap_events += gap;
         self.next_seq = seq + 1;
         Some(gap)
     }
@@ -147,8 +141,8 @@ impl SessionState {
     }
 
     /// Resolved votes with pending slots degraded to abstentions — the
-    /// quarantine/recovery path, where a slot's micro-batch may have died
-    /// with its worker and will never flush.
+    /// shard-down path, where a slot's micro-batch died with its worker
+    /// and will never flush.
     pub fn votes_lossy(&self) -> Vec<Option<bool>> {
         self.slots
             .iter()
@@ -159,67 +153,20 @@ impl SessionState {
             .collect()
     }
 
-    /// Captures everything needed to rebuild this session on a restarted
-    /// shard. Pending slots are preserved as pending; [`restore`] degrades
-    /// them to abstentions because their in-flight batch died unflushed.
-    ///
-    /// [`restore`]: SessionState::restore
-    pub fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            assembler: self.assembler.clone(),
-            slots: self.slots.clone(),
-            next_seq: self.next_seq,
-            gap_events: self.gap_events,
-            stale_frames: self.stale_frames,
-            deadline_at: self.deadline_at,
-            conn: self.conn,
+    /// Rebuilds a live session from a snapshot (a clone taken on a shard
+    /// that has since died). Slots that were pending at capture time
+    /// resolve to abstentions (their batch never flushed); slots resolved
+    /// before the snapshot keep their votes, so a kill after a full batch
+    /// flush + snapshot sync recovers bit-identically.
+    pub fn restore(mut self, now: Instant) -> SessionState {
+        for slot in &mut self.slots {
+            if *slot == Slot::Pending {
+                *slot = Slot::Done(None);
+            }
         }
+        self.last_activity = now;
+        self
     }
-
-    /// Rebuilds a session from a snapshot on a restarted shard. Slots that
-    /// were pending at capture time resolve to abstentions (their batch
-    /// never flushed); slots resolved before the snapshot keep their votes,
-    /// so a kill after a full batch flush + snapshot sync recovers
-    /// bit-identically.
-    pub fn restore(snap: SessionSnapshot, now: Instant) -> SessionState {
-        SessionState {
-            assembler: snap.assembler,
-            slots: snap
-                .slots
-                .into_iter()
-                .map(|slot| match slot {
-                    Slot::Pending => Slot::Done(None),
-                    done => done,
-                })
-                .collect(),
-            next_seq: snap.next_seq,
-            gap_events: snap.gap_events,
-            stale_frames: snap.stale_frames,
-            last_activity: now,
-            deadline_at: snap.deadline_at,
-            conn: snap.conn,
-        }
-    }
-}
-
-/// Point-in-time copy of one session's recoverable state, held by the
-/// engine's in-memory snapshot store and replayed into a restarted shard.
-#[derive(Debug, Clone)]
-pub struct SessionSnapshot {
-    /// Window assembly, in-flight partial chunk included.
-    pub assembler: WindowAssembler,
-    /// Vote ledger at capture time.
-    pub slots: Vec<Slot>,
-    /// Next expected subwindow sequence number.
-    pub next_seq: u64,
-    /// Sequence gaps observed so far.
-    pub gap_events: u64,
-    /// Stale/duplicate frames dropped so far.
-    pub stale_frames: u64,
-    /// Client-requested verdict deadline, if any.
-    pub deadline_at: Option<Instant>,
-    /// The connection that opened the session.
-    pub conn: u64,
 }
 
 #[cfg(test)]
@@ -273,7 +220,10 @@ mod tests {
         // ambiguity out of the shard hash.
         let x = SessionKey::new("ab", "c");
         let y = SessionKey::new("a", "bc");
-        assert_ne!((x.tenant.len(), x.shard(1 << 30)), (y.tenant.len(), y.shard(1 << 30)));
+        assert_ne!(
+            (x.tenant.len(), x.shard(1 << 30)),
+            (y.tenant.len(), y.shard(1 << 30))
+        );
     }
 
     #[test]
@@ -293,7 +243,8 @@ mod tests {
         assert_eq!(s.admit_seq(0), None, "stale dropped");
         assert_eq!(s.admit_seq(4), Some(2), "gap admitted and counted");
         assert_eq!(s.admit_seq(3), None, "out-of-order behind cursor dropped");
-        assert_eq!((s.stale_frames, s.gap_events, s.next_seq), (3, 2, 5));
+        assert_eq!(s.admit_seq(5), Some(0), "cursor resumes past the gap");
+        assert_eq!(s.next_seq, 6);
     }
 
     #[test]
@@ -303,7 +254,10 @@ mod tests {
         assert!(!s.past_deadline(now));
         s.tighten_deadline(now + std::time::Duration::from_millis(100));
         s.tighten_deadline(now + std::time::Duration::from_millis(500));
-        assert_eq!(s.deadline_at, Some(now + std::time::Duration::from_millis(100)));
+        assert_eq!(
+            s.deadline_at,
+            Some(now + std::time::Duration::from_millis(100))
+        );
         assert!(s.past_deadline(now + std::time::Duration::from_millis(100)));
     }
 
@@ -322,8 +276,7 @@ mod tests {
         }
         s.slots.push(Slot::Done(Some(false)));
         s.slots.push(Slot::Pending);
-        let snap = s.snapshot();
-        let mut r = SessionState::restore(snap, Instant::now());
+        let mut r = s.clone().restore(Instant::now());
         assert_eq!(r.conn, 7);
         assert_eq!(
             r.slots,

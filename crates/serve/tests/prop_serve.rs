@@ -172,7 +172,7 @@ proptest! {
             };
             for (i, w) in subs.iter().enumerate() {
                 if chaos && i == restore_at {
-                    state = SessionState::restore(state.snapshot(), now);
+                    state = SessionState::restore(state.clone(), now);
                 }
                 push(&mut state, i as u64, w);
                 if chaos {
