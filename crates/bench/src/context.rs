@@ -12,7 +12,7 @@ use rhmd_uarch::CoreConfig;
 pub struct Experiment {
     /// The corpus scale in effect.
     pub config: CorpusConfig,
-    /// Traced corpus (every program executed once).
+    /// Traced corpus (every program traced once, on first read).
     pub traced: TracedCorpus,
     /// Victim / attacker-train / attacker-test split.
     pub splits: Splits,

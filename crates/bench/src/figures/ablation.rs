@@ -188,11 +188,16 @@ pub fn ablation_minimal_overhead(exp: &Experiment) -> Table {
     );
     let spec = exp.spec(FeatureKind::Instructions, 10_000);
     let labels = exp.traced.corpus().labels();
-    let windows: Vec<Vec<f64>> = exp
+    let attacker_malware: Vec<usize> = exp
         .splits
         .attacker_train
         .iter()
-        .filter(|&&i| labels[i])
+        .copied()
+        .filter(|&i| labels[i])
+        .collect();
+    exp.traced.prefetch(&attacker_malware);
+    let windows: Vec<Vec<f64>> = attacker_malware
+        .iter()
         .flat_map(|&i| exp.traced.program_vectors(i, &spec))
         .collect();
     let block_len = {
@@ -286,6 +291,7 @@ pub fn ablation_verdict_policy(exp: &Experiment) -> Table {
         &TrainerConfig::with_seed(0xabf),
     );
     let malware = exp.test_malware();
+    exp.traced.prefetch(&malware);
     for count in [0usize, 1, 5, 10] {
         // Trace (possibly rewritten) malware once, judge under both rules.
         let subwindows: Vec<Vec<rhmd_features::window::RawWindow>> = if count == 0 {

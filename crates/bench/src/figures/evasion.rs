@@ -41,7 +41,15 @@ fn malware_centroid(exp: &Experiment, spec: &rhmd_features::vector::FeatureSpec)
     let labels = exp.traced.corpus().labels();
     let mut sum = vec![0.0; spec.dims()];
     let mut n = 0usize;
-    for &i in exp.splits.attacker_train.iter().filter(|&&i| labels[i]) {
+    let malware: Vec<usize> = exp
+        .splits
+        .attacker_train
+        .iter()
+        .copied()
+        .filter(|&i| labels[i])
+        .collect();
+    exp.traced.prefetch(&malware);
+    for &i in &malware {
         for v in exp.traced.program_vectors(i, spec) {
             for (s, x) in sum.iter_mut().zip(&v) {
                 *s += x;

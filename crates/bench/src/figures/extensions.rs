@@ -142,6 +142,7 @@ pub fn ext_anomaly_detector(exp: &Experiment) -> Table {
         .filter(|&i| !labels[i])
         .collect();
     let malware = exp.test_malware();
+    exp.traced.prefetch(&benign_train);
     for kind in FeatureKind::ALL {
         let spec = exp.spec(kind, 10_000);
         let benign_rows: Vec<Vec<f64>> = benign_train
@@ -254,6 +255,8 @@ pub fn ext_dormant_malware(exp: &Experiment) -> Table {
         .filter(|&i| !labels[i])
         .collect();
 
+    exp.traced.prefetch(&malware);
+    exp.traced.prefetch(&benign[..malware.len().min(benign.len())]);
     for prefix_fraction in [0.0f64, 0.25, 0.5, 0.75] {
         let mut detected = 0usize;
         let mut latency_sum = 0usize;

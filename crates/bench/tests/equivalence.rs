@@ -226,6 +226,8 @@ fn tracing_identical_across_thread_counts() {
             CoreConfig::default(),
             *threads,
         );
+        let all: Vec<usize> = (0..corpus.len()).collect();
+        par.prefetch(&all);
         for i in 0..corpus.len() {
             assert_eq!(par.subwindows(i), serial.subwindows(i), "program {i}, threads={threads}");
         }

@@ -14,10 +14,7 @@ use rhmd_core::RhmdError;
 use rhmd_data::{
     Corpus, CorpusConfig, CorpusStore, EvalSource, Splits, StoreBuilder, TracedCorpus,
 };
-use rhmd_features::pipeline::trace_subwindows;
-use rhmd_features::select::select_labelled_opcodes;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
-use rhmd_features::window::RawWindow;
 use rhmd_ml::metrics::{auc, best_accuracy_threshold};
 use rhmd_ml::model::score_all;
 use rhmd_ml::trainer::{Algorithm, TrainerConfig};
@@ -316,25 +313,6 @@ impl Workbench {
     }
 }
 
-/// Selects the instruction-feature opcodes exactly as the live workbench
-/// does — top-delta opcodes over the victim-train subwindows — without
-/// keeping the whole corpus traced in RAM.
-fn select_opcodes(
-    corpus: &Corpus,
-    splits: &Splits,
-    config: &CorpusConfig,
-    pool: Pool,
-) -> Vec<rhmd_trace::Opcode> {
-    let labels = corpus.labels();
-    let windows: Vec<Vec<RawWindow>> = pool.map(&splits.victim_train, |_, &i| {
-        trace_subwindows(corpus.program(i), config.limits(), CoreConfig::default())
-    });
-    select_labelled_opcodes(
-        splits.victim_train.iter().zip(&windows).map(|(&i, w)| (labels[i], w)),
-        16,
-    )
-}
-
 fn workbench(args: &Args) -> Result<Workbench, RhmdError> {
     if let Some(dir) = args.get("corpus-store") {
         return store_workbench(args, Path::new(dir));
@@ -476,7 +454,15 @@ fn corpus_build(args: &Args) -> Result<(), RhmdError> {
     );
     let corpus = Corpus::build(&config);
     let splits = Splits::new(&corpus, config.seed);
-    let opcodes = select_opcodes(&corpus, &splits, &config, pool);
+    // The live workbench's selection: it traces victim-train only, and
+    // its traces are dropped before the store build traces every program.
+    let opcodes = TracedCorpus::trace_threads(
+        corpus.clone(),
+        config.limits(),
+        CoreConfig::default(),
+        pool.threads(),
+    )
+    .select_opcodes(&splits.victim_train, 16);
     let mut specs = Vec::new();
     for &period in &periods {
         for &kind in &kinds {

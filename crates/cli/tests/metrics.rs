@@ -178,3 +178,35 @@ fn metrics_summary_prints_table_to_stderr_only() {
     assert!(!stdout.contains("cache.misses  "), "table stays off stdout");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn train_traces_only_the_splits_it_reads() {
+    use rhmd_data::{Corpus, CorpusConfig, Splits};
+
+    let dir = temp_dir("traced");
+    let metrics = dir.join("metrics.json");
+    expect_success(&[
+        "train",
+        "--scale",
+        "tiny",
+        "--threads",
+        "2",
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    let snap = parse(&read(&metrics));
+    let counters = snap.field("counters").expect("counters object");
+    let traced = as_u64(counters.field("data.programs_traced").unwrap());
+    let inline = as_u64(counters.field("data.programs_traced_inline").unwrap());
+
+    let config = CorpusConfig::tiny();
+    let corpus = Corpus::build(&config);
+    let splits = Splits::new(&corpus, config.seed);
+    // Opcode selection and training read victim-train, scoring reads
+    // attacker-test; attacker-train is never traced.
+    let read = splits.victim_train.len() + splits.attacker_test.len();
+    assert_eq!(traced, read as u64, "programs traced");
+    assert!(traced < corpus.len() as u64, "{traced} of {} traced", corpus.len());
+    assert_eq!(inline, 0, "every trace came from a prefetch");
+    std::fs::remove_dir_all(&dir).ok();
+}

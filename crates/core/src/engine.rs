@@ -502,7 +502,19 @@ impl<'a> Evaluator<'a> {
 
     /// Cached projected feature matrix of one program (clean stream) —
     /// from the traced corpus or, in store mode, a zero-copy shard view.
+    ///
+    /// The batch methods trace exactly the programs they are given. A
+    /// caller reading one program at a time cannot name its programs in
+    /// advance, so on a traced corpus the first read of an untraced
+    /// program traces every untraced program on the corpus's pool rather
+    /// than one at a time on the calling thread.
     pub fn vectors(&self, program: usize, spec: &FeatureSpec) -> Arc<FeatureMatrix> {
+        if let EvalSource::Traced(traced) = self.source {
+            let programs = traced.corpus().len();
+            if program < programs && !traced.is_traced(program) {
+                traced.prefetch(&(0..programs).collect::<Vec<_>>());
+            }
+        }
         self.cache.vectors(&self.source, program, spec)
     }
 
@@ -512,6 +524,7 @@ impl<'a> Evaluator<'a> {
     /// `indices` order, so rows are bit-identical to the serial path.
     pub fn window_dataset(&self, indices: &[usize], spec: &FeatureSpec) -> Dataset {
         let labels = self.source.labels();
+        self.source.prefetch(indices);
         let per_program = self.run_map(indices, |_, &i| self.vectors(i, spec));
         let mut data = Dataset::new(spec.dims());
         data.reserve_rows(per_program.iter().map(|m| m.len()).sum());
@@ -531,6 +544,7 @@ impl<'a> Evaluator<'a> {
     /// score through one [`rhmd_ml::model::Classifier::score_batch`] sweep.
     pub fn quality_hmd(&self, hmd: &Hmd, indices: &[usize]) -> DetectionQuality {
         let threshold = hmd.model().threshold();
+        self.source.prefetch(indices);
         let verdicts = self.run_map(indices, |_, &i| {
             let matrix = self.vectors(i, hmd.spec());
             let mut scores = vec![0.0; matrix.len()];
@@ -547,6 +561,7 @@ impl<'a> Evaluator<'a> {
     /// construction, unlike the shared-RNG serial walk.
     pub fn quality_rhmd(&self, rhmd: &ResilientHmd, indices: &[usize]) -> DetectionQuality {
         let traced = self.traced();
+        traced.prefetch(indices);
         let verdicts = self.run_map(indices, |_, &i| {
             let mut rng = StreamRng::from_seed(derive_seed(rhmd.seed(), i as u64));
             let stream = Detector::label_stream(rhmd, traced.subwindows(i), &mut rng);
@@ -597,6 +612,7 @@ impl<'a> Evaluator<'a> {
         S: Fn(usize) -> u64 + Sync,
     {
         let traced = self.traced();
+        traced.prefetch(indices);
         let labels = self.source.labels();
         let judged: Vec<DegradedVerdict> = self.run_map(indices, |_, &i| {
             let model = FaultModel::new(config, seed_of(i));

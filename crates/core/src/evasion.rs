@@ -362,6 +362,7 @@ pub fn evade_corpus(
     plan: &InjectionPlan,
 ) -> EvasionTrial {
     // 1. Which malware does the victim detect unmodified?
+    traced.prefetch(malware_indices);
     let detected: Vec<usize> = malware_indices
         .iter()
         .copied()
@@ -709,7 +710,7 @@ mod tests {
     }
 
     /// `evade_corpus` and `trace_evasive_variants` re-trace on the pool the
-    /// corpus was traced on, and give the same results at any width.
+    /// corpus traces on, and give the same results at any width.
     #[test]
     fn re_traces_run_on_the_traced_pool_at_any_width() {
         let config = CorpusConfig::tiny();

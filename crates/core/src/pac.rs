@@ -23,6 +23,7 @@ fn decision_streams(
     traced: &TracedCorpus,
     indices: &[usize],
 ) -> Vec<Vec<bool>> {
+    traced.prefetch(indices);
     detectors
         .iter()
         .map(|d| {
@@ -71,6 +72,7 @@ pub fn disagreement_matrix(
 /// Ground-truth error `e(h_i)` of each base detector at subwindow
 /// granularity over the given programs.
 pub fn base_errors(detectors: &[Hmd], traced: &TracedCorpus, indices: &[usize]) -> Vec<f64> {
+    traced.prefetch(indices);
     let labels = traced.corpus().labels();
     detectors
         .iter()

@@ -46,17 +46,21 @@ pub fn mixed_training_set(
 ) -> Dataset {
     assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
     let labels = traced.corpus().labels();
+    let (malware, benign): (Vec<usize>, Vec<usize>) =
+        victim_train.iter().copied().partition(|&i| labels[i]);
+    let keep = ((malware.len() as f64) * (1.0 - fraction)).round() as usize;
+    let kept = &malware[..keep.min(malware.len())];
+    traced.prefetch(&benign);
+    traced.prefetch(kept);
     let mut data = Dataset::new(spec.dims());
     // Benign windows: unchanged.
-    for &i in victim_train.iter().filter(|&&i| !labels[i]) {
+    for &i in &benign {
         for v in traced.program_vectors(i, spec) {
             data.push(v, false);
         }
     }
     // Malware windows: keep (1 - fraction) original...
-    let malware: Vec<usize> = victim_train.iter().copied().filter(|&i| labels[i]).collect();
-    let keep = ((malware.len() as f64) * (1.0 - fraction)).round() as usize;
-    for &i in &malware[..keep.min(malware.len())] {
+    for &i in kept {
         for v in traced.program_vectors(i, spec) {
             data.push(v, true);
         }
@@ -87,6 +91,7 @@ pub fn detection_quality(
     indices: &[usize],
 ) -> DetectionQuality {
     let labels = traced.corpus().labels();
+    traced.prefetch(indices);
     let (mut tp, mut mal, mut tn, mut ben) = (0usize, 0usize, 0usize, 0usize);
     for &i in indices {
         let stream = detector.label_subwindows(traced.subwindows(i));

@@ -39,6 +39,7 @@ pub fn query_dataset(
     indices: &[usize],
     spec: &FeatureSpec,
 ) -> Dataset {
+    traced.prefetch(indices);
     let mut data = Dataset::new(spec.dims());
     for &i in indices {
         let subs = traced.subwindows(i);
@@ -74,6 +75,7 @@ pub fn agreement(
     traced: &TracedCorpus,
     attacker_test: &[usize],
 ) -> f64 {
+    traced.prefetch(attacker_test);
     let mut same = 0usize;
     let mut total = 0usize;
     for &i in attacker_test {

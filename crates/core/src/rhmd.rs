@@ -149,7 +149,8 @@ pub fn pool_specs(kinds: &[FeatureKind], periods: &[u32], opcodes: &[Opcode]) ->
     specs
 }
 
-/// Trains one base detector per spec and assembles an RHMD.
+/// Trains one base detector per spec, in spec order on the traced
+/// corpus's pool, and assembles an RHMD.
 ///
 /// # Panics
 ///
@@ -163,10 +164,10 @@ pub fn build_pool(
     seed: u64,
 ) -> ResilientHmd {
     assert!(!specs.is_empty(), "pool needs at least one spec");
-    let detectors = specs
-        .into_iter()
-        .map(|spec| Hmd::train(algorithm, spec, trainer, traced, train_indices))
-        .collect();
+    traced.prefetch(train_indices);
+    let detectors = traced.pool().map(&specs, |_, spec| {
+        Hmd::train(algorithm, spec.clone(), trainer, traced, train_indices)
+    });
     ResilientHmd::new(detectors, seed)
 }
 

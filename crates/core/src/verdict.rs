@@ -100,6 +100,7 @@ impl VerdictPolicy {
                 "false-positive budget must be in (0, 1), got {fp_budget}"
             )));
         }
+        traced.prefetch(benign_indices);
         let mut rates: Vec<f64> = benign_indices
             .iter()
             .map(|&i| {

@@ -9,9 +9,9 @@
 //!   benign application classes;
 //! * [`splits::Splits`] — the stratified 60/20/20 victim / attacker-train /
 //!   attacker-test split of paper §3;
-//! * [`traced::TracedCorpus`] — every program executed once (in parallel)
-//!   into fine-grained windows, from which any feature spec can be
-//!   projected;
+//! * [`traced::TracedCorpus`] — every program executed once, on first read
+//!   (in parallel when prefetched), into fine-grained windows, from which
+//!   any feature spec can be projected;
 //! * [`store::CorpusStore`] — the on-disk data plane: `rhmd corpus build`
 //!   traces once into mmap-able feature shards (content-addressed dedup,
 //!   checkpointed builds), and evaluation reads zero-copy

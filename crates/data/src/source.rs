@@ -107,6 +107,18 @@ impl<'a> EvalSource<'a> {
         Ok(FeatureMatrix::from_flat(spec.dims(), buf))
     }
 
+    /// Traces the programs at `indices` that a traced corpus has not traced
+    /// yet ([`TracedCorpus::prefetch`]); a store holds every row already.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range of a traced corpus.
+    pub fn prefetch(&self, indices: &[usize]) {
+        if let EvalSource::Traced(t) = self {
+            t.prefetch(indices);
+        }
+    }
+
     /// The live traced corpus, for paths that need raw subwindows (attack,
     /// defend, fault injection, RHMD switching).
     ///

@@ -1,10 +1,12 @@
-//! Traced corpus: every program executed once at fine window granularity,
-//! so any feature kind × period combination can be projected without
-//! re-simulation.
+//! Traced corpus: every program executed once, on first read, at fine
+//! window granularity, so any feature kind × period combination can be
+//! projected without re-simulation.
 //!
 //! This mirrors the paper's methodology: traces are collected once (weeks of
 //! Pin runs in the original) and the many detector configurations are all
-//! derived from the stored traces.
+//! derived from the stored traces. A program no run reads is never traced:
+//! batch readers [`TracedCorpus::prefetch`] their indices, which traces the
+//! missing ones on the corpus's pool before the serial walk starts.
 
 use crate::corpus::Corpus;
 use rhmd_features::pipeline::{project_windows_into, trace_subwindows};
@@ -19,6 +21,7 @@ use rhmd_trace::inject::{apply, InjectionPlan, StaticOverhead};
 use rhmd_trace::{Opcode, Program};
 use rhmd_uarch::CoreConfig;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// `Pool::new(threads).map` over `items`, only for the performance ledger's
 /// imports until ROADMAP item 6 lands.
@@ -31,49 +34,91 @@ where
     Pool::new(threads).map(items, |_, t| f(t))
 }
 
-/// A corpus plus its per-program subwindow traces.
+/// A corpus plus its per-program subwindow traces, each filled the first
+/// time anything reads it.
 pub struct TracedCorpus {
     corpus: Corpus,
     limits: ExecLimits,
     core_config: CoreConfig,
-    subwindows: Vec<Vec<RawWindow>>,
+    subwindows: Vec<OnceLock<Vec<RawWindow>>>,
     pool: Pool,
 }
 
 impl TracedCorpus {
-    /// Traces every program in `corpus` on [`Pool::available`].
+    /// A traced view of `corpus` on [`Pool::available`]: every program is
+    /// traced once, on first read.
     pub fn trace(corpus: Corpus, limits: ExecLimits, core_config: CoreConfig) -> TracedCorpus {
         let threads = Pool::available().threads();
         TracedCorpus::trace_threads(corpus, limits, core_config, threads)
     }
 
-    /// Like [`TracedCorpus::trace`] with an explicit worker count. Traces
-    /// are bit-identical at any `threads` value — each program's simulation
-    /// is self-contained.
+    /// Like [`TracedCorpus::trace`] with an explicit width for the pool
+    /// that [`TracedCorpus::prefetch`] traces on. Traces are bit-identical
+    /// at any `threads` value and in any read order — each program's
+    /// simulation is self-contained.
     pub fn trace_threads(
         corpus: Corpus,
         limits: ExecLimits,
         core_config: CoreConfig,
         threads: usize,
     ) -> TracedCorpus {
-        let pool = Pool::new(threads);
-        let subwindows =
-            pool.map(corpus.programs(), |_, p| trace_subwindows(p, limits, core_config));
-        rhmd_obs::add("data.programs_traced", subwindows.len() as u64);
+        let subwindows = corpus.programs().iter().map(|_| OnceLock::new()).collect();
         TracedCorpus {
             corpus,
             limits,
             core_config,
             subwindows,
-            pool,
+            pool: Pool::new(threads),
         }
     }
 
-    /// The pool this corpus was traced on. Re-traces of its programs
+    /// The pool this corpus traces on. Re-traces of its programs
     /// (`rhmd_core::evasion::evade_corpus`, the retraining game's evasive
     /// variants) map on it too, so a caller's thread count reaches them.
     pub fn pool(&self) -> Pool {
         self.pool
+    }
+
+    /// Traces every program at `indices` not traced yet, on the corpus's
+    /// pool, so that a serial walk over them afterwards reads only
+    /// resident traces. Each program is traced at most once however many
+    /// threads read or prefetch it at the same time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    pub fn prefetch(&self, indices: &[usize]) {
+        let pending: Vec<usize> = indices
+            .iter()
+            .copied()
+            .filter(|&i| !self.is_traced(i))
+            .collect();
+        if !pending.is_empty() {
+            self.pool.map(&pending, |_, &i| {
+                self.slot(i, false);
+            });
+        }
+    }
+
+    /// Whether program `index` has been traced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn is_traced(&self, index: usize) -> bool {
+        self.subwindows[index].get().is_some()
+    }
+
+    /// Program `index`'s subwindows, traced now if no one has read them
+    /// yet; `inline` marks a first read outside [`TracedCorpus::prefetch`].
+    fn slot(&self, index: usize, inline: bool) -> &[RawWindow] {
+        self.subwindows[index].get_or_init(|| {
+            rhmd_obs::incr("data.programs_traced");
+            if inline {
+                rhmd_obs::incr("data.programs_traced_inline");
+            }
+            trace_subwindows(self.corpus.program(index), self.limits, self.core_config)
+        })
     }
 
     /// The underlying corpus.
@@ -91,18 +136,20 @@ impl TracedCorpus {
         self.core_config
     }
 
-    /// Subwindows of program `index`.
+    /// Subwindows of program `index`. The first read traces the program
+    /// on the calling thread; loops over many programs
+    /// [`TracedCorpus::prefetch`] them first.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn subwindows(&self, index: usize) -> &[RawWindow] {
-        &self.subwindows[index]
+        self.slot(index, true)
     }
 
     /// Feature vectors of program `index` under `spec` (one per window).
     pub fn program_vectors(&self, index: usize, spec: &FeatureSpec) -> Vec<Vec<f64>> {
-        rhmd_features::pipeline::project_windows(&self.subwindows[index], spec)
+        rhmd_features::pipeline::project_windows(self.subwindows(index), spec)
     }
 
     /// Builds a window-level dataset over the given program indices,
@@ -112,12 +159,13 @@ impl TracedCorpus {
     /// to the dataset's backing matrix in a single extend — no per-window
     /// allocation.
     pub fn window_dataset(&self, indices: &[usize], spec: &FeatureSpec) -> Dataset {
+        self.prefetch(indices);
         let mut data = Dataset::new(spec.dims());
         let mut buf = Vec::new();
         for &i in indices {
             let label = self.corpus.program(i).class.label();
             buf.clear();
-            project_windows_into(&self.subwindows[i], spec, &mut buf);
+            project_windows_into(self.subwindows(i), spec, &mut buf);
             data.extend_from_flat(&buf, label);
         }
         data
@@ -134,6 +182,7 @@ impl TracedCorpus {
     /// Panics if `k` is zero or exceeds the opcode count, or if an index is
     /// out of range.
     pub fn select_opcodes(&self, indices: &[usize], k: usize) -> Vec<Opcode> {
+        self.prefetch(indices);
         select_labelled_opcodes(
             indices
                 .iter()
@@ -183,6 +232,7 @@ impl fmt::Debug for TracedCorpus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TracedCorpus")
             .field("programs", &self.corpus.len())
+            .field("traced", &self.subwindows.iter().filter(|s| s.get().is_some()).count())
             .field("limits", &self.limits)
             .finish_non_exhaustive()
     }
@@ -231,6 +281,44 @@ mod tests {
         let copied =
             rhmd_features::select::select_top_delta_opcodes(collect(true), collect(false), 12);
         assert_eq!(t.select_opcodes(&indices, 12), copied);
+    }
+
+    #[test]
+    fn concurrent_first_reads_trace_each_program_once() {
+        use rand::rngs::SmallRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+
+        let cfg = CorpusConfig::tiny();
+        let corpus = Corpus::build(&cfg);
+        let t = TracedCorpus::trace(corpus.clone(), cfg.limits(), CoreConfig::default());
+        let traced = || (0..corpus.len()).filter(|&i| t.is_traced(i)).count();
+        assert_eq!(traced(), 0, "construction traces nothing");
+        // Every third program, read by 4 workers in 4 different orders.
+        let read: Vec<usize> = (0..corpus.len()).step_by(3).collect();
+        let orders: Vec<Vec<usize>> = (0..4)
+            .map(|seed| {
+                let mut order = read.clone();
+                order.shuffle(&mut SmallRng::seed_from_u64(seed));
+                order
+            })
+            .collect();
+        Pool::new(4).map(&orders, |_, order| {
+            for &i in order {
+                t.subwindows(i);
+            }
+        });
+        for i in 0..corpus.len() {
+            assert_eq!(t.is_traced(i), read.contains(&i), "program {i}");
+        }
+        for &i in &read {
+            let direct = trace_subwindows(corpus.program(i), cfg.limits(), CoreConfig::default());
+            assert_eq!(t.subwindows(i), direct.as_slice(), "program {i}");
+        }
+        t.prefetch(&read);
+        assert_eq!(traced(), read.len(), "prefetch of traced programs traced more");
+        t.prefetch(&[1, 1, 2]);
+        assert_eq!(traced(), read.len() + 2);
     }
 
     #[test]

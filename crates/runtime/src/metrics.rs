@@ -24,6 +24,9 @@ use std::sync::Arc;
 /// hashing and chunk maps, the evasion re-traces, every evaluation loop and
 /// each random forest's trees — including maps short enough to run
 /// serially; `pool.steals` counts the blocks those maps rebalanced.
+/// `data.programs_traced` counts the corpus programs a run traced (each at
+/// most once, on first read), and `data.programs_traced_inline` those of
+/// them traced serially by a read that no prefetch came before.
 pub const STANDARD_COUNTERS: &[&str] = &[
     "cache.hits",
     "cache.misses",
@@ -34,6 +37,7 @@ pub const STANDARD_COUNTERS: &[&str] = &[
     "core.windows.abstained",
     "core.windows.voted",
     "data.programs_traced",
+    "data.programs_traced_inline",
     "durable.atomic_writes",
     "durable.retries",
     "ml.models_trained",
