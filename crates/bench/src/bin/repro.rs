@@ -32,6 +32,7 @@ fn run(mut args: Vec<String>) -> Result<(), RhmdError> {
         let ckpt = opts.ckpt.as_ref().map(|c| CkptOptions {
             dir: c.dir.join(entry.id),
             resume_only: false,
+            every: c.every,
         });
         let _span = rhmd_obs::span(entry.span);
         for table in (entry.run)(&exp, ckpt.as_ref())? {

@@ -82,7 +82,7 @@ pub fn fig11(exp: &Experiment, ckpt: Option<&CkptOptions>) -> Result<Vec<Table>,
         );
         for &fraction in &fractions {
             // Each sweep point is one independent, journaled work unit.
-            let p = unit_or_compute(&mut journal, &format!("{algo}/{fraction}"), || {
+            let (p, _) = unit_or_compute(&mut journal, &format!("{algo}/{fraction}"), || {
                 retrain_point(
                     algo,
                     &spec,

@@ -24,7 +24,7 @@ use rhmd_core::RhmdError;
 use rhmd_features::vector::FeatureKind;
 use rhmd_features::window::RawWindow;
 use rhmd_ml::trainer::Algorithm;
-use rhmd_runtime::ckpt::{journal_with, CkptOptions};
+use rhmd_runtime::ckpt::{journal_with, unit_or_compute, CkptOptions};
 use rhmd_runtime::pool::Pool;
 use rhmd_uarch::faults::FaultConfig;
 
@@ -93,7 +93,7 @@ fn cell(q: &DegradedQuality) -> String {
 /// Checkpoint I/O failures when checkpointing is on (see [`journal_with`]).
 pub fn robust(exp: &Experiment, ckpt: Option<&CkptOptions>) -> Result<Vec<Table>, RhmdError> {
     let spec = exp.spec(FeatureKind::Architectural, 10_000);
-    let journal = journal_with(ckpt, "robustness", &corpus_summary(exp))?;
+    let mut journal = journal_with(ckpt, "robustness", &corpus_summary(exp))?;
 
     eprintln!("[robustness] training detectors ...");
     let train = |algorithm, spec| {
@@ -124,24 +124,20 @@ pub fn robust(exp: &Experiment, ckpt: Option<&CkptOptions>) -> Result<Vec<Table>
          (majority verdict over voting windows; abstentions excluded from the vote)",
         &["fault", "LR", "NN", "Ensemble(3)", "RHMD(6)"],
     );
-    let mut builder = Evaluator::builder(&exp.traced, FAULT_SEED).pool(Pool::available());
-    if let Some(journal) = journal {
-        builder = builder.checkpoint(journal);
-    }
-    let engine = builder.build();
+    let engine = Evaluator::builder(&exp.traced, FAULT_SEED).pool(Pool::available()).build();
     let test = &exp.splits.attacker_test;
     let mut sweep: Vec<[DegradedQuality; 4]> = Vec::new();
     for (name, config) in fault_grid() {
         eprintln!("[robustness] fault: {name}");
         // Each (fault, detector) cell is one independent, journaled work
         // unit: a resumed run skips the finished measurements entirely.
-        let (q_lr, _) = engine.unit(&format!("{name}/lr"), || {
+        let (q_lr, _) = unit_or_compute(&mut journal, &format!("{name}/lr"), || {
             measure(&engine, test, config, |_, subs| lr.quorum_verdict(subs, MIN_FILL))
         })?;
-        let (q_nn, _) = engine.unit(&format!("{name}/nn"), || {
+        let (q_nn, _) = unit_or_compute(&mut journal, &format!("{name}/nn"), || {
             measure(&engine, test, config, |_, subs| nn.quorum_verdict(subs, MIN_FILL))
         })?;
-        let (q_en, _) = engine.unit(&format!("{name}/ensemble"), || {
+        let (q_en, _) = unit_or_compute(&mut journal, &format!("{name}/ensemble"), || {
             measure(&engine, test, config, |_, subs| {
                 ensemble.quorum_verdict(subs, MIN_FILL)
             })
@@ -150,7 +146,7 @@ pub fn robust(exp: &Experiment, ckpt: Option<&CkptOptions>) -> Result<Vec<Table>
         // program saw the switching stream from the construction seed — the
         // trait-path quorum with a construction-seeded StreamRng replays
         // exactly that, without shared state.
-        let (q_rh, _) = engine.unit(&format!("{name}/rhmd"), || {
+        let (q_rh, _) = unit_or_compute(&mut journal, &format!("{name}/rhmd"), || {
             measure(&engine, test, config, |_, subs| {
                 Detector::quorum(&rhmd, subs, MIN_FILL, &mut StreamRng::from_seed(rhmd.seed()))
             })
@@ -164,7 +160,9 @@ pub fn robust(exp: &Experiment, ckpt: Option<&CkptOptions>) -> Result<Vec<Table>
         ]);
         sweep.push([q_lr, q_nn, q_en, q_rh]);
     }
-    engine.sync_checkpoint()?;
+    if let Some(journal) = journal.as_mut() {
+        journal.sync()?;
+    }
 
     // Degradation summary relative to the fault-free first row.
     let mut degradation = Table::new(

@@ -46,8 +46,8 @@ injection).";
 ///
 /// # Errors
 ///
-/// [`RhmdError::Config`] on unknown flags, missing values, or
-/// `--checkpoint` combined with `--resume`.
+/// [`RhmdError::Config`] on unknown flags or missing values, and the
+/// checkpoint errors of [`CkptOptions::from_flags`].
 pub fn parse(binary: &str, raw: impl IntoIterator<Item = String>) -> Result<BinOptions, RhmdError> {
     let mut checkpoint: Option<PathBuf> = None;
     let mut resume: Option<PathBuf> = None;
@@ -73,36 +73,8 @@ pub fn parse(binary: &str, raw: impl IntoIterator<Item = String>) -> Result<BinO
             }
         }
     }
-    let ckpt = match (checkpoint, resume) {
-        (Some(_), Some(_)) => {
-            return Err(RhmdError::config(
-                "--checkpoint and --resume are mutually exclusive \
-                 (--checkpoint auto-resumes when the directory already has a manifest)",
-            ))
-        }
-        (Some(dir), None) => Some(CkptOptions {
-            dir,
-            resume_only: false,
-        }),
-        (None, Some(dir)) => {
-            // Validated at parse time so a typo fails in milliseconds,
-            // not after minutes of corpus tracing.
-            if !dir.is_dir() {
-                return Err(RhmdError::io(
-                    dir.display().to_string(),
-                    "checkpoint directory does not exist; \
-                     pass the directory a previous --checkpoint run created",
-                ));
-            }
-            Some(CkptOptions {
-                dir,
-                resume_only: true,
-            })
-        }
-        (None, None) => None,
-    };
     Ok(BinOptions {
-        ckpt,
+        ckpt: CkptOptions::from_flags(checkpoint, resume, None)?,
         metrics: MetricsOptions::new(metrics_path, metrics_summary),
     })
 }

@@ -24,7 +24,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns an error for flags without values or stray positionals.
+    /// Returns an error for flags without values, repeated flags, or stray
+    /// positionals.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, RhmdError> {
         let mut args = Args::default();
         let mut iter = raw.into_iter().peekable();
@@ -44,14 +45,15 @@ impl Args {
                     "unexpected positional argument '{token}'"
                 )));
             };
-            if BOOLEAN_FLAGS.contains(&key) {
-                args.flags.insert(key.to_owned(), String::new());
-                continue;
+            let value = if BOOLEAN_FLAGS.contains(&key) {
+                String::new()
+            } else {
+                iter.next()
+                    .ok_or_else(|| RhmdError::config(format!("flag --{key} needs a value")))?
+            };
+            if args.flags.insert(key.to_owned(), value).is_some() {
+                return Err(RhmdError::config(format!("flag --{key} is given more than once")));
             }
-            let value = iter
-                .next()
-                .ok_or_else(|| RhmdError::config(format!("flag --{key} needs a value")))?;
-            args.flags.insert(key.to_owned(), value);
         }
         Ok(args)
     }
@@ -66,6 +68,23 @@ impl Args {
             None => Ok(()),
             Some(action) => Err(RhmdError::config(format!(
                 "unexpected positional argument '{action}'"
+            ))),
+        }
+    }
+
+    /// Rejects any flag not among the whitespace-separated names in
+    /// `accepted`, naming it and listing what `command` takes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a config error naming the first unknown flag.
+    pub fn expect_flags(&self, command: &str, accepted: &str) -> Result<(), RhmdError> {
+        let accepted: Vec<&str> = accepted.split_whitespace().collect();
+        match self.flags.keys().find(|key| !accepted.contains(&key.as_str())) {
+            None => Ok(()),
+            Some(key) => Err(RhmdError::config(format!(
+                "unknown flag --{key} for '{command}' (it takes --{})",
+                accepted.join(", --")
             ))),
         }
     }
@@ -91,14 +110,22 @@ impl Args {
     ///
     /// Returns an error naming the flag when parsing fails.
     pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, RhmdError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| RhmdError::parse(format!("--{key}"), format!("invalid value '{v}'"))),
-        }
+        Ok(self.parse_opt(key)?.unwrap_or(default))
     }
 
+    /// Parsed numeric/typed flag, `None` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the flag when parsing fails.
+    pub fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, RhmdError> {
+        let Some(v) = self.get(key) else {
+            return Ok(None);
+        };
+        v.parse()
+            .map(Some)
+            .map_err(|_| RhmdError::parse(format!("--{key}"), format!("invalid value '{v}'")))
+    }
 }
 
 #[cfg(test)]
@@ -135,6 +162,17 @@ mod tests {
         assert!(args.flag("metrics-summary"));
         assert_eq!(args.get("algos"), Some("lr"));
         assert!(!parse(&["sweep"]).unwrap().flag("metrics-summary"));
+    }
+
+    #[test]
+    fn repeated_and_unaccepted_flags_are_errors() {
+        let err = parse(&["sweep", "--threads", "2", "--threads", "4"]).unwrap_err();
+        assert!(err.to_string().contains("--threads is given more than once"), "{err}");
+        assert!(parse(&["sweep", "--metrics-summary", "--metrics-summary"]).is_err());
+        let args = parse(&["train", "--algos", "nn"]).unwrap();
+        let err = args.expect_flags("train", "algo out").unwrap_err();
+        assert!(err.to_string().contains("unknown flag --algos for 'train'"), "{err}");
+        assert!(args.expect_flags("sweep", "algos").is_ok());
     }
 
     #[test]

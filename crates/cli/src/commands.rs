@@ -1,11 +1,11 @@
 //! CLI subcommand implementations.
 
 use crate::args::Args;
-use crate::persist::{load_hmd, save_hmd};
 use rhmd_core::detector::Detector;
 use rhmd_core::engine::{CacheStats, Evaluator, EvaluatorBuilder};
 use rhmd_core::evasion::{evade_corpus, plan_evasion, EvasionConfig, Strategy};
 use rhmd_core::hmd::Hmd;
+use rhmd_core::persist::{load_hmd, save_hmd};
 use rhmd_core::retrain::detection_quality;
 use rhmd_core::reveng;
 use rhmd_core::rhmd::{build_pool, pool_specs};
@@ -18,9 +18,8 @@ use rhmd_features::vector::{FeatureKind, FeatureSpec};
 use rhmd_ml::metrics::{auc, best_accuracy_threshold};
 use rhmd_ml::model::score_all;
 use rhmd_ml::trainer::{Algorithm, TrainerConfig};
-use rhmd_runtime::ckpt::{Journal, Manifest};
+use rhmd_runtime::ckpt::{self, CkptOptions};
 use rhmd_runtime::durable::Durable;
-use rhmd_runtime::metrics::MetricsOptions;
 use rhmd_runtime::pool::{Pool, WatchdogConfig};
 use rhmd_trace::inject::Placement;
 use rhmd_uarch::faults::FaultConfig;
@@ -189,58 +188,6 @@ fn parse_pool(args: &Args) -> Result<Pool, RhmdError> {
     }
 }
 
-/// Parsed `--checkpoint` / `--resume` / `--checkpoint-every` flags.
-struct CheckpointArgs {
-    dir: PathBuf,
-    resume_only: bool,
-    every: usize,
-}
-
-/// Parses the checkpoint flags. `--checkpoint <dir>` creates the directory
-/// (auto-resuming when it already holds a manifest); `--resume <dir>`
-/// insists the directory exists. Validation runs before any tracing so a
-/// bad flag fails in milliseconds.
-fn parse_checkpoint(args: &Args) -> Result<Option<CheckpointArgs>, RhmdError> {
-    let every: usize = args.parse_or("checkpoint-every", 1)?;
-    if every == 0 {
-        return Err(RhmdError::parse("--checkpoint-every", "must be at least 1"));
-    }
-    match (args.get("checkpoint"), args.get("resume")) {
-        (Some(_), Some(_)) => Err(RhmdError::config(
-            "--checkpoint and --resume are mutually exclusive \
-             (--checkpoint auto-resumes when the directory already has a manifest)",
-        )),
-        (Some(d), None) => Ok(Some(CheckpointArgs {
-            dir: PathBuf::from(d),
-            resume_only: false,
-            every,
-        })),
-        (None, Some(d)) => {
-            let dir = PathBuf::from(d);
-            if !dir.is_dir() {
-                return Err(RhmdError::io(
-                    d.to_owned(),
-                    "checkpoint directory does not exist; \
-                     pass the directory a previous --checkpoint run created",
-                ));
-            }
-            Ok(Some(CheckpointArgs {
-                dir,
-                resume_only: true,
-                every,
-            }))
-        }
-        (None, None) => {
-            if args.get("checkpoint-every").is_some() {
-                return Err(RhmdError::config(
-                    "--checkpoint-every requires --checkpoint or --resume",
-                ));
-            }
-            Ok(None)
-        }
-    }
-}
-
 /// Parses `--task-deadline <seconds>` into a pool watchdog configuration.
 fn parse_deadline(args: &Args) -> Result<Option<WatchdogConfig>, RhmdError> {
     match args.get("task-deadline") {
@@ -258,23 +205,6 @@ fn parse_deadline(args: &Args) -> Result<Option<WatchdogConfig>, RhmdError> {
             Ok(Some(WatchdogConfig::from_secs(secs)))
         }
     }
-}
-
-/// Parses `--metrics <path>` / `--metrics-summary` into [`MetricsOptions`].
-fn parse_metrics(args: &Args) -> MetricsOptions {
-    MetricsOptions::new(args.get("metrics").map(PathBuf::from), args.flag("metrics-summary"))
-}
-
-/// Exports the engine's metrics snapshot (`--metrics`) and prints the
-/// stderr summary table (`--metrics-summary`) once a command finishes.
-/// A no-op when neither flag was given.
-fn finish_metrics(metrics: &MetricsOptions, engine: &Evaluator<'_>) -> Result<(), RhmdError> {
-    engine.export_metrics()?;
-    if let Some(path) = metrics.path() {
-        eprintln!("[metrics] snapshot written to {}", path.display());
-    }
-    metrics.print_summary();
-    Ok(())
 }
 
 /// Owns what the evaluation engine reads feature rows from: a live in-RAM
@@ -306,19 +236,44 @@ struct Workbench {
 
 impl Workbench {
     /// A parallel evaluation-engine builder over this workbench's data
-    /// source; commands add a recorder / watchdog / checkpoint journal as
-    /// their flags demand, then `.build()`.
+    /// source; commands add a watchdog as their flags demand, then
+    /// `.build()`.
     fn evaluator(&self) -> EvaluatorBuilder<'_> {
         Evaluator::builder_from_source(self.backing.source(), self.seed).pool(self.pool)
     }
 }
 
+/// The data every corpus-reading command works from: a live trace, or a
+/// corpus store with `--corpus-store DIR`. `--threads`, `--quantize` and
+/// `--stochastic-round` are parsed first, so a bad value fails before any
+/// corpus work.
 fn workbench(args: &Args) -> Result<Workbench, RhmdError> {
-    if let Some(dir) = args.get("corpus-store") {
-        return store_workbench(args, Path::new(dir));
-    }
-    let config = scale_config(&args.str_or("scale", "small"))?;
     let pool = parse_pool(args)?;
+    let quant = parse_quant(args)?;
+    let (backing, splits, opcodes, seed) = match args.get("corpus-store") {
+        Some(dir) => open_store(args, Path::new(dir), pool)?,
+        None => trace_live(args, pool)?,
+    };
+    Ok(Workbench {
+        backing,
+        splits,
+        opcodes,
+        trainer: TrainerConfig {
+            quant,
+            ..TrainerConfig::with_seed(seed)
+        },
+        pool,
+        seed,
+    })
+}
+
+/// What a workbench reads from its corpus: the backing, the splits, the
+/// selected opcodes and the corpus seed.
+type CorpusParts = (Backing, Splits, Vec<rhmd_trace::Opcode>, u64);
+
+/// Generates the corpus at `--scale` and traces it on `pool`.
+fn trace_live(args: &Args, pool: Pool) -> Result<CorpusParts, RhmdError> {
+    let config = scale_config(&args.str_or("scale", "small"))?;
     eprintln!(
         "[rhmd] building + tracing {} programs ({} threads) ...",
         config.total_programs(),
@@ -333,26 +288,14 @@ fn workbench(args: &Args) -> Result<Workbench, RhmdError> {
         pool.threads(),
     );
     let opcodes = traced.select_opcodes(&splits.victim_train, 16);
-    let trainer = TrainerConfig {
-        quant: parse_quant(args)?,
-        ..TrainerConfig::with_seed(config.seed)
-    };
-    Ok(Workbench {
-        backing: Backing::Live(traced),
-        splits,
-        opcodes,
-        trainer,
-        pool,
-        seed: config.seed,
-    })
+    Ok((Backing::Live(traced), splits, opcodes, config.seed))
 }
 
 /// `--corpus-store DIR`: open the mmap'd store instead of regenerating and
 /// re-tracing the corpus. Splits, seed, and the selected opcodes all come
 /// from the store so results are byte-identical to a live run over the
 /// same configuration.
-fn store_workbench(args: &Args, dir: &Path) -> Result<Workbench, RhmdError> {
-    let pool = parse_pool(args)?;
+fn open_store(args: &Args, dir: &Path, pool: Pool) -> Result<CorpusParts, RhmdError> {
     let store = CorpusStore::open(dir)?;
     let config = *store.config();
     if let Some(scale) = args.get("scale") {
@@ -380,18 +323,7 @@ fn store_workbench(args: &Args, dir: &Path) -> Result<Workbench, RhmdError> {
         .find(|s| !s.opcodes.is_empty())
         .map(|s| s.opcodes.clone())
         .unwrap_or_default();
-    let trainer = TrainerConfig {
-        quant: parse_quant(args)?,
-        ..TrainerConfig::with_seed(config.seed)
-    };
-    Ok(Workbench {
-        backing: Backing::Store(store),
-        splits,
-        opcodes,
-        trainer,
-        pool,
-        seed: config.seed,
-    })
+    Ok((Backing::Store(store), splits, opcodes, config.seed))
 }
 
 /// `rhmd corpus [--scale s]` — build the corpus and print a summary; or
@@ -532,17 +464,15 @@ pub fn dump(args: &Args) -> Result<(), RhmdError> {
 
 /// `rhmd train [--scale s] [--feature f] [--algo a] [--period n]
 /// [--quantize int4|int8|int16] [--stochastic-round seed] [--threads n]
-/// [--out path] [--metrics path] [--metrics-summary]`
+/// [--out path]`
 pub fn train(args: &Args) -> Result<(), RhmdError> {
     let kind = parse_kind(&args.str_or("feature", "instructions"))?;
     let algorithm = parse_algorithm(&args.str_or("algo", "lr"))?;
     let period: u32 = args.parse_or("period", 10_000)?;
-    let metrics = parse_metrics(args);
-    metrics.install();
     let bench = workbench(args)?;
     let spec = FeatureSpec::new(kind, period, bench.opcodes.clone());
     bench.backing.source().require_spec(&spec)?;
-    let engine = bench.evaluator().recorder(metrics.recorder()?).build();
+    let engine = bench.evaluator().build();
     // Dataset assembly fans out over the pool; rows are bit-identical to
     // the serial path, so the trained model is too.
     let train_data = engine.window_dataset(&bench.splits.victim_train, &spec);
@@ -559,17 +489,16 @@ pub fn train(args: &Args) -> Result<(), RhmdError> {
     );
 
     if let Some(path) = args.get("out") {
-        save_hmd(&hmd, &PathBuf::from(path))?;
+        save_hmd(&hmd, Path::new(path))?;
         println!("model saved to {path}");
     }
-    finish_metrics(&metrics, &engine)
+    Ok(())
 }
 
 /// `rhmd evaluate --model path [--scale s] [--threads n] [--fault kind:x]
-/// [--fault-seed n] [--metrics path] [--metrics-summary]` — reload a saved
-/// detector and score the held-out programs on the parallel engine,
-/// optionally through a fault-injected counter stream (e.g.
-/// `--fault noise:0.1`).
+/// [--fault-seed n]` — reload a saved detector and score the held-out
+/// programs on the parallel engine, optionally through a fault-injected
+/// counter stream (e.g. `--fault noise:0.1`).
 pub fn evaluate(args: &Args) -> Result<(), RhmdError> {
     let path = args
         .get("model")
@@ -579,9 +508,7 @@ pub fn evaluate(args: &Args) -> Result<(), RhmdError> {
     // milliseconds, not after minutes of simulation.
     let fault = args.get("fault").map(parse_fault).transpose()?;
     let fault_seed: u64 = args.parse_or("fault-seed", 0xfa17)?;
-    let metrics = parse_metrics(args);
-    metrics.install();
-    let hmd = load_hmd(&PathBuf::from(&path))?;
+    let hmd = load_hmd(Path::new(&path))?;
     let bench = workbench(args)?;
     bench.backing.source().require_spec(hmd.spec())?;
     if fault.is_some() {
@@ -589,7 +516,7 @@ pub fn evaluate(args: &Args) -> Result<(), RhmdError> {
         // counter model, which the store does not retain.
         bench.backing.source().traced()?;
     }
-    let engine = bench.evaluator().recorder(metrics.recorder()?).build();
+    let engine = bench.evaluator().build();
     let quality = engine.quality_hmd(&hmd, &bench.splits.attacker_test);
     println!(
         "{}: program-level sensitivity {:.1}%, specificity {:.1}%",
@@ -619,18 +546,17 @@ pub fn evaluate(args: &Args) -> Result<(), RhmdError> {
             100.0 * degraded.specificity,
         );
     }
-    finish_metrics(&metrics, &engine)
+    Ok(())
 }
 
 /// `rhmd sweep [--scale s] [--algos lr,dt,...] [--features f,g]
 /// [--periods 10000,5000] [--quantize int4|int8|int16] [--stochastic-round seed]
-/// [--threads n] [--out bench.json]
-/// [--checkpoint dir | --resume dir] [--metrics path] [--metrics-summary]`
-/// — train and score every algorithm × feature × period combination on the
-/// parallel engine. Detectors sharing a feature spec reuse cached feature
-/// vectors, so the grid costs far less than `cells × (project + train +
-/// score)`. `--metrics` exports per-stage counters and latency histograms;
-/// cells are byte-identical with metrics on or off, at any thread count.
+/// [--threads n] [--out bench.json] [--checkpoint dir | --resume dir]
+/// [--checkpoint-every n] [--task-deadline secs]` — train and score every
+/// algorithm × feature × period combination on the parallel engine.
+/// Detectors sharing a feature spec reuse cached feature vectors, so the
+/// grid costs far less than `cells × (project + train + score)`. Cells are
+/// byte-identical with `--metrics` on or off, at any thread count.
 pub fn sweep(args: &Args) -> Result<(), RhmdError> {
     let algos: Vec<Algorithm> = args
         .str_or("algos", "lr,dt,svm,nn,rf")
@@ -639,13 +565,15 @@ pub fn sweep(args: &Args) -> Result<(), RhmdError> {
         .collect::<Result<_, _>>()?;
     let kinds = parse_kind_list(args)?;
     let periods = parse_period_list(args)?;
-    // Checkpoint, watchdog, and metrics flags are validated here, before
-    // the corpus trace, so a typo fails in milliseconds, not after minutes.
-    let ckpt = parse_checkpoint(args)?;
+    // Checkpoint and watchdog flags are validated here, before the corpus
+    // trace, so a typo fails in milliseconds, not after minutes.
+    let ckpt = CkptOptions::from_flags(
+        args.get("checkpoint").map(PathBuf::from),
+        args.get("resume").map(PathBuf::from),
+        args.parse_opt("checkpoint-every")?,
+    )?;
     let deadline = parse_deadline(args)?;
     let quant = parse_quant(args)?;
-    let metrics = parse_metrics(args);
-    metrics.install();
     // A store opens in milliseconds, so in store mode the workbench comes
     // first and the journal summary pins the store identity; live mode
     // keeps journal-before-trace so a bad resume dir fails fast.
@@ -677,25 +605,7 @@ pub fn sweep(args: &Args) -> Result<(), RhmdError> {
             .map(|identity| format!(";source=store:{identity:016x}"))
             .unwrap_or_default(),
     );
-    let journal = match &ckpt {
-        None => None,
-        Some(c) => {
-            let manifest = Manifest::new("sweep", &summary);
-            let journal = if c.resume_only {
-                Journal::resume(&c.dir, &manifest, Durable::from_env()?, c.every)?
-            } else {
-                Journal::create(&c.dir, &manifest, Durable::from_env()?, c.every)?
-            };
-            if journal.resumed_units() > 0 {
-                eprintln!(
-                    "[rhmd] resuming from {}: {} completed cell(s) will be skipped",
-                    c.dir.display(),
-                    journal.resumed_units()
-                );
-            }
-            Some(journal)
-        }
-    };
+    let mut journal = ckpt::journal_with(ckpt.as_ref(), "sweep", &summary)?;
 
     let bench = match store_bench {
         Some(bench) => bench,
@@ -709,12 +619,9 @@ pub fn sweep(args: &Args) -> Result<(), RhmdError> {
             source.require_spec(&FeatureSpec::new(kind, period, bench.opcodes.clone()))?;
         }
     }
-    let mut builder = bench.evaluator().recorder(metrics.recorder()?);
+    let mut builder = bench.evaluator();
     if let Some(watchdog) = deadline {
         builder = builder.watchdog(watchdog);
-    }
-    if let Some(journal) = journal {
-        builder = builder.checkpoint(journal);
     }
     let engine = builder.build();
     let started = std::time::Instant::now();
@@ -749,7 +656,7 @@ pub fn sweep(args: &Args) -> Result<(), RhmdError> {
                     }
                 };
                 let key = format!("{algorithm}/{}/{period}", spec.label());
-                let (cell, cached) = engine.unit(&key, compute)?;
+                let (cell, cached) = ckpt::unit_or_compute(&mut journal, &key, compute)?;
                 skipped += usize::from(cached);
                 println!(
                     "{:<6} {:<22} {:>10.3} {:>11.1}% {:>11.1}%{}",
@@ -764,13 +671,13 @@ pub fn sweep(args: &Args) -> Result<(), RhmdError> {
             }
         }
     }
-    engine.sync_checkpoint()?;
-    if skipped > 0 {
-        if let Some(dir) = engine.checkpoint_dir() {
+    if let Some(journal) = journal.as_mut() {
+        journal.sync()?;
+        if skipped > 0 {
             eprintln!(
                 "[rhmd] checkpoint: {skipped} of {} cell(s) served from {}",
                 rows.len(),
-                dir.display()
+                journal.dir().display()
             );
         }
     }
@@ -812,7 +719,7 @@ pub fn sweep(args: &Args) -> Result<(), RhmdError> {
         Durable::from_env()?.write_atomic(Path::new(out), (json + "\n").as_bytes())?;
         println!("report saved to {out}");
     }
-    finish_metrics(&metrics, &engine)
+    Ok(())
 }
 
 /// One `rhmd sweep` grid cell, as serialized to `--out` and journaled to
@@ -970,8 +877,8 @@ pub fn defend(args: &Args) -> Result<(), RhmdError> {
 /// `rhmd serve`: a resident detection service. Loads a saved model, spawns
 /// the sharded engine, and speaks the NDJSON protocol over stdin/stdout —
 /// or over a Unix socket with `--listen <path>`. Exits after a graceful
-/// drain (stdin EOF, a `{"Drain":{}}` request, or SIGTERM/SIGINT),
-/// flushing the `--metrics` snapshot last.
+/// drain (stdin EOF, a `{"Drain":{}}` request, or SIGTERM/SIGINT), after
+/// which the `--metrics` snapshot is flushed.
 ///
 /// The session watchdog reuses the sweep's `--task-deadline` flag: a
 /// session idle past the deadline is finalized as an explicit abstention
@@ -1021,8 +928,6 @@ pub fn serve(args: &Args) -> Result<(), RhmdError> {
         write_timeout: std::time::Duration::from_secs(args.parse_or("write-timeout-secs", 2u64)?),
     };
     config.validate()?;
-    let metrics = parse_metrics(args);
-    metrics.install();
     let hmd = load_hmd(Path::new(model_path))?;
     // `Engine::start` reads RHMD_SERVE_FAULTS: the daemon's injectable
     // fault plane for chaos drills stays env-gated, off by default.
@@ -1056,7 +961,6 @@ pub fn serve(args: &Args) -> Result<(), RhmdError> {
             "serve accounting identity violated: {stats:?}"
         )));
     }
-    metrics.finish()?;
     Ok(())
 }
 

@@ -14,10 +14,9 @@
 //!               [--quantize int4|int8|int16] [--stochastic-round seed]
 //!               [--threads n] [--out bench.json] [--checkpoint dir | --resume dir]
 //!               [--checkpoint-every n] [--task-deadline secs]
-//!               [--metrics snap.json] [--metrics-summary]
 //! rhmd attack   [--scale s] [--feature f] [--algo a] [--surrogate a]
-//!               [--strategy random|least-weight|weighted] [--count n]
-//! rhmd defend   [--scale s] [--periods 10000,5000] [--count n]
+//!               [--strategy random|least-weight|weighted] [--count n] [--threads n]
+//! rhmd defend   [--scale s] [--periods 10000,5000] [--count n] [--threads n]
 //! rhmd serve    --model model.json [--listen path.sock] [--threads n]
 //!               [--queue-cap n] [--high-watermark n] [--low-watermark n]
 //!               [--batch-max n] [--batch-deadline-ms n] [--task-deadline secs]
@@ -25,16 +24,19 @@
 //!               [--restart-budget n] [--restart-backoff-ms n]
 //!               [--snapshot-every-ms n] [--read-stall-secs n]
 //!               [--write-timeout-secs n]
-//!               [--metrics snap.json] [--metrics-summary]
 //! rhmd help     (or --help / -h anywhere)
 //! ```
+//!
+//! Every command also takes `--metrics snap.json` and `--metrics-summary`.
 
 mod args;
 mod commands;
-mod persist;
 
 use args::Args;
 use rhmd_core::RhmdError;
+use rhmd_runtime::durable::Durable;
+use rhmd_runtime::metrics::MetricsOptions;
+use std::path::PathBuf;
 
 const USAGE: &str = "\
 rhmd — evasion-resilient hardware malware detectors (MICRO'17 reproduction)
@@ -83,7 +85,7 @@ CORPUS STORE (corpus build; train, evaluate, sweep):
                                         injection, attack, and defend need
                                         raw traces and refuse this flag.
 
-QUANTIZATION (train, sweep, defend; LR/SVM/NN only):
+QUANTIZATION (train, sweep, attack, defend; LR/SVM/NN only):
   --quantize int4|int8|int16                 post-training quantized inference with
                                         per-feature input scales; tree families
                                         stay exact
@@ -119,12 +121,39 @@ ROBUSTNESS (serve):
   with explicit abstain verdicts. The drain summary accounts every session:
   offered == decided + abstained + shed + quarantined.
 
-OBSERVABILITY (train, evaluate, sweep):
+OBSERVABILITY (every command):
   --metrics PATH                        export per-stage counters and latency
                                         histograms as JSON after the run
   --metrics-summary                     print a metrics table to stderr
   Metrics are observe-only: results are byte-identical with metrics on or off.
 ";
+
+/// A command's entry point.
+type Command = fn(&Args) -> Result<(), RhmdError>;
+
+/// Every command, its entry point, and the flags it reads; any other flag
+/// is a usage error. `corpus build` is keyed apart from `corpus`, and every
+/// command also takes `--metrics` and `--metrics-summary`.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, Command, &str)] = &[
+    ("corpus", commands::corpus, "scale"),
+    ("corpus build", commands::corpus, "store scale features periods threads chunk"),
+    ("dump", commands::dump, "scale program functions"),
+    ("train", commands::train,
+     "scale corpus-store threads feature algo period quantize stochastic-round out"),
+    ("evaluate", commands::evaluate, "model scale corpus-store threads fault fault-seed"),
+    ("sweep", commands::sweep,
+     "scale corpus-store threads algos features periods quantize stochastic-round out \
+      checkpoint resume checkpoint-every task-deadline"),
+    ("attack", commands::attack,
+     "scale corpus-store threads feature algo surrogate strategy count quantize stochastic-round"),
+    ("defend", commands::defend,
+     "scale corpus-store threads periods count quantize stochastic-round"),
+    ("serve", commands::serve,
+     "model listen threads queue-cap high-watermark low-watermark batch-max batch-deadline-ms \
+      task-deadline tenant-deadline min-fill min-coverage restart-budget restart-backoff-ms \
+      snapshot-every-ms read-stall-secs write-timeout-secs"),
+];
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -153,23 +182,32 @@ fn wants_help(raw: &[String]) -> bool {
     raw.iter().any(|a| a == "--help" || a == "-h") || positionals.any(|a| a == "help")
 }
 
+/// Checks the command and its flags, then runs it between the one metrics
+/// install and the one metrics export of the process.
 fn run(raw: Vec<String>) -> Result<(), RhmdError> {
     let args = Args::parse(raw)?;
+    let command = args.command.as_deref().ok_or_else(|| RhmdError::config("no command given"))?;
     // `corpus` takes an optional action (`corpus build`); every other
     // command rejects stray positionals.
-    if args.command.as_deref() != Some("corpus") {
-        args.expect_no_action()?;
-    }
-    match args.command.as_deref() {
-        Some("corpus") => commands::corpus(&args),
-        Some("dump") => commands::dump(&args),
-        Some("train") => commands::train(&args),
-        Some("evaluate") => commands::evaluate(&args),
-        Some("sweep") => commands::sweep(&args),
-        Some("attack") => commands::attack(&args),
-        Some("defend") => commands::defend(&args),
-        Some("serve") => commands::serve(&args),
-        Some(other) => Err(RhmdError::config(format!("unknown command '{other}'"))),
-        None => Err(RhmdError::config("no command given")),
-    }
+    let key = match (command, args.action.as_deref()) {
+        ("corpus", Some("build")) => "corpus build",
+        ("corpus", _) => "corpus",
+        _ => {
+            args.expect_no_action()?;
+            command
+        }
+    };
+    let &(_, entry, flags) = COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == key)
+        .ok_or_else(|| RhmdError::config(format!("unknown command '{command}'")))?;
+    args.expect_flags(key, &format!("{flags} metrics metrics-summary"))?;
+    // The I/O fault plane is read here, before any work, so a malformed
+    // RHMD_IO_FAULTS fails in milliseconds rather than at the first write.
+    Durable::from_env()?;
+    let metrics =
+        MetricsOptions::new(args.get("metrics").map(PathBuf::from), args.flag("metrics-summary"));
+    metrics.install();
+    entry(&args)?;
+    metrics.finish()
 }

@@ -19,7 +19,16 @@ fn rhmd(args: &[&str]) -> Output {
 
 /// Asserts exit code 2 and returns stderr for message checks.
 fn expect_failure(args: &[&str]) -> String {
-    let out = rhmd(args);
+    expect_failure_with_env(args, &[])
+}
+
+/// [`expect_failure`] with extra environment variables set on the child.
+fn expect_failure_with_env(args: &[&str], env: &[(&str, &str)]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_rhmd"))
+        .args(args)
+        .envs(env.iter().copied())
+        .output()
+        .expect("spawn rhmd binary");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(
         out.status.code(),
@@ -137,6 +146,48 @@ fn wrong_shape_model_file_exits_2() {
     assert!(stderr.contains("cannot parse"), "{stderr}");
     assert!(stderr.contains("wrong-shape.json"), "{stderr}");
     std::fs::remove_file(&path).ok();
+}
+
+// A flag a command does not read, or a flag given twice, is a usage error
+// rather than silently ignored or overwritten.
+
+#[test]
+fn a_typoed_flag_exits_2_and_names_it() {
+    for (args, flag) in [
+        (&["train", "--scale", "tiny", "--algos", "nn"][..], "--algos"),
+        (&["sweep", "--thread", "4"], "--thread"),
+        (&["serve", "--model", "missing.json", "--queue-capacity", "8"], "--queue-capacity"),
+    ] {
+        let stderr = expect_failure(args);
+        assert!(stderr.contains(&format!("unknown flag {flag} for '{}'", args[0])), "{stderr}");
+    }
+}
+
+#[test]
+fn a_repeated_flag_exits_2_and_names_it() {
+    let stderr = expect_failure(&["sweep", "--threads", "2", "--threads", "4"]);
+    assert!(stderr.contains("flag --threads is given more than once"), "{stderr}");
+}
+
+// Inputs that need no corpus are checked before any tracing starts.
+
+#[test]
+fn a_bad_quantization_exits_2_before_tracing() {
+    let stderr = expect_failure(&["train", "--scale", "standard", "--quantize", "int2"]);
+    assert!(stderr.contains("unknown quantization 'int2'"), "{stderr}");
+    assert!(!stderr.contains("building + tracing"), "{stderr}");
+}
+
+#[test]
+fn a_malformed_io_fault_plane_exits_2_before_tracing() {
+    let stderr = expect_failure_with_env(
+        &["train", "--scale", "tiny", "--metrics", "never-written.json"],
+        &[("RHMD_IO_FAULTS", "transient:lots")],
+    );
+    assert!(stderr.contains("RHMD_IO_FAULTS"), "{stderr}");
+    assert!(stderr.contains("transient rate must be a number"), "{stderr}");
+    assert!(!stderr.contains("building + tracing"), "{stderr}");
+    assert!(!Path::new("never-written.json").exists());
 }
 
 // serve validates its flags before the model file is opened.

@@ -21,15 +21,13 @@ use crate::hmd::{Hmd, ProgramVerdict, QuorumVerdict};
 use crate::retrain::DetectionQuality;
 use crate::rhmd::ResilientHmd;
 use crate::verdict::{DegradedVerdict, VerdictPolicy};
-use crate::RhmdError;
 use rhmd_data::store::CorpusStore;
 use rhmd_data::{EvalSource, TracedCorpus};
 use rhmd_features::vector::FeatureSpec;
 use rhmd_features::window::{apply_faults, RawWindow};
 use rhmd_ml::matrix::FeatureMatrix;
 use rhmd_ml::model::Dataset;
-use rhmd_obs::{self as obs, NoopRecorder, Recorder};
-use rhmd_runtime::ckpt::Journal;
+use rhmd_obs as obs;
 use rhmd_runtime::pool::{Pool, RunReport, WatchdogConfig};
 use rhmd_trace::seed::derive_seed;
 use rhmd_uarch::faults::{FaultConfig, FaultModel};
@@ -202,9 +200,9 @@ pub struct DegradedQuality {
 
 /// Configures and builds an [`Evaluator`].
 ///
-/// Obtained from [`Evaluator::builder`]; every knob has a sensible default
-/// (single-threaded pool, no watchdog, no checkpoint, metrics off), so
-/// callers name only what they deviate on:
+/// Obtained from [`Evaluator::builder`]; both knobs have a sensible default
+/// (single-threaded pool, no watchdog), so callers name only what they
+/// deviate on:
 ///
 /// ```
 /// use rhmd_core::engine::Evaluator;
@@ -217,8 +215,6 @@ pub struct EvaluatorBuilder<'a> {
     run_seed: u64,
     pool: Pool,
     watchdog: Option<WatchdogConfig>,
-    recorder: Arc<dyn Recorder>,
-    checkpoint: Option<Journal>,
 }
 
 impl fmt::Debug for EvaluatorBuilder<'_> {
@@ -227,7 +223,6 @@ impl fmt::Debug for EvaluatorBuilder<'_> {
             .field("pool", &self.pool)
             .field("run_seed", &self.run_seed)
             .field("watchdog", &self.watchdog)
-            .field("checkpointed", &self.checkpoint.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -258,30 +253,8 @@ impl<'a> EvaluatorBuilder<'a> {
         self
     }
 
-    /// Attaches a metrics [`Recorder`]. An enabled recorder switches the
-    /// global metrics registry on at [`EvaluatorBuilder::build`] time;
-    /// [`Evaluator::export_metrics`] then snapshots and exports through it.
-    /// The default [`NoopRecorder`] leaves metrics off (and every
-    /// instrumentation site on its near-zero disabled path).
-    #[must_use]
-    pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Attaches a checkpoint [`Journal`]; [`Evaluator::unit`] then skips
-    /// work units the journal already holds and records fresh ones.
-    #[must_use]
-    pub fn checkpoint(mut self, journal: Journal) -> Self {
-        self.checkpoint = Some(journal);
-        self
-    }
-
     /// Builds the engine.
     pub fn build(self) -> Evaluator<'a> {
-        if self.recorder.is_enabled() {
-            obs::set_enabled(true);
-        }
         obs::set_gauge("pool.threads", self.pool.threads() as f64);
         Evaluator {
             source: self.source,
@@ -289,18 +262,17 @@ impl<'a> EvaluatorBuilder<'a> {
             cache: FeatureCache::new(),
             run_seed: self.run_seed,
             watchdog: self.watchdog,
-            recorder: self.recorder,
-            checkpoint: self.checkpoint.map(Mutex::new),
             report: Mutex::new(RunReport::default()),
         }
     }
 }
 
 /// The parallel corpus-evaluation engine: a [`Pool`], a [`FeatureCache`],
-/// and a run seed from which every per-program seed is derived — plus the
-/// optional run services every experiment shares (watchdog, metrics
-/// recorder, checkpoint journal), all configured through
-/// [`Evaluator::builder`].
+/// and a run seed from which every per-program seed is derived — plus an
+/// optional watchdog over every loop, configured through
+/// [`Evaluator::builder`]. Metrics export and checkpoint journals are run
+/// services of the binaries ([`rhmd_runtime::metrics`],
+/// [`rhmd_runtime::ckpt`]), not of the engine.
 ///
 /// Every loop is bit-exact with its serial counterpart at any thread count;
 /// the equivalence suite (`tests/equivalence.rs`) enforces this for thread
@@ -311,8 +283,6 @@ pub struct Evaluator<'a> {
     cache: FeatureCache,
     run_seed: u64,
     watchdog: Option<WatchdogConfig>,
-    recorder: Arc<dyn Recorder>,
-    checkpoint: Option<Mutex<Journal>>,
     report: Mutex<RunReport>,
 }
 
@@ -322,7 +292,6 @@ impl fmt::Debug for Evaluator<'_> {
             .field("pool", &self.pool)
             .field("run_seed", &self.run_seed)
             .field("watchdog", &self.watchdog)
-            .field("checkpointed", &self.checkpoint.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -355,8 +324,6 @@ impl<'a> Evaluator<'a> {
             run_seed,
             pool: Pool::new(1),
             watchdog: None,
-            recorder: Arc::new(NoopRecorder),
-            checkpoint: None,
         }
     }
 
@@ -364,75 +331,6 @@ impl<'a> Evaluator<'a> {
     /// so far (empty and non-degraded when no watchdog is configured).
     pub fn run_report(&self) -> RunReport {
         self.report.lock().expect("report mutex poisoned").clone()
-    }
-
-    /// The attached metrics recorder ([`NoopRecorder`] by default).
-    pub fn recorder(&self) -> &dyn Recorder {
-        &*self.recorder
-    }
-
-    /// Snapshots the global metrics registry and exports it through the
-    /// attached recorder. A no-op (returning `Ok`) under [`NoopRecorder`].
-    ///
-    /// # Errors
-    ///
-    /// [`RhmdError::Io`] when the recorder cannot write its output.
-    pub fn export_metrics(&self) -> Result<(), RhmdError> {
-        if !self.recorder.is_enabled() {
-            return Ok(());
-        }
-        self.recorder.export(&obs::snapshot()).map_err(|e| {
-            RhmdError::io("metrics export".to_owned(), e.to_string())
-        })
-    }
-
-    /// Runs (or skips) one checkpointed work unit: with a journal attached,
-    /// already-recorded keys return their journaled value (`cached = true`)
-    /// and fresh ones are computed and recorded; without one, `compute`
-    /// simply runs (`cached = false`).
-    ///
-    /// # Errors
-    ///
-    /// See [`Journal::unit`].
-    pub fn unit<T: serde::Serialize + serde::Deserialize>(
-        &self,
-        key: &str,
-        compute: impl FnOnce() -> T,
-    ) -> Result<(T, bool), RhmdError> {
-        match &self.checkpoint {
-            None => Ok((compute(), false)),
-            Some(journal) => journal
-                .lock()
-                .expect("journal mutex poisoned")
-                .unit(key, compute),
-        }
-    }
-
-    /// The attached checkpoint directory, if any.
-    pub fn checkpoint_dir(&self) -> Option<std::path::PathBuf> {
-        self.checkpoint.as_ref().map(|journal| {
-            journal.lock().expect("journal mutex poisoned").dir().to_path_buf()
-        })
-    }
-
-    /// Forces pending checkpoint records to disk (no-op without a journal).
-    ///
-    /// # Errors
-    ///
-    /// See [`Journal::sync`].
-    pub fn sync_checkpoint(&self) -> Result<(), RhmdError> {
-        match &self.checkpoint {
-            None => Ok(()),
-            Some(journal) => journal.lock().expect("journal mutex poisoned").sync(),
-        }
-    }
-
-    /// Completed units replayed from the checkpoint at open time (0 without
-    /// a journal).
-    pub fn resumed_units(&self) -> usize {
-        self.checkpoint.as_ref().map_or(0, |journal| {
-            journal.lock().expect("journal mutex poisoned").resumed_units()
-        })
     }
 
     /// Dispatches a map through the watchdog when one is configured.

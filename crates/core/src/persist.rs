@@ -4,9 +4,8 @@
 //!
 //! Lives in `rhmd-core` (rather than the CLI) so every deployment surface —
 //! the CLI, the `rhmd serve` daemon, and the bench binaries — shares one
-//! format. Writes take an injectable writer so callers can supply a durable
-//! (fsynced, fault-retried) atomic writer without this crate depending on
-//! I/O policy; the default writer is a same-directory temp-file-and-rename.
+//! format. Saves go through `rhmd_runtime::durable` (fsynced atomic rename,
+//! retried on transient errors; the `RHMD_IO_FAULTS` fault plane applies).
 
 use crate::error::RhmdError;
 use crate::hmd::Hmd;
@@ -16,6 +15,7 @@ use rhmd_ml::trainer::Algorithm;
 use rhmd_ml::{
     DecisionTree, LinearSvm, LogisticRegression, Mlp, QuantizedLinear, QuantizedMlp, RandomForest,
 };
+use rhmd_runtime::durable::Durable;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -120,42 +120,20 @@ pub fn restore(saved: SavedHmd) -> Hmd {
     Hmd::from_parts(saved.spec, algorithm, saved.model.into_classifier())
 }
 
-/// Saves an HMD as pretty JSON through a caller-supplied writer: the CLI
-/// passes `rhmd_runtime::durable`'s fsynced, fault-retried `write_atomic`,
-/// [`save_hmd`] a plain rename-atomic write.
+/// Saves an HMD as pretty JSON, atomically: the bytes land in a temp file
+/// in the same directory, are fsynced, and are renamed over `path`, so a
+/// crash mid-save can never leave a truncated model file behind.
 ///
 /// # Errors
 ///
-/// Returns [`RhmdError::Model`] on snapshot or serialization failure and
-/// whatever the writer returns when the bytes cannot land.
-pub fn save_hmd_with(
-    hmd: &Hmd,
-    path: &Path,
-    writer: impl FnOnce(&Path, &[u8]) -> Result<(), RhmdError>,
-) -> Result<(), RhmdError> {
+/// Returns [`RhmdError::Model`] on snapshot or serialization failure,
+/// [`RhmdError::Parse`] when `RHMD_IO_FAULTS` is malformed and
+/// [`RhmdError::Io`] when the file cannot be written.
+pub fn save_hmd(hmd: &Hmd, path: &Path) -> Result<(), RhmdError> {
     let saved = snapshot(hmd)?;
     let json = serde_json::to_string_pretty(&saved)
         .map_err(|e| RhmdError::model(format!("serializing model: {e}")))?;
-    writer(path, json.as_bytes())
-}
-
-/// Saves an HMD as pretty JSON with the default rename-atomic (not fsynced)
-/// writer: the bytes land in a sibling temp file and are renamed over
-/// `path`, so a crash mid-save can never leave a truncated model file.
-///
-/// # Errors
-///
-/// Returns [`RhmdError::Model`] on snapshot or serialization failure and
-/// [`RhmdError::Io`] when the file cannot be written.
-pub fn save_hmd(hmd: &Hmd, path: &Path) -> Result<(), RhmdError> {
-    save_hmd_with(hmd, path, |path, bytes| {
-        let io = |e: std::io::Error| {
-            RhmdError::io(path.display().to_string(), format!("cannot write: {e}"))
-        };
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, bytes).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
-    })
+    Durable::from_env()?.write_atomic(path, json.as_bytes())
 }
 
 /// Loads an HMD from JSON.
@@ -247,7 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn default_writer_round_trips_and_leaves_no_temp_files() {
+    fn save_round_trips_atomically_and_leaves_no_temp_files() {
         let (traced, splits) = fixture();
         let hmd = Hmd::train(
             Algorithm::Lr,
@@ -298,6 +276,49 @@ mod tests {
                 expected: FORMAT_VERSION
             }
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn missing_file_is_io_error() {
+        let err = load_hmd(Path::new("/nonexistent/rhmd-model.json")).unwrap_err();
+        assert!(matches!(err, RhmdError::Io { .. }));
+        assert!(err.to_string().contains("rhmd-model.json"));
+    }
+
+    #[test]
+    fn malformed_json_is_parse_error() {
+        let dir = std::env::temp_dir().join("rhmd-core-persist-test-malformed");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("garbage.json");
+        std::fs::write(&path, "{ not json").unwrap();
+        let err = load_hmd(&path).unwrap_err();
+        assert!(matches!(err, RhmdError::Parse { .. }));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_model_file_is_parse_error() {
+        // A model file cut off mid-write (the failure atomic saves prevent,
+        // but which a pre-hardening save or a bad disk could leave) must be
+        // a typed parse error naming the file, not a panic.
+        let (traced, splits) = fixture();
+        let hmd = Hmd::train(
+            Algorithm::Lr,
+            FeatureSpec::new(FeatureKind::Memory, 5_000, vec![]),
+            &TrainerConfig::default(),
+            &traced,
+            &splits.victim_train,
+        );
+        let dir = std::env::temp_dir().join("rhmd-core-persist-test-truncated");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("truncated.json");
+        save_hmd(&hmd, &path).unwrap();
+        let full = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
+        let err = load_hmd(&path).unwrap_err();
+        assert!(matches!(err, RhmdError::Parse { .. }), "{err}");
+        assert!(err.to_string().contains("truncated.json"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -34,7 +34,6 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -546,97 +545,6 @@ impl Snapshot {
     }
 }
 
-/// Where a finished run delivers its metrics snapshot.
-///
-/// [`NoopRecorder`] is the disabled default: it reports
-/// [`Recorder::is_enabled`]` == false`, so pipeline stages skip even
-/// snapshotting. [`JsonRecorder`] renders [`Snapshot::to_json`] to a file;
-/// the bench/CLI layers construct it with a durable atomic writer
-/// (`rhmd_runtime::durable`) injected via [`JsonRecorder::with_writer`].
-pub trait Recorder: Send + Sync {
-    /// Whether recording is live. Callers use this to decide whether to
-    /// flip the global [`set_enabled`] switch.
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    /// Delivers a finished snapshot.
-    fn export(&self, snapshot: &Snapshot) -> std::io::Result<()>;
-}
-
-impl std::fmt::Debug for dyn Recorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Recorder")
-    }
-}
-
-/// The zero-cost disabled recorder: never enables metrics, exports nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    fn export(&self, _snapshot: &Snapshot) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-type WriterFn = dyn Fn(&Path, &[u8]) -> std::io::Result<()> + Send + Sync;
-
-/// Exports snapshots as JSON to a file. The default writer does a
-/// same-directory temp-file-and-rename; callers that want fsynced,
-/// fault-retried durability inject one with [`JsonRecorder::with_writer`].
-pub struct JsonRecorder {
-    path: PathBuf,
-    writer: Box<WriterFn>,
-}
-
-impl std::fmt::Debug for JsonRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonRecorder").field("path", &self.path).finish()
-    }
-}
-
-impl JsonRecorder {
-    /// A recorder writing to `path` with the default (rename-atomic,
-    /// not fsynced) writer.
-    pub fn new(path: impl Into<PathBuf>) -> JsonRecorder {
-        JsonRecorder::with_writer(path, |path, bytes| {
-            let tmp = path.with_extension("tmp");
-            std::fs::write(&tmp, bytes)?;
-            std::fs::rename(&tmp, path)
-        })
-    }
-
-    /// A recorder writing to `path` through a caller-supplied atomic
-    /// writer (dependency inversion: `rhmd_runtime::durable` supplies its
-    /// fault-retried `write_atomic` here without this crate depending on
-    /// it).
-    pub fn with_writer(
-        path: impl Into<PathBuf>,
-        writer: impl Fn(&Path, &[u8]) -> std::io::Result<()> + Send + Sync + 'static,
-    ) -> JsonRecorder {
-        JsonRecorder {
-            path: path.into(),
-            writer: Box::new(writer),
-        }
-    }
-
-    /// The destination path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Recorder for JsonRecorder {
-    fn export(&self, snapshot: &Snapshot) -> std::io::Result<()> {
-        (self.writer)(&self.path, snapshot.to_json().as_bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -771,26 +679,6 @@ mod tests {
         let mut out = String::new();
         escape_json("a\"b\\c\nd\u{1}", &mut out);
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
-
-    #[test]
-    fn json_recorder_writes_the_snapshot() {
-        let dir = std::env::temp_dir().join(format!("rhmd-obs-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("metrics.json");
-        let recorder = JsonRecorder::new(&path);
-        let mut snap = Snapshot::default();
-        snap.counters.insert("x".into(), 9);
-        recorder.export(&snap).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"x\": 9"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn noop_recorder_reports_disabled() {
-        assert!(!NoopRecorder.is_enabled());
-        assert!(NoopRecorder.export(&Snapshot::default()).is_ok());
     }
 
     #[test]

@@ -66,8 +66,8 @@ impl Manifest {
     }
 }
 
-/// Checkpointing options an experiment binary parsed from its command line
-/// (`--checkpoint <dir>` / `--resume <dir>`).
+/// Checkpointing options a binary parsed from its command line
+/// (`--checkpoint <dir>` / `--resume <dir>` / `--checkpoint-every <n>`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CkptOptions {
     /// The checkpoint directory.
@@ -75,31 +75,59 @@ pub struct CkptOptions {
     /// `--resume`: insist the directory already exists with a manifest
     /// (`--checkpoint` creates it, auto-resuming when it already has one).
     pub resume_only: bool,
+    /// `--checkpoint-every`: fsync the journal every this many units.
+    pub every: usize,
 }
 
 impl CkptOptions {
-    /// Opens the journal these options describe.
+    /// Options from the flag values, or `None` when checkpointing is off.
+    /// `--checkpoint` and `--resume` are mutually exclusive, `--resume`
+    /// must name an existing directory, and `--checkpoint-every` must be at
+    /// least 1 (the default) and needs one of the two. Called before any
+    /// tracing, so a bad flag fails in milliseconds.
     ///
     /// # Errors
     ///
-    /// See [`Journal::create`] / [`Journal::resume`]; additionally
-    /// [`RhmdError::Io`] when `--resume` names a directory that does not
-    /// exist.
-    pub fn journal(&self, experiment: &str, summary: &str) -> Result<Journal, RhmdError> {
-        let manifest = Manifest::new(experiment, summary);
-        let durable = Durable::from_env()?;
-        if self.resume_only {
-            if !self.dir.is_dir() {
-                return Err(RhmdError::io(
-                    self.dir.display().to_string(),
-                    "checkpoint directory does not exist; \
-                     pass the directory a previous --checkpoint run created",
-                ));
-            }
-            Journal::resume(&self.dir, &manifest, durable, 1)
-        } else {
-            Journal::create(&self.dir, &manifest, durable, 1)
+    /// [`RhmdError::Config`] for a conflicting or orphaned flag,
+    /// [`RhmdError::Parse`] for `--checkpoint-every 0` and
+    /// [`RhmdError::Io`] naming a `--resume` directory that does not exist.
+    pub fn from_flags(
+        checkpoint: Option<PathBuf>,
+        resume: Option<PathBuf>,
+        every: Option<usize>,
+    ) -> Result<Option<CkptOptions>, RhmdError> {
+        if every == Some(0) {
+            return Err(RhmdError::parse("--checkpoint-every", "must be at least 1"));
         }
+        let (dir, resume_only) = match (checkpoint, resume) {
+            (Some(_), Some(_)) => {
+                return Err(RhmdError::config(
+                    "--checkpoint and --resume are mutually exclusive \
+                     (--checkpoint auto-resumes when the directory already has a manifest)",
+                ))
+            }
+            (Some(dir), None) => (dir, false),
+            (None, Some(dir)) => {
+                if !dir.is_dir() {
+                    return Err(RhmdError::io(
+                        dir.display().to_string(),
+                        "checkpoint directory does not exist; \
+                         pass the directory a previous --checkpoint run created",
+                    ));
+                }
+                (dir, true)
+            }
+            (None, None) if every.is_some() => {
+                let message = "--checkpoint-every requires --checkpoint or --resume";
+                return Err(RhmdError::config(message));
+            }
+            (None, None) => return Ok(None),
+        };
+        Ok(Some(CkptOptions {
+            dir,
+            resume_only,
+            every: every.unwrap_or(1),
+        }))
     }
 }
 
@@ -109,7 +137,7 @@ impl CkptOptions {
 ///
 /// # Errors
 ///
-/// See [`CkptOptions::journal`].
+/// See [`Journal::create`] / [`Journal::resume`].
 pub fn journal_with(
     options: Option<&CkptOptions>,
     experiment: &str,
@@ -118,7 +146,13 @@ pub fn journal_with(
     let Some(options) = options else {
         return Ok(None);
     };
-    let journal = options.journal(experiment, summary)?;
+    let manifest = Manifest::new(experiment, summary);
+    let durable = Durable::from_env()?;
+    let journal = if options.resume_only {
+        Journal::resume(&options.dir, &manifest, durable, options.every)?
+    } else {
+        Journal::create(&options.dir, &manifest, durable, options.every)?
+    };
     if journal.resumed_units() > 0 {
         eprintln!(
             "[ckpt] {experiment}: resuming, {} completed unit(s) will be skipped",
@@ -129,8 +163,8 @@ pub fn journal_with(
 }
 
 /// Runs `compute` through the journal when one is open, or directly when
-/// checkpointing is off — the one-liner experiment binaries use per work
-/// unit.
+/// checkpointing is off — the one call per work unit every checkpointed
+/// run makes. Returns the value and whether it came from the journal.
 ///
 /// # Errors
 ///
@@ -139,10 +173,10 @@ pub fn unit_or_compute<T: Serialize + Deserialize>(
     journal: &mut Option<Journal>,
     key: &str,
     compute: impl FnOnce() -> T,
-) -> Result<T, RhmdError> {
+) -> Result<(T, bool), RhmdError> {
     match journal.as_mut() {
-        Some(journal) => journal.unit(key, compute).map(|(value, _)| value),
-        None => Ok(compute()),
+        Some(journal) => journal.unit(key, compute),
+        None => Ok((compute(), false)),
     }
 }
 
@@ -563,6 +597,41 @@ mod tests {
         let err =
             Journal::resume(&dir, &Manifest::new("sweep", "cfg"), Durable::new(), 1).unwrap_err();
         assert!(err.to_string().contains("not a checkpoint directory"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn options_from_flags_own_the_checkpoint_rules() {
+        let dir = temp_dir("flags");
+        std::fs::create_dir_all(&dir).unwrap();
+        let parse = |checkpoint: Option<&Path>, resume: Option<&Path>, every| {
+            CkptOptions::from_flags(
+                checkpoint.map(Path::to_path_buf),
+                resume.map(Path::to_path_buf),
+                every,
+            )
+        };
+        assert_eq!(parse(None, None, None).unwrap(), None);
+        let created = parse(Some(Path::new("ck")), None, None).unwrap().unwrap();
+        assert_eq!(created.dir, Path::new("ck"));
+        assert_eq!((created.resume_only, created.every), (false, 1));
+        let resumed = parse(None, Some(&dir), Some(4)).unwrap().unwrap();
+        assert_eq!(resumed.dir, dir);
+        assert_eq!((resumed.resume_only, resumed.every), (true, 4));
+
+        let err = parse(Some(&dir), Some(&dir), None).unwrap_err();
+        assert!(matches!(err, RhmdError::Config(_)), "{err}");
+        assert!(err.to_string().contains("mutually exclusive"), "{err}");
+        let err = parse(None, Some(&dir.join("missing")), None).unwrap_err();
+        assert!(matches!(err, RhmdError::Io { .. }), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("does not exist") && msg.contains("missing"), "{msg}");
+        let err = parse(Some(&dir), None, Some(0)).unwrap_err();
+        assert!(matches!(err, RhmdError::Parse { .. }), "{err}");
+        assert!(err.to_string().contains("--checkpoint-every"), "{err}");
+        let err = parse(None, None, Some(2)).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("--checkpoint-every requires --checkpoint or --resume"), "{msg}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,7 +1,7 @@
 //! Glue between the dependency-free metrics crate ([`rhmd_obs`]) and the
 //! binaries: the standard key set every pipeline stage emits, the
 //! `--metrics` / `--metrics-summary` options shared by the CLI and the
-//! experiment binaries, and a [`JsonRecorder`] wired to
+//! experiment binaries, whose snapshot export goes through
 //! [`crate::durable`]'s atomic writer.
 //!
 //! Metrics are **observe-only**: every instrumentation site records counts
@@ -12,9 +12,8 @@
 
 use crate::durable::Durable;
 use crate::RhmdError;
-use rhmd_obs::{self as obs, JsonRecorder, NoopRecorder, Recorder};
+use rhmd_obs as obs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Counter names every run preregisters, so exported snapshots always
 /// carry the full schema (a clean tiny run legitimately has zero steals,
@@ -83,12 +82,6 @@ impl MetricsOptions {
         MetricsOptions { path, summary }
     }
 
-    /// Metrics fully off (the default).
-    #[must_use]
-    pub fn off() -> MetricsOptions {
-        MetricsOptions::default()
-    }
-
     /// Whether any metrics output was requested.
     #[must_use]
     pub fn any(&self) -> bool {
@@ -110,64 +103,24 @@ impl MetricsOptions {
         }
     }
 
-    /// The recorder to wire into an evaluation engine: a durably-writing
-    /// [`JsonRecorder`] when `--metrics <path>` was given, a
-    /// [`NoopRecorder`] otherwise. (`--metrics-summary` alone still
-    /// enables collection via [`MetricsOptions::install`]; the summary is
-    /// printed by [`MetricsOptions::finish`], not exported.)
+    /// Exports the JSON snapshot (when `--metrics` was given) through
+    /// [`Durable::write_atomic`] and prints the stderr summary (when
+    /// `--metrics-summary` was given).
     ///
     /// # Errors
     ///
-    /// [`RhmdError::Parse`] when `RHMD_IO_FAULTS` is malformed (the writer
-    /// goes through [`Durable::from_env`]).
-    pub fn recorder(&self) -> Result<Arc<dyn Recorder>, RhmdError> {
-        match &self.path {
-            None => Ok(Arc::new(NoopRecorder)),
-            Some(path) => Ok(Arc::new(json_recorder(path)?)),
-        }
-    }
-
-    /// Prints the snapshot summary table to stderr when `--metrics-summary`
-    /// was given.
-    pub fn print_summary(&self) {
-        if self.summary {
-            eprint!("{}", obs::snapshot().summary_table());
-        }
-    }
-
-    /// Exports the JSON snapshot (when `--metrics` was given) and prints
-    /// the stderr summary (when `--metrics-summary` was given).
-    ///
-    /// # Errors
-    ///
+    /// [`RhmdError::Parse`] when `RHMD_IO_FAULTS` is malformed and
     /// [`RhmdError::Io`] when the snapshot cannot be written.
     pub fn finish(&self) -> Result<(), RhmdError> {
         if let Some(path) = &self.path {
-            let recorder = json_recorder(path)?;
-            recorder.export(&obs::snapshot()).map_err(|e| {
-                RhmdError::io(path.display().to_string(), format!("write metrics: {e}"))
-            })?;
+            Durable::from_env()?.write_atomic(path, obs::snapshot().to_json().as_bytes())?;
             eprintln!("[metrics] snapshot written to {}", path.display());
         }
-        self.print_summary();
+        if self.summary {
+            eprint!("{}", obs::snapshot().summary_table());
+        }
         Ok(())
     }
-}
-
-/// A [`JsonRecorder`] whose writes go through [`Durable`]'s atomic,
-/// fault-retried `write_atomic` (dependency inversion — `rhmd_obs` stays
-/// free of I/O policy).
-///
-/// # Errors
-///
-/// [`RhmdError::Parse`] when `RHMD_IO_FAULTS` is malformed.
-pub fn json_recorder(path: &Path) -> Result<JsonRecorder, RhmdError> {
-    let durable = Durable::from_env()?;
-    Ok(JsonRecorder::with_writer(path, move |path, bytes| {
-        durable
-            .write_atomic(path, bytes)
-            .map_err(|e| std::io::Error::other(e.to_string()))
-    }))
 }
 
 #[cfg(test)]
@@ -176,7 +129,7 @@ mod tests {
 
     #[test]
     fn off_options_are_inert() {
-        let off = MetricsOptions::off();
+        let off = MetricsOptions::default();
         assert!(!off.any());
         assert!(off.path().is_none());
         // install/finish on the off state must not enable the registry.
@@ -186,12 +139,28 @@ mod tests {
     }
 
     #[test]
-    fn recorder_matches_requested_output() {
-        let off = MetricsOptions::off();
-        assert!(!off.recorder().unwrap().is_enabled());
+    fn path_matches_requested_output() {
         let on = MetricsOptions::new(Some(PathBuf::from("/tmp/m.json")), false);
-        assert!(on.any() && on.recorder().unwrap().is_enabled());
+        assert!(on.any());
         assert_eq!(on.path(), Some(Path::new("/tmp/m.json")));
+        assert!(MetricsOptions::new(None, true).any());
+    }
+
+    #[test]
+    fn finish_writes_exactly_the_snapshot_and_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("rhmd-metrics-finish-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("metrics.json");
+        MetricsOptions::new(Some(path.clone()), false).finish().unwrap();
+        let body = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(body, obs::snapshot().to_json());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, ["metrics.json"], "temp files left behind");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
