@@ -87,29 +87,20 @@ impl SubwindowCursor {
     /// Processes one body run. Splits it so no sub-run crosses an I-cache
     /// line/page boundary (keeping L2 access order identical to the
     /// per-event path) or a subwindow seal (keeping miss attribution in the
-    /// right window), then advances the core in bulk per sub-run.
+    /// right window), then advances the core in bulk per sub-run: one fetch,
+    /// since the rest of the sub-run's fetches are hits that change nothing
+    /// (see [`CoreModel::fetch_span_bytes`]).
     fn body_run(&mut self, pc: u64, instrs: &[FlatInstr], addrs: &[u64], sink: &mut dyn SubwindowSink) {
         let mut i = 0usize;
         let mut pc = pc;
         while i < instrs.len() {
             let window_room = u64::from(SUBWINDOW - self.current.instructions);
-            // Instructions from pc to the end of its line/page span.
-            let seg_end = (pc | (self.span - 1)) + 1;
-            let fit = if seg_end >= pc + INSTR_BYTES {
-                (seg_end - pc - INSTR_BYTES) / INSTR_BYTES + 1
-            } else {
-                0 // fetch straddles the span boundary (unaligned pc)
-            };
-            let run = if fit == 0 {
-                1
-            } else {
-                fit.min(window_room).min((instrs.len() - i) as u64) as usize
-            };
-            if fit == 0 {
-                self.core.fetch_one(pc);
-            } else {
-                self.core.fetch_line_run(pc, run as u64);
-            }
+            // Whole instructions from pc to the end of its line/page span;
+            // 0 when the fetch at pc straddles the span boundary (unaligned
+            // pc), which still makes a run of one.
+            let fit = ((pc | (self.span - 1)) + 1 - pc) / INSTR_BYTES;
+            let run = fit.min(window_room).min((instrs.len() - i) as u64).max(1) as usize;
+            self.core.fetch_one(pc);
             for j in i..i + run {
                 let ins = &instrs[j];
                 self.current.opcode_counts[ins.opcode as usize] += 1;

@@ -10,8 +10,9 @@
 //! 2. **Injection transparency** — injected instructions never consume from
 //!    the control RNG or the original address streams, so a rewritten
 //!    program executes the *same original instruction sequence* with payload
-//!    instructions interleaved. [`ExecSummary::original_fingerprint`] lets
-//!    tests verify this.
+//!    instructions interleaved. The [`OriginalFingerprint`] observer hashes
+//!    that sequence, so tests verify this by running it beside the
+//!    observer under test; the executor itself keeps no fingerprint.
 
 use crate::block::{BlockId, Terminator};
 use crate::isa::Opcode;
@@ -175,10 +176,6 @@ pub struct ExecSummary {
     pub syscalls: u64,
     /// Basic blocks entered.
     pub blocks: u64,
-    /// Order-sensitive hash over the original (non-injected) instruction
-    /// stream: opcode, memory address, branch outcome. Injection must not
-    /// change it.
-    pub original_fingerprint: u64,
 }
 
 impl ExecSummary {
@@ -191,13 +188,6 @@ impl ExecSummary {
             (self.instructions - self.original_instructions) as f64
                 / self.original_instructions as f64
         }
-    }
-
-    #[inline]
-    pub(crate) fn mix(&mut self, value: u64) {
-        // FNV-style order-sensitive accumulation.
-        self.original_fingerprint ^= value;
-        self.original_fingerprint = self.original_fingerprint.wrapping_mul(0x100_0000_01b3);
     }
 }
 
@@ -394,13 +384,6 @@ impl<'p> Executor<'p> {
         summary.instructions += 1;
         if !ev.injected {
             summary.original_instructions += 1;
-            summary.mix(ev.opcode.index() as u64 + 1);
-            if let Some(m) = ev.mem {
-                summary.mix(m.addr);
-            }
-            if let Some(b) = ev.branch {
-                summary.mix(if b.taken { 0x5555 } else { 0xaaaa });
-            }
         }
         observer.observe(ev);
     }
@@ -442,6 +425,53 @@ impl Observer for CountingSink {
         self.total += 1;
         if ev.injected {
             self.injected += 1;
+        }
+    }
+}
+
+/// An observer that folds an order-sensitive FNV-style hash over the
+/// original (non-injected) committed stream: opcode, memory address and
+/// branch outcome of each event. Injection must not change it, which is how
+/// the injection-transparency tests check a rewrite; the trace paths do not
+/// pay for it.
+///
+/// # Examples
+///
+/// ```
+/// use rhmd_trace::exec::{ExecLimits, OriginalFingerprint};
+/// use rhmd_trace::generate::{malware_profile, MalwareFamily, ProgramGenerator};
+/// use rhmd_trace::inject::{apply, InjectionPlan, Placement};
+/// use rhmd_trace::isa::Opcode;
+///
+/// let base = ProgramGenerator::new(malware_profile(MalwareFamily::Spambot)).generate(1);
+/// let (rewritten, _) = apply(&base, &InjectionPlan::new(vec![Opcode::Nop], Placement::EveryBlock));
+/// let limits = ExecLimits::original_instructions(5_000);
+/// let (mut a, mut b) = (OriginalFingerprint::default(), OriginalFingerprint::default());
+/// base.execute(limits, &mut a);
+/// rewritten.execute(limits, &mut b);
+/// assert_eq!(a, b);
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OriginalFingerprint(u64);
+
+impl OriginalFingerprint {
+    #[inline]
+    fn mix(&mut self, value: u64) {
+        self.0 = (self.0 ^ value).wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+impl Observer for OriginalFingerprint {
+    fn observe(&mut self, ev: &ExecEvent) {
+        if ev.injected {
+            return;
+        }
+        self.mix(ev.opcode.index() as u64 + 1);
+        if let Some(m) = ev.mem {
+            self.mix(m.addr);
+        }
+        if let Some(b) = ev.branch {
+            self.mix(if b.taken { 0x5555 } else { 0xaaaa });
         }
     }
 }
@@ -496,25 +526,120 @@ mod tests {
         );
     }
 
+    fn fingerprint(p: &Program, limits: ExecLimits) -> u64 {
+        let mut fp = OriginalFingerprint::default();
+        p.execute(limits, &mut fp);
+        fp.0
+    }
+
     #[test]
     fn fingerprint_is_stable() {
         let p = ProgramGenerator::new(benign_profile(BenignClass::SpecCompute)).generate(11);
-        let mut sink = CountingSink::default();
-        let a = p.execute(ExecLimits::instructions(20_000), &mut sink);
-        let b = p.execute(ExecLimits::instructions(20_000), &mut sink);
-        assert_eq!(a.original_fingerprint, b.original_fingerprint);
-        assert_ne!(a.original_fingerprint, 0);
+        let a = fingerprint(&p, ExecLimits::instructions(20_000));
+        let b = fingerprint(&p, ExecLimits::instructions(20_000));
+        assert_eq!(a, b);
+        assert_ne!(a, 0);
     }
 
     #[test]
     fn different_seeds_give_different_streams() {
         let gen = ProgramGenerator::new(benign_profile(BenignClass::Browser));
-        let p1 = gen.generate(1);
-        let p2 = gen.generate(2);
-        let mut sink = CountingSink::default();
-        let a = p1.execute(ExecLimits::instructions(5_000), &mut sink);
-        let b = p2.execute(ExecLimits::instructions(5_000), &mut sink);
-        assert_ne!(a.original_fingerprint, b.original_fingerprint);
+        let a = fingerprint(&gen.generate(1), ExecLimits::instructions(5_000));
+        let b = fingerprint(&gen.generate(2), ExecLimits::instructions(5_000));
+        assert_ne!(a, b);
+    }
+
+    /// The reference interpreter and the flat walk feed the observer the
+    /// same fingerprint, for plain and rewritten programs alike.
+    #[test]
+    fn fingerprint_matches_between_reference_and_flat() {
+        let plan = crate::inject::InjectionPlan::new(
+            vec![Opcode::Load, Opcode::Xor],
+            crate::inject::Placement::EveryBlock,
+        );
+        for (seed, family) in MalwareFamily::ALL.into_iter().enumerate() {
+            let base = ProgramGenerator::new(malware_profile(family)).generate(seed as u64);
+            let (rewritten, _) = crate::inject::apply(&base, &plan);
+            let limits = ExecLimits::original_instructions(8_000);
+            for p in [&base, &rewritten] {
+                let mut reference = OriginalFingerprint::default();
+                Executor::new(p, limits).run_reference(&mut reference);
+                let mut flat = OriginalFingerprint::default();
+                Executor::new(p, limits).run(&mut flat);
+                assert_eq!(reference, flat, "{family:?}");
+            }
+        }
+    }
+
+    /// One changed original address or branch outcome changes the
+    /// fingerprint; injected events, whatever they carry, do not.
+    #[test]
+    fn fingerprint_sees_original_fields_and_skips_injected() {
+        let load = ExecEvent {
+            pc: 0x1000,
+            opcode: Opcode::Load,
+            mem: Some(MemAccess {
+                addr: 0x8000,
+                size: 8,
+            }),
+            branch: None,
+            injected: false,
+            syscall: false,
+        };
+        let jcc = ExecEvent {
+            pc: 0x1004,
+            opcode: Opcode::Jcc,
+            mem: None,
+            branch: Some(BranchOutcome {
+                kind: BranchKind::Conditional,
+                taken: true,
+                target: 0x2000,
+            }),
+            injected: false,
+            syscall: false,
+        };
+        let payload = ExecEvent {
+            opcode: Opcode::Store,
+            mem: Some(MemAccess {
+                addr: 0x9000,
+                size: 4,
+            }),
+            injected: true,
+            ..load
+        };
+        let fold = |events: &[ExecEvent]| {
+            let mut fp = OriginalFingerprint::default();
+            for ev in events {
+                fp.observe(ev);
+            }
+            fp.0
+        };
+        let base = fold(&[load, jcc, load, jcc]);
+        let moved = ExecEvent {
+            mem: Some(MemAccess {
+                addr: 0x8040,
+                size: 8,
+            }),
+            ..load
+        };
+        assert_ne!(fold(&[load, jcc, moved, jcc]), base, "one original address");
+        let flipped = ExecEvent {
+            branch: Some(BranchOutcome {
+                taken: false,
+                ..jcc.branch.unwrap()
+            }),
+            ..jcc
+        };
+        assert_ne!(
+            fold(&[load, flipped, load, jcc]),
+            base,
+            "one branch outcome"
+        );
+        assert_eq!(
+            fold(&[payload, load, payload, jcc, load, payload, payload, jcc]),
+            base,
+            "injected payload"
+        );
     }
 
     /// The default `run` (flat, batched) and the reference interpreter emit

@@ -358,21 +358,15 @@ impl FlatProgram {
                 let run = &body[done..done + rem];
                 let pc = block.addr + done as u64 * INSTR_BYTES;
                 for (i, ins) in run.iter().enumerate() {
-                    let mut addr = 0u64;
                     if ins.has_mem() {
-                        addr = if ins.stream == FLAT_SCRATCH {
+                        addrs[i] = if ins.stream == FLAT_SCRATCH {
                             scratch_stream.next_addr()
                         } else {
                             streams[ins.stream as usize].next_addr()
                         };
-                        addrs[i] = addr;
                     }
                     if !ins.injected() {
                         summary.original_instructions += 1;
-                        summary.mix(ins.opcode as u64 + 1);
-                        if ins.has_mem() {
-                            summary.mix(addr);
-                        }
                     }
                 }
                 summary.instructions += rem as u64;
@@ -481,10 +475,6 @@ impl FlatProgram {
             };
             summary.instructions += 1;
             summary.original_instructions += 1;
-            summary.mix(ev.opcode.index() as u64 + 1);
-            if let Some(b) = outcome {
-                summary.mix(if b.taken { 0x5555 } else { 0xaaaa });
-            }
             sink.terminator(&ev);
             if is_syscall {
                 summary.syscalls += 1;
@@ -515,7 +505,7 @@ impl FlatProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{CountingSink, Executor};
+    use crate::exec::{Executor, OriginalFingerprint};
     use crate::generate::{benign_profile, malware_profile, BenignClass, MalwareFamily,
                           ProgramGenerator};
 
@@ -573,13 +563,16 @@ mod tests {
         let mut scratch = ExecScratch::default();
         let fa = FlatProgram::lower(&pa);
         let fb = FlatProgram::lower(&pb);
-        let mut sink = CountingSink::default();
-        let a1 = fa.run_observed(limits, &mut sink, &mut scratch);
-        let b1 = fb.run_observed(limits, &mut sink, &mut scratch);
-        let a2 = fa.run_observed(limits, &mut sink, &mut scratch);
-        let b2 = fb.run_observed(limits, &mut sink, &mut scratch);
+        let mut run = |flat: &FlatProgram| {
+            let mut fp = OriginalFingerprint::default();
+            (flat.run_observed(limits, &mut fp, &mut scratch), fp)
+        };
+        let a1 = run(&fa);
+        let b1 = run(&fb);
+        let a2 = run(&fa);
+        let b2 = run(&fb);
         assert_eq!(a1, a2);
         assert_eq!(b1, b2);
-        assert_ne!(a1.original_fingerprint, b1.original_fingerprint);
+        assert_ne!(a1.1, b1.1);
     }
 }

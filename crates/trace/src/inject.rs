@@ -170,7 +170,7 @@ impl StaticOverhead {
 ///
 /// The rewrite preserves semantics: the original instruction sequence, its
 /// memory addresses, and all branch outcomes are unchanged (verified by
-/// [`crate::exec::ExecSummary::original_fingerprint`]).
+/// the [`crate::exec::OriginalFingerprint`] observer).
 ///
 /// # Examples
 ///
@@ -248,7 +248,7 @@ pub fn apply(program: &Program, plan: &InjectionPlan) -> (Program, StaticOverhea
 mod tests {
     use super::*;
     use crate::block::Terminator;
-    use crate::exec::{CountingSink, ExecLimits};
+    use crate::exec::{CountingSink, ExecLimits, OriginalFingerprint};
     use crate::generate::{benign_profile, malware_profile, BenignClass, MalwareFamily,
                           ProgramGenerator};
     use crate::isa::INSTR_BYTES;
@@ -301,11 +301,11 @@ mod tests {
         let (modified, _) = apply(&base, &plan);
         let _ = before;
         let limits = ExecLimits::original_instructions(25_000);
-        let mut sink2 = CountingSink::default();
-        let orig = base.execute(limits, &mut sink2);
-        let mut sink3 = CountingSink::default();
-        let after = modified.execute(limits, &mut sink3);
-        assert_eq!(orig.original_fingerprint, after.original_fingerprint);
+        let mut fp_orig = OriginalFingerprint::default();
+        let orig = base.execute(limits, &mut fp_orig);
+        let mut fp_after = OriginalFingerprint::default();
+        let after = modified.execute(limits, &mut fp_after);
+        assert_eq!(fp_orig, fp_after);
         assert_eq!(orig.original_instructions, after.original_instructions);
         assert!(after.instructions > orig.instructions);
     }

@@ -1,7 +1,9 @@
 //! Property-based tests of the trace substrate's core invariants.
 
 use proptest::prelude::*;
-use rhmd_trace::exec::{CountingSink, ExecLimits};
+use rhmd_trace::exec::{
+    CountingSink, ExecEvent, ExecLimits, ExecSummary, Observer, OriginalFingerprint,
+};
 use rhmd_trace::generate::{benign_profile, malware_profile, BenignClass, MalwareFamily,
                            ProgramGenerator};
 use rhmd_trace::inject::{apply, InjectionPlan, Placement};
@@ -18,6 +20,21 @@ fn any_profile_seeded() -> impl Strategy<Value = Program> {
     })
 }
 
+/// Executes `program` to `limits` into `sink` and the original-stream
+/// fingerprint together.
+fn run_fingerprinted(
+    program: &Program,
+    limits: ExecLimits,
+    sink: &mut CountingSink,
+) -> (ExecSummary, OriginalFingerprint) {
+    let mut fp = OriginalFingerprint::default();
+    let summary = program.execute(limits, &mut |ev: &ExecEvent| {
+        fp.observe(ev);
+        sink.observe(ev);
+    });
+    (summary, fp)
+}
+
 fn injectable_opcode() -> impl Strategy<Value = Opcode> {
     prop::sample::select(
         Opcode::ALL
@@ -29,7 +46,12 @@ fn injectable_opcode() -> impl Strategy<Value = Opcode> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    // 24 cases by default; `PROPTEST_CASES` deepens the search (CI runs
+    // 512), since this suite is the home of the injection-transparency
+    // check.
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|c| c.parse().ok()).unwrap_or(24)
+    ))]
 
     /// Every generated program satisfies the structural invariants.
     #[test]
@@ -72,10 +94,10 @@ proptest! {
         // binds even for programs that never issue a system call.
         let limits = ExecLimits::original_instructions(30_000);
         let mut sink = CountingSink::default();
-        let original = program.execute(limits, &mut sink);
+        let (original, fp) = run_fingerprinted(&program, limits, &mut sink);
         let mut sink2 = CountingSink::default();
-        let rewritten = modified.execute(limits, &mut sink2);
-        prop_assert_eq!(original.original_fingerprint, rewritten.original_fingerprint);
+        let (rewritten, fp2) = run_fingerprinted(&modified, limits, &mut sink2);
+        prop_assert_eq!(fp, fp2);
         prop_assert_eq!(original.original_instructions, rewritten.original_instructions);
         prop_assert_eq!(
             rewritten.instructions - rewritten.original_instructions,
@@ -102,11 +124,9 @@ proptest! {
         );
 
         let limits = ExecLimits::original_instructions(20_000);
-        let mut sink = CountingSink::default();
-        let original = program.execute(limits, &mut sink);
-        let mut sink2 = CountingSink::default();
-        let rewritten = modified.execute(limits, &mut sink2);
-        prop_assert_eq!(original.original_fingerprint, rewritten.original_fingerprint);
+        let (_, fp) = run_fingerprinted(&program, limits, &mut CountingSink::default());
+        let (_, fp2) = run_fingerprinted(&modified, limits, &mut CountingSink::default());
+        prop_assert_eq!(fp, fp2);
     }
 
     /// The executor commits exactly the budgeted number of instructions when

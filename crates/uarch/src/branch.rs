@@ -33,10 +33,6 @@ pub struct GsharePredictor {
     table: Vec<u8>,
     history: u64,
     mask: u64,
-    /// Conditional branches predicted.
-    pub predictions: u64,
-    /// Direction mispredictions.
-    pub mispredictions: u64,
 }
 
 impl GsharePredictor {
@@ -49,8 +45,6 @@ impl GsharePredictor {
             table: vec![1; size],
             history: 0,
             mask: (size - 1) as u64,
-            predictions: 0,
-            mispredictions: 0,
         }
     }
 
@@ -66,11 +60,9 @@ impl GsharePredictor {
     /// selects one, so the update has no branch on `taken`.
     #[inline]
     pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
-        self.predictions += 1;
         let idx = self.index(pc);
         let counter = self.table[idx];
         let correct = (counter >= 2) == taken;
-        self.mispredictions += u64::from(!correct);
         let up = counter + u8::from(counter < 3);
         let down = counter - u8::from(counter > 0);
         self.table[idx] = if taken { up } else { down };
@@ -89,15 +81,6 @@ impl GsharePredictor {
     pub(crate) fn history(&self) -> u64 {
         self.history
     }
-
-    /// Fraction of conditional branches mispredicted.
-    pub fn misprediction_rate(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.predictions as f64
-        }
-    }
 }
 
 /// Direct-mapped branch target buffer.
@@ -106,10 +89,6 @@ pub struct Btb {
     tags: Vec<u64>,
     targets: Vec<u64>,
     mask: u64,
-    /// Taken control transfers looked up.
-    pub lookups: u64,
-    /// Lookups that missed or carried a stale target.
-    pub misses: u64,
 }
 
 impl Btb {
@@ -124,8 +103,6 @@ impl Btb {
             tags: vec![u64::MAX; entries as usize],
             targets: vec![0; entries as usize],
             mask: u64::from(entries - 1),
-            lookups: 0,
-            misses: 0,
         }
     }
 
@@ -136,10 +113,8 @@ impl Btb {
     /// values already there.
     #[inline]
     pub fn lookup_and_update(&mut self, pc: u64, target: u64) -> bool {
-        self.lookups += 1;
         let idx = ((pc >> 2) & self.mask) as usize;
         let hit = (self.tags[idx] == pc) & (self.targets[idx] == target);
-        self.misses += u64::from(!hit);
         self.tags[idx] = pc;
         self.targets[idx] = target;
         hit
@@ -156,51 +131,47 @@ impl Btb {
 mod tests {
     use super::*;
 
+    /// Feeds `outcomes` for one `pc` and returns how many were mispredicted.
+    fn mispredictions(
+        p: &mut GsharePredictor,
+        pc: u64,
+        outcomes: impl IntoIterator<Item = bool>,
+    ) -> usize {
+        outcomes
+            .into_iter()
+            .filter(|&taken| !p.predict_and_update(pc, taken))
+            .count()
+    }
+
     #[test]
     fn predictor_learns_constant_branch() {
         let mut p = GsharePredictor::new(10);
-        for _ in 0..100 {
-            p.predict_and_update(0x400000, true);
-        }
         // Warm-up touches one counter per distinct history value (~ghr_bits
         // of them); after that, mispredictions stop.
-        let warmup = p.mispredictions;
+        let warmup = mispredictions(&mut p, 0x400000, [true; 100]);
         assert!(warmup <= 15, "mispredictions {warmup}");
-        for _ in 0..100 {
-            p.predict_and_update(0x400000, true);
-        }
-        assert_eq!(p.mispredictions, warmup, "steady state should be perfect");
+        let steady = mispredictions(&mut p, 0x400000, [true; 100]);
+        assert_eq!(steady, 0, "steady state should be perfect");
     }
 
     #[test]
     fn predictor_learns_alternating_pattern() {
         let mut p = GsharePredictor::new(12);
-        let mut taken = false;
-        for _ in 0..2000 {
-            taken = !taken;
-            p.predict_and_update(0x400010, taken);
-        }
         // Global history captures period-2 patterns almost perfectly.
-        assert!(
-            p.misprediction_rate() < 0.1,
-            "rate {}",
-            p.misprediction_rate()
-        );
+        let rate = mispredictions(&mut p, 0x400010, (1..=2000).map(|i| i % 2 == 1)) as f64 / 2000.0;
+        assert!(rate < 0.1, "rate {rate}");
     }
 
     #[test]
     fn predictor_struggles_on_random_branch() {
         let mut p = GsharePredictor::new(12);
         let mut state = 0x12345u64;
-        for _ in 0..5000 {
+        let outcomes = (0..5000).map(|_| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            p.predict_and_update(0x400020, state >> 63 == 1);
-        }
-        assert!(
-            p.misprediction_rate() > 0.35,
-            "rate {}",
-            p.misprediction_rate()
-        );
+            state >> 63 == 1
+        });
+        let rate = mispredictions(&mut p, 0x400020, outcomes) as f64 / 5000.0;
+        assert!(rate > 0.35, "rate {rate}");
     }
 
     #[test]

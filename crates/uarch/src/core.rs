@@ -116,14 +116,11 @@ impl CoreModel {
         &self.counters
     }
 
-    /// Lifetime direction-misprediction rate.
-    pub fn misprediction_rate(&self) -> f64 {
-        self.gshare.misprediction_rate()
-    }
-
-    /// Bytes guaranteed to share one I-cache line *and* one page: the
-    /// granularity at which instruction fetches may be batched without
-    /// reordering L2 accesses relative to the per-event path.
+    /// Bytes guaranteed to share one I-cache line *and* one page. After one
+    /// [`CoreModel::fetch_one`] in such a span, further fetches in it hit
+    /// the line at the front of its set and the page at the head of the
+    /// I-TLB's recency list, which changes no state and no counter, so a
+    /// batched caller fetches once per span.
     pub fn fetch_span_bytes(&self) -> u64 {
         u64::from(self.icache.config().line_bytes).min(crate::tlb::PAGE_BYTES)
     }
@@ -150,22 +147,6 @@ impl CoreModel {
         }
     }
 
-    /// Fetches a run of `count` consecutive 4-byte instructions known to
-    /// share one I-cache line and one page: one full (possibly missing)
-    /// fetch at `pc`, then `count - 1` guaranteed hits applied in bulk.
-    ///
-    /// Callers must guarantee the span property (see
-    /// [`CoreModel::fetch_span_bytes`]); the batched executor derives runs
-    /// from it, so a straddling fetch can never land here.
-    #[inline]
-    pub fn fetch_line_run(&mut self, pc: u64, count: u64) {
-        self.fetch_one(pc);
-        if count > 1 {
-            self.itlb.bulk_repeat(count - 1);
-            self.icache.bulk_repeat(count - 1);
-        }
-    }
-
     /// The data-access section of [`Observer::observe`] — D-TLB, D-cache
     /// (with straddle), L2 on miss, and the load/store/unaligned counters —
     /// with a caller-owned per-stream D-TLB memo. The D-TLB's internal
@@ -183,8 +164,15 @@ impl CoreModel {
         is_store: bool,
         memo: &mut PageMemo,
     ) {
+        let dtlb_hit = self.dtlb.access_hinted(addr, memo);
+        self.data_access(dtlb_hit, addr, size, is_load, is_store);
+    }
+
+    /// Everything of a data access after the D-TLB lookup.
+    #[inline]
+    fn data_access(&mut self, dtlb_hit: bool, addr: u64, size: u8, is_load: bool, is_store: bool) {
         let c = &mut self.counters;
-        if !self.dtlb.access_hinted(addr, memo) {
+        if !dtlb_hit {
             c.dtlb_misses += 1;
         }
         let misses = self.dcache.access_range(addr, size);
@@ -241,65 +229,28 @@ impl CounterSource for CoreModel {
 }
 
 impl Observer for CoreModel {
+    /// One committed instruction through the same sections the batched
+    /// paths call; the memoized TLB paths are state-identical to the plain
+    /// ones (`structure_diff` checks them access by access).
     #[inline]
     fn observe(&mut self, ev: &ExecEvent) {
-        let c = &mut self.counters;
-        c.instructions += 1;
-
-        // Instruction fetch.
-        if !self.itlb.access(ev.pc) {
-            c.itlb_misses += 1;
-        }
-        let ic_misses = self.icache.access_range(ev.pc, 4);
-        c.icache_misses += ic_misses;
-        if ic_misses > 0 && !self.l2.access(ev.pc) {
-            c.l2_misses += 1;
-        }
-
-        // Data access.
+        self.counters.instructions += 1;
+        self.fetch_one(ev.pc);
         if let Some(mem) = ev.mem {
-            if !self.dtlb.access(mem.addr) {
-                c.dtlb_misses += 1;
-            }
-            let misses = self.dcache.access_range(mem.addr, mem.size);
-            c.dcache_misses += misses;
-            if misses > 0 && !self.l2.access(mem.addr) {
-                c.l2_misses += 1;
-            }
-            if ev.opcode.is_load() {
-                c.loads += 1;
-            }
-            if ev.opcode.is_store() {
-                c.stores += 1;
-            }
-            if mem.is_unaligned() {
-                c.unaligned += 1;
-            }
+            let dtlb_hit = self.dtlb.access_memoized(mem.addr);
+            self.data_access(
+                dtlb_hit,
+                mem.addr,
+                mem.size,
+                ev.opcode.is_load(),
+                ev.opcode.is_store(),
+            );
         }
-
-        // Control flow.
         if let Some(branch) = ev.branch {
-            match branch.kind {
-                BranchKind::Conditional => {
-                    c.cond_branches += 1;
-                    if !self.gshare.predict_and_update(ev.pc, branch.taken) {
-                        c.mispredicts += 1;
-                    }
-                }
-                BranchKind::Call => c.calls += 1,
-                BranchKind::Return => c.returns += 1,
-                BranchKind::Jump => {}
-            }
-            if branch.taken {
-                c.taken_branches += 1;
-                if !self.btb.lookup_and_update(ev.pc, branch.target) {
-                    c.btb_misses += 1;
-                }
-            }
+            self.branch_event(ev.pc, &branch);
         }
-
         if ev.syscall {
-            c.syscalls += 1;
+            self.count_syscall();
         }
     }
 }

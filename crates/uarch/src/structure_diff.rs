@@ -1,9 +1,11 @@
 //! Differential structure suite: [`Cache`] against the frozen [`ScanCache`]
 //! and [`Tlb`] against [`ScanTlb`], access by access — the hit/miss
-//! sequence, `accesses` and `misses`. Streams mix repeats, strides, local
-//! and far random addresses and addresses at the very top of the address
-//! space, with straddling sizes from 1 to 255 and `bulk_repeat` runs after
-//! fetch-style accesses.
+//! sequence, and the frozen structures' `accesses` and `misses` against
+//! the same tallies counted from the fast structure's answers. Streams mix
+//! repeats, strides, local and far random addresses and addresses at the
+//! very top of the address space, with straddling sizes from 1 to 255 and
+//! runs of repeats after fetch-style accesses, each of which must hit on
+//! both sides.
 //!
 //! [`ReferenceCore`](crate::ReferenceCore) shares [`GsharePredictor`],
 //! [`Btb`] and [`MemAccess::is_unaligned`] with the optimized core, so the
@@ -192,40 +194,56 @@ proptest! {
         let mut fast = Cache::new(config);
         let mut scan = ScanCache::new(config);
         let mut s = Stream::new(seed, u64::from(config.size_bytes));
+        // Tallies of the fast cache's answers: lines touched and missed.
+        let (mut accesses, mut misses) = (0u64, 0u64);
+        let straddles = |addr: u64, size: u8| {
+            u64::from(size > 1 && (addr + u64::from(size) - 1) >> line_log2 != addr >> line_log2)
+        };
         for i in 0..len {
             match s.rng.below(8) {
                 // A fetch, then a run of repeats on the line it touched last.
                 0 => {
                     let pc = s.range(4) & !3;
-                    prop_assert_eq!(fast.access_range(pc, 4), scan.access_range(pc, 4), "fetch {}", i);
+                    let missed = fast.access_range(pc, 4);
+                    prop_assert_eq!(missed, scan.access_range(pc, 4), "fetch {}", i);
+                    accesses += 1 + straddles(pc, 4);
+                    misses += u64::from(missed);
                     let last = if (pc + 3) >> line_log2 != pc >> line_log2 { pc + 3 } else { pc };
                     let n = 1 + s.rng.below(16);
-                    fast.bulk_repeat(n);
                     for _ in 0..n {
-                        prop_assert!(scan.access(last), "repeat after fetch {} missed", i);
+                        prop_assert!(fast.access(last), "repeat after fetch {} missed", i);
+                        prop_assert!(scan.access(last), "scan repeat after fetch {} missed", i);
                     }
+                    accesses += n;
                 }
                 1..=3 => {
                     let addr = s.addr();
-                    prop_assert_eq!(fast.access(addr), scan.access(addr), "access {} at {:#x}", i, addr);
+                    let hit = fast.access(addr);
+                    prop_assert_eq!(hit, scan.access(addr), "access {} at {:#x}", i, addr);
+                    accesses += 1;
+                    misses += u64::from(!hit);
                 }
                 _ => {
                     let size = s.size();
                     let addr = s.range(size);
+                    let missed = fast.access_range(addr, size);
                     prop_assert_eq!(
-                        fast.access_range(addr, size),
+                        missed,
                         scan.access_range(addr, size),
                         "range {} at {:#x} size {}", i, addr, size
                     );
+                    accesses += 1 + straddles(addr, size);
+                    misses += u64::from(missed);
                 }
             }
-            prop_assert_eq!(fast.accesses, scan.accesses, "accesses after op {}", i);
-            prop_assert_eq!(fast.misses, scan.misses, "misses after op {}", i);
+            prop_assert_eq!(accesses, scan.accesses, "accesses after op {}", i);
+            prop_assert_eq!(misses, scan.misses, "misses after op {}", i);
         }
     }
 
-    /// Every translation path of the TLB — plain, last-page memo,
-    /// per-stream memo and bulk repeat — against the stamp scan.
+    /// Every translation path of the TLB — plain, last-page memo and
+    /// per-stream memo, then runs of repeats of the page just translated —
+    /// against the stamp scan.
     #[test]
     fn tlb_matches_scan_tlb(
         entries in prop::sample::select(vec![1u32, 2, 3, 64, 4095]),
@@ -237,6 +255,8 @@ proptest! {
         let mut scan = ScanTlb::new(config);
         let mut memos = [PageMemo::default(); 3];
         let mut s = Stream::new(seed, u64::from(entries) * PAGE_BYTES);
+        // Tallies of the fast TLB's answers.
+        let (mut accesses, mut misses) = (0u64, 0u64);
         for i in 0..len {
             let addr = s.addr();
             let hit = match s.rng.below(4) {
@@ -245,16 +265,19 @@ proptest! {
                 _ => fast.access_hinted(addr, &mut memos[s.rng.below(3) as usize]),
             };
             prop_assert_eq!(hit, scan.access(addr), "access {} at {:#x}", i, addr);
+            accesses += 1;
+            misses += u64::from(!hit);
             // A fetch-style run: repeats of the page just translated.
             if s.rng.below(8) == 0 {
                 let n = 1 + s.rng.below(16);
-                fast.bulk_repeat(n);
                 for _ in 0..n {
-                    prop_assert!(scan.access(addr), "repeat after access {} missed", i);
+                    prop_assert!(fast.access(addr), "repeat after access {} missed", i);
+                    prop_assert!(scan.access(addr), "scan repeat after access {} missed", i);
                 }
+                accesses += n;
             }
-            prop_assert_eq!(fast.accesses, scan.accesses, "accesses after op {}", i);
-            prop_assert_eq!(fast.misses, scan.misses, "misses after op {}", i);
+            prop_assert_eq!(accesses, scan.accesses, "accesses after op {}", i);
+            prop_assert_eq!(misses, scan.misses, "misses after op {}", i);
         }
     }
 
@@ -270,6 +293,8 @@ proptest! {
     ) {
         let mut fast = GsharePredictor::new(ghr_bits);
         let mut slow = BranchyGshare::new(ghr_bits);
+        // Tallies of the fast predictor's verdicts.
+        let (mut predictions, mut mispredictions) = (0u64, 0u64);
         let mut rng = Mix(seed);
         let pcs: Vec<u64> = (0..1 + rng.below(8)).map(|_| rng.next()).collect();
         // Taken with probability bias/8: never, always, or in between.
@@ -282,13 +307,12 @@ proptest! {
                 taken = rng.below(8) < bias;
             }
             let idx = slow.index(pc);
-            prop_assert_eq!(
-                fast.predict_and_update(pc, taken),
-                slow.predict_and_update(pc, taken),
-                "branch {} at {:#x}", i, pc
-            );
-            prop_assert_eq!(fast.predictions, slow.predictions, "predictions after {}", i);
-            prop_assert_eq!(fast.mispredictions, slow.mispredictions, "mispredictions after {}", i);
+            let correct = fast.predict_and_update(pc, taken);
+            prop_assert_eq!(correct, slow.predict_and_update(pc, taken), "branch {} at {:#x}", i, pc);
+            predictions += 1;
+            mispredictions += u64::from(!correct);
+            prop_assert_eq!(predictions, slow.predictions, "predictions after {}", i);
+            prop_assert_eq!(mispredictions, slow.mispredictions, "mispredictions after {}", i);
             prop_assert_eq!(fast.history(), slow.history, "history after {}", i);
             prop_assert_eq!(fast.counter(idx), slow.table[idx], "counter {} after {}", idx, i);
         }
@@ -306,6 +330,8 @@ proptest! {
     ) {
         let mut fast = Btb::new(entries);
         let mut slow = BranchyBtb::new(entries);
+        // Tallies of the fast BTB's verdicts.
+        let (mut lookups, mut misses) = (0u64, 0u64);
         let mut rng = Mix(seed);
         let alias = u64::from(entries) * 4;
         let bases = [0, rng.next() & !3, u64::MAX - rng.below(4 * alias), u64::MAX];
@@ -314,13 +340,16 @@ proptest! {
             let pc = bases[rng.below(4) as usize].wrapping_add(alias * rng.below(3));
             let target = targets[rng.below(4) as usize];
             let idx = slow.index(pc);
+            let hit = fast.lookup_and_update(pc, target);
             prop_assert_eq!(
-                fast.lookup_and_update(pc, target),
+                hit,
                 slow.lookup_and_update(pc, target),
                 "lookup {} at {:#x} -> {:#x}", i, pc, target
             );
-            prop_assert_eq!(fast.lookups, slow.lookups, "lookups after {}", i);
-            prop_assert_eq!(fast.misses, slow.misses, "misses after {}", i);
+            lookups += 1;
+            misses += u64::from(!hit);
+            prop_assert_eq!(lookups, slow.lookups, "lookups after {}", i);
+            prop_assert_eq!(misses, slow.misses, "misses after {}", i);
             prop_assert_eq!(
                 fast.slot(idx),
                 (slow.tags[idx], slow.targets[idx]),

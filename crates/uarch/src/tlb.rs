@@ -176,10 +176,6 @@ pub struct Tlb {
     last_page: u64,
     /// Slot holding `last_page`.
     last_slot: usize,
-    /// Total translations requested.
-    pub accesses: u64,
-    /// Translations that missed.
-    pub misses: u64,
 }
 
 impl Tlb {
@@ -210,8 +206,6 @@ impl Tlb {
             index: PageIndex::new(config.entries),
             last_page: u64::MAX,
             last_slot: 0,
-            accesses: 0,
-            misses: 0,
         }
     }
 
@@ -239,7 +233,6 @@ impl Tlb {
     /// page, evicting the LRU entry.
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        self.accesses += 1;
         let page = addr / PAGE_BYTES;
         if let Some(slot) = self.index.get(page) {
             self.touch(slot);
@@ -247,7 +240,6 @@ impl Tlb {
             self.last_slot = slot as usize;
             return true;
         }
-        self.misses += 1;
         let victim = self.tail;
         let old = self.pages[victim as usize];
         if old != EMPTY {
@@ -263,16 +255,12 @@ impl Tlb {
 
     /// [`Tlb::access`] with a last-page fast path: repeat translations of
     /// the most recently used page skip even the indexed lookup. State
-    /// (entries, recency order, statistics) is identical to the plain
-    /// path — a repeat of the last page is always a hit on the slot already
-    /// at the MRU head, so its only effect is the access count.
+    /// (entries, recency order) is identical to the plain path — a repeat
+    /// of the last page is always a hit on the slot already at the MRU
+    /// head, which changes nothing.
     #[inline]
     pub fn access_memoized(&mut self, addr: u64) -> bool {
-        if addr / PAGE_BYTES == self.last_page {
-            self.accesses += 1;
-            return true;
-        }
-        self.access(addr)
+        addr / PAGE_BYTES == self.last_page || self.access(addr)
     }
 
     /// [`Tlb::access`] with a caller-owned per-stream memo on top of the
@@ -285,13 +273,11 @@ impl Tlb {
     pub fn access_hinted(&mut self, addr: u64, memo: &mut PageMemo) -> bool {
         let page = addr / PAGE_BYTES;
         if page == self.last_page {
-            self.accesses += 1;
             memo.page = page;
             memo.slot = self.last_slot;
             return true;
         }
         if page == memo.page && self.pages[memo.slot] == page {
-            self.accesses += 1;
             self.touch(memo.slot as u32);
             self.last_page = page;
             self.last_slot = memo.slot;
@@ -301,27 +287,6 @@ impl Tlb {
         memo.page = page;
         memo.slot = self.last_slot;
         hit
-    }
-
-    /// Applies `count` further translations of the most recently used page
-    /// in one step — bit-identical to `count` calls of [`Tlb::access`] on
-    /// that page, which would each hit the slot already at the MRU head.
-    ///
-    /// Callers must have translated at least one address beforehand; the
-    /// batched executor guarantees this by construction.
-    #[inline]
-    pub fn bulk_repeat(&mut self, count: u64) {
-        debug_assert!(self.last_page != EMPTY, "bulk_repeat before any access");
-        self.accesses += count;
-    }
-
-    /// Miss rate over all translations so far.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
     }
 }
 
@@ -336,7 +301,6 @@ mod tests {
         for offset in (0..PAGE_BYTES).step_by(64) {
             assert!(tlb.access(0x1000 + offset));
         }
-        assert_eq!(tlb.misses, 1);
     }
 
     #[test]
@@ -355,10 +319,11 @@ mod tests {
     fn page_walk_heavy_pattern_misses() {
         let mut tlb = Tlb::new(TlbConfig::default());
         // Touch 1000 distinct pages round-robin: far exceeds capacity.
-        for i in 0..10_000u64 {
-            tlb.access((i % 1000) * PAGE_BYTES);
-        }
-        assert!(tlb.miss_rate() > 0.9, "miss rate {}", tlb.miss_rate());
+        let misses = (0..10_000u64)
+            .filter(|i| !tlb.access((i % 1000) * PAGE_BYTES))
+            .count();
+        let rate = misses as f64 / 10_000.0;
+        assert!(rate > 0.9, "miss rate {rate}");
     }
 
     #[test]
@@ -425,8 +390,9 @@ mod tests {
         }
     }
 
-    /// The memoized and bulk paths evolve the TLB identically to the plain
-    /// path, including under heavy eviction pressure.
+    /// The memoized path evolves the TLB identically to the plain path,
+    /// including under heavy eviction pressure and through runs of repeats
+    /// of the page just translated, each of which hits on both.
     #[test]
     fn memoized_paths_are_state_identical() {
         let cfg = TlbConfig { entries: 4 };
@@ -441,13 +407,14 @@ mod tests {
             assert_eq!(plain.access(addr), memo.access_memoized(addr));
             if i % 5 == 0 {
                 for _ in 0..3 {
-                    plain.access(addr);
+                    assert!(plain.access(addr), "plain repeat after access {i}");
+                    assert!(
+                        memo.access_memoized(addr),
+                        "memoized repeat after access {i}"
+                    );
                 }
-                memo.bulk_repeat(3);
             }
         }
-        assert_eq!(plain.accesses, memo.accesses);
-        assert_eq!(plain.misses, memo.misses);
         assert_eq!(plain.pages, memo.pages);
         assert_eq!(plain.next, memo.next);
         assert_eq!(plain.prev, memo.prev);
@@ -484,8 +451,6 @@ mod tests {
                 "access {i}"
             );
         }
-        assert_eq!(plain.accesses, hinted.accesses);
-        assert_eq!(plain.misses, hinted.misses);
         assert_eq!(plain.pages, hinted.pages);
         assert_eq!(plain.next, hinted.next);
         assert_eq!(plain.prev, hinted.prev);

@@ -171,12 +171,12 @@ fn injection_preserves_malware_semantics_end_to_end() {
     let (modified, _) = rhmd_trace::inject::apply(program, &plan);
 
     let limits = ExecLimits::original_instructions(40_000);
-    let mut sink_a = rhmd_trace::exec::CountingSink::default();
-    let mut sink_b = rhmd_trace::exec::CountingSink::default();
-    let original = program.execute(limits, &mut sink_a);
-    let rewritten = modified.execute(limits, &mut sink_b);
+    let mut fp_a = rhmd_trace::exec::OriginalFingerprint::default();
+    let mut fp_b = rhmd_trace::exec::OriginalFingerprint::default();
+    let original = program.execute(limits, &mut fp_a);
+    let rewritten = modified.execute(limits, &mut fp_b);
     // Same original-work budget => identical fingerprint.
-    assert_eq!(original.original_fingerprint, rewritten.original_fingerprint);
+    assert_eq!(fp_a, fp_b);
     assert!(rewritten.instructions > original.instructions || plan.payload_len() == 0);
 }
 
