@@ -210,3 +210,33 @@ fn train_traces_only_the_splits_it_reads() {
     assert_eq!(inline, 0, "every trace came from a prefetch");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn fault_counters_move_only_under_a_fault_model() {
+    let dir = temp_dir("faults");
+    let model = dir.join("model.json");
+    expect_success(&["train", "--scale", "tiny", "--out", model.to_str().unwrap()]);
+    let fault_counters = |tag: &str, fault: &[&str]| {
+        let metrics = dir.join(format!("{tag}.json"));
+        let mut args = vec![
+            "evaluate",
+            "--scale",
+            "tiny",
+            "--model",
+            model.to_str().unwrap(),
+            "--metrics",
+            metrics.to_str().unwrap(),
+        ];
+        args.extend_from_slice(fault);
+        expect_success(&args);
+        let snap = parse(&read(&metrics));
+        let counters = snap.field("counters").expect("counters object");
+        ["uarch.windows_dropped", "uarch.windows_corrupted"]
+            .map(|key| as_u64(counters.field(key).unwrap()))
+    };
+    let [dropped, corrupted] = fault_counters("faulted", &["--fault", "drop:0.2"]);
+    assert!(dropped > 0, "a 20% drop rate drops reads");
+    assert!(corrupted > 0, "the surviving reads pass through the fault model");
+    assert_eq!(fault_counters("clean", &[]), [0, 0], "a clean evaluate reads no faults");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -56,15 +56,8 @@
 
 use crate::config::CorpusConfig;
 use crate::corpus::Corpus;
-use rhmd_features::stream::stream_features_into;
+use rhmd_features::pipeline::{project_windows_into, trace_subwindows};
 use rhmd_features::vector::FeatureSpec;
-
-std::thread_local! {
-    /// Per-thread staging buffers for streamed feature rows, reused across
-    /// every program a worker thread traces.
-    static STAGING: std::cell::RefCell<Vec<Vec<f64>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
 use rhmd_ml::matrix::FeatureMatrix;
 use rhmd_ml::mmap::{MappedBuffer, NATIVE_F64_VIEWS};
 use rhmd_runtime::ckpt::{Journal, Manifest};
@@ -375,40 +368,22 @@ impl StoreBuilder {
             } else {
                 // Trace + project the chunk in parallel (ordered, so output
                 // is identical at any thread count), then append rows
-                // sequentially in program order. Each program is one
-                // streaming pass: every spec is a clean lane fed from the
-                // same execution, writing rows into per-thread staging
-                // buffers reused across programs.
-                let flats: Vec<Vec<(u64, Vec<u8>)>> =
-                    self.pool.map(ids, |_, &id| {
-                        STAGING.with(|staging| {
-                            let mut staging = staging.borrow_mut();
-                            let want = self.specs.len().max(staging.len());
-                            staging.resize_with(want, Vec::new);
-                            for buf in staging.iter_mut().take(self.specs.len()) {
-                                buf.clear();
-                            }
-                            let mut outs: Vec<&mut Vec<f64>> =
-                                staging.iter_mut().take(self.specs.len()).collect();
-                            let outcome = stream_features_into(
-                                corpus.program(id),
-                                limits,
-                                core_config,
-                                &self.specs,
-                                &mut outs,
-                            );
-                            outcome
-                                .rows
-                                .iter()
-                                .zip(outs.iter())
-                                .map(|(&rows, buf)| {
-                                    let bytes: Vec<u8> =
-                                        buf.iter().flat_map(|v| v.to_le_bytes()).collect();
-                                    (rows as u64, bytes)
-                                })
-                                .collect()
+                // sequentially in program order. Each program is traced
+                // once into subwindows, and every spec projects its rows
+                // from them.
+                let flats: Vec<Vec<(u64, Vec<u8>)>> = self.pool.map(ids, |_, &id| {
+                    let windows = trace_subwindows(corpus.program(id), limits, core_config);
+                    let mut rows = Vec::new();
+                    self.specs
+                        .iter()
+                        .map(|spec| {
+                            rows.clear();
+                            let n = project_windows_into(&windows, spec, &mut rows);
+                            let bytes: Vec<u8> = rows.iter().flat_map(|v| v.to_le_bytes()).collect();
+                            (n as u64, bytes)
                         })
-                    });
+                        .collect()
+                });
                 let mut specs_progress: Vec<SpecProgress> = shards
                     .iter()
                     .map(|s| SpecProgress {

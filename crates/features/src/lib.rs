@@ -12,16 +12,16 @@
 //!   (cache misses, mispredictions, unaligned accesses, …) from
 //!   [`rhmd_uarch`].
 //!
-//! Extraction is two-phase: [`pipeline::trace_subwindows`] runs a program
-//! once at fine granularity, and any [`vector::FeatureSpec`] (kind × period ×
-//! opcode subset) can then be projected from the cached subwindows — the
-//! pattern every period/feature sweep in the paper relies on. When the
-//! consumer knows its specs up front, [`stream::stream_features_into`]
-//! fuses tracing, aggregation, and projection into one batched pass that
-//! writes rows straight into caller-owned buffers (bit-identical output).
-//! Every gap-tolerant consumer — [`window::aggregate_with_gaps`], the
-//! stream lanes, and `rhmd serve`'s sessions — assembles windows through
-//! one incremental [`window::WindowAssembler`].
+//! Extraction is two-phase, and there is one path for each phase:
+//! [`pipeline::trace_subwindows`] runs a program once at fine granularity
+//! on the batched flat-IR walk ([`stream`]), and any [`vector::FeatureSpec`]
+//! (kind × period × opcode subset) is then projected from the subwindows by
+//! [`pipeline::project_windows_into`] — the pattern every period/feature
+//! sweep in the paper relies on, and the one the corpus store builds its
+//! shards with. Faulted reads go through [`window::apply_faults`] first.
+//! Every consumer — clean projection, [`window::aggregate_with_gaps`], and
+//! `rhmd serve`'s sessions — assembles windows through one incremental
+//! [`window::WindowAssembler`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -33,7 +33,7 @@ pub mod vector;
 pub mod window;
 
 pub use pipeline::{extract, project_windows, trace_subwindows};
-pub use stream::{collect_subwindows, stream_features_into, StreamOutcome};
+pub use stream::collect_subwindows;
 pub use select::{select_top_delta_opcodes, DEFAULT_TOP_K};
 pub use vector::{FeatureKind, FeatureSpec};
 pub use window::{

@@ -28,7 +28,8 @@ pub fn trace_subwindows(
 /// interpreter driving a [`WindowAccumulator`] over
 /// [`rhmd_uarch::reference`]'s seed-era scan-based structures. Kept as the
 /// differential oracle for the batched walk — it shares no µarch code with
-/// the optimized path — and as the honest "before" leg of `bench_trace`.
+/// the optimized path — and as the "before" leg of the trace floor in
+/// `crates/bench/tests/speed_floors.rs`.
 pub fn trace_subwindows_reference(
     program: &Program,
     limits: ExecLimits,

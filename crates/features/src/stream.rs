@@ -1,13 +1,11 @@
-//! Streaming window extraction: the trace→features hot path.
+//! Batched subwindow extraction: the trace hot path.
 //!
-//! The two-phase pipeline ([`crate::pipeline::trace_subwindows`] then
-//! [`crate::pipeline::project_windows_into`]) materializes a
-//! `Vec<RawWindow>` per program before projecting it. This module folds the
-//! whole chain — µarch simulation, subwindow slicing, aggregation, and
-//! feature projection — into one pass over the batched instruction stream,
-//! writing finished rows directly into caller-owned flat buffers.
-//!
-//! Everything here is **bit-identical** to the two-phase path:
+//! [`collect_subwindows_flat`] walks a program's flat IR once on the
+//! batched path and slices it into [`SUBWINDOW`]-sized [`RawWindow`]s;
+//! every row the crate produces is then projected from those windows by
+//! [`crate::pipeline::project_windows_into`], for live runs and the corpus
+//! store alike. The windows are **bit-identical** to the per-event
+//! reference pipeline ([`crate::pipeline::trace_subwindows_reference`]):
 //!
 //! * the internal subwindow cursor advances a [`CoreModel`] in per-run strides using
 //!   the run-level structure paths, which evolve cache/TLB state exactly as
@@ -17,40 +15,14 @@
 //!   span, so the shared L2 sees misses in the same order as the per-event
 //!   path;
 //! * runs never cross a subwindow seal, so every miss lands in the same
-//!   window as the per-event path;
-//! * each lane is one clean spec fed through a
-//!   [`crate::window::WindowAssembler`] at `min_fill = 1.0`, the same rule
-//!   [`crate::pipeline::project_windows_into`] applies to a materialized
-//!   stream. Faulted streams go through [`crate::window::apply_faults`]
-//!   and the two-phase path instead.
+//!   window as the per-event path.
 
-use crate::vector::FeatureSpec;
-use crate::window::{delta_bin, RawWindow, Sealed, WindowAssembler, SUBWINDOW};
+use crate::window::{delta_bin, RawWindow, SUBWINDOW};
 use rhmd_trace::exec::{ExecEvent, ExecLimits, ExecSummary};
 use rhmd_trace::flat::{BatchSink, FlatInstr, FlatProgram};
 use rhmd_trace::isa::INSTR_BYTES;
 use rhmd_trace::Program;
 use rhmd_uarch::{CoreConfig, CoreModel, PageMemo};
-
-/// Receiver of sealed subwindows emitted by a [`SubwindowCursor`].
-trait SubwindowSink {
-    fn subwindow(&mut self, window: RawWindow);
-}
-
-impl SubwindowSink for Vec<RawWindow> {
-    fn subwindow(&mut self, window: RawWindow) {
-        self.push(window);
-    }
-}
-
-impl SubwindowSink for Vec<StreamLane<'_>> {
-    fn subwindow(&mut self, window: RawWindow) {
-        for lane in self.iter_mut() {
-            let sealed = lane.assembler.push(&window);
-            lane.emit(sealed);
-        }
-    }
-}
 
 /// Drives a [`CoreModel`] over the batched instruction stream and slices it
 /// into [`SUBWINDOW`]-sized [`RawWindow`]s — the streaming replacement for
@@ -62,7 +34,7 @@ struct SubwindowCursor {
     last_mem_addr: Option<u64>,
     /// Bytes sharing one I-cache line and one page; fetch-batching span.
     span: u64,
-    sealed: u64,
+    windows: Vec<RawWindow>,
     /// Per-stream D-TLB memos, indexed by the flat IR's stream id
     /// (u8-ranged, so 256 covers every stream including scratch). The
     /// D-TLB's internal depth-1 memo thrashes when streams interleave;
@@ -79,18 +51,36 @@ impl SubwindowCursor {
             current: RawWindow::default(),
             last_mem_addr: None,
             span,
-            sealed: 0,
+            windows: Vec::new(),
             memos: vec![PageMemo::default(); 256],
         }
     }
 
+    fn seal(&mut self) {
+        if self.current.instructions > 0 {
+            let mut window = std::mem::take(&mut self.current);
+            window.counters = self.core.drain_counters();
+            self.windows.push(window);
+        }
+    }
+
+    /// Seals the trailing partial subwindow, if non-empty, and returns the
+    /// sealed windows trimmed to their exact length.
+    fn finish(mut self) -> Vec<RawWindow> {
+        self.seal();
+        self.windows.shrink_to_fit();
+        self.windows
+    }
+}
+
+impl BatchSink for SubwindowCursor {
     /// Processes one body run. Splits it so no sub-run crosses an I-cache
     /// line/page boundary (keeping L2 access order identical to the
     /// per-event path) or a subwindow seal (keeping miss attribution in the
     /// right window), then advances the core in bulk per sub-run: one fetch,
     /// since the rest of the sub-run's fetches are hits that change nothing
     /// (see [`CoreModel::fetch_span_bytes`]).
-    fn body_run(&mut self, pc: u64, instrs: &[FlatInstr], addrs: &[u64], sink: &mut dyn SubwindowSink) {
+    fn body_run(&mut self, pc: u64, instrs: &[FlatInstr], addrs: &[u64]) {
         let mut i = 0usize;
         let mut pc = pc;
         while i < instrs.len() {
@@ -123,7 +113,7 @@ impl SubwindowCursor {
             self.core.add_instructions(run as u32);
             self.current.instructions += run as u32;
             if self.current.instructions == SUBWINDOW {
-                self.seal(sink);
+                self.seal();
             }
             i += run;
             pc += run as u64 * INSTR_BYTES;
@@ -131,7 +121,7 @@ impl SubwindowCursor {
     }
 
     /// Processes one terminator event on the run-level core paths.
-    fn terminator(&mut self, ev: &ExecEvent, sink: &mut dyn SubwindowSink) {
+    fn terminator(&mut self, ev: &ExecEvent) {
         self.core.fetch_one(ev.pc);
         if let Some(branch) = ev.branch {
             self.core.branch_event(ev.pc, &branch);
@@ -143,141 +133,9 @@ impl SubwindowCursor {
         self.current.instructions += 1;
         self.current.opcode_counts[ev.opcode.index()] += 1;
         if self.current.instructions == SUBWINDOW {
-            self.seal(sink);
+            self.seal();
         }
     }
-
-    fn seal(&mut self, sink: &mut dyn SubwindowSink) {
-        if self.current.instructions > 0 {
-            let mut window = std::mem::take(&mut self.current);
-            window.counters = self.core.drain_counters();
-            self.sealed += 1;
-            sink.subwindow(window);
-        }
-    }
-
-    /// Seals the trailing partial subwindow, if non-empty.
-    fn finish(&mut self, sink: &mut dyn SubwindowSink) {
-        self.seal(sink);
-    }
-}
-
-/// One live lane: a clean spec's assembler projecting each kept window
-/// into a caller-owned flat buffer.
-#[derive(Debug)]
-struct StreamLane<'a> {
-    spec: &'a FeatureSpec,
-    assembler: WindowAssembler,
-    rows: usize,
-    out: &'a mut Vec<f64>,
-}
-
-impl StreamLane<'_> {
-    fn emit(&mut self, sealed: Option<Sealed>) {
-        if let Some(Sealed::Window(window)) = sealed {
-            self.spec.project_into(&window, self.out);
-            self.rows += 1;
-        }
-    }
-}
-
-/// Result of one streaming extraction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamOutcome {
-    /// Rows appended per lane (parallel to the `specs` argument).
-    pub rows: Vec<usize>,
-    /// The execution summary.
-    pub summary: ExecSummary,
-    /// Subwindows sealed during the run (including a trailing partial one).
-    pub subwindows: u64,
-}
-
-/// The incremental window-extraction batch sink: one core, many lanes,
-/// rows written straight into caller buffers.
-#[derive(Debug)]
-struct WindowStream<'a> {
-    cursor: SubwindowCursor,
-    lanes: Vec<StreamLane<'a>>,
-}
-
-impl<'a> WindowStream<'a> {
-    fn new(config: CoreConfig, specs: &'a [FeatureSpec], outs: &'a mut [&mut Vec<f64>]) -> WindowStream<'a> {
-        assert_eq!(
-            specs.len(),
-            outs.len(),
-            "one output buffer per spec is required"
-        );
-        WindowStream {
-            cursor: SubwindowCursor::new(config),
-            lanes: specs
-                .iter()
-                .zip(outs.iter_mut())
-                .map(|(spec, out)| StreamLane {
-                    spec,
-                    assembler: WindowAssembler::new(spec.period, 1.0),
-                    rows: 0,
-                    out,
-                })
-                .collect(),
-        }
-    }
-
-    fn finish(mut self, summary: ExecSummary) -> StreamOutcome {
-        self.cursor.finish(&mut self.lanes);
-        for lane in &mut self.lanes {
-            let tail = lane.assembler.finish();
-            lane.emit(tail);
-        }
-        StreamOutcome {
-            rows: self.lanes.iter().map(|l| l.rows).collect(),
-            summary,
-            subwindows: self.cursor.sealed,
-        }
-    }
-}
-
-impl BatchSink for WindowStream<'_> {
-    #[inline]
-    fn body_run(&mut self, pc: u64, instrs: &[FlatInstr], addrs: &[u64]) {
-        self.cursor.body_run(pc, instrs, addrs, &mut self.lanes);
-    }
-
-    #[inline]
-    fn terminator(&mut self, ev: &ExecEvent) {
-        self.cursor.terminator(ev, &mut self.lanes);
-    }
-}
-
-/// Executes a pre-lowered program once, streaming each spec's rows into
-/// its output buffer (appended; existing contents survive). Each spec is a
-/// clean lane: strict aggregation at its period, then projection.
-pub fn stream_features_flat(
-    flat: &FlatProgram,
-    limits: ExecLimits,
-    config: CoreConfig,
-    specs: &[FeatureSpec],
-    outs: &mut [&mut Vec<f64>],
-) -> StreamOutcome {
-    rhmd_obs::incr("trace.programs_executed");
-    let _span = rhmd_obs::span("trace.exec");
-    let mut stream = WindowStream::new(config, specs, outs);
-    let summary =
-        rhmd_trace::flat::with_scratch(|scratch| flat.run_batched(limits, &mut stream, scratch));
-    let outcome = stream.finish(summary);
-    rhmd_obs::add("trace.instructions", summary.instructions);
-    rhmd_obs::add("trace.windows", outcome.subwindows);
-    outcome
-}
-
-/// [`stream_features_flat`] lowering the program first — the one-shot form.
-pub fn stream_features_into(
-    program: &Program,
-    limits: ExecLimits,
-    config: CoreConfig,
-    specs: &[FeatureSpec],
-    outs: &mut [&mut Vec<f64>],
-) -> StreamOutcome {
-    stream_features_flat(&FlatProgram::lower(program), limits, config, specs, outs)
 }
 
 /// Executes a pre-lowered program once on the batched path and returns its
@@ -293,32 +151,13 @@ pub fn collect_subwindows_flat(
 ) -> (Vec<RawWindow>, ExecSummary) {
     rhmd_obs::incr("trace.programs_executed");
     let _span = rhmd_obs::span("trace.exec");
-    struct Collector {
-        cursor: SubwindowCursor,
-        windows: Vec<RawWindow>,
-    }
-    impl BatchSink for Collector {
-        #[inline]
-        fn body_run(&mut self, pc: u64, instrs: &[FlatInstr], addrs: &[u64]) {
-            self.cursor.body_run(pc, instrs, addrs, &mut self.windows);
-        }
-        #[inline]
-        fn terminator(&mut self, ev: &ExecEvent) {
-            self.cursor.terminator(ev, &mut self.windows);
-        }
-    }
-    let mut collector = Collector {
-        cursor: SubwindowCursor::new(config),
-        windows: Vec::new(),
-    };
-    let summary = rhmd_trace::flat::with_scratch(|scratch| {
-        flat.run_batched(limits, &mut collector, scratch)
-    });
-    collector.cursor.finish(&mut collector.windows);
-    collector.windows.shrink_to_fit();
+    let mut cursor = SubwindowCursor::new(config);
+    let summary =
+        rhmd_trace::flat::with_scratch(|scratch| flat.run_batched(limits, &mut cursor, scratch));
+    let windows = cursor.finish();
     rhmd_obs::add("trace.instructions", summary.instructions);
-    rhmd_obs::add("trace.windows", collector.cursor.sealed);
-    (collector.windows, summary)
+    rhmd_obs::add("trace.windows", windows.len() as u64);
+    (windows, summary)
 }
 
 /// [`collect_subwindows_flat`] lowering the program first.
@@ -333,10 +172,8 @@ pub fn collect_subwindows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{project_windows_into, trace_subwindows_reference};
-    use crate::vector::FeatureKind;
-    use rhmd_trace::generate::{benign_profile, malware_profile, BenignClass, MalwareFamily,
-                               ProgramGenerator};
+    use crate::pipeline::trace_subwindows_reference;
+    use rhmd_trace::generate::{malware_profile, MalwareFamily, ProgramGenerator};
 
     #[test]
     fn collected_subwindows_match_reference_accumulator() {
@@ -374,33 +211,6 @@ mod tests {
             assert!(!windows.is_empty());
             assert_eq!(windows.capacity(), windows.len(), "{limits:?}");
         }
-    }
-
-    #[test]
-    fn streaming_lanes_match_two_phase_projection() {
-        let p = ProgramGenerator::new(benign_profile(BenignClass::Browser)).generate(5);
-        let limits = ExecLimits::instructions(33_000);
-        let specs = [
-            FeatureSpec::new(FeatureKind::Architectural, 5_000, vec![]),
-            FeatureSpec::new(FeatureKind::Memory, 4_000, vec![]),
-        ];
-        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-        let outcome = stream_features_into(
-            &p,
-            limits,
-            CoreConfig::default(),
-            &specs,
-            &mut [&mut out_a, &mut out_b],
-        );
-
-        let reference = trace_subwindows_reference(&p, limits, CoreConfig::default());
-        let (mut ref_a, mut ref_b) = (Vec::new(), Vec::new());
-        let ra = project_windows_into(&reference, &specs[0], &mut ref_a);
-        let rb = project_windows_into(&reference, &specs[1], &mut ref_b);
-        assert_eq!(outcome.rows, vec![ra, rb]);
-        assert_eq!(out_a, ref_a);
-        assert_eq!(out_b, ref_b);
-        assert_eq!(outcome.subwindows, reference.len() as u64);
     }
 
     /// Operand sizes that are not powers of two take the remainder branch

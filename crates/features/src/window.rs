@@ -384,7 +384,10 @@ pub fn aggregate_with_gaps(
 /// would.
 ///
 /// A zero-intensity model returns a bit-exact copy of the input. Each
-/// corrupted channel is a 32-bit read ([`FaultModel::corrupt_read`]).
+/// corrupted channel is a 32-bit read ([`FaultModel::corrupt_read`]). This
+/// is the one place dropped reads merge; it adds the reads it dropped to
+/// the `uarch.windows_dropped` counter and the reads it corrupted and kept
+/// to `uarch.windows_corrupted` (the identity shortcut adds to neither).
 ///
 /// # Errors
 ///
@@ -401,12 +404,14 @@ pub fn apply_faults(
     let mut out: Vec<RawWindow> = Vec::with_capacity(subwindows.len());
     let mut pending: Option<RawWindow> = None;
     let mut prev: Option<RawWindow> = None;
+    let mut dropped = 0u64;
     for (idx, clean) in subwindows.iter().enumerate() {
         let window = idx as u64;
         let mut merged = pending.take().unwrap_or_default();
         merged.merge(clean)?;
         if model.drops_window(window) {
             pending = Some(merged);
+            dropped += 1;
             continue;
         }
         let mut read = merged;
@@ -426,6 +431,8 @@ pub fn apply_faults(
         prev = Some(read.clone());
         out.push(read);
     }
+    rhmd_obs::add("uarch.windows_dropped", dropped);
+    rhmd_obs::add("uarch.windows_corrupted", out.len() as u64);
     Ok(out)
 }
 
@@ -529,13 +536,48 @@ mod tests {
     }
 
     #[test]
-    fn dropped_subwindows_coalesce() {
-        let subs = subwindows(20_000);
-        let model = FaultModel::new(FaultConfig::dropping(0.4), 5);
+    fn drops_coalesce_into_next_read() {
+        let subs = subwindows(64_000);
+        let model = FaultModel::new(FaultConfig::dropping(0.5), 21);
         let faulted = apply_faults(&subs, &model).unwrap();
-        assert!(faulted.len() < subs.len());
-        // Coalesced reads carry the merged instruction count.
-        assert!(faulted.iter().any(|w| w.instructions >= 2_000));
+        assert!(faulted.len() < subs.len(), "a 50% drop rate must lose some reads");
+        let count = |ws: &[RawWindow]| -> u64 {
+            ws.iter().map(|w| u64::from(w.counters.instructions)).sum()
+        };
+        let (total, observed) = (count(&subs), count(&faulted));
+        // Coalescing preserves all counts except a trailing dropped run.
+        assert!(observed <= total);
+        assert!(observed >= total - subs.len() as u64 * 1_000 / 2);
+        // Coalesced reads carry the merged counts, ground truth included.
+        assert!(faulted.iter().any(|w| w.counters.instructions >= 2_000));
+        assert!(faulted.iter().all(|w| w.instructions == w.counters.instructions));
+    }
+
+    #[test]
+    fn noise_perturbs_but_preserves_scale() {
+        let subs = subwindows(32_000);
+        let model = FaultModel::new(FaultConfig::noise(0.1), 11);
+        let faulted = apply_faults(&subs, &model).unwrap();
+        assert_ne!(faulted, subs);
+        for (f, c) in faulted.iter().zip(&subs) {
+            // ±10% noise stays within ±60% with overwhelming probability.
+            let (f, c) = (f64::from(f.counters.instructions), f64::from(c.counters.instructions));
+            assert!(f > 0.4 * c && f < 1.6 * c, "{f} read for {c}");
+        }
+    }
+
+    #[test]
+    fn multiplexed_channels_read_stale() {
+        let subs = subwindows(40_000);
+        let model = FaultModel::new(FaultConfig::multiplexed(0.5), 4);
+        let faulted = apply_faults(&subs, &model).unwrap();
+        assert_eq!(faulted.len(), subs.len());
+        // Some loads reads must repeat the previous observation.
+        let stale_hits = faulted
+            .windows(2)
+            .filter(|w| w[1].counters.loads == w[0].counters.loads)
+            .count();
+        assert!(stale_hits > 0, "expected stale multiplexed reads");
     }
 
     #[test]

@@ -7,6 +7,7 @@ use rhmd_features::window::{
     aggregate_with_gaps, apply_faults, CollectionWindow, RawWindow, SUBWINDOW,
 };
 use rhmd_trace::isa::{Opcode, OPCODE_COUNT};
+use rhmd_uarch::events::COUNTER_DIMS;
 use rhmd_uarch::faults::{FaultConfig, FaultModel};
 
 /// A full subwindow with plausible opcode / memory / counter content.
@@ -47,6 +48,16 @@ fn any_fault() -> impl Strategy<Value = FaultConfig> {
     })
 }
 
+/// Any fault kind with some channel multiplexing on top (so a read's
+/// stale value matters) and no dropped reads.
+fn any_read_fault() -> impl Strategy<Value = FaultConfig> {
+    (any_fault(), 0.0f64..0.5).prop_map(|(config, mux)| FaultConfig {
+        drop_rate: 0.0,
+        multiplex_rate: mux,
+        ..config
+    })
+}
+
 fn all_specs() -> Vec<FeatureSpec> {
     let opcodes: Vec<Opcode> = Opcode::ALL[..8].to_vec();
     FeatureKind::ALL
@@ -77,6 +88,41 @@ proptest! {
                     "feature vectors must be bit-identical under {}",
                     spec.label()
                 );
+            }
+        }
+    }
+
+    /// With no dropped reads, `apply_faults` is per-read corruption, checked
+    /// channel by channel and in reverse window order: window `i`'s
+    /// counters are `corrupt_counters(i, prev)` and each opcode and
+    /// memory-delta channel is `corrupt_read` at its channel index, where
+    /// `prev` is the previous *observed* window. The committed instruction
+    /// count is never corrupted.
+    #[test]
+    fn undropped_reads_are_corrupted_channel_by_channel(
+        stream in any_stream(),
+        config in any_read_fault(),
+        seed in any::<u64>(),
+    ) {
+        let model = FaultModel::new(config, seed);
+        let faulted = apply_faults(&stream, &model).unwrap();
+        prop_assert_eq!(faulted.len(), stream.len());
+        for i in (0..stream.len()).rev() {
+            let (clean, read, window) = (&stream[i], &faulted[i], i as u64);
+            let prev = i.checked_sub(1).map(|j| &faulted[j]);
+            prop_assert_eq!(read.instructions, clean.instructions);
+            let mut counters = clean.counters;
+            model.corrupt_counters(window, &mut counters, prev.map(|p| &p.counters));
+            prop_assert_eq!(read.counters, counters, "counters of window {}", i);
+            for (k, (&got, &v)) in read.opcode_counts.iter().zip(&clean.opcode_counts).enumerate() {
+                let channel = (COUNTER_DIMS + k) as u64;
+                let stale = prev.map(|p| p.opcode_counts[k]);
+                prop_assert_eq!(got, model.corrupt_read(window, channel, v, stale));
+            }
+            for (k, (&got, &v)) in read.mem_delta_hist.iter().zip(&clean.mem_delta_hist).enumerate() {
+                let channel = (COUNTER_DIMS + OPCODE_COUNT + k) as u64;
+                let stale = prev.map(|p| p.mem_delta_hist[k]);
+                prop_assert_eq!(got, model.corrupt_read(window, channel, v, stale));
             }
         }
     }

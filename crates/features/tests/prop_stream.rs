@@ -1,16 +1,15 @@
-//! Property-based tests pinning the streaming trace→features hot path to
-//! the two-phase reference pipeline, bit for bit.
+//! Property-based tests pinning the batched trace→features hot path to
+//! the per-event reference pipeline, bit for bit.
 //!
-//! The streaming path (flat IR, batched µarch simulation, incremental
-//! lanes) claims to be a pure optimization of the seed-era per-event
-//! pipeline. These properties check that claim across random programs,
-//! execution budgets, feature kinds and collection periods. Lanes are
-//! clean: faulted streams take `apply_faults` and the two-phase path,
-//! which `tests/prop_faults.rs` covers.
+//! The batched path (flat IR, batched µarch simulation) claims to be a pure
+//! optimization of the seed-era per-event pipeline. These properties check
+//! that claim across random programs, execution budgets, feature kinds and
+//! collection periods. Rows are clean: faulted streams take `apply_faults`
+//! first, which `tests/prop_faults.rs` covers.
 
 use proptest::prelude::*;
 use rhmd_features::pipeline::{project_windows_into, trace_subwindows_reference};
-use rhmd_features::stream::{collect_subwindows, stream_features_into};
+use rhmd_features::stream::collect_subwindows;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
 use rhmd_trace::exec::ExecLimits;
 use rhmd_trace::generate::{benign_profile, malware_profile, BenignClass, MalwareFamily,
@@ -61,63 +60,24 @@ proptest! {
         );
     }
 
-    /// A streaming lane reproduces trace → aggregate → project
-    /// bit-for-bit, for any spec kind and period.
+    /// One batched trace projected per spec (mixed kinds and periods, as
+    /// the corpus store builds its shards) reproduces the reference trace's
+    /// rows bit-for-bit.
     #[test]
-    fn clean_lane_matches_two_phase(
+    fn batched_rows_match_reference_rows(
         program in any_profile_seeded(),
         budget in 1_000u64..30_000,
-        kind in any_kind(),
-        period in any_period(),
+        specs in prop::collection::vec((any_kind(), any_period()), 1..4),
     ) {
         let limits = ExecLimits::instructions(budget);
-        let spec = FeatureSpec::new(kind, period, vec![]);
-        let mut out = Vec::new();
-        let outcome = stream_features_into(
-            &program,
-            limits,
-            CoreConfig::default(),
-            std::slice::from_ref(&spec),
-            &mut [&mut out],
-        );
-
+        let (batched, _) = collect_subwindows(&program, limits, CoreConfig::default());
         let reference = trace_subwindows_reference(&program, limits, CoreConfig::default());
-        let mut expect = Vec::new();
-        let rows = project_windows_into(&reference, &spec, &mut expect);
-        prop_assert_eq!(outcome.rows, vec![rows]);
-        prop_assert!(bits_equal(&out, &expect));
-    }
-
-    /// Lanes are independent: a multi-lane pass (mixed kinds and periods)
-    /// produces exactly what each lane would alone.
-    #[test]
-    fn lanes_are_independent(
-        program in any_profile_seeded(),
-        budget in 5_000u64..25_000,
-        periods in prop::collection::vec(any_period(), 2..4),
-    ) {
-        let limits = ExecLimits::instructions(budget);
-        let specs: Vec<FeatureSpec> = periods
-            .iter()
-            .zip(FeatureKind::ALL.iter().cycle())
-            .map(|(&p, &k)| FeatureSpec::new(k, p, vec![]))
-            .collect();
-        let mut bufs: Vec<Vec<f64>> = vec![Vec::new(); specs.len()];
-        let mut outs: Vec<&mut Vec<f64>> = bufs.iter_mut().collect();
-        let joint =
-            stream_features_into(&program, limits, CoreConfig::default(), &specs, &mut outs);
-
-        for (i, spec) in specs.iter().enumerate() {
-            let mut solo = Vec::new();
-            let alone = stream_features_into(
-                &program,
-                limits,
-                CoreConfig::default(),
-                std::slice::from_ref(spec),
-                &mut [&mut solo],
-            );
-            prop_assert_eq!(joint.rows[i], alone.rows[0]);
-            prop_assert!(bits_equal(&bufs[i], &solo), "lane {} diverged", i);
+        for (kind, period) in specs {
+            let spec = FeatureSpec::new(kind, period, vec![]);
+            let (mut rows, mut expect) = (Vec::new(), Vec::new());
+            let n = project_windows_into(&batched, &spec, &mut rows);
+            prop_assert_eq!(n, project_windows_into(&reference, &spec, &mut expect));
+            prop_assert!(bits_equal(&rows, &expect), "{} diverged", spec.label());
         }
     }
 }

@@ -151,6 +151,11 @@ impl RandomForest {
 }
 
 impl Classifier for RandomForest {
+    // Never inlined, so per-row scoring and the default `score_batch` loop
+    // run one compiled walk. With two copies, which one ran faster depended
+    // on where the linker placed them (0.73x to 1.45x batch over per-row
+    // between builds whose forest code was identical).
+    #[inline(never)]
     fn score(&self, x: &[f64]) -> f64 {
         let total: f64 = self.trees.iter().map(|t| t.score(x)).sum();
         total / self.trees.len() as f64

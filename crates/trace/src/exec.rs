@@ -220,8 +220,8 @@ impl<'p> Executor<'p> {
     }
 
     /// The seed-era per-instruction interpreter, kept verbatim as the
-    /// differential reference for the batched walk (and as the honest
-    /// "before" leg of `bench_trace`).
+    /// differential reference for the batched walk (and as the "before" leg
+    /// of the trace floor in `crates/bench/tests/speed_floors.rs`).
     pub fn run_reference<O: Observer + ?Sized>(&self, observer: &mut O) -> ExecSummary {
         let program = self.program;
         let mut summary = ExecSummary::default();

@@ -6,9 +6,12 @@
 //! lost to interrupt coalescing, a limited number of physical counters is
 //! multiplexed across more logical events (so a channel reads stale or zero
 //! for some windows), and electrical or firmware glitches corrupt whole
-//! bursts of reads. [`FaultModel`] reproduces each of those effects on a
-//! committed counter stream, keyed only on `(seed, window index, channel)`
-//! so corruption is reproducible and independent of evaluation order.
+//! bursts of reads. [`FaultModel`] reproduces each of those effects one
+//! read at a time, keyed only on `(seed, window index, channel)` so
+//! corruption is reproducible and independent of evaluation order. Merging
+//! dropped reads into the next surviving one is a stream-level rule, and
+//! lives with the subwindow stream it applies to
+//! (`rhmd_features::window::apply_faults`).
 //!
 //! A zero-intensity model (the default config) is a bit-exact identity and
 //! never touches a floating-point path, so fault-free runs stay
@@ -21,15 +24,13 @@
 //! use rhmd_uarch::faults::{FaultConfig, FaultModel};
 //!
 //! let model = FaultModel::new(FaultConfig::noise(0.1), 7);
-//! let clean = CounterSet { instructions: 1_000, loads: 240, ..CounterSet::default() };
-//! let mut stream = vec![clean; 4];
-//! model.corrupt_stream(&mut stream).expect("four reads sum within u32");
-//! assert_eq!(stream.len(), 4); // noise never drops windows
+//! let mut read = CounterSet { instructions: 1_000, loads: 240, ..CounterSet::default() };
+//! model.corrupt_counters(0, &mut read, None);
+//! assert!(!model.drops_window(0)); // noise never drops reads
+//! assert!((400..1_600).contains(&read.instructions)); // ±10% jitter
 //! ```
 
-use crate::core::CoreModel;
-use crate::events::{CountOverflow, CounterSet, COUNTER_DIMS};
-use rhmd_trace::exec::{ExecEvent, Observer};
+use crate::events::{CounterSet, COUNTER_DIMS};
 use serde::{Deserialize, Serialize};
 
 /// How a width-limited counter handles overflow.
@@ -256,7 +257,7 @@ impl FaultModel {
     }
 
     /// True when `window` falls inside a corruption burst.
-    pub fn in_burst(&self, window: u64) -> bool {
+    fn in_burst(&self, window: u64) -> bool {
         if self.config.burst_rate <= 0.0 {
             return false;
         }
@@ -266,7 +267,7 @@ impl FaultModel {
     }
 
     /// True when `channel` is multiplexed out (reads stale) in `window`.
-    pub fn multiplexed_out(&self, window: u64, channel: u64) -> bool {
+    fn multiplexed_out(&self, window: u64, channel: u64) -> bool {
         self.config.multiplex_rate > 0.0
             && unit(self.hash(TAG_MUX, window, channel)) < self.config.multiplex_rate
     }
@@ -341,139 +342,6 @@ impl FaultModel {
         }
         *counters = CounterSet::from_array(out);
     }
-
-    /// Corrupts a whole counter stream: applies per-channel corruption to
-    /// every window and merges dropped reads into the next surviving window
-    /// (interrupt coalescing), truncating any trailing run of dropped reads.
-    ///
-    /// Window indices are positions in the *original* stream, so per-window
-    /// decisions match [`FaultModel::drops_window`] /
-    /// [`FaultModel::corrupt_counters`] applied individually.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CountOverflow`] when a run of coalesced reads sums past
-    /// `u32::MAX` in some channel; `stream` is then left as it was.
-    pub fn corrupt_stream(&self, stream: &mut Vec<CounterSet>) -> Result<(), CountOverflow> {
-        if self.is_identity() {
-            return Ok(());
-        }
-        let mut out: Vec<CounterSet> = Vec::with_capacity(stream.len());
-        let mut pending = CounterSet::default();
-        let mut prev: Option<CounterSet> = None;
-        let mut dropped = 0u64;
-        for (window, clean) in stream.iter().enumerate() {
-            let merged = pending.checked_add(clean)?;
-            if self.drops_window(window as u64) {
-                pending = merged;
-                dropped += 1;
-                continue;
-            }
-            pending = CounterSet::default();
-            let mut read = merged;
-            self.corrupt_counters(window as u64, &mut read, prev.as_ref());
-            prev = Some(read);
-            out.push(read);
-        }
-        rhmd_obs::add("uarch.windows_dropped", dropped);
-        rhmd_obs::add("uarch.windows_corrupted", out.len() as u64);
-        *stream = out;
-        Ok(())
-    }
-}
-
-/// A [`CoreModel`] wrapped with fault injection on its counter reads: the
-/// events flow through unchanged, but every [`FaultedCore::drain_counters`]
-/// read passes through the [`FaultModel`].
-///
-/// # Examples
-///
-/// ```
-/// use rhmd_trace::exec::ExecLimits;
-/// use rhmd_trace::generate::{benign_profile, BenignClass, ProgramGenerator};
-/// use rhmd_uarch::faults::{FaultConfig, FaultModel, FaultedCore};
-/// use rhmd_uarch::{CoreConfig, CoreModel};
-///
-/// let program = ProgramGenerator::new(benign_profile(BenignClass::Browser)).generate(0);
-/// let mut core = FaultedCore::new(
-///     CoreModel::new(CoreConfig::default()),
-///     FaultModel::new(FaultConfig::noise(0.05), 3),
-/// );
-/// program.execute(ExecLimits::instructions(10_000), &mut core);
-/// let read = core
-///     .drain_counters()
-///     .expect("10k instructions of reads sum within u32")
-///     .expect("noise never drops reads");
-/// assert!(read.instructions > 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FaultedCore {
-    core: CoreModel,
-    model: FaultModel,
-    window: u64,
-    pending: CounterSet,
-    prev: Option<CounterSet>,
-}
-
-impl FaultedCore {
-    /// Wraps `core` with `model`.
-    pub fn new(core: CoreModel, model: FaultModel) -> FaultedCore {
-        FaultedCore {
-            core,
-            model,
-            window: 0,
-            pending: CounterSet::default(),
-            prev: None,
-        }
-    }
-
-    /// The wrapped core.
-    pub fn core(&self) -> &CoreModel {
-        &self.core
-    }
-
-    /// The fault model in effect.
-    pub fn model(&self) -> &FaultModel {
-        &self.model
-    }
-
-    /// Unwraps the inner core, discarding fault state.
-    pub fn into_inner(self) -> CoreModel {
-        self.core
-    }
-
-    /// Reads and resets the accumulated counters through the fault model.
-    ///
-    /// Returns `Ok(None)` when the read was lost to interrupt coalescing;
-    /// the lost counts are merged into the next successful read, as on
-    /// hardware where the accumulation continues even if the sampling
-    /// interrupt is missed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CountOverflow`] when the coalesced counts no longer fit a
-    /// `u32` in some channel.
-    pub fn drain_counters(&mut self) -> Result<Option<CounterSet>, CountOverflow> {
-        let window = self.window;
-        self.window += 1;
-        let merged = self.pending.checked_add(&self.core.drain_counters())?;
-        if self.model.drops_window(window) {
-            self.pending = merged;
-            return Ok(None);
-        }
-        self.pending = CounterSet::default();
-        let mut read = merged;
-        self.model.corrupt_counters(window, &mut read, self.prev.as_ref());
-        self.prev = Some(read);
-        Ok(Some(read))
-    }
-}
-
-impl Observer for FaultedCore {
-    #[inline]
-    fn observe(&mut self, ev: &ExecEvent) {
-        self.core.observe(ev);
-    }
 }
 
 #[cfg(test)]
@@ -520,43 +388,15 @@ mod tests {
     fn zero_intensity_is_bit_exact_identity() {
         let model = FaultModel::new(FaultConfig::none(), 99);
         assert!(model.is_identity());
-        let clean = sample_stream(16);
-        let mut faulted = clean.clone();
-        model.corrupt_stream(&mut faulted).unwrap();
-        assert_eq!(clean, faulted);
-        assert_eq!(model.corrupt_value(3, 5, 123_456, Some(7)), 123_456);
-    }
-
-    #[test]
-    fn corruption_is_order_independent() {
-        let model = FaultModel::new(FaultConfig::noise(0.2), 5);
-        let clean = sample_stream(8);
-        // Whole-stream corruption equals window-at-a-time corruption.
-        let mut streamed = clean.clone();
-        model.corrupt_stream(&mut streamed).unwrap();
-        let mut individual = Vec::new();
         let mut prev = None;
-        for (i, &w) in clean.iter().enumerate() {
-            let mut c = w;
-            model.corrupt_counters(i as u64, &mut c, prev.as_ref());
-            prev = Some(c);
-            individual.push(c);
+        for (i, clean) in sample_stream(16).into_iter().enumerate() {
+            assert!(!model.drops_window(i as u64));
+            let mut read = clean;
+            model.corrupt_counters(i as u64, &mut read, prev.as_ref());
+            assert_eq!(read, clean);
+            prev = Some(read);
         }
-        assert_eq!(streamed, individual);
-    }
-
-    #[test]
-    fn noise_perturbs_but_preserves_scale() {
-        let model = FaultModel::new(FaultConfig::noise(0.1), 11);
-        let mut stream = sample_stream(32);
-        model.corrupt_stream(&mut stream).unwrap();
-        let clean = sample_stream(32);
-        assert_ne!(stream, clean);
-        for (f, c) in stream.iter().zip(&clean) {
-            // ±10% noise stays within ±60% with overwhelming probability.
-            assert!((f.instructions as f64) > 0.4 * c.instructions as f64);
-            assert!((f.instructions as f64) < 1.6 * c.instructions as f64);
-        }
+        assert_eq!(model.corrupt_value(3, 5, 123_456, Some(7)), 123_456);
     }
 
     #[test]
@@ -575,36 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn drops_coalesce_into_next_read() {
-        let model = FaultModel::new(FaultConfig::dropping(0.5), 21);
-        let clean = sample_stream(64);
-        let total: u32 = clean.iter().map(|c| c.instructions).sum();
-        let mut stream = clean;
-        model.corrupt_stream(&mut stream).unwrap();
-        assert!(stream.len() < 64, "a 50% drop rate must lose some reads");
-        let observed: u32 = stream.iter().map(|c| c.instructions).sum();
-        // Coalescing preserves all counts except a trailing dropped run.
-        assert!(observed <= total);
-        assert!(observed >= total - 64 * 1_000 / 2);
-        assert!(stream.iter().any(|c| c.instructions >= 2_000));
-    }
-
-    #[test]
-    fn multiplexed_channels_read_stale() {
-        let model = FaultModel::new(FaultConfig::multiplexed(0.5), 4);
-        let clean = sample_stream(40);
-        let mut stream = clean.clone();
-        model.corrupt_stream(&mut stream).unwrap();
-        assert_eq!(stream.len(), 40);
-        // Some loads reads must repeat the previous observation.
-        let stale_hits = stream
-            .windows(2)
-            .filter(|w| w[1].loads == w[0].loads)
-            .count();
-        assert!(stale_hits > 0, "expected stale multiplexed reads");
-    }
-
-    #[test]
     fn bursts_cover_consecutive_windows() {
         let config = FaultConfig::bursty(0.05, 4);
         let model = FaultModel::new(config, 9);
@@ -614,23 +424,6 @@ mod tests {
         // Every burst window belongs to a run whose start window hashes hot,
         // so runs of length >= 2 exist.
         assert!(in_burst.windows(2).any(|w| w[0] && w[1]));
-    }
-
-    #[test]
-    fn faulted_core_matches_plain_core_at_zero_intensity() {
-        use crate::{CoreConfig, CoreModel};
-        use rhmd_trace::exec::ExecLimits;
-        use rhmd_trace::generate::{benign_profile, BenignClass, ProgramGenerator};
-
-        let p = ProgramGenerator::new(benign_profile(BenignClass::Archiver)).generate(2);
-        let mut plain = CoreModel::new(CoreConfig::default());
-        p.execute(ExecLimits::instructions(8_000), &mut plain);
-        let mut faulted = FaultedCore::new(
-            CoreModel::new(CoreConfig::default()),
-            FaultModel::new(FaultConfig::none(), 1),
-        );
-        p.execute(ExecLimits::instructions(8_000), &mut faulted);
-        assert_eq!(faulted.drain_counters(), Ok(Some(plain.drain_counters())));
     }
 
     #[test]

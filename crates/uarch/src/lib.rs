@@ -49,7 +49,7 @@ pub use crate::core::{CoreConfig, CoreModel, CounterSource};
 pub use branch::{BranchConfig, Btb, GsharePredictor};
 pub use cache::{Cache, CacheConfig};
 pub use events::{CounterSet, COUNTER_DIMS, COUNTER_NAMES};
-pub use faults::{FaultConfig, FaultModel, FaultedCore, Overflow};
+pub use faults::{FaultConfig, FaultModel, Overflow};
 pub use reference::ReferenceCore;
 pub use timing::TimingModel;
 pub use tlb::{PageMemo, Tlb, TlbConfig};

@@ -11,9 +11,9 @@
 //! **Do not optimize this module.** Its entire value is that it shares no
 //! code with [`crate::cache::Cache`], [`crate::tlb::Tlb`], or the batched
 //! [`crate::CoreModel`] paths, so agreement between the two is evidence of
-//! correctness rather than of a shared bug. It also serves as the honest
-//! "before" leg of `bench_trace`: the pre-refactor path the speedup gate
-//! is measured against.
+//! correctness rather than of a shared bug. It also serves as the "before"
+//! leg of the trace floor in `crates/bench/tests/speed_floors.rs`: the
+//! pre-refactor path the speedup gate is measured against.
 
 use crate::branch::{Btb, GsharePredictor};
 use crate::cache::CacheConfig;
