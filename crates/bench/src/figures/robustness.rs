@@ -22,7 +22,7 @@ use rhmd_core::rhmd::{build_pool, pool_specs, ResilientHmd};
 use rhmd_core::verdict::VerdictPolicy;
 use rhmd_core::RhmdError;
 use rhmd_features::vector::FeatureKind;
-use rhmd_features::window::RawWindow;
+use rhmd_features::window::CollectionWindow;
 use rhmd_ml::trainer::Algorithm;
 use rhmd_runtime::ckpt::{journal_with, unit_or_compute, CkptOptions};
 use rhmd_runtime::pool::Pool;
@@ -58,7 +58,7 @@ fn measure(
     engine: &Evaluator<'_>,
     test: &[usize],
     config: FaultConfig,
-    quorum_of: impl Fn(usize, &[RawWindow]) -> QuorumVerdict + Sync,
+    quorum_of: impl Fn(usize, &[CollectionWindow]) -> QuorumVerdict + Sync,
 ) -> DegradedQuality {
     engine.degraded_quality(
         test,
@@ -148,7 +148,7 @@ pub fn robust(exp: &Experiment, ckpt: Option<&CkptOptions>) -> Result<Vec<Table>
         // exactly that, without shared state.
         let (q_rh, _) = unit_or_compute(&mut journal, &format!("{name}/rhmd"), || {
             measure(&engine, test, config, |_, subs| {
-                Detector::quorum(&rhmd, subs, MIN_FILL, &mut StreamRng::from_seed(rhmd.seed()))
+                Detector::quorum(&rhmd, subs.into(), MIN_FILL, &mut StreamRng::from_seed(rhmd.seed()))
             })
         })?;
         table.push_row(vec![

@@ -35,7 +35,7 @@
 use crate::hmd::QuorumVerdict;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rhmd_features::window::RawWindow;
+use rhmd_features::window::{RawWindow, Reads};
 use std::fmt;
 
 /// An explicitly seeded per-stream RNG, passed by the caller into every
@@ -119,35 +119,32 @@ pub trait Detector {
     /// Short human-readable description for reports (e.g. `LR[Arch@10k]`).
     fn name(&self) -> String;
 
-    /// The detector's epochs over one traced program, in order, under the
-    /// `gaps` rule. A randomized detector draws from `rng` once per epoch
-    /// it attempts, so how a walk ends decides how much of `rng` it uses.
-    fn walk(&self, subwindows: &[RawWindow], gaps: Gaps, rng: &mut StreamRng) -> Vec<Epoch>;
+    /// The detector's epochs over one program's reads (clean subwindows or
+    /// faulted reads), in order, under the `gaps` rule. A randomized
+    /// detector draws from `rng` once per epoch it attempts, so how a walk
+    /// ends decides how much of `rng` it uses.
+    fn walk(&self, reads: Reads<'_>, gaps: Gaps, rng: &mut StreamRng) -> Vec<Epoch>;
 
     /// Per-subwindow decision stream for one traced program: each
     /// detection epoch's decision is replicated across the subwindows it
     /// covers, truncated at the last complete epoch.
     fn label_stream(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool> {
-        label_stream(&self.walk(subwindows, Gaps::Stop, rng))
+        label_stream(&self.walk(Reads::Clean(subwindows), Gaps::Stop, rng))
     }
 
     /// One decision per detection epoch (collection window), without
     /// subwindow expansion.
     fn epoch_decisions(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool> {
-        decisions(&self.walk(subwindows, Gaps::Stop, rng))
+        decisions(&self.walk(Reads::Clean(subwindows), Gaps::Stop, rng))
     }
 
-    /// Program-level quorum verdict over a possibly degraded trace:
-    /// epochs whose window covers less than `min_fill` of the period, or
-    /// whose features fail the sanity check, abstain instead of voting.
-    fn quorum(
-        &self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        rng: &mut StreamRng,
-    ) -> QuorumVerdict {
+    /// Program-level quorum verdict over a possibly degraded trace (clean
+    /// subwindows or faulted reads): epochs whose window covers less than
+    /// `min_fill` of the period, or whose features fail the sanity check,
+    /// abstain instead of voting.
+    fn quorum(&self, reads: Reads<'_>, min_fill: f64, rng: &mut StreamRng) -> QuorumVerdict {
         let votes: Vec<Option<bool>> = self
-            .walk(subwindows, Gaps::Abstain(min_fill), rng)
+            .walk(reads, Gaps::Abstain(min_fill), rng)
             .iter()
             .map(|epoch| epoch.vote)
             .collect();

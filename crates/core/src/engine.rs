@@ -24,7 +24,7 @@ use crate::verdict::{DegradedVerdict, VerdictPolicy};
 use rhmd_data::store::CorpusStore;
 use rhmd_data::{EvalSource, TracedCorpus};
 use rhmd_features::vector::FeatureSpec;
-use rhmd_features::window::{apply_faults, RawWindow};
+use rhmd_features::window::{apply_faults, CollectionWindow};
 use rhmd_ml::matrix::FeatureMatrix;
 use rhmd_ml::model::Dataset;
 use rhmd_obs as obs;
@@ -491,11 +491,12 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Degraded (fault-injected) program-level quality: `quorum_of`
-    /// receives each program's index and its fault-corrupted subwindows and
-    /// returns a quorum verdict; `policy` then decides or abstains at
-    /// `min_coverage`. `seed_of` derives each program's fault seed —
-    /// callers preserving historical sweeps pass their legacy derivation,
-    /// new callers pass [`Evaluator::program_seed`].
+    /// receives each program's index and its faulted reads
+    /// ([`apply_faults`]) and returns a quorum verdict; `policy` then
+    /// decides or abstains at `min_coverage`. `seed_of` derives each
+    /// program's fault seed — callers preserving historical sweeps pass
+    /// their legacy derivation, new callers pass
+    /// [`Evaluator::program_seed`].
     pub fn degraded_quality<Q, S>(
         &self,
         indices: &[usize],
@@ -506,7 +507,7 @@ impl<'a> Evaluator<'a> {
         quorum_of: Q,
     ) -> DegradedQuality
     where
-        Q: Fn(usize, &[RawWindow]) -> QuorumVerdict + Sync,
+        Q: Fn(usize, &[CollectionWindow]) -> QuorumVerdict + Sync,
         S: Fn(usize) -> u64 + Sync,
     {
         let traced = self.traced();
@@ -514,9 +515,8 @@ impl<'a> Evaluator<'a> {
         let labels = self.source.labels();
         let judged: Vec<DegradedVerdict> = self.run_map(indices, |_, &i| {
             let model = FaultModel::new(config, seed_of(i));
-            let subs = apply_faults(traced.subwindows(i), &model)
-                .expect("one traced program's coalesced reads fit u32");
-            policy.judge_quorum(&quorum_of(i, &subs), min_coverage)
+            let reads = apply_faults(traced.subwindows(i), &model);
+            policy.judge_quorum(&quorum_of(i, &reads), min_coverage)
         });
         let (mut tp, mut malware, mut tn, mut benign, mut abstained) =
             (0u32, 0u32, 0u32, 0u32, 0u32);

@@ -9,7 +9,7 @@
 
 use crate::detector::{Detector, Epoch, Gaps, StreamRng};
 use crate::hmd::{BlackBox, Hmd, QuorumVerdict};
-use rhmd_features::window::{aggregate_with_gaps, RawWindow, SUBWINDOW};
+use rhmd_features::window::{RawWindow, Reads, SUBWINDOW};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -88,9 +88,10 @@ impl EnsembleHmd {
         self.combiner
     }
 
-    /// Program-level quorum verdict over a possibly degraded trace.
-    pub fn quorum_verdict(&self, subwindows: &[RawWindow], min_fill: f64) -> QuorumVerdict {
-        self.quorum(subwindows, min_fill, &mut StreamRng::from_seed(0))
+    /// Program-level quorum verdict over a possibly degraded trace (clean
+    /// subwindows or faulted reads).
+    pub fn quorum_verdict<'a>(&self, reads: impl Into<Reads<'a>>, min_fill: f64) -> QuorumVerdict {
+        self.quorum(reads.into(), min_fill, &mut StreamRng::from_seed(0))
     }
 }
 
@@ -106,9 +107,9 @@ impl Detector for EnsembleHmd {
     /// sanity check, and an epoch abstains only when *every* base detector
     /// does — so one corrupted counter channel degrades the vote instead of
     /// poisoning it. Dropped chunks are no epochs, as for [`Hmd`].
-    fn walk(&self, subwindows: &[RawWindow], gaps: Gaps, _rng: &mut StreamRng) -> Vec<Epoch> {
+    fn walk(&self, reads: Reads<'_>, gaps: Gaps, _rng: &mut StreamRng) -> Vec<Epoch> {
         let span = (self.period / SUBWINDOW) as usize;
-        let windows = aggregate_with_gaps(subwindows, self.period, gaps.min_fill());
+        let windows = reads.aggregate(self.period, gaps.min_fill());
         let per_detector: Vec<Vec<Option<bool>>> = self
             .detectors
             .iter()
@@ -128,7 +129,11 @@ impl Detector for EnsembleHmd {
 impl BlackBox for EnsembleHmd {
     /// Deterministic: nothing persists, so a query is the seeded walk.
     fn query(&mut self, subwindows: &[RawWindow]) -> Vec<Epoch> {
-        self.walk(subwindows, Gaps::Stop, &mut StreamRng::from_seed(0))
+        self.walk(
+            Reads::Clean(subwindows),
+            Gaps::Stop,
+            &mut StreamRng::from_seed(0),
+        )
     }
 }
 

@@ -308,7 +308,9 @@ pub fn measure_overhead(
         let (windows, summary) = collect_subwindows(p, bounded, CoreConfig::default());
         let counters = windows
             .iter()
-            .try_fold(CounterSet::default(), |sum, w| sum.checked_add(&w.counters))
+            .try_fold(CounterSet::default(), |sum, w| {
+                sum.checked_add(&w.counters.into())
+            })
             .expect("one run's counters fit u32");
         (summary, counters)
     };

@@ -4,7 +4,7 @@
 use crate::detector::{self, Detector, Epoch, Gaps, StreamRng};
 use rhmd_data::TracedCorpus;
 use rhmd_features::vector::FeatureSpec;
-use rhmd_features::window::{aggregate_with_gaps, CollectionWindow, RawWindow, SUBWINDOW};
+use rhmd_features::window::{CollectionWindow, RawWindow, Reads, SUBWINDOW};
 use rhmd_ml::matrix::FeatureMatrix;
 use rhmd_ml::model::{Classifier, Dataset};
 use rhmd_ml::trainer::{train, Algorithm, TrainerConfig};
@@ -360,9 +360,10 @@ impl Hmd {
         ProgramVerdict::from_decisions(&self.decide_windows(subwindows))
     }
 
-    /// Program-level quorum verdict over a possibly degraded trace.
-    pub fn quorum_verdict(&self, subwindows: &[RawWindow], min_fill: f64) -> QuorumVerdict {
-        self.quorum(subwindows, min_fill, &mut StreamRng::from_seed(0))
+    /// Program-level quorum verdict over a possibly degraded trace (clean
+    /// subwindows or faulted reads).
+    pub fn quorum_verdict<'a>(&self, reads: impl Into<Reads<'a>>, min_fill: f64) -> QuorumVerdict {
+        self.quorum(reads.into(), min_fill, &mut StreamRng::from_seed(0))
     }
 }
 
@@ -375,9 +376,9 @@ impl Detector for Hmd {
     /// at the fill floor is an epoch, voting or abstaining on corrupted
     /// features; a chunk it drops is no epoch at all, so [`Gaps::Stop`]
     /// and [`Gaps::Abstain`] differ only in their floor.
-    fn walk(&self, subwindows: &[RawWindow], gaps: Gaps, _rng: &mut StreamRng) -> Vec<Epoch> {
+    fn walk(&self, reads: Reads<'_>, gaps: Gaps, _rng: &mut StreamRng) -> Vec<Epoch> {
         let span = (self.spec.period / SUBWINDOW) as usize;
-        let windows = aggregate_with_gaps(subwindows, self.spec.period, gaps.min_fill());
+        let windows = reads.aggregate(self.spec.period, gaps.min_fill());
         self.classify_windows_checked(&windows)
             .into_iter()
             .map(|vote| Epoch { vote, span })
@@ -388,7 +389,11 @@ impl Detector for Hmd {
 impl BlackBox for Hmd {
     /// Deterministic: nothing persists, so a query is the seeded walk.
     fn query(&mut self, subwindows: &[RawWindow]) -> Vec<Epoch> {
-        self.walk(subwindows, Gaps::Stop, &mut StreamRng::from_seed(0))
+        self.walk(
+            Reads::Clean(subwindows),
+            Gaps::Stop,
+            &mut StreamRng::from_seed(0),
+        )
     }
 }
 
@@ -430,6 +435,7 @@ mod tests {
     use super::*;
     use rhmd_data::{Corpus, CorpusConfig, Splits};
     use rhmd_features::vector::FeatureKind;
+    use rhmd_features::window::aggregate_with_gaps;
     use rhmd_uarch::CoreConfig;
 
     fn fixture() -> (TracedCorpus, Splits) {

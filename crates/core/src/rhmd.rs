@@ -5,7 +5,7 @@ use crate::detector::{Detector, Epoch, Gaps, StreamRng};
 use crate::hmd::{BlackBox, Hmd};
 use rhmd_data::TracedCorpus;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
-use rhmd_features::window::{aggregate_with_gaps, CollectionWindow, RawWindow, SUBWINDOW};
+use rhmd_features::window::{CollectionWindow, RawWindow, Reads, SUBWINDOW};
 use rhmd_ml::trainer::{Algorithm, TrainerConfig};
 use rhmd_trace::isa::Opcode;
 use rand::rngs::SmallRng;
@@ -109,9 +109,9 @@ impl Detector for ResilientHmd {
     /// so two threads can judge different programs concurrently, and the
     /// result for a program depends only on its subwindows and seed —
     /// never on which other programs were judged before it.
-    fn walk(&self, subwindows: &[RawWindow], gaps: Gaps, rng: &mut StreamRng) -> Vec<Epoch> {
+    fn walk(&self, reads: Reads<'_>, gaps: Gaps, rng: &mut StreamRng) -> Vec<Epoch> {
         let rng = rng.small();
-        switching_walk(&self.detectors, subwindows, gaps, |_| {
+        switching_walk(&self.detectors, reads, gaps, |_| {
             draw_from(&self.probabilities, rng)
         })
     }
@@ -121,9 +121,12 @@ impl BlackBox for ResilientHmd {
     /// The walk on the pool's own switching RNG, which carries into the
     /// next query.
     fn query(&mut self, subwindows: &[RawWindow]) -> Vec<Epoch> {
-        switching_walk(&self.detectors, subwindows, Gaps::Stop, |_| {
-            draw_from(&self.probabilities, &mut self.rng)
-        })
+        switching_walk(
+            &self.detectors,
+            Reads::Clean(subwindows),
+            Gaps::Stop,
+            |_| draw_from(&self.probabilities, &mut self.rng),
+        )
     }
 }
 
@@ -322,10 +325,10 @@ impl Detector for NonStationaryRhmd {
     /// produces — the constructor's initial subset draw included — from
     /// the caller's `rng`, without mutating shared state: the requirement
     /// for order-independent parallel evaluation.
-    fn walk(&self, subwindows: &[RawWindow], gaps: Gaps, rng: &mut StreamRng) -> Vec<Epoch> {
+    fn walk(&self, reads: Reads<'_>, gaps: Gaps, rng: &mut StreamRng) -> Vec<Epoch> {
         let rng = rng.small();
         let mut subset = self.subset.redrawn(rng);
-        switching_walk(&self.candidates, subwindows, gaps, |aged| subset.pick(aged, rng))
+        switching_walk(&self.candidates, reads, gaps, |aged| subset.pick(aged, rng))
     }
 }
 
@@ -334,7 +337,9 @@ impl BlackBox for NonStationaryRhmd {
     /// carry into the next query.
     fn query(&mut self, subwindows: &[RawWindow]) -> Vec<Epoch> {
         let (subset, rng) = (&mut self.subset, &mut self.rng);
-        switching_walk(&self.candidates, subwindows, Gaps::Stop, |aged| subset.pick(aged, rng))
+        switching_walk(&self.candidates, Reads::Clean(subwindows), Gaps::Stop, |aged| {
+            subset.pick(aged, rng)
+        })
     }
 }
 
@@ -366,7 +371,7 @@ fn draw_from(probabilities: &[f64], rng: &mut SmallRng) -> usize {
 /// reassembles the votes in epoch order.
 fn switching_walk(
     detectors: &[Hmd],
-    subwindows: &[RawWindow],
+    reads: Reads<'_>,
     gaps: Gaps,
     mut draw: impl FnMut(bool) -> usize,
 ) -> Vec<Epoch> {
@@ -378,10 +383,10 @@ fn switching_walk(
         let idx = draw(kept);
         let period = detectors[idx].spec().period;
         let span = (period / SUBWINDOW) as usize;
-        let Some(chunk) = subwindows.get(cursor..cursor + span) else {
+        let Some(chunk) = reads.get(cursor..cursor + span) else {
             break;
         };
-        let window = aggregate_with_gaps(chunk, period, gaps.min_fill()).pop();
+        let window = chunk.aggregate(period, gaps.min_fill()).pop();
         kept = window.is_some();
         if !kept && gaps == Gaps::Stop {
             break;
@@ -624,9 +629,9 @@ mod tests {
         // Dropped reads coalesce into over-full windows: shorter stream,
         // but the surviving epochs still vote.
         let drops = FaultModel::new(FaultConfig::dropping(0.3), 0xfa17);
-        let dropped = apply_faults(&subs, &drops).unwrap();
+        let dropped = apply_faults(&subs, &drops);
         assert!(dropped.len() < subs.len(), "drops must coalesce reads");
-        let q = rhmd.quorum(&dropped, 1.0, &mut rng());
+        let q = rhmd.quorum(Reads::Faulted(&dropped), 1.0, &mut rng());
         assert!(q.voted > 0, "walk must vote on coalesced windows");
 
         // A lost mid-stream window drags its epoch below the fill floor:
@@ -634,12 +639,12 @@ mod tests {
         let mut corrupted = subs.clone();
         let mid = corrupted.len() / 2;
         corrupted[mid] = rhmd_features::window::RawWindow::default();
-        let q = rhmd.quorum(&corrupted, 1.0, &mut rng());
+        let q = rhmd.quorum(Reads::Clean(&corrupted), 1.0, &mut rng());
         assert!(q.abstained > 0, "garbage windows should force abstentions");
         assert!(q.voted > 0, "walk must continue past corrupted epochs");
 
         // A clean stream matches epoch_decisions().
-        let clean = rhmd.quorum(&subs, 1.0, &mut rng());
+        let clean = rhmd.quorum(Reads::Clean(&subs), 1.0, &mut rng());
         let plain = rhmd.epoch_decisions(&subs, &mut rng());
         assert_eq!(clean.voted, plain.len());
     }

@@ -43,7 +43,7 @@ fn frozen_aggregate(subwindows: &[RawWindow], period: u32) -> Vec<CollectionWind
     let per = (period / SUBWINDOW) as usize;
     subwindows
         .chunks(per)
-        .filter(|c| c.len() == per && c.iter().all(|w| w.instructions == SUBWINDOW))
+        .filter(|c| c.len() == per && c.iter().all(|w| u32::from(w.instructions) == SUBWINDOW))
         .map(|c| {
             let mut merged = CollectionWindow::default();
             for w in c {
@@ -94,7 +94,7 @@ fn hmd_trait_object_matches_inherent_methods() {
             );
             assert_eq!(hmd.decide_windows(subs), decisions);
             assert_eq!(
-                boxed.quorum(subs, 1.0, &mut StreamRng::from_seed(seed)),
+                boxed.quorum(subs.into(), 1.0, &mut StreamRng::from_seed(seed)),
                 hmd.quorum_verdict(subs, 1.0)
             );
         }
@@ -134,7 +134,7 @@ fn ensemble_trait_object_matches_inherent_methods() {
                 decisions
             );
             assert_eq!(
-                boxed.quorum(subs, 0.5, &mut StreamRng::from_seed(seed)),
+                boxed.quorum(subs.into(), 0.5, &mut StreamRng::from_seed(seed)),
                 ensemble.quorum_verdict(subs, 0.5)
             );
         }
@@ -179,11 +179,11 @@ fn resilient_trait_object_matches_seeded_and_serial_walks() {
                 let rng = || StreamRng::from_seed(stream_seed);
                 let labels = boxed.label_stream(subs, &mut rng());
                 let decisions = boxed.epoch_decisions(subs, &mut rng());
-                let quorum = boxed.quorum(subs, 1.0, &mut rng());
-                let _ = boxed.quorum(other, 1.0, &mut rng());
+                let quorum = boxed.quorum(subs.into(), 1.0, &mut rng());
+                let _ = boxed.quorum(other.into(), 1.0, &mut rng());
                 assert_eq!(boxed.label_stream(subs, &mut rng()), labels);
                 assert_eq!(boxed.epoch_decisions(subs, &mut rng()), decisions);
-                assert_eq!(boxed.quorum(subs, 1.0, &mut rng()), quorum);
+                assert_eq!(boxed.quorum(subs.into(), 1.0, &mut rng()), quorum);
             }
             // Trait path == the stateful walk from a fresh reset.
             assert_eq!(
@@ -279,7 +279,7 @@ fn heterogeneous_detector_collection_is_usable() {
         let a = d.label_stream(subs, &mut StreamRng::from_seed(9));
         let b = d.label_stream(subs, &mut StreamRng::from_seed(9));
         assert_eq!(a, b, "{} must be a pure function of (subs, seed)", d.name());
-        let q = d.quorum(subs, 1.0, &mut StreamRng::from_seed(9));
+        let q = d.quorum(subs.into(), 1.0, &mut StreamRng::from_seed(9));
         assert_eq!(q.voted, d.epoch_decisions(subs, &mut StreamRng::from_seed(9)).len());
     }
 }

@@ -64,8 +64,11 @@ use rhmd_runtime::ckpt::{Journal, Manifest};
 use rhmd_runtime::durable::{fnv1a, Durable};
 use rhmd_runtime::pool::Pool;
 use rhmd_runtime::RhmdError;
+use rhmd_trace::{BasicBlock, Function, Program, Terminator};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -320,7 +323,7 @@ impl StoreBuilder {
     ///
     /// [`RhmdError::Config`] when no specs were given, [`RhmdError::Io`] /
     /// [`RhmdError::Parse`] on filesystem or journal trouble.
-    pub fn build(self) -> Result<StoreSummary, RhmdError> {
+    pub fn build(mut self) -> Result<StoreSummary, RhmdError> {
         if self.specs.is_empty() {
             return Err(RhmdError::config("corpus store build needs at least one feature spec"));
         }
@@ -330,11 +333,11 @@ impl StoreBuilder {
             RhmdError::io(self.dir.display().to_string(), format!("create store dir: {e}"))
         })?;
 
-        let corpus = match &self.corpus {
-            Some(c) => c.clone(),
+        let corpus = match self.corpus.take() {
+            Some(c) => c,
             None => Corpus::build(&self.config),
         };
-        let canonical = canonical_map(&corpus, self.pool)?;
+        let canonical = canonical_map(&corpus, self.pool);
         let canonical_ids: Vec<usize> = (0..corpus.len()).filter(|&i| canonical[i] == i).collect();
         rhmd_obs::add("store.duplicates", (corpus.len() - canonical_ids.len()) as u64);
 
@@ -488,19 +491,63 @@ fn itertools3<'a>(
         .map(|((p, s), f)| (p, s, f))
 }
 
+/// A hash of a program's structure: every field but its `name`, so two
+/// generated samples that differ only in name hash alike. The
+/// destructuring is exhaustive, so a field added to the program types
+/// must be added here too.
+fn structure_hash(program: &Program) -> u64 {
+    let Program {
+        name: _,
+        class,
+        family,
+        seed,
+        functions,
+        blocks,
+        streams,
+        scratch_delta,
+    } = program;
+    let mut h = DefaultHasher::new();
+    (class, family, seed, streams, scratch_delta).hash(&mut h);
+    for Function { entry, blocks } in functions {
+        (entry, blocks).hash(&mut h);
+    }
+    for BasicBlock {
+        body,
+        terminator,
+        addr,
+    } in blocks
+    {
+        (body, addr).hash(&mut h);
+        std::mem::discriminant(terminator).hash(&mut h);
+        match *terminator {
+            Terminator::Jump { target } => target.hash(&mut h),
+            Terminator::Branch {
+                taken,
+                fallthrough,
+                taken_prob,
+                persistence,
+            } => (
+                taken,
+                fallthrough,
+                taken_prob.to_bits(),
+                persistence.to_bits(),
+            )
+                .hash(&mut h),
+            Terminator::Call { callee, return_to } => (callee, return_to).hash(&mut h),
+            Terminator::Syscall { next } => next.hash(&mut h),
+            Terminator::Return | Terminator::Exit => {}
+        }
+    }
+    h.finish()
+}
+
 /// Structure hash and first-occurrence dedup over a corpus.
 ///
-/// The hash covers the serialized program with its `name` cleared, so two
-/// generated samples that differ only in name collapse; a (vanishingly
-/// unlikely) hash collision is disarmed by an exact equality check before
-/// aliasing.
-fn canonical_map(corpus: &Corpus, pool: Pool) -> Result<Vec<usize>, RhmdError> {
-    let hashes: Vec<u64> = pool.map(corpus.programs(), |_, p| {
-        let mut anon = p.clone();
-        anon.name = String::new();
-        let json = serde_json::to_string(&anon).unwrap_or_default();
-        fnv1a(json.as_bytes())
-    });
+/// Programs that differ only in name collapse ([`structure_hash`]); a
+/// (vanishingly unlikely) hash collision is disarmed by an exact equality
+/// check before aliasing.
+fn canonical_map(corpus: &Corpus, pool: Pool) -> Vec<usize> {
+    let hashes: Vec<u64> = pool.map(corpus.programs(), |_, p| structure_hash(p));
     let mut first: HashMap<u64, usize> = HashMap::new();
     let mut canonical = Vec::with_capacity(corpus.len());
     for (i, &h) in hashes.iter().enumerate() {
@@ -523,7 +570,7 @@ fn canonical_map(corpus: &Corpus, pool: Pool) -> Result<Vec<usize>, RhmdError> {
         };
         canonical.push(canon);
     }
-    Ok(canonical)
+    canonical
 }
 
 /// An open partial shard during a build.
@@ -958,4 +1005,36 @@ fn open_shard(dir: &Path, entry: &ShardEntry, canonical_count: usize) -> Result<
         dims: dims as usize,
         row_offsets: entry.row_offsets.clone(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The structure hash ignores a program's name and sees any other
+    /// change, down to one branch probability.
+    #[test]
+    fn structure_hash_ignores_only_the_name() {
+        let corpus = Corpus::build(&CorpusConfig::tiny());
+        let program = corpus.program(0);
+        let hash = structure_hash(program);
+        let mut renamed = program.clone();
+        renamed.name = "renamed".to_string();
+        assert_eq!(structure_hash(&renamed), hash);
+        let mut reseeded = program.clone();
+        reseeded.seed ^= 1;
+        assert_ne!(structure_hash(&reseeded), hash);
+        let mut nudged = program.clone();
+        let branch = nudged
+            .blocks
+            .iter_mut()
+            .find_map(|b| match &mut b.terminator {
+                Terminator::Branch { taken_prob, .. } => Some(taken_prob),
+                _ => None,
+            })
+            .expect("a generated program branches");
+        *branch += 1e-9;
+        assert_ne!(structure_hash(&nudged), hash);
+        assert_ne!(structure_hash(corpus.program(1)), hash);
+    }
 }

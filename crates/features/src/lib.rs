@@ -36,6 +36,4 @@ pub use pipeline::{extract, project_windows, trace_subwindows};
 pub use stream::collect_subwindows;
 pub use select::{select_top_delta_opcodes, DEFAULT_TOP_K};
 pub use vector::{FeatureKind, FeatureSpec};
-pub use window::{
-    CollectionWindow, CountOverflow, RawWindow, MAX_TRACE_INSTRUCTIONS, MEM_BINS, SUBWINDOW,
-};
+pub use window::{CollectionWindow, RawWindow, Reads, MAX_TRACE_INSTRUCTIONS, MEM_BINS, SUBWINDOW};

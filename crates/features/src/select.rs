@@ -150,7 +150,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn window_with(pairs: &[(Opcode, u32)]) -> RawWindow {
+    fn window_with(pairs: &[(Opcode, u16)]) -> RawWindow {
         let mut w = RawWindow {
             instructions: 1_000,
             ..RawWindow::default()
@@ -247,7 +247,7 @@ mod tests {
     /// tied deltas) are common, or with free counts.
     fn any_window() -> impl Strategy<Value = RawWindow> {
         let palette = (0u32..4).prop_map(|pick| {
-            let pairs: &[(Opcode, u32)] = match pick {
+            let pairs: &[(Opcode, u16)] = match pick {
                 0 => &[(Opcode::Xor, 500), (Opcode::Add, 100)],
                 1 => &[(Opcode::Fpu, 400), (Opcode::Add, 120)],
                 2 => &[(Opcode::Load, 250), (Opcode::Store, 250)],
@@ -256,8 +256,8 @@ mod tests {
             window_with(pairs)
         });
         let free = (
-            0u32..=1_000,
-            prop::collection::vec(0u32..=1_000, OPCODE_COUNT),
+            0u16..=1_000,
+            prop::collection::vec(0u16..=1_000, OPCODE_COUNT),
         )
             .prop_map(|(instructions, counts)| {
                 let mut w = RawWindow {

@@ -17,7 +17,7 @@
 //! * runs never cross a subwindow seal, so every miss lands in the same
 //!   window as the per-event path.
 
-use crate::window::{delta_bin, RawWindow, SUBWINDOW};
+use crate::window::{delta_bin, seal_counters, RawWindow, SUBWINDOW};
 use rhmd_trace::exec::{ExecEvent, ExecLimits, ExecSummary};
 use rhmd_trace::flat::{BatchSink, FlatInstr, FlatProgram};
 use rhmd_trace::isa::INSTR_BYTES;
@@ -59,7 +59,7 @@ impl SubwindowCursor {
     fn seal(&mut self) {
         if self.current.instructions > 0 {
             let mut window = std::mem::take(&mut self.current);
-            window.counters = self.core.drain_counters();
+            window.counters = seal_counters(self.core.drain_counters());
             self.windows.push(window);
         }
     }
@@ -84,7 +84,7 @@ impl BatchSink for SubwindowCursor {
         let mut i = 0usize;
         let mut pc = pc;
         while i < instrs.len() {
-            let window_room = u64::from(SUBWINDOW - self.current.instructions);
+            let window_room = u64::from(SUBWINDOW - u32::from(self.current.instructions));
             // Whole instructions from pc to the end of its line/page span;
             // 0 when the fetch at pc straddles the span boundary (unaligned
             // pc), which still makes a run of one.
@@ -111,8 +111,8 @@ impl BatchSink for SubwindowCursor {
             }
             // `run` fits the subwindow's room, so it is at most SUBWINDOW.
             self.core.add_instructions(run as u32);
-            self.current.instructions += run as u32;
-            if self.current.instructions == SUBWINDOW {
+            self.current.instructions += run as u16;
+            if u32::from(self.current.instructions) == SUBWINDOW {
                 self.seal();
             }
             i += run;
@@ -132,7 +132,7 @@ impl BatchSink for SubwindowCursor {
         self.core.add_instructions(1);
         self.current.instructions += 1;
         self.current.opcode_counts[ev.opcode.index()] += 1;
-        if self.current.instructions == SUBWINDOW {
+        if u32::from(self.current.instructions) == SUBWINDOW {
             self.seal();
         }
     }

@@ -5,18 +5,20 @@
 //! lets one (expensive) execution serve every period in the paper's sweep
 //! {5K, 8K, 9K, 10K, 11K, 12K, 15K, 19K} (Fig 3a).
 //!
-//! Two widths: a [`RawWindow`] (one subwindow, the form a traced corpus
-//! keeps resident) counts in `u32`, and a [`CollectionWindow`] (the sum of
-//! one period's subwindows, the form features are projected from) counts
-//! in `u64`. Subwindow sums ([`RawWindow::merge`]) are checked and fail
-//! with [`CountOverflow`]; collection sums cannot overflow (see
-//! [`WindowAssembler`]).
+//! Two widths: a [`RawWindow`] (one clean subwindow, the form a traced
+//! corpus keeps resident) counts in `u16`, and a [`CollectionWindow`] (the
+//! sum of one period's subwindows, the form features are projected from)
+//! counts in `u64`. A faulted read ([`apply_faults`]) is a
+//! [`CollectionWindow`] too: coalesced reads and burst garbage do not fit a
+//! subwindow's width. Nothing sums subwindows at their own width, so no sum
+//! can overflow (see [`WindowAssembler`]).
 //!
-//! [`WindowAssembler`] is the one aggregation rule. Clean streams assemble
-//! at `min_fill = 1.0`, which keeps exactly the chunks of `period /
-//! SUBWINDOW` full subwindows and drops the truncated tail; faulted
-//! streams assemble at a lower floor, keeping chunks whose reads were
-//! dropped or coalesced as long as they carry enough instructions.
+//! [`WindowAssembler`] is the one aggregation rule, and it sums reads of
+//! either width ([`Counts`]). Clean streams assemble at `min_fill = 1.0`,
+//! which keeps exactly the chunks of `period / SUBWINDOW` full subwindows
+//! and drops the truncated tail; faulted streams assemble at a lower floor,
+//! keeping chunks whose reads were dropped or coalesced as long as they
+//! carry enough instructions.
 
 use rhmd_trace::exec::{ExecEvent, Observer};
 use rhmd_trace::isa::OPCODE_COUNT;
@@ -24,8 +26,7 @@ use rhmd_uarch::events::{CounterSet, COUNTER_DIMS};
 use rhmd_uarch::faults::FaultModel;
 use rhmd_uarch::{CoreModel, CounterSource};
 use serde::{Deserialize, Serialize};
-
-pub use rhmd_uarch::events::CountOverflow;
+use std::ops::Range;
 
 /// Fine accumulation granularity, in committed instructions.
 pub const SUBWINDOW: u32 = 1_000;
@@ -33,40 +34,48 @@ pub const SUBWINDOW: u32 = 1_000;
 /// Number of bins in the memory-delta histogram (paper's Memory feature).
 pub const MEM_BINS: usize = 16;
 
-/// The largest per-program instruction budget whose whole trace, merged
-/// into one [`RawWindow`], is certain to stay exact in `u32`: 2^26 (about
-/// 67M, 67x the `paper` corpus preset). Each channel rises by far fewer
-/// than 64 events per committed instruction (a data access touches at most
-/// a few cache lines), so a trace at this budget, or at a few times it for
-/// a payload-inflated re-trace, sums below 2^32. Every `CorpusConfig`
-/// preset stays within it (a unit test in `rhmd-data` pins this).
+/// The largest per-program instruction budget whose whole trace, summed
+/// into one `u32` [`CounterSet`], is certain to stay exact: 2^26 (about
+/// 67M, 67x the `paper` corpus preset). Each channel rises by at most 2
+/// per committed instruction, so a trace at this budget, or at a few times
+/// it for a payload-inflated re-trace, sums below 2^32. Whole-trace sums
+/// happen only in a [`CounterSet`] (checked) and in a [`CollectionWindow`]
+/// (`u64`); a subwindow never sums. Every `CorpusConfig` preset stays
+/// within it (a unit test in `rhmd-data` pins this).
 pub const MAX_TRACE_INSTRUCTIONS: u64 = 1 << 26;
+
+// Every count of a sealed subwindow fits `u16`: a subwindow holds at most
+// SUBWINDOW committed instructions, each raises one opcode count and at
+// most one memory-delta bin, and a core raises each counter channel by at
+// most 2 (a fetch or data access straddles at most two lines, and an
+// instruction makes at most one fetch and one data access).
+const _: () = assert!(2 * SUBWINDOW <= u16::MAX as u32);
 
 /// Raw statistics of one subwindow of committed instructions.
 ///
-/// Every count is a `u32`, so the struct is 260 bytes. That is exact:
-/// a subwindow holds at most [`SUBWINDOW`] instructions and each channel
-/// rises by at most a few per instruction, and even one whole trace merged
-/// into one window stays far below `u32::MAX` at every corpus scale.
-/// Sums go through [`RawWindow::merge`], which fails with
-/// [`CountOverflow`] rather than wrap.
+/// Every count is a `u16`, so the struct is 130 bytes. That is exact: a
+/// subwindow holds at most [`SUBWINDOW`] instructions and each channel
+/// rises by at most 2 per instruction, so no count passes 2,000. The trace
+/// paths seal the core's `u32` [`CounterSet`] into this width, checked.
+/// Subwindows are never summed at this width: sums are
+/// [`CollectionWindow`]s.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RawWindow {
     /// Committed instructions in the window (== the period except possibly
     /// in the final, truncated window).
-    pub instructions: u32,
+    pub instructions: u16,
     /// Executed count of each opcode class.
-    pub opcode_counts: [u32; OPCODE_COUNT],
+    pub opcode_counts: [u16; OPCODE_COUNT],
     /// Histogram over log2-binned deltas between consecutive memory-access
     /// addresses.
-    pub mem_delta_hist: [u32; MEM_BINS],
+    pub mem_delta_hist: [u16; MEM_BINS],
     /// Hardware event counters for the window.
-    pub counters: CounterSet,
+    pub counters: CounterSet<u16>,
 }
 
 // A traced corpus keeps every subwindow resident; the width is part of
 // its footprint.
-const _: () = assert!(std::mem::size_of::<RawWindow>() == 260);
+const _: () = assert!(std::mem::size_of::<RawWindow>() == 130);
 
 impl Default for RawWindow {
     fn default() -> RawWindow {
@@ -79,35 +88,22 @@ impl Default for RawWindow {
     }
 }
 
-impl RawWindow {
-    /// Merges `other` into `self` channel by channel (reads coalesced by
-    /// fault injection).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CountOverflow`] naming the first channel whose sum does
-    /// not fit a `u32`; `self` is then left unchanged.
-    pub fn merge(&mut self, other: &RawWindow) -> Result<(), CountOverflow> {
-        fn add(a: u32, b: u32, channel: &'static str) -> Result<u32, CountOverflow> {
-            a.checked_add(b).ok_or(CountOverflow { channel })
-        }
-        let mut sum = self.clone();
-        sum.instructions = add(self.instructions, other.instructions, "instructions")?;
-        for (a, &b) in sum.opcode_counts.iter_mut().zip(&other.opcode_counts) {
-            *a = add(*a, b, "opcode_counts")?;
-        }
-        for (a, &b) in sum.mem_delta_hist.iter_mut().zip(&other.mem_delta_hist) {
-            *a = add(*a, b, "mem_delta_hist")?;
-        }
-        sum.counters = self.counters.checked_add(&other.counters)?;
-        *self = sum;
-        Ok(())
-    }
+/// Seals one subwindow's drain of a core into the subwindow's width.
+///
+/// # Panics
+///
+/// Panics if a channel passes `u16::MAX`, which a drain of at most
+/// [`SUBWINDOW`] instructions cannot reach (see [`RawWindow`]).
+pub(crate) fn seal_counters(drained: CounterSet) -> CounterSet<u16> {
+    CounterSet::from_array(drained.to_array().map(|count| {
+        u16::try_from(count).expect("a subwindow's counts stay within 2 per instruction")
+    }))
 }
 
-/// One collection window: the channel-wise sum of the subwindows of one
+/// One collection window: the channel-wise sum of the reads of one
 /// `period`-sized chunk, at `u64` width, as [`WindowAssembler`] seals it.
 /// Features are projected from it ([`crate::vector::FeatureSpec::project`]).
+/// A faulted read ([`apply_faults`]) has this width too.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CollectionWindow {
     /// Committed instructions in the window.
@@ -122,18 +118,10 @@ pub struct CollectionWindow {
 }
 
 impl CollectionWindow {
-    /// Adds one subwindow's counts, widened to `u64`.
-    pub fn add(&mut self, sub: &RawWindow) {
-        self.instructions += u64::from(sub.instructions);
-        for (a, &b) in self.opcode_counts.iter_mut().zip(&sub.opcode_counts) {
-            *a += u64::from(b);
-        }
-        for (a, &b) in self.mem_delta_hist.iter_mut().zip(&sub.mem_delta_hist) {
-            *a += u64::from(b);
-        }
-        for (a, b) in self.counters.iter_mut().zip(sub.counters.to_array()) {
-            *a += u64::from(b);
-        }
+    /// Adds one read's counts: a subwindow widened to `u64`, or a faulted
+    /// read.
+    pub fn add(&mut self, read: &impl Counts) {
+        read.add_to(self);
     }
 
     /// Total memory accesses recorded in the delta histogram.
@@ -146,6 +134,24 @@ impl CollectionWindow {
     pub fn counter_rates(&self) -> [f64; COUNTER_DIMS] {
         rhmd_uarch::events::rates(&self.counters)
     }
+
+    /// Every observable channel, in fault-channel order: the counters, the
+    /// opcode counts, then the memory-delta bins (`instructions` is ground
+    /// truth, not a channel).
+    fn channels(&self) -> impl Iterator<Item = &u64> {
+        self.counters
+            .iter()
+            .chain(&self.opcode_counts)
+            .chain(&self.mem_delta_hist)
+    }
+
+    /// [`CollectionWindow::channels`], mutably.
+    fn channels_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        self.counters
+            .iter_mut()
+            .chain(&mut self.opcode_counts)
+            .chain(&mut self.mem_delta_hist)
+    }
 }
 
 impl From<&RawWindow> for CollectionWindow {
@@ -154,6 +160,77 @@ impl From<&RawWindow> for CollectionWindow {
         let mut window = CollectionWindow::default();
         window.add(sub);
         window
+    }
+}
+
+/// A read that [`WindowAssembler`] sums: a clean [`RawWindow`], or a
+/// faulted read at [`CollectionWindow`] width.
+pub trait Counts {
+    /// Adds this read's counts to `window`, channel by channel.
+    fn add_to(&self, window: &mut CollectionWindow);
+}
+
+impl Counts for RawWindow {
+    fn add_to(&self, window: &mut CollectionWindow) {
+        window.instructions += u64::from(self.instructions);
+        for (a, &b) in window.opcode_counts.iter_mut().zip(&self.opcode_counts) {
+            *a += u64::from(b);
+        }
+        for (a, &b) in window.mem_delta_hist.iter_mut().zip(&self.mem_delta_hist) {
+            *a += u64::from(b);
+        }
+        for (a, b) in window.counters.iter_mut().zip(self.counters.to_array()) {
+            *a += u64::from(b);
+        }
+    }
+}
+
+impl Counts for CollectionWindow {
+    fn add_to(&self, window: &mut CollectionWindow) {
+        window.instructions += self.instructions;
+        for (a, b) in window.channels_mut().zip(self.channels()) {
+            *a += b;
+        }
+    }
+}
+
+/// One program's reads as a detector walks them: the clean subwindows of
+/// its trace, or the faulted reads [`apply_faults`] made of them.
+#[derive(Debug, Clone, Copy)]
+pub enum Reads<'a> {
+    /// Clean subwindows.
+    Clean(&'a [RawWindow]),
+    /// Faulted reads.
+    Faulted(&'a [CollectionWindow]),
+}
+
+impl<'a> Reads<'a> {
+    /// The reads in `range`, or `None` if it runs past the end.
+    pub fn get(self, range: Range<usize>) -> Option<Reads<'a>> {
+        match self {
+            Reads::Clean(s) => s.get(range).map(Reads::Clean),
+            Reads::Faulted(s) => s.get(range).map(Reads::Faulted),
+        }
+    }
+
+    /// [`aggregate_with_gaps`] over these reads.
+    pub fn aggregate(self, period: u32, min_fill: f64) -> Vec<CollectionWindow> {
+        match self {
+            Reads::Clean(s) => aggregate_with_gaps(s, period, min_fill),
+            Reads::Faulted(s) => aggregate_with_gaps(s, period, min_fill),
+        }
+    }
+}
+
+impl<'a> From<&'a [RawWindow]> for Reads<'a> {
+    fn from(subwindows: &'a [RawWindow]) -> Reads<'a> {
+        Reads::Clean(subwindows)
+    }
+}
+
+impl<'a> From<&'a [CollectionWindow]> for Reads<'a> {
+    fn from(reads: &'a [CollectionWindow]) -> Reads<'a> {
+        Reads::Faulted(reads)
     }
 }
 
@@ -220,7 +297,7 @@ impl<C: Observer + CounterSource> WindowAccumulator<C> {
     fn seal_current(&mut self) {
         if self.current.instructions > 0 {
             let mut window = std::mem::take(&mut self.current);
-            window.counters = self.core.drain_counters();
+            window.counters = seal_counters(self.core.drain_counters());
             self.windows.push(window);
         }
     }
@@ -239,7 +316,7 @@ impl<C: Observer + CounterSource> Observer for WindowAccumulator<C> {
             }
             self.last_mem_addr = Some(mem.addr);
         }
-        if w.instructions == SUBWINDOW {
+        if u32::from(w.instructions) == SUBWINDOW {
             self.seal_current();
         }
     }
@@ -278,19 +355,20 @@ impl Sealed {
     }
 }
 
-/// Incremental gap-tolerant aggregation of subwindows into `period`-sized
+/// Incremental gap-tolerant aggregation of reads into `period`-sized
 /// collection windows: the one place the keep rule `instructions > 0 &&
 /// fill >= min_fill` lives.
 ///
-/// A chunk seals after every `period / SUBWINDOW` *received* subwindows,
+/// A chunk seals after every `period / SUBWINDOW` *received* reads,
 /// whatever their sizes, so a faulted stream assembles exactly as its
-/// batch counterpart. [`aggregate_with_gaps`] is a fold over it, the
-/// streaming lanes and `rhmd serve`'s sessions push into it, and a clone
-/// taken mid-stream continues exactly where the original would.
+/// batch counterpart. [`aggregate_with_gaps`] is a fold over it, `rhmd
+/// serve`'s sessions push into it, and a clone taken mid-stream continues
+/// exactly where the original would.
 ///
 /// The chunk sums at `u64` width, so no push can overflow: a chunk holds at
-/// most `u32::MAX / SUBWINDOW` (< 2^23) subwindows of `u32` counts, whose
-/// sum stays below 2^55.
+/// most `u32::MAX / SUBWINDOW` (< 2^23) reads, each a `u16` subwindow or a
+/// faulted read whose channels are 32-bit register reads, so its sum stays
+/// below 2^55.
 #[derive(Debug, Clone)]
 pub struct WindowAssembler {
     period: u32,
@@ -317,16 +395,16 @@ impl WindowAssembler {
         }
     }
 
-    /// Feeds one subwindow; returns the sealed chunk when it completes one.
-    pub fn push(&mut self, sub: &RawWindow) -> Option<Sealed> {
-        self.chunk.add(sub);
+    /// Feeds one read; returns the sealed chunk when it completes one.
+    pub fn push(&mut self, read: &impl Counts) -> Option<Sealed> {
+        self.chunk.add(read);
         self.count += 1;
         (self.count == self.per).then(|| self.seal())
     }
 
-    /// Seals the trailing partial chunk at end of stream, if any
-    /// subwindows are pending. It passes the same `min_fill` filter as a
-    /// full chunk, so at `min_fill = 1.0` a short tail drops.
+    /// Seals the trailing partial chunk at end of stream, if any reads
+    /// are pending. It passes the same `min_fill` filter as a full chunk,
+    /// so at `min_fill = 1.0` a short tail drops.
     pub fn finish(&mut self) -> Option<Sealed> {
         (self.count > 0).then(|| self.seal())
     }
@@ -343,7 +421,7 @@ impl WindowAssembler {
     }
 }
 
-/// Aggregates subwindows into collection windows of `period` instructions,
+/// Aggregates reads into collection windows of `period` instructions,
 /// tolerant of gaps: chunks whose subwindows were dropped or coalesced by
 /// fault injection are kept as long as they carry at least `min_fill` of
 /// the period's instructions. Feature projection normalizes by the
@@ -357,13 +435,13 @@ impl WindowAssembler {
 /// # Panics
 ///
 /// Panics if `period` is zero or not a multiple of [`SUBWINDOW`].
-pub fn aggregate_with_gaps(
-    subwindows: &[RawWindow],
+pub fn aggregate_with_gaps<R: Counts>(
+    reads: &[R],
     period: u32,
     min_fill: f64,
 ) -> Vec<CollectionWindow> {
     let mut assembler = WindowAssembler::new(period, min_fill);
-    let mut windows: Vec<CollectionWindow> = subwindows
+    let mut windows: Vec<CollectionWindow> = reads
         .iter()
         .filter_map(|w| assembler.push(w))
         .filter_map(Sealed::into_window)
@@ -372,7 +450,8 @@ pub fn aggregate_with_gaps(
     windows
 }
 
-/// Runs a subwindow stream through a counter [`FaultModel`].
+/// Runs a subwindow stream through a counter [`FaultModel`] and returns
+/// the reads a sampler would see, at [`CollectionWindow`] width.
 ///
 /// Every observable channel of a [`RawWindow`] is treated as a hardware
 /// counter: the [`CounterSet`] channels first, then the opcode counts, then
@@ -383,57 +462,41 @@ pub fn aggregate_with_gaps(
 /// aggregation sees over-full and missing windows exactly as a real sampler
 /// would.
 ///
-/// A zero-intensity model returns a bit-exact copy of the input. Each
-/// corrupted channel is a 32-bit read ([`FaultModel::corrupt_read`]). This
-/// is the one place dropped reads merge; it adds the reads it dropped to
-/// the `uarch.windows_dropped` counter and the reads it corrupted and kept
-/// to `uarch.windows_corrupted` (the identity shortcut adds to neither).
-///
-/// # Errors
-///
-/// Returns [`CountOverflow`] when a run of coalesced reads sums past
-/// `u32::MAX` in some channel, which a trace of one corpus program cannot
-/// reach.
-pub fn apply_faults(
-    subwindows: &[RawWindow],
-    model: &FaultModel,
-) -> Result<Vec<RawWindow>, CountOverflow> {
+/// A zero-intensity model returns each subwindow widened, bit for bit.
+/// Each corrupted channel is a saturating 32-bit read
+/// ([`rhmd_uarch::faults::ReadFaults::corrupt_read`]), with the burst and
+/// identity decisions taken once per read. This is the one place dropped
+/// reads merge; it adds the reads it dropped to the `uarch.windows_dropped`
+/// counter and the reads it corrupted and kept to `uarch.windows_corrupted`
+/// (the identity shortcut adds to neither).
+pub fn apply_faults(subwindows: &[RawWindow], model: &FaultModel) -> Vec<CollectionWindow> {
     if model.is_identity() {
-        return Ok(subwindows.to_vec());
+        return subwindows.iter().map(CollectionWindow::from).collect();
     }
-    let mut out: Vec<RawWindow> = Vec::with_capacity(subwindows.len());
-    let mut pending: Option<RawWindow> = None;
-    let mut prev: Option<RawWindow> = None;
+    let mut out: Vec<CollectionWindow> = Vec::with_capacity(subwindows.len());
+    let mut pending = CollectionWindow::default();
     let mut dropped = 0u64;
     for (idx, clean) in subwindows.iter().enumerate() {
         let window = idx as u64;
-        let mut merged = pending.take().unwrap_or_default();
-        merged.merge(clean)?;
+        pending.add(clean);
         if model.drops_window(window) {
-            pending = Some(merged);
             dropped += 1;
             continue;
         }
-        let mut read = merged;
-        model.corrupt_counters(
-            window,
-            &mut read.counters,
-            prev.as_ref().map(|p: &RawWindow| &p.counters),
-        );
-        for (i, v) in read.opcode_counts.iter_mut().enumerate() {
-            let ch = (COUNTER_DIMS + i) as u64;
-            *v = model.corrupt_read(window, ch, *v, prev.as_ref().map(|p| p.opcode_counts[i]));
+        let mut read = std::mem::take(&mut pending);
+        let faults = model.read_faults(window);
+        {
+            let mut stale = out.last().map(CollectionWindow::channels);
+            for (ch, v) in read.channels_mut().enumerate() {
+                let prev = stale.as_mut().and_then(Iterator::next).copied();
+                *v = faults.corrupt_read(ch as u64, *v, prev);
+            }
         }
-        for (i, v) in read.mem_delta_hist.iter_mut().enumerate() {
-            let ch = (COUNTER_DIMS + OPCODE_COUNT + i) as u64;
-            *v = model.corrupt_read(window, ch, *v, prev.as_ref().map(|p| p.mem_delta_hist[i]));
-        }
-        prev = Some(read.clone());
         out.push(read);
     }
     rhmd_obs::add("uarch.windows_dropped", dropped);
     rhmd_obs::add("uarch.windows_corrupted", out.len() as u64);
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -458,7 +521,7 @@ mod tests {
         assert_eq!(subs.len(), 11);
         for w in &subs[..10] {
             assert_eq!(w.instructions, 1_000);
-            assert_eq!(w.opcode_counts.iter().sum::<u32>(), 1_000);
+            assert_eq!(w.opcode_counts.iter().sum::<u16>(), 1_000);
             assert_eq!(w.counters.instructions, 1_000);
         }
         assert_eq!(subs[10].instructions, 500);
@@ -520,48 +583,57 @@ mod tests {
     fn apply_faults_identity_is_bit_exact() {
         let subs = subwindows(8_000);
         let model = FaultModel::new(FaultConfig::none(), 3);
-        assert_eq!(apply_faults(&subs, &model).unwrap(), subs);
+        let widened: Vec<CollectionWindow> = subs.iter().map(CollectionWindow::from).collect();
+        assert_eq!(apply_faults(&subs, &model), widened);
     }
 
     #[test]
     fn apply_faults_preserves_ground_truth_instructions() {
         let subs = subwindows(8_000);
         let model = FaultModel::new(FaultConfig::noise(0.3), 3);
-        let faulted = apply_faults(&subs, &model).unwrap();
+        let faulted = apply_faults(&subs, &model);
         assert_eq!(faulted.len(), subs.len());
         for (f, c) in faulted.iter().zip(&subs) {
-            assert_eq!(f.instructions, c.instructions);
+            assert_eq!(f.instructions, u64::from(c.instructions));
+            assert_ne!(f, &CollectionWindow::from(c));
         }
-        assert_ne!(faulted, subs);
     }
 
     #[test]
     fn drops_coalesce_into_next_read() {
         let subs = subwindows(64_000);
         let model = FaultModel::new(FaultConfig::dropping(0.5), 21);
-        let faulted = apply_faults(&subs, &model).unwrap();
-        assert!(faulted.len() < subs.len(), "a 50% drop rate must lose some reads");
-        let count = |ws: &[RawWindow]| -> u64 {
-            ws.iter().map(|w| u64::from(w.counters.instructions)).sum()
-        };
-        let (total, observed) = (count(&subs), count(&faulted));
+        let faulted = apply_faults(&subs, &model);
+        assert!(
+            faulted.len() < subs.len(),
+            "a 50% drop rate must lose some reads"
+        );
+        let total: u64 = subs
+            .iter()
+            .map(|w| u64::from(w.counters.instructions))
+            .sum();
+        let observed: u64 = faulted.iter().map(|w| w.counters[0]).sum();
         // Coalescing preserves all counts except a trailing dropped run.
         assert!(observed <= total);
         assert!(observed >= total - subs.len() as u64 * 1_000 / 2);
         // Coalesced reads carry the merged counts, ground truth included.
-        assert!(faulted.iter().any(|w| w.counters.instructions >= 2_000));
-        assert!(faulted.iter().all(|w| w.instructions == w.counters.instructions));
+        assert!(faulted.iter().any(|w| w.counters[0] >= 2_000));
+        assert!(faulted.iter().all(|w| w.instructions == w.counters[0]));
     }
 
     #[test]
     fn noise_perturbs_but_preserves_scale() {
         let subs = subwindows(32_000);
         let model = FaultModel::new(FaultConfig::noise(0.1), 11);
-        let faulted = apply_faults(&subs, &model).unwrap();
-        assert_ne!(faulted, subs);
+        let faulted = apply_faults(&subs, &model);
+        assert_eq!(faulted.len(), subs.len());
+        assert!(faulted
+            .iter()
+            .zip(&subs)
+            .any(|(f, c)| f != &CollectionWindow::from(c)));
         for (f, c) in faulted.iter().zip(&subs) {
             // ±10% noise stays within ±60% with overwhelming probability.
-            let (f, c) = (f64::from(f.counters.instructions), f64::from(c.counters.instructions));
+            let (f, c) = (f.counters[0] as f64, f64::from(c.counters.instructions));
             assert!(f > 0.4 * c && f < 1.6 * c, "{f} read for {c}");
         }
     }
@@ -570,12 +642,12 @@ mod tests {
     fn multiplexed_channels_read_stale() {
         let subs = subwindows(40_000);
         let model = FaultModel::new(FaultConfig::multiplexed(0.5), 4);
-        let faulted = apply_faults(&subs, &model).unwrap();
+        let faulted = apply_faults(&subs, &model);
         assert_eq!(faulted.len(), subs.len());
-        // Some loads reads must repeat the previous observation.
+        // Some loads reads (channel 1) must repeat the previous observation.
         let stale_hits = faulted
             .windows(2)
-            .filter(|w| w[1].counters.loads == w[0].counters.loads)
+            .filter(|w| w[1].counters[1] == w[0].counters[1])
             .count();
         assert!(stale_hits > 0, "expected stale multiplexed reads");
     }
@@ -584,7 +656,7 @@ mod tests {
     fn gap_tolerant_aggregation_keeps_short_windows() {
         let subs = subwindows(20_000);
         let model = FaultModel::new(FaultConfig::dropping(0.4), 5);
-        let faulted = apply_faults(&subs, &model).unwrap();
+        let faulted = apply_faults(&subs, &model);
         // A full-period floor discards windows whose chunks lost reads …
         let strict = aggregate_with_gaps(&faulted, 5_000, 1.0);
         // … while a half-period floor keeps anything half-full.
@@ -604,7 +676,9 @@ mod tests {
         let per = (period / SUBWINDOW) as usize;
         subwindows
             .chunks(per)
-            .filter(|chunk| chunk.len() == per && chunk.iter().all(|w| w.instructions == SUBWINDOW))
+            .filter(|chunk| {
+                chunk.len() == per && chunk.iter().all(|w| u32::from(w.instructions) == SUBWINDOW)
+            })
             .map(|chunk| {
                 let mut merged = CollectionWindow::default();
                 for w in chunk {
@@ -693,7 +767,7 @@ mod tests {
 
     /// A read of `instructions` whose other channels are derived from it
     /// and `salt`, so a merge mistake in any channel shows up.
-    fn read(instructions: u32, salt: u32) -> RawWindow {
+    fn read(instructions: u16, salt: u16) -> RawWindow {
         let mut w = RawWindow {
             instructions,
             ..RawWindow::default()
@@ -706,18 +780,19 @@ mod tests {
 
     /// A stream mixing full, short, coalesced and zero-instruction reads.
     fn any_stream() -> impl Strategy<Value = Vec<RawWindow>> {
-        prop::collection::vec((0u8..4, 1u32..1_000, 2u32..5), 0..60).prop_map(|reads| {
+        prop::collection::vec((0u8..4, 1u16..1_000, 2u16..5), 0..60).prop_map(|reads| {
             reads
                 .into_iter()
                 .enumerate()
                 .map(|(i, (kind, short, merged))| {
+                    let full = SUBWINDOW as u16;
                     let instructions = match kind {
-                        0 => SUBWINDOW,
+                        0 => full,
                         1 => short,
-                        2 => merged * SUBWINDOW,
+                        2 => merged * full,
                         _ => 0,
                     };
-                    read(instructions, i as u32)
+                    read(instructions, i as u16)
                 })
                 .collect()
         })
@@ -771,60 +846,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn merge_is_additive() {
-        let subs = subwindows(3_000);
-        let mut merged = RawWindow::default();
-        for w in &subs {
-            merged.merge(w).unwrap();
-        }
-        assert_eq!(merged.instructions, 3_000);
-        assert_eq!(
-            merged.counters.instructions,
-            subs.iter().map(|w| w.counters.instructions).sum::<u32>()
-        );
-        assert_eq!(CollectionWindow::from(&merged), aggregate_with_gaps(&subs, 3_000, 1.0)[0]);
-    }
-
-    /// Every channel's overflowing merge is a typed error that names the
-    /// channel and leaves the window as it was; the largest exact sum
-    /// merges.
-    #[test]
-    fn merge_overflow_is_typed_and_leaves_the_window_unchanged() {
-        type Set = fn(&mut RawWindow, u32);
-        let edits: [(&str, Set); 4] = [
-            ("instructions", |w, v| w.instructions = v),
-            ("opcode_counts", |w, v| w.opcode_counts[OPCODE_COUNT - 1] = v),
-            ("mem_delta_hist", |w, v| w.mem_delta_hist[3] = v),
-            ("syscalls", |w, v| w.counters.syscalls = v),
-        ];
-        for (channel, set) in edits {
-            let base = read(1_000, 7);
-            let mut full = base.clone();
-            set(&mut full, u32::MAX - 1);
-            let mut one = RawWindow::default();
-            set(&mut one, 1);
-            let mut exact = full.clone();
-            exact.merge(&one).unwrap();
-            let before = exact.clone();
-            assert_eq!(exact.merge(&one), Err(CountOverflow { channel }), "{channel}");
-            assert_eq!(exact, before, "{channel}: a failed merge must not write");
-        }
-    }
-
-    /// A collection window sums `u32::MAX` subwindow counts exactly, where
-    /// a subwindow merge would overflow.
+    /// A collection window sums the widest reads of either width exactly:
+    /// `u16::MAX` subwindow counts and `u32::MAX` faulted reads.
     #[test]
     fn assembler_sums_full_width_reads_exactly() {
-        let max = RawWindow {
-            instructions: u32::MAX,
-            opcode_counts: [u32::MAX; OPCODE_COUNT],
-            mem_delta_hist: [u32::MAX; MEM_BINS],
-            counters: CounterSet::from_array([u32::MAX; COUNTER_DIMS]),
+        let sub = RawWindow {
+            instructions: u16::MAX,
+            opcode_counts: [u16::MAX; OPCODE_COUNT],
+            mem_delta_hist: [u16::MAX; MEM_BINS],
+            counters: CounterSet::from_array([u16::MAX; COUNTER_DIMS]),
         };
-        assert!(max.clone().merge(&max).is_err());
-        let windows = aggregate_with_gaps(&[max.clone(), max.clone(), max], 3_000, 1.0);
-        let sum = 3 * u64::from(u32::MAX);
+        let sum = 3 * u64::from(u16::MAX);
+        let windows = aggregate_with_gaps(&[sub.clone(), sub.clone(), sub], 3_000, 1.0);
+        assert_eq!(windows.len(), 1);
+        assert_eq!(
+            windows[0],
+            CollectionWindow {
+                instructions: sum,
+                opcode_counts: [sum; OPCODE_COUNT],
+                mem_delta_hist: [sum; MEM_BINS],
+                counters: [sum; COUNTER_DIMS],
+            }
+        );
+        let max = u64::from(u32::MAX);
+        let read = CollectionWindow {
+            instructions: max,
+            opcode_counts: [max; OPCODE_COUNT],
+            mem_delta_hist: [max; MEM_BINS],
+            counters: [max; COUNTER_DIMS],
+        };
+        let windows = aggregate_with_gaps(&[read.clone(), read.clone(), read], 3_000, 1.0);
+        let sum = 3 * max;
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].instructions, sum);
         assert!(windows[0].opcode_counts.iter().all(|&c| c == sum));

@@ -7,15 +7,15 @@ use rhmd_features::window::{
     aggregate_with_gaps, apply_faults, CollectionWindow, RawWindow, SUBWINDOW,
 };
 use rhmd_trace::isa::{Opcode, OPCODE_COUNT};
-use rhmd_uarch::events::COUNTER_DIMS;
+use rhmd_uarch::events::{CounterSet, COUNTER_DIMS};
 use rhmd_uarch::faults::{FaultConfig, FaultModel};
 
 /// A full subwindow with plausible opcode / memory / counter content.
 fn any_subwindow() -> impl Strategy<Value = RawWindow> {
     (
-        prop::collection::vec(0u32..200, OPCODE_COUNT),
-        prop::collection::vec(0u32..200, 16),
-        0u32..500,
+        prop::collection::vec(0u16..200, OPCODE_COUNT),
+        prop::collection::vec(0u16..200, 16),
+        0u16..500,
     )
         .prop_map(|(ops, hist, misses)| {
             let mut w = RawWindow::default();
@@ -25,8 +25,8 @@ fn any_subwindow() -> impl Strategy<Value = RawWindow> {
             for (slot, v) in w.mem_delta_hist.iter_mut().zip(&hist) {
                 *slot = *v;
             }
-            w.instructions = SUBWINDOW;
-            w.counters.instructions = SUBWINDOW;
+            w.instructions = SUBWINDOW as u16;
+            w.counters.instructions = SUBWINDOW as u16;
             w.counters.loads = hist.iter().sum();
             w.counters.l2_misses = misses;
             w
@@ -77,12 +77,13 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let model = FaultModel::new(FaultConfig::none(), seed);
-        let faulted = apply_faults(&stream, &model).unwrap();
-        prop_assert_eq!(&faulted, &stream);
+        let faulted = apply_faults(&stream, &model);
+        let widened: Vec<CollectionWindow> = stream.iter().map(CollectionWindow::from).collect();
+        prop_assert_eq!(&faulted, &widened);
         for spec in all_specs() {
             for (a, b) in stream.iter().zip(&faulted) {
                 let va = spec.project(&CollectionWindow::from(a));
-                let vb = spec.project(&CollectionWindow::from(b));
+                let vb = spec.project(b);
                 prop_assert!(
                     va.iter().zip(&vb).all(|(x, y)| x.to_bits() == y.to_bits()),
                     "feature vectors must be bit-identical under {}",
@@ -93,11 +94,12 @@ proptest! {
     }
 
     /// With no dropped reads, `apply_faults` is per-read corruption, checked
-    /// channel by channel and in reverse window order: window `i`'s
-    /// counters are `corrupt_counters(i, prev)` and each opcode and
-    /// memory-delta channel is `corrupt_read` at its channel index, where
-    /// `prev` is the previous *observed* window. The committed instruction
-    /// count is never corrupted.
+    /// channel by channel and in reverse window order against the model's
+    /// per-value entry points (which decide the burst for every value):
+    /// window `i`'s counters are `corrupt_counters(i, prev)` and each
+    /// opcode and memory-delta channel is `corrupt_read` at its channel
+    /// index, where `prev` is the previous *observed* window. The
+    /// committed instruction count is never corrupted.
     #[test]
     fn undropped_reads_are_corrupted_channel_by_channel(
         stream in any_stream(),
@@ -105,24 +107,29 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let model = FaultModel::new(config, seed);
-        let faulted = apply_faults(&stream, &model).unwrap();
+        let faulted = apply_faults(&stream, &model);
         prop_assert_eq!(faulted.len(), stream.len());
+        // Every faulted channel is a 32-bit read.
+        let read32 = |v: u64| u32::try_from(v).expect("a faulted read fits u32");
         for i in (0..stream.len()).rev() {
             let (clean, read, window) = (&stream[i], &faulted[i], i as u64);
             let prev = i.checked_sub(1).map(|j| &faulted[j]);
-            prop_assert_eq!(read.instructions, clean.instructions);
-            let mut counters = clean.counters;
-            model.corrupt_counters(window, &mut counters, prev.map(|p| &p.counters));
-            prop_assert_eq!(read.counters, counters, "counters of window {}", i);
+            prop_assert_eq!(read.instructions, u64::from(clean.instructions));
+            let mut counters = CounterSet::from(clean.counters);
+            let stale = prev.map(|p| CounterSet::from_array(p.counters.map(read32)));
+            model.corrupt_counters(window, &mut counters, stale.as_ref());
+            prop_assert_eq!(read.counters, counters.to_array().map(u64::from), "counters of window {}", i);
             for (k, (&got, &v)) in read.opcode_counts.iter().zip(&clean.opcode_counts).enumerate() {
                 let channel = (COUNTER_DIMS + k) as u64;
-                let stale = prev.map(|p| p.opcode_counts[k]);
-                prop_assert_eq!(got, model.corrupt_read(window, channel, v, stale));
+                let stale = prev.map(|p| read32(p.opcode_counts[k]));
+                let want = model.corrupt_read(window, channel, u32::from(v), stale);
+                prop_assert_eq!(got, u64::from(want));
             }
             for (k, (&got, &v)) in read.mem_delta_hist.iter().zip(&clean.mem_delta_hist).enumerate() {
                 let channel = (COUNTER_DIMS + OPCODE_COUNT + k) as u64;
-                let stale = prev.map(|p| p.mem_delta_hist[k]);
-                prop_assert_eq!(got, model.corrupt_read(window, channel, v, stale));
+                let stale = prev.map(|p| read32(p.mem_delta_hist[k]));
+                let want = model.corrupt_read(window, channel, u32::from(v), stale);
+                prop_assert_eq!(got, u64::from(want));
             }
         }
     }
@@ -136,7 +143,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let model = FaultModel::new(config, seed);
-        let faulted = apply_faults(&stream, &model).unwrap();
+        let faulted = apply_faults(&stream, &model);
         for spec in all_specs() {
             for window in aggregate_with_gaps(&faulted, 10_000, 0.0) {
                 let v = spec.project(&window);
@@ -159,9 +166,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let model = FaultModel::new(FaultConfig::dropping(rate), seed);
-        let faulted = apply_faults(&stream, &model).unwrap();
+        let faulted = apply_faults(&stream, &model);
         let original: u64 = stream.iter().map(|w| u64::from(w.instructions)).sum();
-        let surviving: u64 = faulted.iter().map(|w| u64::from(w.instructions)).sum();
+        let surviving: u64 = faulted.iter().map(|w| w.instructions).sum();
         prop_assert!(surviving <= original);
         // Any shortfall is exactly a trailing run of dropped reads.
         let tail = (original - surviving) / u64::from(SUBWINDOW);

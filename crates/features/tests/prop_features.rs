@@ -9,8 +9,8 @@ use rhmd_trace::isa::{Opcode, OPCODE_COUNT};
 
 fn any_window() -> impl Strategy<Value = RawWindow> {
     (
-        prop::collection::vec(0u32..50, OPCODE_COUNT),
-        prop::collection::vec(0u32..50, MEM_BINS),
+        prop::collection::vec(0u16..50, OPCODE_COUNT),
+        prop::collection::vec(0u16..50, MEM_BINS),
     )
         .prop_map(|(ops, hist)| {
             let mut w = RawWindow::default();
@@ -20,7 +20,7 @@ fn any_window() -> impl Strategy<Value = RawWindow> {
             for (slot, v) in w.mem_delta_hist.iter_mut().zip(&hist) {
                 *slot = *v;
             }
-            w.instructions = w.opcode_counts.iter().sum::<u32>().max(1);
+            w.instructions = w.opcode_counts.iter().sum::<u16>().max(1);
             w.counters.instructions = w.instructions;
             w
         })
@@ -64,8 +64,8 @@ proptest! {
         // Regularize sizes to exactly one subwindow each.
         let mut subs = windows;
         for w in &mut subs {
-            w.instructions = SUBWINDOW;
-            w.counters.instructions = SUBWINDOW;
+            w.instructions = SUBWINDOW as u16;
+            w.counters.instructions = SUBWINDOW as u16;
         }
         let n = subs.len() as u32;
         let merged = aggregate_with_gaps(&subs, n * SUBWINDOW, 1.0);

@@ -2012,10 +2012,15 @@ mod tests {
         let [Some(benign), Some(flagged)] = chunks else {
             panic!("the fixture model never votes both ways");
         };
-        // A load count no healthy window reaches: the core's window check
-        // finds the projection corrupt, so this window abstains.
+        // The widest load count a subwindow can carry, against an
+        // instruction counter that reads zero: no healthy window reaches
+        // that rate, the core's window check finds the projection corrupt,
+        // and this window abstains.
         let mut corrupt = benign.clone();
-        corrupt[0].counters.loads = u32::MAX;
+        corrupt[0].counters.loads = u16::MAX;
+        for sub in &mut corrupt {
+            sub.counters.instructions = 0;
+        }
         let engine = Engine::start_with_faults(
             hmd,
             ServeConfig {

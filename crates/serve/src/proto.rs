@@ -64,11 +64,13 @@ pub const MAX_NESTING: usize = 128;
 /// Hard cap on tenant and session identifier length, in bytes.
 pub const MAX_ID_BYTES: usize = 256;
 
-/// Hard cap on any single counter value in a submitted window: `u32::MAX`,
-/// the width of a subwindow count ([`RawWindow`]). The decoder rejects a
-/// larger value as a parse error; a session's collection windows sum
-/// these counts at 64-bit width, so assembly cannot overflow either.
-pub const MAX_COUNTER: u64 = u32::MAX as u64;
+/// Hard cap on any single counter value in a submitted window: `u16::MAX`,
+/// the width of a subwindow count ([`RawWindow`]; a subwindow of at most
+/// 1,000 instructions counts at most 2,000 events per channel). The
+/// decoder rejects a larger value as a parse error; a session's collection
+/// windows sum these counts at 64-bit width, so assembly cannot overflow
+/// either.
+pub const MAX_COUNTER: u64 = u16::MAX as u64;
 
 /// A client → server message, decoded from the wire by [`parse_request`].
 ///
@@ -508,9 +510,9 @@ impl<'a> Decoder<'a> {
     }
 
     /// The `counters` body: each field lands at its [`COUNTER_NAMES`] index.
-    fn counters(&mut self) -> Decoded<CounterSet> {
+    fn counters(&mut self) -> Decoded<CounterSet<u16>> {
         const ALL: u32 = (1 << COUNTER_DIMS) - 1;
-        let mut values = [0u32; COUNTER_DIMS];
+        let mut values = [0u16; COUNTER_DIMS];
         let mut seen = 0u32;
         self.object(
             |d, key| match COUNTER_NAMES.iter().position(|&name| name == key) {
@@ -555,7 +557,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// A fixed-length array of counts, filled in place.
-    fn count_array(&mut self, out: &mut [u32]) -> Decoded<()> {
+    fn count_array(&mut self, out: &mut [u16]) -> Decoded<()> {
         self.expect(b'[')?;
         self.enter()?;
         let mut len = 0;
@@ -587,12 +589,12 @@ impl<'a> Decoder<'a> {
 
     /// A window count: an unsigned integer (see [`Self::u64`]) no larger
     /// than [`MAX_COUNTER`].
-    fn count(&mut self) -> Decoded<u32> {
+    fn count(&mut self) -> Decoded<u16> {
         let n = self.u64()?;
-        match u32::try_from(n) {
+        match u16::try_from(n) {
             Ok(count) => Ok(count),
             Err(_) => self.fail(format_args!(
-                "counter value {n} exceeds the u32 cap ({MAX_COUNTER})"
+                "counter value {n} exceeds the u16 cap ({MAX_COUNTER})"
             )),
         }
     }
@@ -901,19 +903,19 @@ mod tests {
         assert!(validate_request(&long_session).is_err());
     }
 
-    /// A window count past `u32::MAX`, in any kind of count slot, is a
-    /// parse error; `u32::MAX` itself decodes exactly.
+    /// A window count past `u16::MAX`, in any kind of count slot, is a
+    /// parse error; `u16::MAX` itself decodes exactly.
     #[test]
-    fn window_counts_past_u32_are_parse_errors() {
-        const MARK: u32 = 4_242_424_242;
-        let slots: [fn(&mut RawWindow, u32); 4] = [
+    fn window_counts_past_u16_are_parse_errors() {
+        const MARK: u16 = 42_424;
+        let slots: [fn(&mut RawWindow, u16); 4] = [
             |w, v| w.instructions = v,
             |w, v| w.opcode_counts[5] = v,
             |w, v| w.mem_delta_hist[15] = v,
             |w, v| w.counters.l2_misses = v,
         ];
         for set in slots {
-            let event = |value: u32| {
+            let event = |value: u16| {
                 let mut window = RawWindow::default();
                 set(&mut window, value);
                 Request::Event {
@@ -926,11 +928,11 @@ mod tests {
             };
             let frame = serde_json::to_string(&event(MARK)).unwrap();
             let at_max = frame.replace(&MARK.to_string(), &MAX_COUNTER.to_string());
-            assert_eq!(parse_request(&at_max).unwrap(), event(u32::MAX));
+            assert_eq!(parse_request(&at_max).unwrap(), event(u16::MAX));
             let past = frame.replace(&MARK.to_string(), &(MAX_COUNTER + 1).to_string());
             let err = parse_request(&past).unwrap_err();
             assert!(matches!(err, rhmd_core::RhmdError::Parse { .. }));
-            assert!(err.to_string().contains("exceeds the u32 cap"), "{err}");
+            assert!(err.to_string().contains("exceeds the u16 cap"), "{err}");
         }
     }
 }

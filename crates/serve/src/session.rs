@@ -174,7 +174,7 @@ mod tests {
     use super::*;
     use rhmd_features::window::{CollectionWindow, RawWindow, Sealed, SUBWINDOW};
 
-    fn sub(instructions: u32) -> RawWindow {
+    fn sub(instructions: u16) -> RawWindow {
         let mut w = RawWindow {
             instructions,
             ..RawWindow::default()
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn partial_tail_drops_at_full_fill() {
-        let subs: Vec<RawWindow> = (0..7).map(|_| sub(SUBWINDOW)).collect();
+        let subs: Vec<RawWindow> = (0..7).map(|_| sub(SUBWINDOW as u16)).collect();
         // 7 subwindows at period 5k: one full window, tail of 2 drops.
         assert_eq!(streamed(&subs, 5_000, 1.0).len(), 1);
         // With a permissive floor the 2k-instruction tail survives.

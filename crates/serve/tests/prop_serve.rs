@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 /// A synthetic subwindow whose channels are all derived from `fill`, so a
 /// merge mistake in any channel shows up as inequality.
-fn sub(fill: u32, salt: u32) -> RawWindow {
+fn sub(fill: u16, salt: u16) -> RawWindow {
     let mut w = RawWindow {
         instructions: fill,
         ..RawWindow::default()
@@ -147,7 +147,7 @@ proptest! {
     /// assembler) seals the same windows as the clean in-order stream.
     #[test]
     fn sequence_filter_makes_redelivery_invisible_to_assembly(
-        fills in prop::collection::vec(1u32..=SUBWINDOW, 1..24),
+        fills in prop::collection::vec(1u16..=SUBWINDOW as u16, 1..24),
         per in 1u32..4,
         replays in prop::collection::vec((0usize..24, 0usize..24), 0..32),
         restore_at in 0usize..24,
@@ -157,7 +157,7 @@ proptest! {
         let subs: Vec<RawWindow> = fills
             .iter()
             .enumerate()
-            .map(|(i, &f)| sub(f, i as u32))
+            .map(|(i, &f)| sub(f, i as u16))
             .collect();
         let now = Instant::now();
         let deliver = |chaos: bool| {
@@ -338,13 +338,13 @@ fn counter(rng: &mut SmallRng) -> u64 {
     }
 }
 
-/// A window count: zero, small, at or just below `u32::MAX`, or anywhere
-/// in u32.
-fn count(rng: &mut SmallRng) -> u32 {
+/// A window count: zero, small, at or just below `u16::MAX`, or anywhere
+/// in u16.
+fn count(rng: &mut SmallRng) -> u16 {
     match rng.gen_range(0..4) {
         0 => 0,
         1 => rng.gen_range(0..2_000),
-        2 => u32::MAX - rng.gen_range(0..3),
+        2 => u16::MAX - rng.gen_range(0..3),
         _ => rng.gen(),
     }
 }
@@ -668,15 +668,15 @@ proptest! {
         }
     }
 
-    /// Numeric edge cases in every kind of `u32` count slot and `u64`
+    /// Numeric edge cases in every kind of `u16` count slot and `u64`
     /// slot, and in a slot no field reads.
     #[test]
     fn decoder_matches_tree_on_numeric_edges(seed in any::<u64>()) {
         const SENTINEL: u64 = 4_242_424_242_424_242;
-        const COUNT_SENTINEL: u32 = 4_242_424_242;
-        const EDGES: [&str; 18] = [
+        const COUNT_SENTINEL: u16 = 42_424;
+        const EDGES: [&str; 20] = [
             "18446744073709551615", "18446744073709551616", "99999999999999999999999",
-            "4294967295", "4294967296",
+            "4294967295", "4294967296", "65535", "65536",
             "-0", "-00", "-1", "007", "0", "1.0", "1e3", "1E3", "1e999", "-", "1-2", "-9223372036854775809", "00",
         ];
         let mut rng = SmallRng::seed_from_u64(seed);

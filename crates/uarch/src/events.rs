@@ -5,51 +5,53 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Sub;
 
-/// One sample of the performance counters.
+/// One sample of the performance counters, at count width `C`.
 ///
 /// All counts are deltas over some interval: one drain of a core, which
-/// every trace path takes once per 1,000-instruction subwindow. Counts are
-/// `u32`: a core raises each channel by at most a few per committed
-/// instruction, so a subwindow's channels stay in the low thousands and
-/// even one whole trace's sum fits. Sums of readings go through
-/// [`CounterSet::checked_add`], which fails with [`CountOverflow`] instead
-/// of wrapping. A core that is never drained counts its whole run in these
-/// fields, so a direct [`crate::CoreModel`] observer must stay well below
-/// `u32::MAX` events per channel; debug builds trap an overflowing count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CounterSet {
+/// every trace path takes once per 1,000-instruction subwindow. A core
+/// counts in `u32` (the default width): it raises each channel by at most
+/// 2 per committed instruction, so a subwindow's channels stay in the low
+/// thousands and even one whole trace's sum fits. Whole-trace sums go
+/// through [`CounterSet::checked_add`], which fails with [`CountOverflow`]
+/// instead of wrapping. A core that is never drained counts its whole run
+/// in these fields, so a direct [`crate::CoreModel`] observer must stay
+/// well below `u32::MAX` events per channel; debug builds trap an
+/// overflowing count. A sealed subwindow keeps its reading as
+/// `CounterSet<u16>`, and widens it back with [`From`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CounterSet<C = u32> {
     /// Committed instructions.
-    pub instructions: u32,
+    pub instructions: C,
     /// Load micro-accesses.
-    pub loads: u32,
+    pub loads: C,
     /// Store micro-accesses.
-    pub stores: u32,
+    pub stores: C,
     /// Unaligned memory accesses.
-    pub unaligned: u32,
+    pub unaligned: C,
     /// Conditional branches executed.
-    pub cond_branches: u32,
+    pub cond_branches: C,
     /// Taken control transfers (all kinds).
-    pub taken_branches: u32,
+    pub taken_branches: C,
     /// Direction mispredictions.
-    pub mispredicts: u32,
+    pub mispredicts: C,
     /// BTB misses on taken transfers.
-    pub btb_misses: u32,
+    pub btb_misses: C,
     /// Instruction-cache misses.
-    pub icache_misses: u32,
+    pub icache_misses: C,
     /// Data-cache misses.
-    pub dcache_misses: u32,
+    pub dcache_misses: C,
     /// Unified L2 misses.
-    pub l2_misses: u32,
+    pub l2_misses: C,
     /// Instruction-TLB misses.
-    pub itlb_misses: u32,
+    pub itlb_misses: C,
     /// Data-TLB misses.
-    pub dtlb_misses: u32,
+    pub dtlb_misses: C,
     /// Function calls.
-    pub calls: u32,
+    pub calls: C,
     /// Function returns.
-    pub returns: u32,
+    pub returns: C,
     /// System calls.
-    pub syscalls: u32,
+    pub syscalls: C,
 }
 
 /// Number of scalar event channels exported to the Architectural feature.
@@ -75,9 +77,9 @@ pub const COUNTER_NAMES: [&str; COUNTER_DIMS] = [
     "syscalls",
 ];
 
-impl CounterSet {
+impl<C: Copy> CounterSet<C> {
     /// Exports the counters as a fixed-order array (see [`COUNTER_NAMES`]).
-    pub fn to_array(&self) -> [u32; COUNTER_DIMS] {
+    pub fn to_array(&self) -> [C; COUNTER_DIMS] {
         [
             self.instructions,
             self.loads,
@@ -100,7 +102,7 @@ impl CounterSet {
 
     /// Rebuilds a counter set from a fixed-order array (inverse of
     /// [`CounterSet::to_array`]).
-    pub fn from_array(a: [u32; COUNTER_DIMS]) -> CounterSet {
+    pub fn from_array(a: [C; COUNTER_DIMS]) -> CounterSet<C> {
         CounterSet {
             instructions: a[0],
             loads: a[1],
@@ -119,6 +121,39 @@ impl CounterSet {
             returns: a[14],
             syscalls: a[15],
         }
+    }
+}
+
+// Written out because the derive does not take type parameters; the shape
+// is the derived one: an object with one field per channel, in
+// `COUNTER_NAMES` order.
+impl<C: Copy + Serialize> Serialize for CounterSet<C> {
+    fn serialize(&self) -> serde::Value {
+        let values = self.to_array();
+        serde::Value::Map(
+            COUNTER_NAMES
+                .iter()
+                .zip(&values)
+                .map(|(name, v)| (name.to_string(), v.serialize()))
+                .collect(),
+        )
+    }
+}
+
+impl<C: Copy + Default + Deserialize> Deserialize for CounterSet<C> {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let mut values = [C::default(); COUNTER_DIMS];
+        for (v, name) in values.iter_mut().zip(COUNTER_NAMES) {
+            *v = C::deserialize(value.field(name)?)?;
+        }
+        Ok(CounterSet::from_array(values))
+    }
+}
+
+impl From<CounterSet<u16>> for CounterSet {
+    /// Widens a subwindow's reading to the core's width.
+    fn from(narrow: CounterSet<u16>) -> CounterSet {
+        CounterSet::from_array(narrow.to_array().map(u32::from))
     }
 }
 
@@ -157,14 +192,11 @@ impl CounterSet {
     }
 }
 
-/// A sum of counts that does not fit the `u32` width of a [`CounterSet`]
-/// (or of a subwindow's other channels): the typed failure of every
-/// checked window sum.
+/// A sum of counts that does not fit the `u32` width of a [`CounterSet`]:
+/// the typed failure of [`CounterSet::checked_add`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountOverflow {
-    /// The channel whose sum overflowed: a [`COUNTER_NAMES`] entry, or
-    /// `"instructions"`, `"opcode_counts"` or `"mem_delta_hist"` for a
-    /// subwindow's own channels.
+    /// The channel whose sum overflowed: a [`COUNTER_NAMES`] entry.
     pub channel: &'static str,
 }
 
@@ -221,7 +253,7 @@ mod tests {
 
     #[test]
     fn rates_normalize_by_instructions() {
-        let c = CounterSet {
+        let c: CounterSet = CounterSet {
             instructions: 200,
             loads: 50,
             ..CounterSet::default()
@@ -233,8 +265,30 @@ mod tests {
 
     #[test]
     fn rates_survive_zero_instructions() {
-        let r = rates(&CounterSet::default().to_array().map(u64::from));
+        let r = rates(&CounterSet::<u32>::default().to_array().map(u64::from));
         assert!(r.iter().all(|v| v.is_finite()));
+    }
+
+    /// A subwindow's `u16` reading serializes to the same JSON object as
+    /// a core's `u32` reading of the same counts, reads back, and widens
+    /// to it.
+    #[test]
+    fn narrow_readings_serialize_and_widen_like_core_readings() {
+        let narrow = CounterSet::<u16>::from_array(std::array::from_fn(|i| 1_000 + i as u16));
+        let wide = CounterSet::from_array(std::array::from_fn(|i| 1_000 + i as u32));
+        let json = serde_json::to_string(&narrow).unwrap();
+        assert_eq!(json, serde_json::to_string(&wide).unwrap());
+        assert!(
+            json.starts_with(r#"{"instructions":1000,"loads":1001,"#),
+            "{json}"
+        );
+        assert_eq!(
+            serde_json::from_str::<CounterSet<u16>>(&json).unwrap(),
+            narrow
+        );
+        assert_eq!(CounterSet::from(narrow), wide);
+        let past = json.replace("1015", "65536");
+        assert!(serde_json::from_str::<CounterSet<u16>>(&past).is_err());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! assert!((400..1_600).contains(&read.instructions)); // ±10% jitter
 //! ```
 
-use crate::events::{CounterSet, COUNTER_DIMS};
+use crate::events::CounterSet;
 use serde::{Deserialize, Serialize};
 
 /// How a width-limited counter handles overflow.
@@ -272,6 +272,20 @@ impl FaultModel {
             && unit(self.hash(TAG_MUX, window, channel)) < self.config.multiplex_rate
     }
 
+    /// The fault decisions of the read of `window`: whether the model is
+    /// the identity and whether the read falls inside a corruption burst
+    /// are decided here, once per read, and every channel of the read is
+    /// then corrupted through the returned [`ReadFaults`].
+    pub fn read_faults(&self, window: u64) -> ReadFaults<'_> {
+        let identity = self.is_identity();
+        ReadFaults {
+            model: self,
+            window,
+            identity,
+            burst: !identity && self.in_burst(window),
+        }
+    }
+
     /// Corrupts one counter value. `prev` is the channel's previous
     /// *observed* value, served when the channel is multiplexed out (zero at
     /// the start of the stream).
@@ -279,32 +293,82 @@ impl FaultModel {
     /// Zero-intensity configs return `value` unchanged without touching any
     /// floating-point path.
     pub fn corrupt_value(&self, window: u64, channel: u64, value: u64, prev: Option<u64>) -> u64 {
-        let c = &self.config;
-        if c.is_identity() {
+        self.read_faults(window).corrupt_value(channel, value, prev)
+    }
+
+    /// [`FaultModel::corrupt_value`] on a 32-bit read register, the width
+    /// of every [`CounterSet`] channel ([`ReadFaults::corrupt_read`]).
+    pub fn corrupt_read(&self, window: u64, channel: u64, value: u32, prev: Option<u32>) -> u32 {
+        let v =
+            self.read_faults(window)
+                .corrupt_read(channel, u64::from(value), prev.map(u64::from));
+        u32::try_from(v).expect("a 32-bit read saturates at u32::MAX")
+    }
+
+    /// Corrupts one [`CounterSet`] in place. `window` is the read's index in
+    /// the committed stream; `prev` is the previously *observed* (possibly
+    /// corrupted) set, used for stale multiplexed reads.
+    pub fn corrupt_counters(
+        &self,
+        window: u64,
+        counters: &mut CounterSet,
+        prev: Option<&CounterSet>,
+    ) {
+        let faults = self.read_faults(window);
+        let stale = prev.map(CounterSet::to_array);
+        let mut out = counters.to_array();
+        for (ch, o) in out.iter_mut().enumerate() {
+            let v = faults.corrupt_read(ch as u64, u64::from(*o), stale.map(|s| u64::from(s[ch])));
+            *o = u32::try_from(v).expect("a 32-bit read saturates at u32::MAX");
+        }
+        *counters = CounterSet::from_array(out);
+    }
+}
+
+/// The fault decisions of one read, taken once by
+/// [`FaultModel::read_faults`] and applied channel by channel.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadFaults<'a> {
+    model: &'a FaultModel,
+    window: u64,
+    identity: bool,
+    burst: bool,
+}
+
+impl ReadFaults<'_> {
+    /// Corrupts one channel's value ([`FaultModel::corrupt_value`]).
+    pub fn corrupt_value(&self, channel: u64, value: u64, prev: Option<u64>) -> u64 {
+        if self.identity {
             return value;
         }
+        let (model, window) = (self.model, self.window);
+        let c = &model.config;
         let mask = if c.counter_bits == 0 || c.counter_bits >= 64 {
             u64::MAX
         } else {
             (1u64 << c.counter_bits) - 1
         };
-        if self.in_burst(window) {
+        if self.burst {
             // Electrical garbage: a random value within the counter width
             // (or a plausible 32-bit range for unlimited counters).
-            let garbage_mask = if c.counter_bits == 0 { u32::MAX as u64 } else { mask };
-            return self.hash(TAG_GARBAGE, window, channel) & garbage_mask;
+            let garbage_mask = if c.counter_bits == 0 {
+                u32::MAX as u64
+            } else {
+                mask
+            };
+            return model.hash(TAG_GARBAGE, window, channel) & garbage_mask;
         }
-        if self.multiplexed_out(window, channel) {
+        if model.multiplexed_out(window, channel) {
             return prev.unwrap_or(0);
         }
         let mut v = value;
         if c.noise > 0.0 || c.additive > 0.0 {
             let mut f = v as f64;
             if c.noise > 0.0 {
-                f *= 1.0 + c.noise * self.gauss(window, channel);
+                f *= 1.0 + c.noise * model.gauss(window, channel);
             }
             if c.additive > 0.0 {
-                f += c.additive * self.gauss(window, channel ^ (1 << 32));
+                f += c.additive * model.gauss(window, channel ^ (1 << 32));
             }
             v = if f <= 0.0 { 0 } else { f.round() as u64 };
         }
@@ -317,30 +381,13 @@ impl FaultModel {
         v
     }
 
-    /// [`FaultModel::corrupt_value`] on a 32-bit read register, the width
-    /// of every [`CounterSet`] and subwindow channel. A corrupt value past
-    /// `u32::MAX` reads as `u32::MAX`; only burst garbage of a counter wider
-    /// than 32 bits, or noise on a count near the top of the range, gets
-    /// there.
-    pub fn corrupt_read(&self, window: u64, channel: u64, value: u32, prev: Option<u32>) -> u32 {
-        let v = self.corrupt_value(window, channel, u64::from(value), prev.map(u64::from));
-        u32::try_from(v).unwrap_or(u32::MAX)
-    }
-
-    /// Corrupts one [`CounterSet`] in place. `window` is the read's index in
-    /// the committed stream; `prev` is the previously *observed* (possibly
-    /// corrupted) set, used for stale multiplexed reads.
-    pub fn corrupt_counters(&self, window: u64, counters: &mut CounterSet, prev: Option<&CounterSet>) {
-        if self.is_identity() {
-            return;
-        }
-        let raw = counters.to_array();
-        let stale = prev.map(CounterSet::to_array);
-        let mut out = [0u32; COUNTER_DIMS];
-        for (ch, (o, &v)) in out.iter_mut().zip(&raw).enumerate() {
-            *o = self.corrupt_read(window, ch as u64, v, stale.map(|s| s[ch]));
-        }
-        *counters = CounterSet::from_array(out);
+    /// [`ReadFaults::corrupt_value`] on a 32-bit read register: a corrupt
+    /// value past `u32::MAX` reads as `u32::MAX`. Only burst garbage of a
+    /// counter wider than 32 bits, or noise on a count near the top of the
+    /// range, gets there.
+    pub fn corrupt_read(&self, channel: u64, value: u64, prev: Option<u64>) -> u64 {
+        self.corrupt_value(channel, value, prev)
+            .min(u64::from(u32::MAX))
     }
 }
 

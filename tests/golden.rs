@@ -101,7 +101,7 @@ fn compute() -> Golden {
                 MIN_COVERAGE,
                 |i| FAULT_SEED ^ i as u64,
                 |_, subs| {
-                    Detector::quorum(&rhmd, subs, MIN_FILL, &mut StreamRng::from_seed(rhmd.seed()))
+                    Detector::quorum(&rhmd, subs.into(), MIN_FILL, &mut StreamRng::from_seed(rhmd.seed()))
                 },
             )
             .sensitivity
